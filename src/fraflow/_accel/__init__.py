@@ -2,7 +2,7 @@
 
 Tries the compiled Cython core first and falls back to the pure-numpy
 implementation.  Set ``FRAFLOW_NO_ACCEL=1`` to force the fallback (used by
-the benchmark and by the backend-parity tests).
+the backend-parity tests).
 """
 
 import os
@@ -21,8 +21,7 @@ else:
         _impl = numpy_backend
         BACKEND = "numpy"
 
-# np.convolve already runs the triangular sums in optimized C and beats the
-# naive compiled loop ~3x (see benchmarks/bench_backends.py); the compiled
+# np.convolve already runs the triangular sums in optimized C; the compiled
 # core only pays off for the sequential kernels
 conv_left = numpy_backend.conv_left
 conv_right = numpy_backend.conv_right

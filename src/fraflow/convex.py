@@ -15,6 +15,7 @@ phi at z in the H sense.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
 from ._accel import power_prox_abs
 
@@ -186,10 +187,15 @@ class SmoothFunctional(Functional):
     """Convex functional given by value/gradient/Hessian callables.
 
     ``gradient`` and ``hessian`` are understood in the H inner product
-    (i.e. Euclidean gradient divided by the cell weight).  The resolvent
-    runs a damped Newton iteration on the optimality system with a
-    gradient-descent fallback; the prox objective is strongly convex, so
-    the iteration is safe at any lam > 0.
+    (i.e. Euclidean gradient divided by the cell weight).  ``hess_fn(z)``
+    returns the H-Hessian as a fresh array in symmetric lower banded
+    storage, ``ab[k, i] = H[i + k, i]`` (the layout of
+    ``scipy.linalg.solveh_banded``).  The prox adds ``1/lam`` to row 0 in
+    place and factors H + I/lam by banded Cholesky, so that sum must be
+    positive definite; a failed factorization falls back to a gradient
+    step.  The resolvent runs a damped Newton iteration on the optimality
+    system; the prox objective is strongly convex, so the iteration is
+    safe at any lam > 0.
     """
 
     def __init__(self, space, value_fn, grad_fn, hess_fn=None, name="smooth"):
@@ -225,10 +231,10 @@ class SmoothFunctional(Functional):
                 return z
             step = None
             if self._hess is not None:
-                hess = self._hess(z)
-                jac = hess + np.eye(z.size) / lam
+                jac = self._hess(z)
+                jac[0] += 1.0 / lam
                 try:
-                    step = np.linalg.solve(jac, -res.ravel()).reshape(shape)
+                    step = solveh_banded(jac, -res.ravel(), lower=True).reshape(shape)
                 except np.linalg.LinAlgError:
                     step = None
             if step is None:
@@ -241,15 +247,20 @@ class SmoothFunctional(Functional):
                 z = cand
                 obj = objective(z)
                 continue
-            # otherwise Armijo backtracking on the strongly convex objective
+            # otherwise backtrack on the strongly convex objective: halve
+            # until the Armijo test holds, then on while halving still
+            # lowers it.  A step that passes Armijo can still overshoot the
+            # minimum along the ray (p-Dirichlet with p < 2: Newton flips
+            # the signs of near-zero face gradients step after step)
             t = 1.0
             slope = self.space.inner(res, step)
+            obj_t = objective(z + step)
             for _ in range(40):
-                cand = z + t * step
-                if objective(cand) <= obj + 1e-4 * t * slope:
+                obj_half = objective(z + 0.5 * t * step)
+                if obj_half >= obj_t and obj_t <= obj + 1e-4 * t * slope:
                     break
-                t *= 0.5
+                t, obj_t = 0.5 * t, obj_half
             z = z + t * step
-            obj = objective(z)
+            obj = obj_t
         res = (z - w) / lam + self._grad(z)
         raise ProxNonconvergence(self.space.norm(res), max_iter)

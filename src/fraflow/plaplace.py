@@ -15,7 +15,7 @@ point mismatches.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -76,8 +76,20 @@ def _face_gradients(grid, u):
     return gx, gy
 
 
-def _flux(g, p):
-    return (g * g + FLUX_EPS**2) ** ((p - 2.0) / 2.0) * g
+def _face_energy(g, p, eps):
+    # p times the face energy density; vanishes at zero gradient
+    return (g * g + eps**2) ** (p / 2.0) - eps**p
+
+
+def _flux(g, p, eps):
+    # derivative of _face_energy / p in g
+    return (g * g + eps**2) ** ((p - 2.0) / 2.0) * g
+
+
+def _face_weight(g, p, eps):
+    # derivative of _flux in g; positive for every p > 1
+    s = g * g + eps**2
+    return s ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * g * g / s)
 
 
 def discrete_p_laplacian(grid, u, p, eps=FLUX_EPS):
@@ -85,27 +97,10 @@ def discrete_p_laplacian(grid, u, p, eps=FLUX_EPS):
     discrete Dirichlet energy."""
     if not p > 1:
         raise ValueError(f"exponent must exceed 1, got {p}")
-    h = grid.h
     u = np.asarray(u, dtype=np.float64)
     grads = _face_gradients(grid, u)
-    if grid.dim == 1:
-        flux = (grads[0] ** 2 + eps**2) ** ((p - 2.0) / 2.0) * grads[0]
-        return np.diff(flux) / h
-    fx = (grads[0] ** 2 + eps**2) ** ((p - 2.0) / 2.0) * grads[0]
-    fy = (grads[1] ** 2 + eps**2) ** ((p - 2.0) / 2.0) * grads[1]
-    div = np.diff(fx, axis=0) / h + np.diff(fy, axis=1) / h
+    div = sum(np.diff(_flux(g, p, eps), axis=axis) / grid.h for axis, g in enumerate(grads))
     return div.reshape(u.shape)
-
-
-def _diff_matrix(m):
-    # faces x nodes forward-difference matrix with zero ghosts
-    b = np.zeros((m + 1, m))
-    for f in range(m + 1):
-        if f < m:
-            b[f, f] = 1.0
-        if f > 0:
-            b[f, f - 1] = -1.0
-    return b
 
 
 class PDirichletEnergy(SmoothFunctional):
@@ -126,43 +121,36 @@ class PDirichletEnergy(SmoothFunctional):
         )
 
     def _energy(self, u):
-        p = self.p
         cell = self.grid.h**self.grid.dim
         total = 0.0
         for g in _face_gradients(self.grid, u):
-            # per-face (g^2+eps^2)^{p/2} - eps^p: vanishes at zero gradient
-            total += float(np.sum((g * g + self.eps**2) ** (p / 2.0) - self.eps**self.p))
-        return cell * total / p
+            total += float(np.sum(_face_energy(g, self.p, self.eps)))
+        return cell * total / self.p
 
     def _grad_h(self, u):
         return -discrete_p_laplacian(self.grid, u, self.p, eps=self.eps)
 
     def _hess_h(self, u):
-        # dense H-representation Hessian; desk-scale grids only
+        """H-Hessian B^T diag(w) B / h^2 in lower banded storage.
+
+        Row k holds the couplings at node-index offset k (row 0 is the
+        diagonal).  In the natural ij ordering an axis with stride s couples
+        nodes s apart, so 1D needs 2 rows and 2D needs m + 1 (y faces at
+        offset 1, x faces at offset m); the rows in between stay zero.
+        """
         grid = self.grid
-        p = self.p
-        h = grid.h
-        b = _diff_matrix(grid.m)
-        if grid.dim == 1:
-            g = _face_gradients(grid, u)[0]
-            w = (g * g + self.eps**2) ** ((p - 2.0) / 2.0) * (
-                1.0 + (p - 2.0) * g * g / (g * g + self.eps**2)
-            )
-            # jacobian of grad_H(u) = B^T flux(B u / h) / h
-            return (b.T * w) @ b / h**2
-        gx, gy = _face_gradients(grid, u)
-
-        def face_weight(g):
-            return (g * g + self.eps**2) ** ((p - 2.0) / 2.0) * (
-                1.0 + (p - 2.0) * g * g / (g * g + self.eps**2)
-            )
-
-        eye = np.eye(grid.m)
-        gxop = np.kron(b, eye)
-        gyop = np.kron(eye, b)
-        wx = face_weight(gx).ravel()
-        wy = face_weight(gy).ravel()
-        return ((gxop.T * wx) @ gxop + (gyop.T * wy) @ gyop) / h**2
+        shape = grid.shape
+        ab = np.zeros((grid.m ** (grid.dim - 1) + 1, grid.npoints))
+        diag = ab[0].reshape(shape)
+        for axis, g in enumerate(_face_gradients(grid, u)):
+            w = _face_weight(g, self.p, self.eps)
+            before = (slice(None),) * axis
+            diag += w[before + (slice(None, -1),)] + w[before + (slice(1, None),)]
+            # the last node along the axis has no neighbour at +stride
+            off = ab[grid.m ** (grid.dim - 1 - axis)].reshape(shape)
+            off[before + (slice(None, -1),)] = -w[before + (slice(1, -1),)]
+        ab /= grid.h**2
+        return ab
 
 
 def dirichlet_p_energy(grid, p, eps=FLUX_EPS):
@@ -416,19 +404,7 @@ class ExperimentSpec:
     exponent_dim: int | None = None  # PDE dimension for the regime arithmetic
 
     def with_amplitude(self, amplitude):
-        return ExperimentSpec(
-            p=self.p,
-            q=self.q,
-            alpha=self.alpha,
-            grid=self.grid,
-            amplitude=amplitude,
-            u0_profile=self.u0_profile,
-            f_profile=self.f_profile,
-            f_amplitude=self.f_amplitude,
-            horizon=self.horizon,
-            steps=self.steps,
-            exponent_dim=self.exponent_dim,
-        )
+        return replace(self, amplitude=amplitude)
 
 
 @dataclass

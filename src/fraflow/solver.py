@@ -123,11 +123,11 @@ class Trajectory:
 
 @dataclass
 class BlowUpReport:
-    """Early termination: threshold crossing or a diverging inner loop."""
+    """Early termination: threshold crossing, non-finite state or a diverging inner loop."""
 
     node: int
     time: float
-    reason: str  # "norm-threshold" | "energy-threshold" | "inner-divergence"
+    reason: str  # "norm-threshold" | "energy-threshold" | "inner-divergence" | "non-finite"
     norm_history: np.ndarray
     energy_history: np.ndarray
     e_t: float
@@ -252,6 +252,9 @@ def _solve_loop(spec, config, forcing_path, eta_source):
             if not converged and np.max(np.abs(u_new)) <= config.blowup_norm:
                 return _blowup(j, "inner-divergence", j - 1)
 
+        amax = float(np.max(np.abs(u_new)))
+        if not np.isfinite(amax):
+            return _blowup(j, "non-finite", j - 1)
         states[j] = u_new
         xi[j] = xi_new
         eta[j] = np.broadcast_to(eta_val, shape)
@@ -260,8 +263,8 @@ def _solve_loop(spec, config, forcing_path, eta_source):
         energy1[j] = spec.phi1.value(u_new)
         norms[j] = space.norm(u_new)
 
-        if np.max(np.abs(u_new)) > config.blowup_norm or energy1[j] > config.blowup_energy:
-            reason = "norm-threshold" if np.max(np.abs(u_new)) > config.blowup_norm else "energy-threshold"
+        if amax > config.blowup_norm or energy1[j] > config.blowup_energy:
+            reason = "norm-threshold" if amax > config.blowup_norm else "energy-threshold"
             return _blowup(j, reason, j)
 
     # re-assemble the equation residual from scratch (independent of the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fraflow.plaplace import (
+    FLUX_EPS,
     AssumptionProfile,
     BisectionPremiseError,
     ExperimentSpec,
@@ -18,6 +19,30 @@ from fraflow.plaplace import (
     run_experiment,
 )
 from fraflow.solver import SolverConfig
+
+
+def dense_hessian_reference(grid, u, p, eps=FLUX_EPS):
+    """H-Hessian sum_axes B_a^T diag(w_a) B_a / h^2 from dense Kronecker
+    face-difference operators (zero Dirichlet ghosts, ij node ordering)."""
+    m = grid.m
+    b = np.eye(m + 1, m) - np.eye(m + 1, m, k=-1)  # faces x nodes
+    if grid.dim == 1:
+        ops = [b]
+    else:
+        ops = [np.kron(b, np.eye(m)), np.kron(np.eye(m), b)]
+    hess = np.zeros((grid.npoints, grid.npoints))
+    for op in ops:
+        g = op @ u / grid.h
+        w = (g * g + eps**2) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * g * g / (g * g + eps**2))
+        hess += (op.T * w) @ op
+    return hess / grid.h**2
+
+
+def banded_to_dense(ab):
+    """Expand symmetric lower banded storage, ab[k, i] = H[i + k, i]."""
+    n = ab.shape[1]
+    lower = sum(np.diag(ab[k, : n - k], -k) for k in range(ab.shape[0]))
+    return lower + np.tril(lower, -1).T
 
 
 class TestGrid:
@@ -67,6 +92,21 @@ class TestDiscretePLaplacian:
         rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
         assert rel <= 1e-6
 
+    @pytest.mark.parametrize("dim,m", [(1, 16), (2, 8)])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_hessian_consistency(self, dim, m, p, rng):
+        grid = Grid(dim, m)
+        phi = dirichlet_p_energy(grid, p)
+        u = rng.uniform(-1.0, 1.0, grid.npoints)
+        hess = banded_to_dense(phi._hess(u))
+        np.testing.assert_allclose(hess, dense_hessian_reference(grid, u, p), rtol=1e-13, atol=0.0)
+        # H v is the directional derivative of the H-gradient
+        v = rng.standard_normal(grid.npoints)
+        step = 1e-6
+        fd = (phi.gradient(u + step * v) - phi.gradient(u - step * v)) / (2 * step)
+        rel = np.linalg.norm(fd - hess @ v) / np.linalg.norm(hess @ v)
+        assert rel <= 1e-6
+
     def test_flux_regularization_insensitivity(self, rng):
         # eps enters only through (g^2 + eps^2)^{(p-2)/2}: results for
         # p < 2 must be stable under eps -> 100 eps at nonzero gradients
@@ -95,10 +135,12 @@ class TestEnergies:
         phi2 = q_potential(g, 2.0)
         assert phi2.value(w) == pytest.approx(0.5 * g.space.inner(w, w))
 
-    def test_p_dirichlet_prox_residual(self, rng):
-        g = Grid(1, 8)
-        phi = dirichlet_p_energy(g, 3.0)
-        w = rng.standard_normal(8)
+    @pytest.mark.parametrize("dim,m", [(1, 8), (2, 6)])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_p_dirichlet_prox_residual(self, dim, m, p, rng):
+        g = Grid(dim, m)
+        phi = dirichlet_p_energy(g, p)
+        w = rng.standard_normal(g.npoints)
         z = phi.prox(w, 0.5, tol=1e-10)
         res = (z - w) / 0.5 + phi.gradient(z)
         assert phi.space.norm(res) <= 1e-8

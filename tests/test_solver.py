@@ -157,6 +157,26 @@ class TestBlowUp:
         assert len(result.norm_history) == result.node + 1
         assert result.e_t > 0
 
+    def test_non_finite_state_is_not_completed(self):
+        # a resolvent returning NaN on the last step must not end "completed"
+        n = 16
+
+        class NanOnLastStep(Quadratic):
+            calls = 0
+
+            def prox(self, w, lam, tol=1e-10):
+                self.calls += 1
+                z = super().prox(w, lam, tol=tol)
+                return np.full_like(z, np.nan) if self.calls == n else z
+
+        spec = ProblemSpec(NanOnLastStep(Space(1)), None, rl_pair(0.5), np.array([1.0]), None, TimeGrid(1.0, n))
+        result = solve_dc_flow(spec)
+        assert isinstance(result, BlowUpReport)
+        assert result.reason == "non-finite"
+        assert result.node == n
+        assert len(result.norm_history) == n
+        assert np.all(np.isfinite(result.norm_history))
+
 
 class TestLipschitzPerturbed:
     def test_zero_perturbation_reduces_to_dc_flow(self):
