@@ -1,54 +1,38 @@
-"""Pure-numpy implementations of the hot inner kernels.
+"""The inner kernels of the stepper and the certificates, in numpy.
 
-Every function here has a compiled twin in ``_core.pyx`` with the same
-signature and semantics; the package selects one of the two at import time
-(see ``fraflow._accel``).  All triangular sums are O(N^2) by design — fast
-history compression is out of scope.
+One implementation of each: the causal triangular convolution behind
+every whole-path product-integration sum, the per-step history sum, the
+Volterra forward substitution of the regularized kernels and the
+componentwise power prox.  All triangular sums are O(N^2) by design.
+
+The module keeps the name ``_accel`` because the benchmark's tracer
+(``perfbench/tracer.py``) wraps ``fraflow._accel.l1_history``,
+``power_prox_abs`` and ``volterra_sn`` by that module path.
 """
 
 import numpy as np
 
 
-def conv_left(omega, path):
-    """Triangular convolution with left-endpoint path values.
+def causal_conv(omega, cells):
+    """Causal triangular convolution of kernel weights with cell values.
 
-    out[j] = sum_{i=1..j} omega[j-i] * path[i-1] for j = 0..N (out[0] = 0).
-
-    ``omega`` has length N, ``path`` length N+1 (may be 2-D, nodes first).
+    out[0] = 0 and out[j] = sum_{i<j} omega[j-1-i] * cells[i] for
+    j = 1..n, n = len(cells).  ``cells`` may carry trailing state axes
+    (nodes first); each state column is convolved on its own.  Pass the
+    kernel weights first, as every caller does: np.convolve sums in an
+    order set by its arguments, so swapping them can move the last bits.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    path = np.asarray(path, dtype=np.float64)
-    n = omega.shape[0]
-    if path.ndim == 1:
-        out = np.zeros(n + 1)
-        out[1:] = np.convolve(omega, path[:n])[:n]
+    cells = np.asarray(cells, dtype=np.float64)
+    n = cells.shape[0]
+    out = np.zeros((n + 1,) + cells.shape[1:])
+    if cells.ndim == 1:
+        out[1:] = np.convolve(omega, cells)[:n]
         return out
-    out = np.zeros((n + 1,) + path.shape[1:])
-    flat = path.reshape(n + 1, -1)
+    flat = cells.reshape(n, -1)
     res = out.reshape(n + 1, -1)
     for c in range(flat.shape[1]):
-        res[1:, c] = np.convolve(omega, flat[:n, c])[:n]
-    return out
-
-
-def conv_right(omega, path):
-    """Triangular convolution with right-endpoint path values.
-
-    out[j] = sum_{i=1..j} omega[j-i] * path[i] for j = 0..N (out[0] = 0);
-    path[0] is never used.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    path = np.asarray(path, dtype=np.float64)
-    n = omega.shape[0]
-    if path.ndim == 1:
-        out = np.zeros(n + 1)
-        out[1:] = np.convolve(omega, path[1:])[:n]
-        return out
-    out = np.zeros((n + 1,) + path.shape[1:])
-    flat = path.reshape(n + 1, -1)
-    res = out.reshape(n + 1, -1)
-    for c in range(flat.shape[1]):
-        res[1:, c] = np.convolve(omega, flat[1:, c])[:n]
+        res[1:, c] = np.convolve(omega, flat[:, c])[:n]
     return out
 
 

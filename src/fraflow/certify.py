@@ -24,6 +24,7 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln
 
+from ._accel import causal_conv
 from .kernels import conv_weights, inverse_weights, nonlocal_antiderivative, nonlocal_derivative
 
 
@@ -140,12 +141,8 @@ def scalar_flow_solution(alpha, times):
 
 def sample_conv(g, phi, tau):
     """Left-rectangle convolution of two node-sampled paths; out[0] = 0."""
-    g = np.asarray(g, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    n = g.shape[0] - 1
-    out = np.zeros(n + 1)
-    out[1:] = tau * np.convolve(g[:n], phi[:n])[:n]
-    return out
+    n = len(g) - 1
+    return tau * causal_conv(g[:n], phi[:n])
 
 
 def picard_from_equality(rhs0, g, transform, tau):
@@ -547,13 +544,13 @@ def check_chain_rule(traj, phi, pair, slack_coeff=0.0, xi=None):
     inv_ok = bool(np.all(inverse_weights(pair.k, grid) >= -1e-14))
 
     lhs_cum = tau * np.cumsum(pairing[1:])
-    rhs_cum = np.convolve(omega_k, energy_gap[1:])[: grid.steps]
+    rhs_cum = causal_conv(omega_k, energy_gap[1:])[1:]
     margin_cum = lhs_cum - rhs_cum
 
     lhs_pt = nonlocal_antiderivative(pair.k, pairing, grid)[1:]
     rhs_pt = energy_gap[1:]
     margin_pt = lhs_pt - rhs_pt
-    lhs_quad = np.convolve(omega_ell, pairing[1:])[: grid.steps]
+    lhs_quad = causal_conv(omega_ell, pairing[1:])[1:]
     margin_quad = lhs_quad - rhs_pt
 
     slack = slack_budget(tau, slack_coeff)
@@ -597,7 +594,7 @@ def check_ab_inequality(traj, pair, slack_coeff=0.0):
     sq = np.zeros(grid.steps + 1)
     sq[1:] = space_w * np.sum(deriv[1:] ** 2, axis=axes)
     omega_ell = conv_weights(pair.ell, grid).omega
-    rhs = 0.5 * np.convolve(omega_ell, sq[1:])[: grid.steps]
+    rhs = 0.5 * causal_conv(omega_ell, sq[1:])[1:]
     margin = lhs - rhs
     slack = slack_budget(tau, slack_coeff)
     worst = int(np.argmin(margin))

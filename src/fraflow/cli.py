@@ -13,6 +13,7 @@ endings, no timestamps.
 
 import argparse
 import concurrent.futures
+import hashlib
 import importlib.resources
 import json
 import os
@@ -225,6 +226,37 @@ def _sweep_tuples(config):
     return [(a, q, amp) for a in alphas for q in qs for amp in amplitudes]
 
 
+def _config_digest(config):
+    """Digest of the resolved config without the swept value lists.
+
+    A ledger row is reused only under the same digest, so changing any
+    other setting (m, steps, p, solver knobs, ...) recomputes every row,
+    while extending the swept lists reuses the rows already computed.
+    """
+    fixed = dict(config)
+    fixed.pop("sweep", None)
+    canonical = json.dumps(fixed, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _load_ledger(ledger_path, digest):
+    """Rows of earlier runs of this config, keyed by (alpha, q, amplitude).
+
+    Entries of another config, entries without a digest (the old ledger
+    format) and error rows are not replayed.
+    """
+    done = {}
+    if not ledger_path.exists():
+        return done
+    with open(ledger_path) as fh:
+        for line in fh:
+            entry = json.loads(line)
+            if entry.get("config") != digest or entry["row"]["verdict"].startswith("error:"):
+                continue
+            done[tuple(entry["key"])] = entry["row"]
+    return done
+
+
 def _sweep_row(args):
     config, alpha, q, amplitude = args
     base = _build_experiment(config)
@@ -240,12 +272,8 @@ def cmd_sweep(config, out_dir, jobs=None):
     out.mkdir(parents=True, exist_ok=True)
     tuples = _sweep_tuples(config)
     ledger_path = out / "sweep_ledger.jsonl"
-    done = {}
-    if ledger_path.exists():
-        with open(ledger_path) as fh:
-            for line in fh:
-                entry = json.loads(line)
-                done[tuple(entry["key"])] = entry["row"]
+    digest = _config_digest(config)
+    done = _load_ledger(ledger_path, digest)
 
     pending = [t for t in tuples if t not in done]
     jobs = jobs or os.cpu_count() or 1
@@ -262,7 +290,7 @@ def cmd_sweep(config, out_dir, jobs=None):
                         except Exception as exc:  # row failures recorded, sweep continues
                             row = _error_row(key, exc)
                         results[key] = row
-                        ledger.write(json.dumps({"key": list(key), "row": row}) + "\n")
+                        ledger.write(json.dumps({"config": digest, "key": list(key), "row": row}) + "\n")
             else:
                 for t in pending:
                     try:
@@ -270,7 +298,7 @@ def cmd_sweep(config, out_dir, jobs=None):
                     except Exception as exc:
                         row = _error_row(t, exc)
                     results[t] = row
-                    ledger.write(json.dumps({"key": list(t), "row": row}) + "\n")
+                    ledger.write(json.dumps({"config": digest, "key": list(t), "row": row}) + "\n")
 
     rows = [results[t] for t in tuples]
     _write_rows_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)

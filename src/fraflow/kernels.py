@@ -11,9 +11,10 @@ Toeplitz,
     w[j, i] = K(t_j - t_{i-1}) - K(t_j - t_i) = omega[j - i],
     omega[d] = K((d+1) tau) - K(d tau),
 
-so a single length-N array represents the whole table.  Singular kernels
-are never evaluated at t = 0; every node-0 contribution goes through the
-antiderivative.
+so a single length-N array represents the whole table, and every
+whole-path sum is one causal convolution (``_accel.causal_conv``).
+Singular kernels are never evaluated at t = 0; every node-0 contribution
+goes through the antiderivative.
 """
 
 import functools
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from ._accel import conv_left, conv_right, l1_history, volterra_sn
+from ._accel import causal_conv, l1_history, volterra_sn
 
 
 @dataclass(frozen=True)
@@ -167,23 +168,19 @@ def constant_kernel(value=1.0):
     )
 
 
-def convolve(kernel, path, grid, node="left"):
+def convolve(kernel, path, grid):
     """Product-integration convolution (kernel * path) at the grid nodes.
 
-    ``node`` picks the piecewise-constant reconstruction of the path:
-    "left" uses path[i-1] on cell i (the default), "right" uses path[i]
-    (path[0] then never enters).  Exact for constant paths whenever the
-    antiderivative is exact.
+    The path is reconstructed from its right endpoints, path[i] on cell i,
+    so out[j] = sum_{i=1..j} omega[j-i] * path[i], out[0] = 0 and path[0]
+    never enters.  Exact for constant paths whenever the antiderivative is
+    exact.
     """
     path = np.asarray(path, dtype=np.float64)
     if path.shape[0] != grid.steps + 1:
         raise ValueError(f"path has {path.shape[0]} nodes, grid has {grid.steps + 1}")
     omega = conv_weights(kernel, grid).omega
-    if node == "left":
-        return conv_left(omega, path)
-    if node == "right":
-        return conv_right(omega, path)
-    raise ValueError(f"unknown node convention {node!r}")
+    return causal_conv(omega, path[1:])
 
 
 def nonlocal_derivative(kernel, v, grid):
@@ -197,7 +194,7 @@ def nonlocal_derivative(kernel, v, grid):
     at the initial node).
     """
     v = np.asarray(v, dtype=np.float64)
-    conv = convolve(kernel, v, grid, node="right")
+    conv = convolve(kernel, v, grid)
     out = np.zeros_like(conv)
     out[1:] = np.diff(conv, axis=0) / grid.tau
     return out
@@ -271,7 +268,7 @@ def _sonine_defect(pair, grid, skip_time):
     ell_avg = pair.ell.cell_averages(grid)
     # cell i of ell pairs with weight omega[j - i]; no extra tau factor,
     # the averages already carry 1/tau
-    vals = np.convolve(omega, ell_avg)[: grid.steps]
+    vals = causal_conv(omega, ell_avg)[1:]
     err = np.abs(vals - 1.0)
     j0 = max(int(np.ceil(skip_time / grid.tau)), 1)
     window = err[j0 - 1 :]

@@ -159,8 +159,29 @@ def _energy_forcing_sup(spec, f_path):
     if spec.pair is None or not np.any(sq):
         conv_sup = 0.0
     else:
-        conv_sup = float(np.max(convolve(spec.pair.ell, sq, spec.grid, node="right")))
+        conv_sup = float(np.max(convolve(spec.pair.ell, sq, spec.grid)))
     return float(spec.phi1.value(spec.u0)) + conv_sup
+
+
+def _residuals(spec, config, states, xi, eta, forcing_path):
+    """Node-wise H-norm of the discrete equation residual, node 0 set to 0.
+
+    Re-assembled from scratch, independent of the step algebra, so it also
+    checks that the stepper and the nonlocal derivative use one quadrature
+    convention.
+    """
+    axes = tuple(range(1, states.ndim))
+    if spec.pair is not None:
+        deriv = nonlocal_derivative(spec.pair.k, states - spec.u0, spec.grid)
+    else:
+        deriv = np.zeros_like(states)
+    if config.visc > 0:
+        deriv = deriv.copy()
+        deriv[1:] += config.visc * np.diff(states, axis=0) / spec.grid.tau
+    res_vec = deriv + xi - eta - forcing_path
+    residuals = np.sqrt(spec.phi1.space.weight * np.sum(res_vec**2, axis=axes))
+    residuals[0] = 0.0
+    return residuals
 
 
 def _solve_loop(spec, config, forcing_path, eta_source):
@@ -267,20 +288,6 @@ def _solve_loop(spec, config, forcing_path, eta_source):
             reason = "norm-threshold" if amax > config.blowup_norm else "energy-threshold"
             return _blowup(j, reason, j)
 
-    # re-assemble the equation residual from scratch (independent of the
-    # step algebra: quadrature-convention consistency check included)
-    axes = tuple(range(1, states.ndim))
-    if spec.pair is not None:
-        deriv = nonlocal_derivative(spec.pair.k, states - u0, grid)
-    else:
-        deriv = np.zeros_like(states)
-    if config.visc > 0:
-        deriv = deriv.copy()
-        deriv[1:] += config.visc * np.diff(states, axis=0) / tau
-    res_vec = deriv + xi - eta - forcing_path
-    residuals = np.sqrt(space.weight * np.sum(res_vec**2, axis=axes))
-    residuals[0] = 0.0
-
     return Trajectory(
         grid=grid,
         states=states,
@@ -290,7 +297,7 @@ def _solve_loop(spec, config, forcing_path, eta_source):
         energy1=energy1,
         envelope2=envelope2,
         norms=norms,
-        residuals=residuals,
+        residuals=_residuals(spec, config, states, xi, eta, forcing_path),
         e_t=_energy_forcing_sup(spec, forcing_path),
         visc=config.visc,
         alpha=spec.pair.alpha if spec.pair is not None else None,
@@ -368,7 +375,6 @@ def solve_lipschitz_perturbed(spec, config, pert, ratio_tol=1e-2):
         traj = None
         for _ in range(config.max_picard):
             b_path = np.stack([pert.op(prev_states[j]) for j in range(grid.steps + 1)])
-            base_spec.forcing = forcing_path - b_path
             result = _solve_loop(base_spec, config, forcing_path - b_path, lambda j, u: (np.zeros_like(spec.u0), 0.0))
             if isinstance(result, BlowUpReport):
                 return result
@@ -387,13 +393,7 @@ def solve_lipschitz_perturbed(spec, config, pert, ratio_tol=1e-2):
         traj.picard_ratios = ratios
         traj.eta = -np.stack([pert.op(traj.states[j]) for j in range(grid.steps + 1)])
         # recompute residuals with the perturbation in place of -dphi2
-        axes = tuple(range(1, traj.states.ndim))
-        deriv = nonlocal_derivative(spec.pair.k, traj.states - spec.u0, grid) if spec.pair is not None else np.zeros_like(traj.states)
-        deriv = deriv.copy()
-        deriv[1:] += config.visc * np.diff(traj.states, axis=0) / grid.tau
-        res_vec = deriv + traj.xi - traj.eta - forcing_path
-        traj.residuals = np.sqrt(space.weight * np.sum(res_vec**2, axis=axes))
-        traj.residuals[0] = 0.0
+        traj.residuals = _residuals(spec, config, traj.states, traj.xi, traj.eta, forcing_path)
         log = PicardLog(increments=increments, ratios=ratios, kappa=kappa, ratio_tol=ratio_tol)
         return traj, log
 
@@ -445,7 +445,7 @@ def continuity_modulus(traj, pair, slack_coeff=0.0):
     deriv = nonlocal_derivative(pair.k, u - u[0], grid)
     sq = np.zeros(n + 1)
     sq[1:] = traj.space_weight * np.sum(deriv[1:] ** 2, axis=axes)
-    sup_conv = float(np.max(convolve(pair.ell, sq, grid, node="right")))
+    sup_conv = float(np.max(convolve(pair.ell, sq, grid)))
     big_l = pair.ell.antiderivative
 
     lags = []

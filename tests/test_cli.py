@@ -138,6 +138,31 @@ class TestSweepCommand:
         main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"])
         assert (out / "sweep.csv").read_bytes() == first
 
+    def test_resume_ignores_rows_of_another_config(self, tmp_path):
+        out = tmp_path / "out"
+        for name, m, steps in (("coarse.json", 8, 32), ("fine.json", 16, 64)):
+            payload = dict(SMALL_SWEEP, problem=dict(SMALL_SWEEP["problem"], m=m), grid={"horizon": 1.0, "steps": steps})
+            main(["sweep", "--config", write_config(tmp_path, payload, name), "--out", str(out), "--jobs", "1"])
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        assert {(row[3], row[4]) for row in rows} == {("16", "64")}
+
+    def test_resume_skips_error_and_old_format_rows(self, tmp_path):
+        config = write_config(tmp_path, SMALL_SWEEP)
+        out = tmp_path / "out"
+        main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"])
+        first = (out / "sweep.csv").read_bytes()
+        ledger = out / "sweep_ledger.jsonl"
+        entries = [json.loads(line) for line in ledger.read_text().splitlines()]
+        # one row turned into an error row, one (altered) written without a
+        # config digest; neither may reach the CSV
+        entries[0]["row"]["verdict"] = "error: ValueError"
+        entries[1]["row"]["m"] = 999
+        del entries[1]["config"]
+        ledger.write_text("".join(json.dumps(entry) + "\n" for entry in entries[:2]))
+        main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"])
+        assert (out / "sweep.csv").read_bytes() == first
+
     def test_parallel_matches_serial(self, tmp_path):
         config = write_config(tmp_path, SMALL_SWEEP)
         serial, parallel = tmp_path / "s", tmp_path / "p"

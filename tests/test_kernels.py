@@ -97,6 +97,15 @@ class TestConvolve:
         for c in range(4):
             np.testing.assert_allclose(out[:, c], convolve(pair.k, path[:, c], grid))
 
+    def test_initial_node_never_enters(self, rng):
+        # right-endpoint rule: cell i carries path[i], so path[0] drops out
+        grid = TimeGrid(1.0, 32)
+        pair = rl_pair(0.5)
+        path = rng.standard_normal((33, 3))
+        moved = path.copy()
+        moved[0] += 7.0
+        np.testing.assert_array_equal(convolve(pair.k, moved, grid), convolve(pair.k, path, grid))
+
     def test_shape_mismatch_rejected(self):
         grid = TimeGrid(1.0, 32)
         with pytest.raises(ValueError):
