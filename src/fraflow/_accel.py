@@ -1,9 +1,12 @@
 """The inner kernels of the stepper and the certificates, in numpy.
 
 One implementation of each: the causal triangular convolution behind
-every whole-path product-integration sum, the per-step history sum, the
-Volterra forward substitution of the regularized kernels and the
-componentwise power prox.  All triangular sums are O(N^2) by design.
+every whole-path product-integration sum, the inverse of a
+lower-triangular Toeplitz matrix (the discrete derivative inverse and the
+regularized kernels), the per-step history sum and the componentwise power
+prox.  Whole-path sums are O(N log N) through zero-padded real FFTs; only
+the history sum of the sequential stepper, ``l1_history``, is O(N) per
+step.
 
 The module keeps the name ``_accel`` because the benchmark's tracer
 (``perfbench/tracer.py``) wraps ``fraflow._accel.l1_history``,
@@ -18,40 +21,54 @@ def causal_conv(omega, cells):
 
     out[0] = 0 and out[j] = sum_{i<j} omega[j-1-i] * cells[i] for
     j = 1..n, n = len(cells).  ``cells`` may carry trailing state axes
-    (nodes first); each state column is convolved on its own.  Pass the
-    kernel weights first, as every caller does: np.convolve sums in an
-    order set by its arguments, so swapping them can move the last bits.
+    (nodes first); all state columns go through one real FFT along axis 0,
+    zero-padded to a power of two >= 2n - 1 so that nothing wraps around.
     """
     omega = np.asarray(omega, dtype=np.float64)
     cells = np.asarray(cells, dtype=np.float64)
     n = cells.shape[0]
     out = np.zeros((n + 1,) + cells.shape[1:])
-    if cells.ndim == 1:
-        out[1:] = np.convolve(omega, cells)[:n]
-        return out
-    flat = cells.reshape(n, -1)
-    res = out.reshape(n + 1, -1)
-    for c in range(flat.shape[1]):
-        res[1:, c] = np.convolve(omega, flat[:, c])[:n]
+    if n:
+        size = 1 << (2 * n - 2).bit_length()
+        spectrum = np.fft.rfft(cells, size, axis=0)
+        spectrum *= np.fft.rfft(omega[:n], size).reshape((-1,) + (1,) * (cells.ndim - 1))
+        out[1:] = np.fft.irfft(spectrum, size, axis=0)[:n]
     return out
 
 
+def toeplitz_inverse(column):
+    """First column of T^-1 for the lower-triangular Toeplitz T with ``column``.
+
+    Equivalently the power series x with column(z) x(z) = 1 mod z^n.
+    Newton doubling (Hairer, Lubich & Schlichte 1985): if x is the inverse
+    mod z^k, then x (2 - column x) is the inverse mod z^2k.  Each doubling
+    is one spectrum product, zero-padded so that nothing wraps around.
+    """
+    column = np.asarray(column, dtype=np.float64)
+    n = column.shape[0]
+    x = np.array([1.0 / column[0]])
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        size = 1 << (2 * k + k2 - 3).bit_length()
+        fx = np.fft.rfft(x, size)
+        x = np.fft.irfft(fx * (2.0 - np.fft.rfft(column[:k2], size) * fx), size)[:k2]
+        k = k2
+    return x
+
+
 def volterra_sn(omega_ell, n):
-    """Forward substitution for s + n * (ell * s) = 1 on the grid nodes.
+    """Solution of s + n * (ell * s) = 1 on the grid nodes.
 
     ``omega_ell`` are the product-integration weights of ell; the diagonal
-    (newest-node) weight is omega_ell[0], which makes every step implicit
-    but still explicitly solvable.  Returns s sampled at nodes 0..N.
+    (newest-node) weight is omega_ell[0], which makes every step implicit.
+    On nodes 1..N the equation is the lower-triangular Toeplitz system
+    (I + n T_omega) s = 1, whose solution is the running sum of the first
+    column of the inverse.  Returns s sampled at nodes 0..N (s[0] = 1).
     """
-    omega_ell = np.asarray(omega_ell, dtype=np.float64)
-    nn = omega_ell.shape[0]
-    s = np.empty(nn + 1)
-    s[0] = 1.0
-    diag = 1.0 + n * omega_ell[0]
-    for j in range(1, nn + 1):
-        hist = omega_ell[1:j][::-1] @ s[1:j] if j > 1 else 0.0
-        s[j] = (1.0 - n * hist) / diag
-    return s
+    column = n * np.asarray(omega_ell, dtype=np.float64)
+    column[0] += 1.0
+    return np.concatenate([[1.0], np.cumsum(toeplitz_inverse(column))])
 
 
 def l1_history(omega, v, j):

@@ -243,18 +243,33 @@ def _load_ledger(ledger_path, digest):
     """Rows of earlier runs of this config, keyed by (alpha, q, amplitude).
 
     Entries of another config, entries without a digest (the old ledger
-    format) and error rows are not replayed.
+    format), error rows, and lines that do not parse or lack ``config``,
+    ``key`` or ``row`` are not replayed; their rows are recomputed.
     """
     done = {}
     if not ledger_path.exists():
         return done
     with open(ledger_path) as fh:
         for line in fh:
-            entry = json.loads(line)
-            if entry.get("config") != digest or entry["row"]["verdict"].startswith("error:"):
+            try:
+                entry = json.loads(line)
+                config, key, row = entry["config"], tuple(entry["key"]), entry["row"]
+                replay = config == digest and not row["verdict"].startswith("error:")
+            except (ValueError, TypeError, KeyError, AttributeError):
                 continue
-            done[tuple(entry["key"])] = entry["row"]
+            if replay:
+                done[key] = row
     return done
+
+
+def _drop_torn_tail(path):
+    """Cut a last line that lacks its newline: what a sweep killed mid-write leaves."""
+    if not path.exists():
+        return
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def _sweep_row(args):
@@ -273,6 +288,8 @@ def cmd_sweep(config, out_dir, jobs=None):
     tuples = _sweep_tuples(config)
     ledger_path = out / "sweep_ledger.jsonl"
     digest = _config_digest(config)
+    # the next entry must start on a line of its own
+    _drop_torn_tail(ledger_path)
     done = _load_ledger(ledger_path, digest)
 
     pending = [t for t in tuples if t not in done]
@@ -337,16 +354,18 @@ def cmd_certify(config, out_dir):
             return EXIT_NOINPUT
         pair = rl_pair(alpha)
         grid = data["grid"]
+        states = data["states"]
+        weight = data["space_weight"]
         slack_coeff = block.get("slack_coeff", DEFAULT_CHAIN_SLACK)
         traj = Trajectory(
             grid=grid,
-            states=data["states"],
-            xi=np.zeros_like(data["states"]),
-            eta=np.zeros_like(data["states"]),
-            space_weight=1.0,
+            states=states,
+            xi=np.zeros_like(states),
+            eta=np.zeros_like(states),
+            space_weight=weight,
             energy1=np.zeros(grid.steps + 1),
             envelope2=np.zeros(grid.steps + 1),
-            norms=np.sqrt(np.sum(data["states"] ** 2, axis=1)),
+            norms=np.sqrt(weight * np.sum(states**2, axis=tuple(range(1, states.ndim)))),
             residuals=np.zeros(grid.steps + 1),
             e_t=0.0,
             alpha=alpha,

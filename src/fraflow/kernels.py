@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from ._accel import causal_conv, l1_history, volterra_sn
+from ._accel import causal_conv, toeplitz_inverse, volterra_sn
 
 
 @dataclass(frozen=True)
@@ -203,36 +203,33 @@ def nonlocal_derivative(kernel, v, grid):
 def nonlocal_antiderivative(kernel, b, grid):
     """Exact discrete inverse of :func:`nonlocal_derivative`.
 
-    Solves the lower-triangular system B(v) = b by forward substitution
-    (b[0] is ignored, v[0] = 0).  This is the discrete realization of the
-    conjugate convolution ell * b: in the continuous calculus
+    Solves the lower-triangular Toeplitz system B(v) = b (b[0] is ignored,
+    v[0] = 0) as one causal convolution of b with the first column of
+    B^-1, :func:`inverse_weights`.  This is the discrete realization of
+    the conjugate convolution ell * b: in the continuous calculus
     ell * (d/dt)(k * v) = v is exactly the defining pairing property,
     and using the scheme's own inverse keeps it exact on the grid.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != grid.steps + 1:
         raise ValueError(f"path has {b.shape[0]} nodes, grid has {grid.steps + 1}")
-    omega = conv_weights(kernel, grid).omega
-    v = np.zeros_like(b)
-    tau = grid.tau
-    for j in range(1, grid.steps + 1):
-        v[j] = (tau * b[j] - l1_history(omega, v, j)) / omega[0]
-    return v
+    return causal_conv(inverse_weights(kernel, grid), b[1:])
 
 
 @functools.lru_cache(maxsize=64)
 def inverse_weights(kernel, grid):
     """Translation-invariant weights of the discrete derivative inverse.
 
-    nonlocal_antiderivative(b)[j] = sum_i w[j-i] b[i]; returns w.  Complete
+    nonlocal_antiderivative(b)[j] = sum_{i=1..j} w[j-i] b[i]; returns w.
+    The derivative is the lower-triangular Toeplitz matrix with first
+    column diff(omega, prepend=0) / tau, so w is tau times the first
+    column of its inverse (``_accel.toeplitz_inverse``).  Complete
     positivity of the kernel shows up here as w >= 0, which is what makes
     the inverse order preserving; certificates verify it before relying
     on monotonicity.
     """
-    basis = np.zeros(grid.steps + 1)
-    basis[1] = 1.0
-    profile = nonlocal_antiderivative(kernel, basis, grid)
-    return profile[1:]
+    omega = conv_weights(kernel, grid).omega
+    return grid.tau * toeplitz_inverse(np.diff(omega, prepend=0.0))
 
 
 @dataclass(frozen=True)
@@ -319,7 +316,7 @@ class RegularizedKernel:
 
 
 def regularized_kernel(ell, n, grid, monotone_rtol=1e-9):
-    """Solve the Volterra equation for s_n by forward substitution."""
+    """Solve the Volterra equation for s_n as a triangular Toeplitz system."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     omega = conv_weights(ell, grid).omega

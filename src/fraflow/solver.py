@@ -20,6 +20,7 @@ at the previous state (semi-implicit default) or at the current state via
 an inner Picard loop (coupled mode).
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -482,7 +483,7 @@ def continuity_modulus(traj, pair, slack_coeff=0.0):
 
 CSV_COLUMNS = ["j", "t", "norm", "energy1", "envelope2", "residual"]
 _DUMP_MAGIC = b"FFLW"
-_DUMP_VERSION = 1
+_DUMP_VERSION = 2
 
 
 def trajectory_to_csv(traj, path):
@@ -508,10 +509,14 @@ def _fmt(x):
 def save_state_dump(traj, path):
     """Binary full-state dump, little-endian.
 
-    Layout: magic "FFLW", version u32, m u32 (flattened state dimension),
-    N u32 (steps), horizon f64, alpha f64 (NaN when the kernel is not
-    Riemann-Liouville or absent), then (N+1) x m float64 states row-major.
+    Layout (version 2): magic "FFLW", version u32, m u32 (flattened state
+    dimension), N u32 (steps), horizon f64, alpha f64 (NaN when the kernel
+    is not Riemann-Liouville or absent), space weight f64, rank u32, the
+    state shape as rank u32s, then (N+1) x m float64 states row-major.
+    Version 1 stops the header after alpha; it loads as weight 1 with the
+    flat state shape (m,).
     """
+    shape = traj.states.shape[1:]
     states = traj.states.reshape(traj.grid.steps + 1, -1)
     m = states.shape[1]
     alpha = traj.alpha if traj.alpha is not None else float("nan")
@@ -519,30 +524,46 @@ def save_state_dump(traj, path):
         fh.write(_DUMP_MAGIC)
         fh.write(struct.pack("<III", _DUMP_VERSION, m, traj.grid.steps))
         fh.write(struct.pack("<dd", traj.grid.horizon, alpha))
+        fh.write(struct.pack(f"<dI{len(shape)}I", traj.space_weight, len(shape), *shape))
         fh.write(states.astype("<f8").tobytes())
 
 
 class DumpFormatError(ValueError):
-    """State dump unreadable: bad magic, version or truncation."""
+    """State dump unreadable: bad magic, version, shape or truncation."""
 
 
 def load_state_dump(path):
-    """Read a dump back; raises :class:`DumpFormatError` on corruption."""
+    """Read a dump back; raises :class:`DumpFormatError` on corruption.
+
+    Returns the states (shaped), the grid, alpha (None when absent) and the
+    space weight of the inner product.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     header = 4 + 12 + 16
     if len(blob) < header or blob[:4] != _DUMP_MAGIC:
         raise DumpFormatError(f"{path}: not a state dump")
     version, m, n = struct.unpack("<III", blob[4:16])
-    if version != _DUMP_VERSION:
+    if version not in (1, _DUMP_VERSION):
         raise DumpFormatError(f"{path}: unsupported version {version}")
     horizon, alpha = struct.unpack("<dd", blob[16:32])
+    weight, shape = 1.0, (m,)
+    if version == _DUMP_VERSION:
+        try:
+            weight, rank = struct.unpack_from("<dI", blob, header)
+            shape = struct.unpack_from(f"<{rank}I", blob, header + 12)
+        except struct.error as exc:
+            raise DumpFormatError(f"{path}: truncated header") from exc
+        header += 12 + 4 * rank
+        if math.prod(shape) != m:
+            raise DumpFormatError(f"{path}: state shape {shape} does not hold {m} values")
     expected = header + (n + 1) * m * 8
     if len(blob) != expected:
         raise DumpFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    states = np.frombuffer(blob[header:], dtype="<f8").reshape(n + 1, m).copy()
+    states = np.frombuffer(blob[header:], dtype="<f8").reshape((n + 1,) + shape).copy()
     return {
         "states": states,
         "grid": TimeGrid(horizon, n),
         "alpha": None if np.isnan(alpha) else float(alpha),
+        "space_weight": weight,
     }

@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from fraflow._accel import causal_conv, l1_history, power_prox_abs, volterra_sn
-from fraflow.kernels import TimeGrid, conv_weights, rl_pair
+from fraflow._accel import causal_conv, l1_history, power_prox_abs, toeplitz_inverse, volterra_sn
+from fraflow.convex import Quadratic, Space
+from fraflow.kernels import TimeGrid, conv_weights, inverse_weights, nonlocal_antiderivative, rl_pair
+from fraflow.solver import ProblemSpec, solve_dc_flow
+
+
+def forward_substitution_antiderivative(kernel, b, grid):
+    """Reference inverse of the discrete nonlocal derivative, node by node."""
+    omega = conv_weights(kernel, grid).omega
+    v = np.zeros_like(b)
+    for j in range(1, grid.steps + 1):
+        v[j] = (grid.tau * b[j] - l1_history(omega, v, j)) / omega[0]
+    return v
 
 
 @pytest.mark.parametrize("state_shape", [(), (5,)])
@@ -48,3 +59,49 @@ def test_power_prox_abs_solves_its_equation(q, rng):
     r = power_prox_abs(a, lam, q)
     assert np.all(r >= 0)
     np.testing.assert_allclose(r + lam * r ** (q - 1.0), a, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 100, 128])
+def test_toeplitz_inverse_is_the_inverse(n, rng):
+    # a kernel column (the discrete derivative of rl(0.5)) and a random one
+    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n)).omega
+    for column in (np.diff(omega, prepend=0.0), np.concatenate([[2.0], rng.uniform(-1.0, 1.0, n - 1) / n])):
+        x = toeplitz_inverse(column)
+        dense = toeplitz(column, np.zeros(n))
+        np.testing.assert_allclose(dense @ x, np.eye(n)[0], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("steps", [64, 4096])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_inverse_weights_match_forward_substitution(alpha, steps):
+    kernel, grid = rl_pair(alpha).k, TimeGrid(1.0, steps)
+    basis = np.zeros(steps + 1)
+    basis[1] = 1.0
+    expected = forward_substitution_antiderivative(kernel, basis, grid)[1:]
+    np.testing.assert_allclose(inverse_weights(kernel, grid), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("steps", [64, 4096])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_nonlocal_antiderivative_matches_forward_substitution(alpha, steps, rng):
+    kernel, grid = rl_pair(alpha).k, TimeGrid(1.0, steps)
+    b = rng.standard_normal((steps + 1, 3))
+    expected = forward_substitution_antiderivative(kernel, b, grid)
+    v = nonlocal_antiderivative(kernel, b, grid)
+    assert v.shape == b.shape
+    np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_causal_conv_matches_direct_convolution_at_scale(rng):
+    n = 16384
+    omega = np.abs(rng.standard_normal(n))
+    cells = rng.standard_normal(n)
+    out = causal_conv(omega, cells)
+    expected = np.convolve(omega, cells)[:n]
+    np.testing.assert_allclose(out[1:], expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+
+
+def test_fft_residuals_stay_under_the_gate():
+    # the residual re-assembly divides differences of an FFT convolution by tau
+    spec = ProblemSpec(Quadratic(Space(1)), None, rl_pair(0.5), np.array([1.0]), None, TimeGrid(1.0, 4096))
+    assert float(np.max(solve_dc_flow(spec).residuals)) <= 1e-10

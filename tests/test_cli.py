@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fraflow
+from fraflow import certify as cert
 from fraflow.cli import (
     EXIT_BLOWUP,
     EXIT_ERROR,
@@ -14,6 +19,9 @@ from fraflow.cli import (
     load_config,
     main,
 )
+from fraflow.kernels import rl_pair
+from fraflow.plaplace import ExperimentSpec, Grid, run_experiment
+from fraflow.solver import continuity_modulus
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -163,6 +171,20 @@ class TestSweepCommand:
         main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"])
         assert (out / "sweep.csv").read_bytes() == first
 
+    def test_resume_after_torn_ledger_line(self, tmp_path):
+        payload = dict(SMALL_SWEEP, sweep={"alphas": [0.5], "amplitudes": [0.5, 8.0]})
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"])
+        first = (out / "sweep.csv").read_bytes()
+        ledger = out / "sweep_ledger.jsonl"
+        # a sweep killed while writing: the ledger ends inside its first entry
+        ledger.write_bytes(ledger.read_bytes()[:60])
+        assert main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == first
+        entries = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert sorted(entry["key"][2] for entry in entries) == [0.5, 8.0]
+
     def test_parallel_matches_serial(self, tmp_path):
         config = write_config(tmp_path, SMALL_SWEEP)
         serial, parallel = tmp_path / "s", tmp_path / "p"
@@ -206,6 +228,35 @@ class TestCertifyCommand:
         kinds = {entry.get("lemma", entry.get("certificate")) for entry in bundle["certificates"]}
         assert {"sonine", "derivative-pairing", "continuity-modulus"} <= kinds
 
+    def test_p_laplace_dump_margins_match_in_process(self, tmp_path):
+        payload = {
+            "mode": "solve",
+            "problem": {"kind": "p-laplace", "p": 2.0, "q": 4.0, "dim": 1, "m": 8, "amplitude": 1.0},
+            "kernel": {"alpha": 0.5},
+            "grid": {"horizon": 1.0, "steps": 64},
+            "chain_rule_slack": 0.5,
+        }
+        solve_out = tmp_path / "solved"
+        assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(solve_out)]) == EXIT_OK
+        config = write_config(
+            tmp_path,
+            {"mode": "certify", "certify": {"dump": str(solve_out / "state.bin"), "slack_coeff": 0.5}},
+            name="certify.json",
+        )
+        out = tmp_path / "out"
+        main(["certify", "--config", config, "--out", str(out)])
+        bundle = json.loads((out / "certificates.json").read_text())
+        by_kind = {entry.get("lemma", entry.get("certificate")): entry for entry in bundle["certificates"]}
+
+        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), steps=64)
+        traj = run_experiment(spec, keep_trajectory=True).trajectory
+        pair = rl_pair(0.5)
+        pairing = cert.check_ab_inequality(traj, pair, slack_coeff=0.5).to_dict()
+        modulus = continuity_modulus(traj, pair, slack_coeff=0.5).to_dict()
+        assert by_kind["derivative-pairing"]["min_margin"] == pytest.approx(pairing["min_margin"], rel=1e-12)
+        assert by_kind["continuity-modulus"]["moduli"] == pytest.approx(modulus["moduli"], rel=1e-12)
+        assert by_kind["continuity-modulus"]["bounds"] == pytest.approx(modulus["bounds"], rel=1e-12)
+
     def test_corrupted_dump_exit(self, tmp_path):
         bad = tmp_path / "corrupt.bin"
         bad.write_bytes(b"FFLW" + b"\x00" * 10)
@@ -222,3 +273,12 @@ class TestKernelsCommand:
         for entry in payload["entries"]:
             assert entry["sonine"]["status"] == "pass"
             assert entry["regularization"]["strictly_decreasing"]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # importing scipy.signal costs about 0.6 s and 24 MB in every run
+    src = str(Path(fraflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fraflow.cli; assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -266,6 +269,27 @@ class TestSerialization:
         np.testing.assert_array_equal(data["states"], traj.states)
         assert data["alpha"] == 0.5
         assert data["grid"] == TimeGrid(1.0, 32)
+
+    def test_dump_carries_weight_and_state_shape(self, tmp_path):
+        traj = solve_dc_flow(scalar_spec(n=32))
+        shaped = dataclasses.replace(traj, states=traj.states.reshape(33, 1, 1), space_weight=0.25)
+        path = tmp_path / "state.bin"
+        save_state_dump(shaped, path)
+        data = load_state_dump(path)
+        assert data["states"].shape == (33, 1, 1)
+        np.testing.assert_array_equal(data["states"], shaped.states)
+        assert data["space_weight"] == 0.25
+
+    def test_version_1_dump_loads_flat_with_unit_weight(self, tmp_path):
+        states = np.arange(3 * 17, dtype=np.float64).reshape(17, 3)
+        header = b"FFLW" + struct.pack("<III", 1, 3, 16) + struct.pack("<dd", 2.0, 0.25)
+        path = tmp_path / "v1.bin"
+        path.write_bytes(header + states.astype("<f8").tobytes())
+        data = load_state_dump(path)
+        np.testing.assert_array_equal(data["states"], states)
+        assert data["space_weight"] == 1.0
+        assert data["grid"] == TimeGrid(2.0, 16)
+        assert data["alpha"] == 0.25
 
     def test_dump_truncation_detected(self, tmp_path):
         traj = solve_dc_flow(scalar_spec(n=32))
