@@ -87,22 +87,41 @@ def power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):
     """Root r >= 0 of r + lam * r**(q-1) = a, elementwise for a >= 0.
 
     Newton safeguarded by bisection on [0, a]; the left side is strictly
-    increasing, so the root is unique.
+    increasing, so the root is unique.  Every pass works in the buffers
+    allocated up front.
     """
     a = np.asarray(a, dtype=np.float64)
     lo = np.zeros_like(a)
     hi = a.copy()
     r = a / (1.0 + lam)  # exact for q == 2, a decent start otherwise
+    bound = tol * (1.0 + a)
+    slope = lam * (q - 1.0)
+    rq = np.empty_like(a)  # r**(q-2), 0 where r <= 0
+    f = np.empty_like(a)  # r + lam r**(q-1) - a, then the bracket midpoint
+    trial = np.empty_like(a)  # the Newton iterate
+    mask = np.empty(a.shape, dtype=bool)
+    inside = np.empty(a.shape, dtype=bool)
     for _ in range(max_iter):
-        rq = np.power(np.maximum(r, 0.0), q - 2.0, where=r > 0, out=np.zeros_like(r))
-        f = r + lam * rq * r - a
-        lo = np.where(f < 0, r, lo)
-        hi = np.where(f > 0, r, hi)
-        if np.all(np.abs(f) <= tol * (1.0 + a)):
+        rq.fill(0.0)
+        np.power(r, q - 2.0, out=rq, where=np.greater(r, 0.0, out=mask))
+        np.multiply(rq, lam, out=f)
+        f *= r
+        f += r
+        f -= a
+        np.copyto(lo, r, where=np.less(f, 0.0, out=mask))
+        np.copyto(hi, r, where=np.greater(f, 0.0, out=mask))
+        if np.less_equal(np.abs(f, out=trial), bound, out=mask).all():
             break
-        fp = 1.0 + lam * (q - 1.0) * rq
-        step = f / fp
-        r_new = r - step
-        bad = (r_new <= lo) | (r_new >= hi) | ~np.isfinite(r_new)
-        r = np.where(bad, 0.5 * (lo + hi), r_new)
+        np.multiply(rq, slope, out=trial)
+        trial += 1.0
+        np.divide(f, trial, out=trial)
+        np.subtract(r, trial, out=trial)
+        # bisect where the Newton iterate leaves the open bracket (NaN
+        # fails both tests)
+        np.greater(trial, lo, out=mask)
+        mask &= np.less(trial, hi, out=inside)
+        np.add(lo, hi, out=f)
+        f *= 0.5
+        np.copyto(trial, f, where=np.logical_not(mask, out=mask))
+        r, trial = trial, r
     return r

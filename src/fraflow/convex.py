@@ -28,7 +28,7 @@ class Space:
     weight: float = 1.0
 
     def inner(self, u, v):
-        return self.weight * float(np.sum(u * v))
+        return self.weight * float(np.vdot(u, v))
 
     def norm(self, u):
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
@@ -218,15 +218,18 @@ class SmoothFunctional(Functional):
         # residual entries scale like ||w||/lam: stop relative to that
         tol_eff = tol * (1.0 + self.space.norm(w) / lam)
 
+        def residual(x):
+            r = (x - w) / lam + self._grad(x)
+            return r, self.space.norm(r)
+
         def objective(x):
             d = x - w
             return self.space.inner(d, d) / (2.0 * lam) + self._value(x)
 
-        obj = objective(z)
-        for it in range(max_iter):
-            grad_phi = self._grad(z)
-            res = (z - w) / lam + grad_phi
-            res_norm = self.space.norm(res)
+        # each iterate's gradient is computed once: an accepted full step
+        # carries its residual into the next iteration
+        res, res_norm = residual(z)
+        for _ in range(max_iter):
             if res_norm <= tol_eff:
                 return z
             step = None
@@ -242,10 +245,9 @@ class SmoothFunctional(Functional):
             # full Newton step whenever it halves the residual (objective
             # differences drown in rounding noise near the minimum)
             cand = z + step
-            cand_res = self.space.norm((cand - w) / lam + self._grad(cand))
-            if cand_res <= 0.5 * res_norm:
-                z = cand
-                obj = objective(z)
+            cand_res, cand_norm = residual(cand)
+            if cand_norm <= 0.5 * res_norm:
+                z, res, res_norm = cand, cand_res, cand_norm
                 continue
             # otherwise backtrack on the strongly convex objective: halve
             # until the Armijo test holds, then on while halving still
@@ -254,6 +256,7 @@ class SmoothFunctional(Functional):
             # the signs of near-zero face gradients step after step)
             t = 1.0
             slope = self.space.inner(res, step)
+            obj = objective(z)
             obj_t = objective(z + step)
             for _ in range(40):
                 obj_half = objective(z + 0.5 * t * step)
@@ -261,6 +264,5 @@ class SmoothFunctional(Functional):
                     break
                 t, obj_t = 0.5 * t, obj_half
             z = z + t * step
-            obj = obj_t
-        res = (z - w) / lam + self._grad(z)
-        raise ProxNonconvergence(self.space.norm(res), max_iter)
+            res, res_norm = residual(z)
+        raise ProxNonconvergence(res_norm, max_iter)

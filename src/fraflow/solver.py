@@ -279,7 +279,7 @@ def _solve_loop(spec, config, forcing_path, eta_source):
             return _blowup(j, "non-finite", j - 1)
         states[j] = u_new
         xi[j] = xi_new
-        eta[j] = np.broadcast_to(eta_val, shape)
+        eta[j] = eta_val
         envelope2[j] = env_val
         v[j] = u_new - u0
         energy1[j] = spec.phi1.value(u_new)
@@ -314,7 +314,8 @@ def solve_dc_flow(spec, config=None):
     config = config or SolverConfig()
     forcing_path = spec.forcing_path()
     if spec.phi2 is None:
-        eta_source = lambda j, u_prev: (np.zeros_like(spec.u0), 0.0)
+        zero = np.zeros_like(spec.u0)
+        eta_source = lambda j, u_prev: (zero, 0.0)
     else:
 
         def eta_source(j, u_prev):
@@ -322,13 +323,6 @@ def solve_dc_flow(spec, config=None):
             return ye.rate, ye.envelope
 
     return _solve_loop(spec, config, forcing_path, eta_source)
-
-
-def solve_viscous_flow(spec, config):
-    """Same stepping with the extra backward-difference viscosity term."""
-    if not config.visc > 0:
-        raise ValueError("viscous solve requires a positive viscosity")
-    return solve_dc_flow(spec, config)
 
 
 @dataclass
@@ -371,12 +365,13 @@ def solve_lipschitz_perturbed(spec, config, pert, ratio_tol=1e-2):
             return float(np.max(weights * norms))
 
         base_spec = ProblemSpec(spec.phi1, None, spec.pair, spec.u0, None, grid)
+        zero = np.zeros_like(spec.u0)
         prev_states = np.broadcast_to(spec.u0, forcing_path.shape).copy()
         increments = []
         traj = None
         for _ in range(config.max_picard):
             b_path = np.stack([pert.op(prev_states[j]) for j in range(grid.steps + 1)])
-            result = _solve_loop(base_spec, config, forcing_path - b_path, lambda j, u: (np.zeros_like(spec.u0), 0.0))
+            result = _solve_loop(base_spec, config, forcing_path - b_path, lambda j, u: (zero, 0.0))
             if isinstance(result, BlowUpReport):
                 return result
             inc = xdist(result.states, prev_states)

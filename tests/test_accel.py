@@ -19,6 +19,28 @@ def forward_substitution_antiderivative(kernel, b, grid):
     return v
 
 
+def reference_power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):
+    """The power prox written with a fresh array per operation; the buffered
+    kernel must take exactly its iterates."""
+    a = np.asarray(a, dtype=np.float64)
+    lo = np.zeros_like(a)
+    hi = a.copy()
+    r = a / (1.0 + lam)
+    for _ in range(max_iter):
+        rq = np.power(np.maximum(r, 0.0), q - 2.0, where=r > 0, out=np.zeros_like(r))
+        f = r + lam * rq * r - a
+        lo = np.where(f < 0, r, lo)
+        hi = np.where(f > 0, r, hi)
+        if np.all(np.abs(f) <= tol * (1.0 + a)):
+            break
+        fp = 1.0 + lam * (q - 1.0) * rq
+        step = f / fp
+        r_new = r - step
+        bad = (r_new <= lo) | (r_new >= hi) | ~np.isfinite(r_new)
+        r = np.where(bad, 0.5 * (lo + hi), r_new)
+    return r
+
+
 @pytest.mark.parametrize("state_shape", [(), (5,)])
 def test_causal_conv_is_toeplitz_matvec(state_shape, rng):
     n = 48
@@ -59,6 +81,15 @@ def test_power_prox_abs_solves_its_equation(q, rng):
     r = power_prox_abs(a, lam, q)
     assert np.all(r >= 0)
     np.testing.assert_allclose(r + lam * r ** (q - 1.0), a, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1])
+@pytest.mark.parametrize("q", [1.5, 2.5, 3.0, 4.0, 5.0])
+def test_power_prox_abs_matches_reference_bitwise(q, lam):
+    # 0 and 1e-3 .. 3e4; the top decade is the near-blow-up range, where
+    # Newton leaves the bracket and bisection runs
+    a = np.concatenate([[0.0], np.geomspace(1e-3, 3e4, 64)])
+    np.testing.assert_array_equal(power_prox_abs(a, lam, q), reference_power_prox_abs(a, lam, q))
 
 
 @pytest.mark.parametrize("n", [1, 2, 37, 100, 128])

@@ -25,7 +25,7 @@ from fraflow.certify import (
 )
 from fraflow.convex import PowerPotential, Quadratic, Space
 from fraflow.kernels import TimeGrid, rl_pair
-from fraflow.solver import ProblemSpec, SolverConfig, solve_dc_flow, solve_viscous_flow
+from fraflow.solver import ProblemSpec, SolverConfig, solve_dc_flow
 
 
 class TestMittagLeffler:
@@ -261,7 +261,7 @@ class TestDerivativePairing:
             spec = ProblemSpec(
                 Quadratic(Space(1)), PowerPotential(Space(1), 4), rl_pair(0.5), np.array([0.8]), None, TimeGrid(1.0, 256)
             )
-            traj = solve_viscous_flow(spec, SolverConfig(visc=visc))
+            traj = solve_dc_flow(spec, SolverConfig(visc=visc))
             cert = check_ab_inequality(traj, rl_pair(0.5), slack_coeff=0.1)
             assert cert.passed, cert.to_dict()
 

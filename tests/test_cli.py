@@ -192,6 +192,26 @@ class TestSweepCommand:
         main(["sweep", "--config", config, "--out", str(parallel), "--jobs", "4"])
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
+    def test_regime_diagram_preset(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(out)]) == EXIT_OK
+        lines = (out / "sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 18
+        assert not any(row["verdict"].startswith("error") for row in rows)
+        blown = {}
+        for row in sorted(rows, key=lambda r: float(r["amplitude"])):
+            blown.setdefault(float(row["q"]), []).append(row["verdict"] == "blew_up")
+        for flags in blown.values():
+            assert flags == sorted(flags)  # once a row blows up, every larger amplitude does
+        # amplitudes 0.5, 1, 2, 4, 8, 16
+        assert blown == {
+            3.0: [False] * 5 + [True],
+            4.0: [False] * 3 + [True] * 3,
+            5.0: [False] * 3 + [True] * 3,
+        }
+
 
 class TestCertifyCommand:
     def test_randomized_suites(self, tmp_path):

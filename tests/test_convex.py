@@ -179,3 +179,55 @@ def test_prox_nonconvergence_reports():
         bad.prox(np.zeros(2), 1.0, tol=1e-14, max_iter=5)
     assert err.value.iterations == 5
     assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("shape", [(32,), (32, 32)])
+def test_space_inner_matches_elementwise_sum(shape, rng):
+    sp = Space(int(np.prod(shape)), weight=1.0 / 33 ** len(shape))
+    u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+    for x, y in ((u, v), (u, u)):
+        # relative to the sum of magnitudes, the scale of rounding in any order
+        scale = sp.weight * np.sum(np.abs(x * y))
+        assert abs(sp.inner(x, y) - sp.weight * np.sum(x * y)) <= 1e-15 * scale
+
+
+def counted_p_dirichlet(dim, m, p):
+    """A p-Dirichlet energy whose value, gradient and Hessian count their calls."""
+    phi = dirichlet_p_energy(Grid(dim, m), p)
+    counts = {"value": 0, "grad": 0, "hess": 0}
+
+    def counting(name, fn):
+        def call(x):
+            counts[name] += 1
+            return fn(x)
+
+        return call
+
+    phi._value = counting("value", phi._value)
+    phi._grad = counting("grad", phi._grad)
+    phi._hess = counting("hess", phi._hess)
+    return phi, counts
+
+
+class TestResolventWorkBudget:
+    def test_p2_is_one_newton_step(self, rng):
+        # p = 2 is linear: one Hessian, the gradient at w and at the Newton
+        # iterate, and no objective
+        phi, counts = counted_p_dirichlet(1, 16, 2.0)
+        phi.prox(rng.standard_normal(16), 0.5, tol=1e-10)
+        assert counts == {"value": 0, "grad": 2, "hess": 1}
+
+    def test_one_gradient_per_newton_iterate(self, rng):
+        phi, counts = counted_p_dirichlet(1, 16, 3.0)
+        phi.prox(rng.standard_normal(16), 1e-3, tol=1e-10)
+        assert counts["hess"] > 1
+        assert counts["grad"] == counts["hess"] + 1
+        assert counts["value"] == 0
+
+    def test_backtracking_meets_the_tolerance(self, rng):
+        phi, counts = counted_p_dirichlet(1, 16, 1.5)
+        w, lam = rng.standard_normal(16), 0.5
+        z = phi.prox(w, lam, tol=1e-10)
+        assert counts["value"] > 0  # the full Newton step failed at least once
+        res = (z - w) / lam + phi.gradient(z)
+        assert phi.space.norm(res) <= 1e-10 * (1.0 + phi.space.norm(w) / lam)

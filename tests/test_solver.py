@@ -19,7 +19,6 @@ from fraflow.solver import (
     save_state_dump,
     solve_dc_flow,
     solve_lipschitz_perturbed,
-    solve_viscous_flow,
     trajectory_to_csv,
 )
 
@@ -91,14 +90,10 @@ class TestEnergyDiagnostics:
 
 
 class TestViscousFlow:
-    def test_requires_positive_viscosity(self):
-        with pytest.raises(ValueError):
-            solve_viscous_flow(scalar_spec(), SolverConfig(visc=0.0))
-
     def test_disabled_kernel_is_implicit_euler(self):
         n = 128
         spec = ProblemSpec(Quadratic(Space(1)), None, None, np.array([1.0]), None, TimeGrid(1.0, n))
-        traj = solve_viscous_flow(spec, SolverConfig(visc=1.0))
+        traj = solve_dc_flow(spec, SolverConfig(visc=1.0))
         expected = (1.0 + 1.0 / n) ** (-np.arange(n + 1))
         np.testing.assert_allclose(traj.states[:, 0], expected, atol=1e-13)
 
@@ -116,7 +111,7 @@ class TestViscousFlow:
         base = solve_dc_flow(mk(), SolverConfig(yosida_lam=0.1))
         dists = []
         for visc in (1.0, 0.1, 0.01):
-            traj = solve_viscous_flow(mk(), SolverConfig(yosida_lam=0.1, visc=visc))
+            traj = solve_dc_flow(mk(), SolverConfig(yosida_lam=0.1, visc=visc))
             dists.append(float(np.max(np.abs(traj.states - base.states))))
         assert dists[0] > dists[1] > dists[2]
 
@@ -124,7 +119,7 @@ class TestViscousFlow:
         spec = scalar_spec(n=256, u0=0.3, phi2=PowerPotential(Space(1), 4))
         base = solve_dc_flow(spec, SolverConfig(yosida_lam=0.1))
         spec2 = scalar_spec(n=256, u0=0.3, phi2=PowerPotential(Space(1), 4))
-        visc = solve_viscous_flow(spec2, SolverConfig(yosida_lam=0.1, visc=0.001))
+        visc = solve_dc_flow(spec2, SolverConfig(yosida_lam=0.1, visc=0.001))
         assert np.max(np.abs(base.states - visc.states)) <= 5e-3
 
 
