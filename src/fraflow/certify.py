@@ -20,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from scipy.special import gammaln
 
@@ -40,6 +39,9 @@ def slack_budget(tau, coeff=0.0):
 
 # ---------------------------------------------------------------------------
 # Mittag-Leffler oracle
+#
+# mpmath is imported inside the two extended-precision routines: no CLI
+# command calls the oracle, so a run never pays for loading it.
 
 
 def _series_peak_log10(alpha, x):
@@ -65,6 +67,8 @@ def _ml_series(alpha, z):
         # cancellation beyond a workable precision (tiny alpha at the far
         # end of the series window); the spectral route is exact there
         return _ml_spectral(alpha, z)
+    import mpmath
+
     dps = 25 + int(peak) + 10
     with mpmath.workdps(dps):
         zz = mpmath.mpf(z)
@@ -89,6 +93,8 @@ def _ml_spectral(alpha, z):
     # E_alpha(-x) = int_0^infty exp(-r x^(1/alpha)) K(r) dr with the
     # completely monotone spectral density K; exact on the whole branch,
     # consistent with the -1/(z Gamma(1-alpha)) leading asymptotics
+    import mpmath
+
     x = -z
     t = x ** (1.0 / alpha)
     with mpmath.workdps(30):

@@ -13,6 +13,7 @@ endings, no timestamps.
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -56,9 +57,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _schema():
+@functools.lru_cache(maxsize=None)
+def _validator():
+    """Validator for the shipped schema, checked against its metaschema once per process.
+
+    ``jsonschema.validate`` re-checks the schema on every call (about 23 ms,
+    against about 0.2 ms for the validation itself).
+    """
     text = importlib.resources.files("fraflow").joinpath("config_schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_config(path=None, preset=None, seed=None):
@@ -83,10 +93,10 @@ def load_config(path=None, preset=None, seed=None):
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(config, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    # the error jsonschema.validate would raise, so messages are unchanged
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}") from error
     if seed is not None:
         config["seed"] = seed
     return config
@@ -302,31 +312,36 @@ def cmd_sweep(config, out_dir, jobs=None):
                     futures = {pool.submit(_sweep_row, (config, *t)): t for t in pending}
                     for fut in concurrent.futures.as_completed(futures):
                         key = futures[fut]
-                        try:
-                            row = fut.result()
-                        except Exception as exc:  # row failures recorded, sweep continues
-                            row = _error_row(key, exc)
-                        results[key] = row
-                        ledger.write(json.dumps({"config": digest, "key": list(key), "row": row}) + "\n")
+                        results[key] = _ledger_row(ledger, digest, key, fut.result)
             else:
                 for t in pending:
-                    try:
-                        row = _sweep_row((config, *t))
-                    except Exception as exc:
-                        row = _error_row(t, exc)
-                    results[t] = row
-                    ledger.write(json.dumps({"config": digest, "key": list(t), "row": row}) + "\n")
+                    results[t] = _ledger_row(ledger, digest, t, functools.partial(_sweep_row, (config, *t)))
 
     rows = [results[t] for t in tuples]
     _write_rows_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 
+def _ledger_row(ledger, digest, key, compute):
+    """Compute one row, append its ledger entry and return the row.
+
+    A row that raises becomes an ``error: <type>`` row (never replayed); its
+    ledger entry also keeps the exception message.
+    """
+    entry = {"config": digest, "key": list(key)}
+    try:
+        entry["row"] = compute()
+    except Exception as exc:  # row failures recorded, sweep continues
+        entry["row"] = _error_row(key, exc)
+        entry["message"] = str(exc)
+    ledger.write(json.dumps(entry) + "\n")
+    return entry["row"]
+
+
 def _error_row(key, exc):
     row = {c: "" for c in SWEEP_COLUMNS}
     row["verdict"] = f"error: {type(exc).__name__}"
-    if key is not None:
-        row["alpha"], row["q"], row["amplitude"] = key
+    row["alpha"], row["q"], row["amplitude"] = key
     return row
 
 

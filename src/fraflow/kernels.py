@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from ._accel import causal_conv, toeplitz_inverse, volterra_sn
@@ -80,6 +79,10 @@ class Kernel:
     def antiderivative(self, t):
         if self._anti is not None:
             return self._anti(np.asarray(t, dtype=np.float64))
+        # imported here so that no command pays for loading scipy.integrate
+        # (see the package docstring)
+        from scipy.integrate import quad
+
         t = np.asarray(t, dtype=np.float64)
         scalar = t.ndim == 0
         vals = np.array([quad(self._fn, 0.0, ti, limit=200)[0] for ti in np.atleast_1d(t)])

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fraflow
+import fraflow.cli
 from fraflow import certify as cert
 from fraflow.cli import (
     EXIT_BLOWUP,
@@ -19,6 +21,7 @@ from fraflow.cli import (
     load_config,
     main,
 )
+from fraflow.convex import ProxNonconvergence
 from fraflow.kernels import rl_pair
 from fraflow.plaplace import ExperimentSpec, Grid, run_experiment
 from fraflow.solver import continuity_modulus
@@ -63,6 +66,38 @@ class TestConfigLoading:
     def test_config_xor_preset(self):
         with pytest.raises(ConfigError):
             load_config(None, None)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"mode": "solve", "bogus": 1}, "Additional properties are not allowed ('bogus' was unexpected)"),
+            ({"mode": "solve", "grid": {"steps": "many"}}, "'many' is not of type 'integer'"),
+            # two errors: the message jsonschema.validate picks, the shallower
+            # one even when a nested error is found first
+            ({"mode": "solve", "solver": {"tol": "x", "bad": 1}}, "Additional properties are not allowed ('bad', 'tol' were unexpected)"),
+            ({"mode": "solve", "problem": {"u0": "x"}, "chain_rule_slack": "y"}, "'y' is not of type 'number'"),
+        ],
+    )
+    def test_rejection_message(self, tmp_path, payload, message):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, payload), None)
+        assert str(info.value) == f"config rejected: {message}"
+
+    def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
+        validator_class = type(fraflow.cli._validator())
+        check_schema = validator_class.check_schema
+        calls = []
+
+        def counted(schema, *args, **kwargs):
+            calls.append(schema)
+            return check_schema(schema, *args, **kwargs)
+
+        monkeypatch.setattr(validator_class, "check_schema", counted)
+        fraflow.cli._validator.cache_clear()
+        path = write_config(tmp_path, SCALAR_SOLVE)
+        load_config(path, None)
+        load_config(path, None)
+        assert len(calls) == 1
 
 
 class TestSolveCommand:
@@ -185,6 +220,20 @@ class TestSweepCommand:
         entries = [json.loads(line) for line in ledger.read_text().splitlines()]
         assert sorted(entry["key"][2] for entry in entries) == [0.5, 8.0]
 
+    def test_error_row_ledger_keeps_message(self, tmp_path, monkeypatch):
+        def stalled(args):
+            raise ProxNonconvergence(6.8e-6, 50)
+
+        monkeypatch.setattr(fraflow.cli, "_sweep_row", stalled)
+        payload = dict(SMALL_SWEEP, sweep={"alphas": [0.5], "amplitudes": [0.5]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        (entry,) = [json.loads(line) for line in (out / "sweep_ledger.jsonl").read_text().splitlines()]
+        assert entry["message"] == "prox solver stalled at residual 6.800e-06 after 50 iterations"
+        assert entry["row"]["verdict"] == "error: ProxNonconvergence"
+        header, row = (line.split(",") for line in (out / "sweep.csv").read_text().splitlines())
+        assert dict(zip(header, row))["verdict"] == "error: ProxNonconvergence"
+
     def test_parallel_matches_serial(self, tmp_path):
         config = write_config(tmp_path, SMALL_SWEEP)
         serial, parallel = tmp_path / "s", tmp_path / "p"
@@ -295,10 +344,42 @@ class TestKernelsCommand:
             assert entry["regularization"]["strictly_decreasing"]
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # importing scipy.signal costs about 0.6 s and 24 MB in every run
+# loaded only where they are used: scipy.signal (about 0.6 s and 24 MB) and
+# scipy.integrate (about 0.25 s, with scipy.optimize behind it) by no
+# command, mpmath by the Mittag-Leffler oracle alone
+DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "mpmath"]
+
+
+def run_python(code, cwd):
     src = str(Path(fraflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fraflow.cli; assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", DEFERRED_MODULES)
+def test_cli_import_leaves_module_unloaded(tmp_path, module):
+    code = f"import sys, fraflow.cli; assert {module!r} not in sys.modules, '{module} was imported'"
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_commands_leave_deferred_modules_unloaded(tmp_path):
+    solve = write_config(tmp_path, SCALAR_SOLVE)
+    dump = str(tmp_path / "solved" / "state.bin")
+    certify = write_config(tmp_path, {"mode": "certify", "certify": {"dump": dump, "slack_coeff": 0.5}}, "certify.json")
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from fraflow.cli import main
+        codes = [
+            main(["kernels", "--preset", "sonine-check", "--out", "kernels"]),
+            main(["solve", "--config", {solve!r}, "--out", "solved"]),
+            main(["certify", "--config", {certify!r}, "--out", "certified"]),
+        ]
+        assert codes == [0, 0, 0], codes
+        loaded = [name for name in {DEFERRED_MODULES!r} if name in sys.modules]
+        assert not loaded, f"imported by a command: {{loaded}}"
+        """
+    )
+    proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -246,7 +246,55 @@ class TestContinuityModulus:
         assert first_gap <= rep.bounds[0] + rep.slack
 
 
+def reference_trajectory_csv(traj, path):
+    # the per-value writer trajectory_to_csv replaced; its bytes are the contract
+    with open(path, "w", newline="\n") as fh:
+        fh.write("j,t,norm,energy1,envelope2,residual\n")
+        for j in range(traj.grid.steps + 1):
+            row = [str(j)] + [
+                format(float(x), ".17g")
+                for x in (j * traj.grid.tau, traj.norms[j], traj.energy1[j], traj.envelope2[j], traj.residuals[j])
+            ]
+            fh.write(",".join(row) + "\n")
+
+
 class TestSerialization:
+    def test_csv_matches_per_value_reference(self, tmp_path):
+        special = [
+            np.inf,
+            -np.inf,
+            np.nan,
+            -np.nan,
+            0.0,
+            -0.0,
+            5e-324,
+            2.2250738585072009e-308,
+            1e-300,
+            -1e-300,
+            0.1,
+            1.0 / 3.0,
+            2.0 / 3.0,
+            1e16 + 2.0,
+            1.7976931348623157e308,
+            123456789.12345679,
+        ]
+        rng = np.random.default_rng(11)
+        # random bit patterns: every exponent range, NaN payloads included
+        bits = rng.integers(0, 2**64, size=240, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([special, bits])
+        traj = solve_dc_flow(scalar_spec(n=values.size - 1, horizon=0.7))
+        columns = {
+            "norms": values,
+            "energy1": np.roll(values, 1),
+            "envelope2": np.roll(values, 2),
+            "residuals": -values,
+        }
+        for case, candidate in (("solved", traj), ("special", dataclasses.replace(traj, **columns))):
+            got, want = tmp_path / f"{case}.csv", tmp_path / f"{case}-ref.csv"
+            trajectory_to_csv(candidate, got)
+            reference_trajectory_csv(candidate, want)
+            assert got.read_bytes() == want.read_bytes(), case
+
     def test_csv_format(self, tmp_path):
         traj = solve_dc_flow(scalar_spec(n=16))
         path = tmp_path / "traj.csv"
