@@ -4,13 +4,17 @@ One implementation of each: the causal triangular convolution behind
 every whole-path product-integration sum, the inverse of a
 lower-triangular Toeplitz matrix (the discrete derivative inverse and the
 regularized kernels), the per-step history sum and the componentwise power
-prox.  Whole-path sums are O(N log N) through zero-padded real FFTs; only
-the history sum of the sequential stepper, ``l1_history``, is O(N) per
-step.
+prox.  Whole-path sums are O(N log N) through zero-padded real FFTs.  The
+sequential stepper's history sums go through :class:`History`, O(N log^2 N)
+for a whole run and exact: no per-step sum is O(N) any more.
+``l1_history`` is the direct sum, which ``History`` calls on the near
+field of at most ``HISTORY_BLOCK`` recent rows.
 
-The module keeps the name ``_accel`` because the benchmark's tracer
+The module keeps the name ``_accel``, and the near-field sum keeps the
+name ``l1_history``, because the benchmark's tracer
 (``perfbench/tracer.py``) wraps ``fraflow._accel.l1_history``,
-``power_prox_abs`` and ``volterra_sn`` by that module path.
+``power_prox_abs`` and ``volterra_sn`` by that module path and counts the
+near-field work through it.
 """
 
 import numpy as np
@@ -81,6 +85,61 @@ def l1_history(omega, v, j):
         return np.zeros(v.shape[1:], dtype=np.float64)
     d = omega[1:j] - omega[: j - 1]
     return d[::-1] @ v[1:j]
+
+
+HISTORY_BLOCK = 512  # near-field width B of :class:`History`
+
+
+class History:
+    """Exact online history sums H_j = l1_history(omega, v, j), j = 1, 2, ..., N.
+
+    The blocked convolution of Hairer, Lubich & Schlichte (1985).  ``v``
+    is the (N+1, m) buffer the stepper fills row by row; the call at j
+    reads only the rows v[1:j], and the calls must come in the order
+    j = 1, 2, ....  The rows below the current block of B rows reach H_j
+    through ``far``: whenever j is a multiple of B, with L = j & -j, the
+    rows [j-L, j) are added into the targets [j, j+L) by one zero-padded
+    FFT middle product with the kernel differences.  Every pair of rows in
+    different blocks is covered exactly once, so a whole run costs
+    O(N B + N log^2 N) and nothing is approximated.  The near field, the
+    rows [j - j % B, j), is ``l1_history`` on a window; for j < B that is
+    the direct sum itself.
+    """
+
+    def __init__(self, omega, v):
+        self.omega = omega
+        self.v = v
+        n = v.shape[0] - 1
+        # d[k] = omega[k+1] - omega[k], zero past the grid
+        self.d = np.zeros(2 * n)
+        self.d[: len(omega) - 1] = np.diff(omega)
+        self.far = np.zeros_like(v)
+        self.spectra = {}  # block size L -> spectrum of d[:2L-1]
+
+    def __call__(self, j):
+        block = HISTORY_BLOCK
+        if j < block:
+            return l1_history(self.omega, self.v, j)
+        lo = j - j % block
+        if lo == j:
+            self._far_field(j)
+        return l1_history(self.omega, self.v[lo - 1 :], j - lo + 1) + self.far[j]
+
+    def _far_field(self, j):
+        size = j & -j
+        spectrum = self.spectra.get(size)
+        if spectrum is None:
+            spectrum = self.spectra[size] = np.fft.rfft(self.d[: 2 * size - 1], 2 * size)[:, None]
+        rows = self.v[j - size : j]
+        if j == size:  # like l1_history, leave out row 0
+            rows = rows.copy()
+            rows[0] = 0.0
+        sources = np.fft.rfft(rows, 2 * size, axis=0)
+        sources *= spectrum
+        # target t takes the product's entry t - j + size - 1; the entries
+        # that wrap around in the size-2L transform all lie below size - 1
+        stop = min(j + size, self.far.shape[0])
+        self.far[j:stop] += np.fft.irfft(sources, 2 * size, axis=0)[size - 1 : size - 1 + stop - j]
 
 
 def power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):

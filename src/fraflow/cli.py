@@ -93,12 +93,13 @@ def load_config(path=None, preset=None, seed=None):
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    # the override goes through the schema like a seed in the file would
+    if seed is not None:
+        config["seed"] = seed
     # the error jsonschema.validate would raise, so messages are unchanged
     error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
     if error is not None:
         raise ConfigError(f"config rejected: {error.message}") from error
-    if seed is not None:
-        config["seed"] = seed
     return config
 
 

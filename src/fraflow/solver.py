@@ -18,6 +18,14 @@ this is exactly an L1-type scheme.  The selection xi_j is read off the
 prox optimality system, eta_j is the explicit Yosida evaluation of phi2
 at the previous state (semi-implicit default) or at the current state via
 an inner Picard loop (coupled mode).
+
+The history H_j is a causal convolution whose input v appears one step at
+a time.  ``_accel.History`` evaluates it exactly: a direct sum over the
+current block of at most ``HISTORY_BLOCK`` rows, plus a far field that
+each completed dyadic block adds through one FFT product.  A run with
+fewer steps than one block takes the direct sum at every step.  The
+history buffer is flat, one row of u0.size values per node, so states of
+any rank take the same path.
 """
 
 import math
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import l1_history
+from ._accel import History
 from .convex import ProxNonconvergence, Space
 from .kernels import SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
@@ -223,7 +231,10 @@ def _solve_loop(spec, config, forcing_path, eta_source):
     if spec.phi2 is not None:
         envelope2[0] = spec.phi2.envelope(u0, config.yosida_lam, tol=config.inner_tol)
 
-    v = np.zeros_like(states)  # u - u0 history for the nonlocal term
+    # u - u0 history for the nonlocal term, one flat row per node
+    v = np.zeros((n + 1, u0.size))
+    history = History(omega, v) if omega is not None else None
+    start = omega0 * u0
 
     def _blowup(j, reason, accepted):
         return BlowUpReport(
@@ -236,12 +247,12 @@ def _solve_loop(spec, config, forcing_path, eta_source):
         )
 
     for j in range(1, n + 1):
-        hist = l1_history(omega, v, j) if omega is not None else 0.0
-        base = (omega0 * u0 - hist + config.visc * states[j - 1]) / denom
+        hist = history(j).reshape(shape) if history is not None else 0.0
+        base = (start - hist + config.visc * states[j - 1]) / denom
 
         def prox_step(eta_val):
             rhs = base + mu * (forcing_path[j] + eta_val)
-            if not np.all(np.isfinite(rhs)):
+            if not np.isfinite(rhs).all():
                 raise FloatingPointError("non-finite step data")
             u_new = spec.phi1.prox(rhs, mu, tol=config.inner_tol)
             return u_new, (rhs - u_new) / mu
@@ -274,14 +285,14 @@ def _solve_loop(spec, config, forcing_path, eta_source):
             if not converged and np.max(np.abs(u_new)) <= config.blowup_norm:
                 return _blowup(j, "inner-divergence", j - 1)
 
-        amax = float(np.max(np.abs(u_new)))
-        if not np.isfinite(amax):
+        amax = float(np.abs(u_new).max())
+        if not math.isfinite(amax):
             return _blowup(j, "non-finite", j - 1)
         states[j] = u_new
         xi[j] = xi_new
         eta[j] = eta_val
         envelope2[j] = env_val
-        v[j] = u_new - u0
+        v[j] = (u_new - u0).ravel()
         energy1[j] = spec.phi1.value(u_new)
         norms[j] = space.norm(u_new)
 

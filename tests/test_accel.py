@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from fraflow._accel import causal_conv, l1_history, power_prox_abs, toeplitz_inverse, volterra_sn
+from fraflow._accel import HISTORY_BLOCK, History, causal_conv, l1_history, power_prox_abs, toeplitz_inverse, volterra_sn
 from fraflow.convex import Quadratic, Space
 from fraflow.kernels import TimeGrid, conv_weights, inverse_weights, nonlocal_antiderivative, rl_pair
 from fraflow.solver import ProblemSpec, solve_dc_flow
@@ -62,6 +62,54 @@ def test_l1_history_is_the_explicit_sum(j, rng):
     for v in (rng.standard_normal((n + 1, 3)), rng.standard_normal(n + 1)):
         expected = sum((omega[j - i] - omega[j - i - 1]) * v[i] for i in range(1, j))
         np.testing.assert_allclose(l1_history(omega, v, j), expected + np.zeros(v.shape[1:]), rtol=0, atol=1e-13)
+
+
+B = HISTORY_BLOCK
+
+
+def direct_history(omega, v, j):
+    """sum_{i=1..j-1} (omega[j-i] - omega[j-i-1]) * v[i] term by term, and
+    the same sum of magnitudes (the scale of its round-off)."""
+    total, scale = np.zeros(v.shape[1:]), np.zeros(v.shape[1:])
+    for i in range(1, j):
+        term = (omega[j - i] - omega[j - i - 1]) * v[i]
+        total += term
+        scale += np.abs(term)
+    return total, scale
+
+
+def history_case(m, rng, n=4 * B + 7):
+    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n)).omega
+    return omega, rng.standard_normal((n + 1, m))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_history_matches_the_direct_sum(m, rng):
+    omega, v = history_case(m, rng)
+    history = History(omega, v)
+    checked = {1, 2, B - 1, B, B + 1, 2 * B, 3 * B + 5}
+    for j in range(1, max(checked) + 1):
+        h = history(j)
+        if j in checked:
+            expected, scale = direct_history(omega, v, j)
+            assert np.all(np.abs(h - expected) <= 1e-13 * scale), j
+
+
+def test_history_is_the_direct_sum_bitwise_below_one_block(rng):
+    omega, v = history_case(3, rng)
+    history = History(omega, v)
+    for j in range(1, B):
+        np.testing.assert_array_equal(history(j), l1_history(omega, v, j))
+
+
+def test_history_reads_no_future_row(rng):
+    omega, v = history_case(3, rng)
+    path = np.full_like(v, np.nan)
+    history = History(omega, path)
+    for j in range(1, v.shape[0]):
+        # the stepper's order: rows 0..j-1 known, j..N not yet
+        path[j - 1] = v[j - 1]
+        assert np.all(np.isfinite(history(j))), j
 
 
 @pytest.mark.parametrize("index", [1.0, 8.0, 64.0])

@@ -63,6 +63,14 @@ class TestConfigLoading:
         path = write_config(tmp_path, {"mode": "certify", "seed": 1})
         assert load_config(path, None, seed=42)["seed"] == 42
 
+    def test_negative_seed_rejected_by_the_schema_either_way(self, tmp_path, capsys):
+        config = {"mode": "certify", "certify": {"suites": ["gronwall-linear"], "instances": 2}}
+        in_file = write_config(tmp_path, dict(config, seed=-1), "in_file.json")
+        override = write_config(tmp_path, config, "override.json")
+        for argv in (["--config", in_file], ["--config", override, "--seed", "-1"]):
+            assert main(["certify", *argv, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+            assert "config rejected: -1 is less than the minimum of 0" in capsys.readouterr().err
+
     def test_config_xor_preset(self):
         with pytest.raises(ConfigError):
             load_config(None, None)

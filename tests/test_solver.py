@@ -1,10 +1,16 @@
 import dataclasses
+import json
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+import fraflow._accel
+import fraflow.solver
+from fraflow._accel import HISTORY_BLOCK, l1_history
 from fraflow.certify import mittag_leffler
+from fraflow.cli import main
 from fraflow.convex import PowerPotential, Quadratic, Space
 from fraflow.kernels import TimeGrid, rl_pair
 from fraflow.solver import (
@@ -174,6 +180,84 @@ class TestBlowUp:
         assert result.node == n
         assert len(result.norm_history) == n
         assert np.all(np.isfinite(result.norm_history))
+
+
+class DirectHistory:
+    """The history as one O(j) sum per step: the reference for ``History``."""
+
+    def __init__(self, omega, v):
+        self.omega, self.v = omega, v
+
+    def __call__(self, j):
+        return l1_history(self.omega, self.v, j)
+
+
+class TestFastHistory:
+    B = HISTORY_BLOCK
+
+    def test_long_scalar_run_matches_the_direct_sum(self, monkeypatch):
+        spec = scalar_spec(alpha=0.5, n=16384)
+        fast = solve_dc_flow(spec)
+        monkeypatch.setattr(fraflow.solver, "History", DirectHistory)
+        direct = solve_dc_flow(spec)
+        scale = np.max(np.abs(direct.states))
+        assert np.max(np.abs(fast.states - direct.states)) <= 1e-12 * scale
+        assert np.max(fast.residuals) <= 1e-10
+
+    def test_states_of_any_rank(self, rng):
+        n = 3 * self.B + 5
+        u0 = rng.standard_normal((2, 3))
+        grid = TimeGrid(1.0, n)
+        square = solve_dc_flow(ProblemSpec(Quadratic(Space(6)), None, rl_pair(0.5), u0, None, grid))
+        flat = solve_dc_flow(ProblemSpec(Quadratic(Space(6)), None, rl_pair(0.5), u0.reshape(6), None, grid))
+        assert square.states.shape == (n + 1, 2, 3)
+        np.testing.assert_array_equal(square.states, flat.states.reshape(n + 1, 2, 3))
+        assert np.max(square.residuals) <= 1e-10
+
+    @pytest.mark.parametrize("preset", ["blowup-1d", "classical-limit", "mittag-leffler-scalar", "smalldata-1d"])
+    def test_presets_keep_their_verdicts(self, preset, tmp_path, monkeypatch):
+        fast, direct = tmp_path / "fast", tmp_path / "direct"
+        code = main(["solve", "--preset", preset, "--out", str(fast)])
+        monkeypatch.setattr(fraflow.solver, "History", DirectHistory)
+        assert main(["solve", "--preset", preset, "--out", str(direct)]) == code
+        verdicts = [json.loads((out / "diagnostics.json").read_text())["verdict"] for out in (fast, direct)]
+        assert verdicts[0] == verdicts[1]
+        if (direct / "state.bin").exists():
+            a, b = (load_state_dump(out / "state.bin")["states"] for out in (fast, direct))
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_runs_shorter_than_a_block_are_unchanged(self, tmp_path, monkeypatch):
+        # regime-diagram: 18 sweep rows at N = 256 < B
+        fast, direct = tmp_path / "fast", tmp_path / "direct"
+        main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(fast)])
+        monkeypatch.setattr(fraflow.solver, "History", DirectHistory)
+        main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(direct)])
+        assert (fast / "sweep.csv").read_bytes() == (direct / "sweep.csv").read_bytes()
+
+    def test_work_per_step_is_bounded(self, monkeypatch):
+        n, block = 16384, self.B
+        near, far = [], []
+        history, rfft = fraflow._accel.l1_history, np.fft.rfft
+
+        def counted_history(omega, v, j):
+            near.append(max(j - 1, 0))  # rows summed
+            return history(omega, v, j)
+
+        def counted_rfft(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_far_field":
+                far.append(np.ndim(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(fraflow._accel, "l1_history", counted_history)
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+        solve_dc_flow(scalar_spec(n=n))
+        assert len(near) == n
+        assert max(near) <= block  # an O(N) sum per step fails here
+        assert sum(near) <= n * block
+        # one transform of the completed rows per block, one kernel
+        # spectrum per dyadic block size
+        assert far.count(2) == n // block
+        assert far.count(1) == len({j & -j for j in range(block, n + 1, block)})
 
 
 class TestLipschitzPerturbed:
