@@ -142,45 +142,63 @@ class History:
         self.far[j:stop] += np.fft.irfft(sources, 2 * size, axis=0)[size - 1 : size - 1 + stop - j]
 
 
+class ProxNonconvergence(RuntimeError):
+    """Inner prox solver failed to meet its tolerance."""
+
+    def __init__(self, residual, iterations):
+        super().__init__(f"prox solver stalled at residual {residual:.3e} after {iterations} iterations")
+        self.residual = residual
+        self.iterations = iterations
+
+
 def power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):
     """Root r >= 0 of r + lam * r**(q-1) = a, elementwise for a >= 0.
 
-    Newton safeguarded by bisection on [0, a]; the left side is strictly
-    increasing, so the root is unique.  Every pass works in the buffers
-    allocated up front.
+    f(r) = r + lam r^(q-1) - a is strictly increasing, so the root r* is
+    unique, and plain Newton converges monotonically onto it from a start
+    on the side where the tangents stay on one side of f (Ortega &
+    Rheinboldt 1970, 13.3):
+
+    - q >= 2: f is convex, so every iterate from above the root stays
+      above it and decreases.  The start is the upper bound
+      U = min(a, (a/lam)^(1/(q-1))): r* <= a and lam r*^(q-1) <= a.
+    - 1 < q < 2: f is concave, so every iterate from below stays below it
+      and increases.  The start is the lower bound
+      L = min(a/2, (a/(2 lam))^(1/(q-1))): if r* < a/2, then
+      lam r*^(q-1) = a - r* > a/2.  L > 0 for a > 0, so the infinite slope
+      of f at 0 is never met.
+
+    For q < 2 the zero entries of the start (a = 0, or a bound that
+    underflows) stay put; for q >= 2, 0**(q-2) is finite and needs no mask.
+    The iteration stops once |f| <= tol (1 + a) everywhere and raises
+    :class:`ProxNonconvergence` if ``max_iter`` passes do not get there: a
+    NaN entry, or a root below the double range (q close to 1, a << lam).
     """
     a = np.asarray(a, dtype=np.float64)
-    lo = np.zeros_like(a)
-    hi = a.copy()
-    r = a / (1.0 + lam)  # exact for q == 2, a decent start otherwise
+    with np.errstate(over="ignore"):  # an infinite power is never the minimum
+        if q >= 2.0:
+            r = np.minimum(a, np.power(a / lam, 1.0 / (q - 1.0)), out=np.empty_like(a))
+            live = True
+        else:
+            r = np.minimum(0.5 * a, np.power(0.5 * a / lam, 1.0 / (q - 1.0)), out=np.empty_like(a))
+            live = r > 0.0
     bound = tol * (1.0 + a)
     slope = lam * (q - 1.0)
-    rq = np.empty_like(a)  # r**(q-2), 0 where r <= 0
-    f = np.empty_like(a)  # r + lam r**(q-1) - a, then the bracket midpoint
-    trial = np.empty_like(a)  # the Newton iterate
-    mask = np.empty(a.shape, dtype=bool)
-    inside = np.empty(a.shape, dtype=bool)
+    rq = np.zeros_like(a)  # r**(q-2) on the live entries, 0 elsewhere
+    f = np.empty_like(a)  # r + lam r**(q-1) - a
+    step = np.empty_like(a)  # |f|, then the Newton step
+    done = np.empty(a.shape, dtype=bool)
     for _ in range(max_iter):
-        rq.fill(0.0)
-        np.power(r, q - 2.0, out=rq, where=np.greater(r, 0.0, out=mask))
+        np.power(r, q - 2.0, out=rq, where=live)
         np.multiply(rq, lam, out=f)
         f *= r
         f += r
         f -= a
-        np.copyto(lo, r, where=np.less(f, 0.0, out=mask))
-        np.copyto(hi, r, where=np.greater(f, 0.0, out=mask))
-        if np.less_equal(np.abs(f, out=trial), bound, out=mask).all():
-            break
-        np.multiply(rq, slope, out=trial)
-        trial += 1.0
-        np.divide(f, trial, out=trial)
-        np.subtract(r, trial, out=trial)
-        # bisect where the Newton iterate leaves the open bracket (NaN
-        # fails both tests)
-        np.greater(trial, lo, out=mask)
-        mask &= np.less(trial, hi, out=inside)
-        np.add(lo, hi, out=f)
-        f *= 0.5
-        np.copyto(trial, f, where=np.logical_not(mask, out=mask))
-        r, trial = trial, r
-    return r
+        np.less_equal(np.abs(f, out=step), bound, out=done)
+        if np.count_nonzero(done) == done.size:
+            return r
+        np.multiply(rq, slope, out=step)
+        step += 1.0
+        np.divide(f, step, out=step)
+        np.subtract(r, step, out=r, where=live)
+    raise ProxNonconvergence(float(np.max(np.abs(f) / (1.0 + a))), max_iter)

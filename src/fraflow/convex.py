@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from ._accel import power_prox_abs
+from ._accel import ProxNonconvergence, power_prox_abs
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,6 @@ class Space:
 
     def norm(self, u):
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
-
-
-class ProxNonconvergence(RuntimeError):
-    """Inner prox solver failed to meet its tolerance."""
-
-    def __init__(self, residual, iterations):
-        super().__init__(f"prox solver stalled at residual {residual:.3e} after {iterations} iterations")
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,13 @@ class PowerPotential(Functional):
     """phi(w) = (1/q) sum_i weight * |w_i|^q for q > 1.
 
     The H-prox decouples componentwise (the cell weight cancels) into the
-    scalar monotone equation r + lam r^{q-1} = |w_i|.
+    scalar monotone equation r + lam r^{q-1} = |w_i|, solved by plain
+    Newton (``power_prox_abs``).  For q >= 2 the left side is convex and
+    Newton decreases monotonically from the upper bound
+    min(|w_i|, (|w_i|/lam)^{1/(q-1)}); for 1 < q < 2 it is concave and
+    Newton increases monotonically from the lower bound
+    min(|w_i|/2, (|w_i|/(2 lam))^{1/(q-1)}).  A prox that misses its
+    tolerance raises :class:`ProxNonconvergence`.
     """
 
     def __init__(self, space, q):

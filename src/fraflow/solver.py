@@ -257,12 +257,13 @@ def _solve_loop(spec, config, forcing_path, eta_source):
             u_new = spec.phi1.prox(rhs, mu, tol=config.inner_tol)
             return u_new, (rhs - u_new) / mu
 
-        eta_val, env_val = eta_source(j, states[j - 1])
         try:
+            eta_val, env_val = eta_source(j, states[j - 1])
             u_new, xi_new = prox_step(eta_val)
         except (FloatingPointError, ProxNonconvergence):
-            # a step escaping toward overflow is a threshold crossing, not
-            # a solver defect; re-raise on bounded states
+            # a step escaping toward overflow (through the phi1 or the phi2
+            # resolvent) is a threshold crossing, not a solver defect;
+            # re-raise on bounded states
             if np.max(np.abs(states[j - 1])) >= 0.01 * config.blowup_norm:
                 return _blowup(j, "norm-threshold", j - 1)
             raise

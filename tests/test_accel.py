@@ -1,13 +1,27 @@
 """The inner kernels against their defining equations."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from fraflow._accel import HISTORY_BLOCK, History, causal_conv, l1_history, power_prox_abs, toeplitz_inverse, volterra_sn
+import fraflow.convex
+from fraflow._accel import (
+    HISTORY_BLOCK,
+    History,
+    ProxNonconvergence,
+    causal_conv,
+    l1_history,
+    power_prox_abs,
+    toeplitz_inverse,
+    volterra_sn,
+)
+from fraflow.cli import main
 from fraflow.convex import Quadratic, Space
 from fraflow.kernels import TimeGrid, conv_weights, inverse_weights, nonlocal_antiderivative, rl_pair
-from fraflow.solver import ProblemSpec, solve_dc_flow
+from fraflow.solver import ProblemSpec, load_state_dump, solve_dc_flow
 
 
 def forward_substitution_antiderivative(kernel, b, grid):
@@ -20,8 +34,9 @@ def forward_substitution_antiderivative(kernel, b, grid):
 
 
 def reference_power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):
-    """The power prox written with a fresh array per operation; the buffered
-    kernel must take exactly its iterates."""
+    """The power prox as Newton safeguarded by bisection on [0, a], written
+    with a fresh array per operation: an independent solver of the same
+    equation."""
     a = np.asarray(a, dtype=np.float64)
     lo = np.zeros_like(a)
     hi = a.copy()
@@ -131,13 +146,109 @@ def test_power_prox_abs_solves_its_equation(q, rng):
     np.testing.assert_allclose(r + lam * r ** (q - 1.0), a, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.1])
-@pytest.mark.parametrize("q", [1.5, 2.5, 3.0, 4.0, 5.0])
-def test_power_prox_abs_matches_reference_bitwise(q, lam):
-    # 0 and 1e-3 .. 3e4; the top decade is the near-blow-up range, where
-    # Newton leaves the bracket and bisection runs
-    a = np.concatenate([[0.0], np.geomspace(1e-3, 3e4, 64)])
-    np.testing.assert_array_equal(power_prox_abs(a, lam, q), reference_power_prox_abs(a, lam, q))
+# 0 and 1e-3 .. 3e4; the top decade is the near-blow-up range
+PROX_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 3e4, 64)])
+prox_cases = pytest.mark.parametrize("q, lam", [(q, lam) for q in (1.5, 2.5, 3.0, 4.0, 5.0) for lam in (1e-3, 0.1)])
+
+
+def prox_residual(r, a, lam, q):
+    return np.abs(r + lam * r ** (q - 1.0) - a)
+
+
+@prox_cases
+def test_power_prox_abs_matches_the_bracketed_reference(q, lam):
+    # the iterates differ, so the roots agree to rounding, not bitwise; the
+    # reference's tolerance stop is the looser one for small a
+    r, ref = power_prox_abs(PROX_GRID, lam, q), reference_power_prox_abs(PROX_GRID, lam, q)
+    np.testing.assert_allclose(r, ref, rtol=1e-13, atol=0)
+
+
+@prox_cases
+def test_power_prox_abs_matches_a_40_digit_root(q, lam):
+    import mpmath
+
+    r = power_prox_abs(PROX_GRID, lam, q)
+    with mpmath.workdps(40):
+        mq, mlam = mpmath.mpf(q), mpmath.mpf(lam)
+        for got, start, a in zip(r, reference_power_prox_abs(PROX_GRID, lam, q), PROX_GRID):
+            root, ma = mpmath.mpf(float(start)), mpmath.mpf(float(a))
+            if a > 0:
+                for _ in range(8):
+                    root -= (root + mlam * root ** (mq - 1) - ma) / (1 + mlam * (mq - 1) * root ** (mq - 2))
+            # f' >= 1, so the residual bounds the distance to the root
+            assert abs(root + mlam * root ** (mq - 1) - ma) <= mpmath.mpf(10) ** -35 * (1 + ma)
+            assert abs(got - root) <= 1e-15 * root
+
+
+@prox_cases
+def test_power_prox_abs_pass_budget(q, lam):
+    # monotone Newton from the one-sided bound; the bracketed reference
+    # needs up to 77 passes on this grid
+    r = power_prox_abs(PROX_GRID, lam, q, max_iter=12)
+    assert np.all(prox_residual(r, PROX_GRID, lam, q) <= 1e-14 * (1.0 + PROX_GRID))
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5, 1.9, 2.5, 3.0, 4.0, 5.0, 8.0])
+def test_power_prox_abs_pass_budget_over_a_wide_range(q):
+    # measured: at most 10 passes at q = 1.1, at most 7 elsewhere; the start
+    # bounds overflow for q near 1 and huge a without a warning
+    a = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 801)])
+    for lam in np.geomspace(1e-6, 1e3, 10):
+        r = power_prox_abs(a, lam, q, max_iter=12)
+        assert np.all(prox_residual(r, a, lam, q) <= 1e-14 * (1.0 + a))
+
+
+def test_power_prox_abs_raises_on_nan():
+    with pytest.raises(ProxNonconvergence) as err:
+        power_prox_abs(np.array([np.nan]), 0.1, 3.0)
+    assert err.value.iterations == 200
+
+
+def test_power_prox_abs_raises_when_out_of_passes():
+    with pytest.raises(ProxNonconvergence) as err:
+        power_prox_abs(np.array([3e4]), 0.1, 3.0, max_iter=1)
+    assert err.value.iterations == 1
+    assert err.value.residual > 1e-14
+
+
+def read_sweep(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_regime_diagram_sweep_matches_the_bracketed_prox(tmp_path, monkeypatch):
+    # end to end: the roots agree to rounding, and only the blow-up rows,
+    # which run the prox at the largest arguments, may move in the last digits
+    assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(fraflow.convex, "power_prox_abs", reference_power_prox_abs)
+    assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(tmp_path / "ref")]) == 0
+    new, ref = (read_sweep(tmp_path / side / "sweep.csv") for side in ("new", "ref"))
+    assert len(new) == len(ref) == 18
+    for row, expected in zip(new, ref):
+        assert (row["verdict"], row["t_star"]) == (expected["verdict"], expected["t_star"])
+        if row["verdict"] == "blew_up":
+            for key in ("sup_energy1", "C_emp"):
+                assert float(row[key]) == pytest.approx(float(expected[key]), rel=1e-12, abs=0)
+        else:
+            assert row == expected
+
+
+def test_plaplace_2d_solve_matches_the_bracketed_prox(tmp_path, monkeypatch):
+    config = tmp_path / "solve.json"
+    problem = {"kind": "p-laplace", "p": 3.0, "q": 4.0, "dim": 2, "m": 20, "amplitude": 1.0, "u0_profile": "sine"}
+    grid = {"horizon": 1.0, "steps": 64}
+    config.write_text(json.dumps({"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": grid, "chain_rule_slack": 0.5}))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(fraflow.convex, "power_prox_abs", reference_power_prox_abs)
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "ref")]) == 0
+    new, ref = (load_state_dump(tmp_path / side / "state.bin")["states"] for side in ("new", "ref"))
+    assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+    diag = json.loads((tmp_path / "new" / "diagnostics.json").read_text())
+    assert diag["max_residual"] <= 1e-10
+    chain, expected = (json.loads((tmp_path / side / "chain_rule.json").read_text()) for side in ("new", "ref"))
+    assert chain["status"] == "pass"
+    for key in ("min_margin_cumulative", "min_margin_pointwise", "min_margin_quadrature"):
+        assert chain[key] == pytest.approx(expected[key], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 37, 100, 128])

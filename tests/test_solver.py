@@ -11,7 +11,7 @@ import fraflow.solver
 from fraflow._accel import HISTORY_BLOCK, l1_history
 from fraflow.certify import mittag_leffler
 from fraflow.cli import main
-from fraflow.convex import PowerPotential, Quadratic, Space
+from fraflow.convex import PowerPotential, ProxNonconvergence, Quadratic, Space
 from fraflow.kernels import TimeGrid, rl_pair
 from fraflow.solver import (
     BlowUpReport,
@@ -160,6 +160,29 @@ class TestBlowUp:
         assert result.node >= 1
         assert len(result.norm_history) == result.node + 1
         assert result.e_t > 0
+
+    class StallingPower(PowerPotential):
+        """A phi2 whose resolvent stalls once the state reaches 10."""
+
+        def prox(self, w, lam, tol=1e-10):
+            if np.max(np.abs(w)) >= 10.0:
+                raise ProxNonconvergence(1.0, 200)
+            return super().prox(w, lam, tol=tol)
+
+    def test_stalled_phi2_resolvent_at_a_large_state_is_a_blowup(self):
+        # the same rule as a stalled phi1 resolvent: |u_{j-1}| = 10 is at
+        # least 0.01 * blowup_norm
+        spec = scalar_spec(n=256, u0=3.0, phi2=self.StallingPower(Space(1), 4))
+        result = solve_dc_flow(spec, SolverConfig(yosida_lam=1e-3, blowup_norm=1e3))
+        assert isinstance(result, BlowUpReport)
+        assert result.reason == "norm-threshold"
+        assert len(result.norm_history) == result.node
+        assert result.norm_history[-1] >= 10.0
+
+    def test_stalled_phi2_resolvent_at_a_bounded_state_raises(self):
+        spec = scalar_spec(n=256, u0=3.0, phi2=self.StallingPower(Space(1), 4))
+        with pytest.raises(ProxNonconvergence):
+            solve_dc_flow(spec, SolverConfig(yosida_lam=1e-3, blowup_norm=1e6))
 
     def test_non_finite_state_is_not_completed(self):
         # a resolvent returning NaN on the last step must not end "completed"
