@@ -113,7 +113,9 @@ class History:
         # d[k] = omega[k+1] - omega[k], zero past the grid
         self.d = np.zeros(2 * n)
         self.d[: len(omega) - 1] = np.diff(omega)
-        self.far = np.zeros_like(v)
+        # np.zeros, not zeros_like: the pages stay untouched until a far
+        # field lands in them, which only runs of N >= B ever reach
+        self.far = np.zeros(v.shape)
         self.spectra = {}  # block size L -> spectrum of d[:2L-1]
 
     def __call__(self, j):
@@ -151,8 +153,16 @@ class ProxNonconvergence(RuntimeError):
         self.iterations = iterations
 
 
+TINY = 5e-324  # the smallest positive double
+
+
 def power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):
     """Root r >= 0 of r + lam * r**(q-1) = a, elementwise for a >= 0.
+
+    ``a`` is one row of values or a stack of rows (R, m).  Each row stops
+    at its own pass: once every entry of a row meets the tolerance, that
+    row is left as it is while the other rows go on, so a row comes out
+    bitwise as it does when solved alone.
 
     f(r) = r + lam r^(q-1) - a is strictly increasing, so the root r* is
     unique, and plain Newton converges monotonically onto it from a start
@@ -165,40 +175,69 @@ def power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):
     - 1 < q < 2: f is concave, so every iterate from below stays below it
       and increases.  The start is the lower bound
       L = min(a/2, (a/(2 lam))^(1/(q-1))): if r* < a/2, then
-      lam r*^(q-1) = a - r* > a/2.  L > 0 for a > 0, so the infinite slope
-      of f at 0 is never met.
+      lam r*^(q-1) = a - r* > a/2.  The Newton step is taken as
+      f r / (r + lam (q-1) r^(q-1)), which stays finite at subnormal r
+      where r^(q-2) overflows.
 
-    For q < 2 the zero entries of the start (a = 0, or a bound that
-    underflows) stay put; for q >= 2, 0**(q-2) is finite and needs no mask.
-    The iteration stops once |f| <= tol (1 + a) everywhere and raises
-    :class:`ProxNonconvergence` if ``max_iter`` passes do not get there: a
-    NaN entry, or a root below the double range (q close to 1, a << lam).
+    For q < 2 and a > 0, L underflows to 0 when q is close to 1 and
+    a << lam.  Where f(TINY) > 0 the root lies below the smallest
+    positive double, and r = 0 is returned as its rounded value; elsewhere
+    TINY is a lower bound that does not underflow and Newton starts there;
+    a root in the subnormal range is taken where the step stops moving it.
+    Zero entries of a stay at 0.  The iteration stops once
+    |f| <= tol (1 + a) everywhere and raises :class:`ProxNonconvergence`
+    if ``max_iter`` passes do not get there, e.g. on a NaN entry.
     """
     a = np.asarray(a, dtype=np.float64)
+    concave = q < 2.0
     with np.errstate(over="ignore"):  # an infinite power is never the minimum
-        if q >= 2.0:
-            r = np.minimum(a, np.power(a / lam, 1.0 / (q - 1.0)), out=np.empty_like(a))
-            live = True
-        else:
+        if concave:
             r = np.minimum(0.5 * a, np.power(0.5 * a / lam, 1.0 / (q - 1.0)), out=np.empty_like(a))
-            live = r > 0.0
+        else:
+            r = np.minimum(a, np.power(a / lam, 1.0 / (q - 1.0)), out=np.empty_like(a))
     bound = tol * (1.0 + a)
     slope = lam * (q - 1.0)
-    rq = np.zeros_like(a)  # r**(q-2) on the live entries, 0 elsewhere
+    if concave:
+        lost = (r == 0.0) & (a > 0.0)
+        if lost.any():
+            below = lost & (TINY + lam * TINY ** (q - 1.0) > a)
+            bound[below] = np.inf  # r = 0 is the rounded root
+            r[lost & ~below] = TINY
+        live = r > 0.0  # 0 stays put: the slope of f is infinite there
+    else:
+        live = True  # 0**(q-2) is finite for q >= 2
+    # r**(q-1) (concave) or r**(q-2) (convex) on the live entries, 0 elsewhere
+    rq = np.zeros_like(a)
     f = np.empty_like(a)  # r + lam r**(q-1) - a
     step = np.empty_like(a)  # |f|, then the Newton step
     done = np.empty(a.shape, dtype=bool)
+    stack = a.ndim > 1 and len(a) > 1  # rows to stop one by one
     for _ in range(max_iter):
-        np.power(r, q - 2.0, out=rq, where=live)
+        np.power(r, q - 1.0 if concave else q - 2.0, out=rq, where=live)
         np.multiply(rq, lam, out=f)
-        f *= r
+        if not concave:
+            f *= r
         f += r
         f -= a
         np.less_equal(np.abs(f, out=step), bound, out=done)
         if np.count_nonzero(done) == done.size:
             return r
+        if stack:
+            finished = done.all(axis=-1)
+            if finished.any():
+                live = live & ~finished[..., None]
         np.multiply(rq, slope, out=step)
-        step += 1.0
-        np.divide(f, step, out=step)
+        if concave:
+            step += r
+            np.divide(f, step, out=step, where=live)
+            np.multiply(step, r, out=step, where=live)
+            # a subnormal root has no double within the tolerance: accept
+            # the entries the step no longer moves
+            stuck = (r - step == r) & live & ~done
+            if stuck.any():
+                bound[stuck] = np.inf
+        else:
+            step += 1.0
+            np.divide(f, step, out=step)
         np.subtract(r, step, out=r, where=live)
     raise ProxNonconvergence(float(np.max(np.abs(f) / (1.0 + a))), max_iter)

@@ -27,7 +27,7 @@ import numpy as np
 from . import certify as cert
 from .convex import Quadratic, Space
 from .kernels import TimeGrid, kernel_l1_gap, regularized_kernel, rl_pair, verify_sonine
-from .plaplace import ExperimentSpec, Grid, run_experiment
+from .plaplace import ExperimentResult, ExperimentSpec, Grid, run_experiment, run_experiments
 from .solver import (
     BlowUpReport,
     DumpFormatError,
@@ -283,17 +283,39 @@ def _drop_torn_tail(path):
             fh.truncate(data.rfind(b"\n") + 1)
 
 
-def _sweep_row(args):
-    config, alpha, q, amplitude = args
+def _sweep_group(args):
+    """Solve the amplitudes of one (alpha, q) group as one batch of rows.
+
+    Returns one ``(row, message)`` pair per amplitude: the sweep row, and
+    for a row that failed the exception message (None otherwise).
+    """
+    config, alpha, q, amplitudes = args
     base = _build_experiment(config)
-    spec = base.with_amplitude(amplitude)
-    spec.alpha = alpha
-    spec.q = q
-    result = run_experiment(spec, _solver_config(config))
-    return result.to_row()
+    base.alpha = alpha
+    base.q = q
+    specs = [base.with_amplitude(amplitude) for amplitude in amplitudes]
+    pairs = []
+    for amplitude, outcome in zip(amplitudes, run_experiments(specs, _solver_config(config))):
+        if isinstance(outcome, ExperimentResult):
+            pairs.append((outcome.to_row(), None))
+        else:
+            pairs.append((_error_row((alpha, q, amplitude), outcome), str(outcome)))
+    return pairs
 
 
 def cmd_sweep(config, out_dir, jobs=None):
+    """Run the sweep and write ``sweep.csv``, resuming from the ledger.
+
+    The pending rows are grouped by (alpha, q): every other setting is
+    shared by the whole sweep, so the rows of a group differ only in
+    their amplitude and go through one batched solve
+    (``plaplace.run_experiments``; ``solver.BATCH_BYTES`` bounds the
+    whole-path buffers of one batch, and larger groups march in chunks).
+    A row leaves its batch at its own exit with the outcome it gets when
+    run alone, ``error:`` rows included.  With ``jobs`` > 1 the groups,
+    not the rows, go to a process pool.  Each row still gets its own
+    ledger entry.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tuples = _sweep_tuples(config)
@@ -303,40 +325,46 @@ def cmd_sweep(config, out_dir, jobs=None):
     _drop_torn_tail(ledger_path)
     done = _load_ledger(ledger_path, digest)
 
-    pending = [t for t in tuples if t not in done]
+    groups = {}
+    for t in tuples:
+        if t not in done:
+            groups.setdefault(t[:2], []).append(t[2])
     jobs = jobs or os.cpu_count() or 1
     results = dict(done)
-    if pending:
+    if groups:
         with open(ledger_path, "a", newline="\n") as ledger:
-            if jobs > 1 and len(pending) > 1:
+            if jobs > 1 and len(groups) > 1:
                 with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                    futures = {pool.submit(_sweep_row, (config, *t)): t for t in pending}
+                    futures = {pool.submit(_sweep_group, (config, *key, amps)): (key, amps) for key, amps in groups.items()}
                     for fut in concurrent.futures.as_completed(futures):
-                        key = futures[fut]
-                        results[key] = _ledger_row(ledger, digest, key, fut.result)
+                        key, amps = futures[fut]
+                        _ledger_group(ledger, digest, key, amps, fut.result, results)
             else:
-                for t in pending:
-                    results[t] = _ledger_row(ledger, digest, t, functools.partial(_sweep_row, (config, *t)))
+                for key, amps in groups.items():
+                    _ledger_group(ledger, digest, key, amps, functools.partial(_sweep_group, (config, *key, amps)), results)
 
     rows = [results[t] for t in tuples]
     _write_rows_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 
-def _ledger_row(ledger, digest, key, compute):
-    """Compute one row, append its ledger entry and return the row.
+def _ledger_group(ledger, digest, key, amplitudes, compute, results):
+    """Compute the rows of one group, append one ledger entry per row.
 
-    A row that raises becomes an ``error: <type>`` row (never replayed); its
-    ledger entry also keeps the exception message.
+    A row that fails becomes an ``error: <type>`` row (never replayed); its
+    ledger entry also keeps the exception message.  When the group as a
+    whole raises, every row of it gets that error.
     """
-    entry = {"config": digest, "key": list(key)}
     try:
-        entry["row"] = compute()
-    except Exception as exc:  # row failures recorded, sweep continues
-        entry["row"] = _error_row(key, exc)
-        entry["message"] = str(exc)
-    ledger.write(json.dumps(entry) + "\n")
-    return entry["row"]
+        pairs = compute()
+    except Exception as exc:  # group failures recorded, sweep continues
+        pairs = [(_error_row((*key, amplitude), exc), str(exc)) for amplitude in amplitudes]
+    for amplitude, (row, message) in zip(amplitudes, pairs):
+        entry = {"config": digest, "key": [*key, amplitude], "row": row}
+        if message is not None:
+            entry["message"] = message
+        ledger.write(json.dumps(entry) + "\n")
+        results[(*key, amplitude)] = row
 
 
 def _error_row(key, exc):

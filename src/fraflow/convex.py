@@ -10,6 +10,13 @@ that inner product, so a functional's resolvent solves
 
 whose optimality system reads (z - w)/lam + g = 0 with g a subgradient of
 phi at z in the H sense.
+
+The stepper marches several states at once, stacked along a leading row
+axis.  A functional reads its input as rows of ``space.dim`` values (one
+state is a stack of one row): ``prox`` and ``yosida`` work on a stack row
+by row, and ``values`` gives one value per row.  Every row comes out
+bitwise as it does when passed alone, so per-row reductions keep the
+single-row summation order (one ``np.vdot`` per row).
 """
 
 from dataclasses import dataclass, field
@@ -33,15 +40,34 @@ class Space:
     def norm(self, u):
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
+    def rows(self, u):
+        """``u`` as a stack of states, one flat row of ``dim`` values each."""
+        return u.reshape(-1, self.dim)
+
+    def row_inner(self, u, v):
+        """``inner`` of each pair of rows.  A stack of 1 x dim by dim x 1
+        products takes one BLAS dot per row, the sum ``np.vdot`` takes."""
+        if u.size == self.dim:  # one row: skip the stacking
+            return np.array([self.inner(u, v)])
+        return self.weight * (self.rows(u)[:, None, :] @ self.rows(v)[:, :, None])[:, 0, 0]
+
+    def row_norms(self, u):
+        if u.size == self.dim:
+            return np.array([self.norm(u)])
+        return np.sqrt(np.maximum(self.row_inner(u, u), 0.0))
+
 
 @dataclass(frozen=True)
 class YosidaEval:
-    """One Yosida evaluation: A_lam(w) = (w - J_lam w)/lam and the envelope."""
+    """One Yosida evaluation: A_lam(w) = (w - J_lam w)/lam and the envelope.
+
+    On a stack of states ``envelope`` holds one value per row.
+    """
 
     lam: float
     point: np.ndarray  # J_lam w
     rate: np.ndarray  # A_lam(w)
-    envelope: float  # phi_lam(w)
+    envelope: float | np.ndarray  # phi_lam(w)
 
 
 class Functional:
@@ -53,16 +79,20 @@ class Functional:
     def value(self, w):
         raise NotImplementedError
 
+    def values(self, w):
+        """``value`` of each row of a stack of states."""
+        return np.array([self.value(x) for x in self.space.rows(w)])
+
     def prox(self, w, lam, tol=1e-10):
         raise NotImplementedError
-
-    def in_domain(self, w):
-        return np.isfinite(self.value(w))
 
     def yosida(self, w, lam, tol=1e-10):
         z = self.prox(w, lam, tol=tol)
         rate = (w - z) / lam
-        env = 0.5 * lam * self.space.inner(rate, rate) + self.value(z)
+        if np.size(w) == self.space.dim:
+            env = 0.5 * lam * self.space.inner(rate, rate) + self.value(z)
+        else:
+            env = 0.5 * lam * self.space.row_inner(rate, rate) + self.values(z)
         return YosidaEval(lam=lam, point=z, rate=rate, envelope=env)
 
     def envelope(self, w, lam, tol=1e-10):
@@ -122,16 +152,6 @@ def minimal_section(phi, w, lambdas=None, tol=1e-6):
 # built-in functionals
 
 
-class ZeroFunctional(Functional):
-    """phi == 0; resolvent is the identity."""
-
-    def value(self, w):
-        return 0.0
-
-    def prox(self, w, lam, tol=1e-10):
-        return np.array(w, dtype=np.float64)
-
-
 class Quadratic(Functional):
     """phi(w) = (scale/2) ||w||_H^2 with closed-form resolvent."""
 
@@ -141,6 +161,9 @@ class Quadratic(Functional):
 
     def value(self, w):
         return 0.5 * self.scale * self.space.inner(w, w)
+
+    def values(self, w):
+        return 0.5 * self.scale * self.space.row_inner(w, w)
 
     def prox(self, w, lam, tol=1e-10):
         return np.asarray(w, dtype=np.float64) / (1.0 + lam * self.scale)
@@ -168,12 +191,15 @@ class PowerPotential(Functional):
     def value(self, w):
         return self.space.weight * float(np.sum(np.abs(w) ** self.q)) / self.q
 
+    def values(self, w):
+        return self.space.weight * (np.abs(self.space.rows(w)) ** self.q).sum(axis=-1) / self.q
+
     def prox(self, w, lam, tol=1e-10):
         w = np.asarray(w, dtype=np.float64)
         if self.q == 2.0:
             return w / (1.0 + lam)
-        r = power_prox_abs(np.abs(w), lam, self.q)
-        return np.sign(w) * r
+        r = power_prox_abs(np.abs(self.space.rows(w)), lam, self.q)
+        return np.sign(w) * r.reshape(w.shape)
 
     def gradient(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -183,16 +209,23 @@ class PowerPotential(Functional):
 class SmoothFunctional(Functional):
     """Convex functional given by value/gradient/Hessian callables.
 
-    ``gradient`` and ``hessian`` are understood in the H inner product
-    (i.e. Euclidean gradient divided by the cell weight).  ``hess_fn(z)``
-    returns the H-Hessian as a fresh array in symmetric lower banded
-    storage, ``ab[k, i] = H[i + k, i]`` (the layout of
-    ``scipy.linalg.solveh_banded``).  The prox adds ``1/lam`` to row 0 in
-    place and factors H + I/lam by banded Cholesky, so that sum must be
-    positive definite; a failed factorization falls back to a gradient
-    step.  The resolvent runs a damped Newton iteration on the optimality
-    system; the prox objective is strongly convex, so the iteration is
-    safe at any lam > 0.
+    The callables take a stack of states, an (R, dim) array of rows.
+    ``value_fn`` returns the R values, ``grad_fn`` the H-gradients (the
+    Euclidean gradients divided by the cell weight) as an (R, dim) array,
+    and ``hess_fn`` the H-Hessians as one fresh array in symmetric lower
+    banded storage of the block-diagonal (R dim)-square matrix,
+    ``ab[k, i] = H[i + k, i]`` (the layout of
+    ``scipy.linalg.solveh_banded``), with no coupling between the blocks
+    of two rows.  The prox adds ``1/lam`` to row 0 in place and factors
+    H + I/lam of all rows in one banded Cholesky solve, so that sum must
+    be positive definite; when the factorization fails, each row is solved
+    alone and a row that still fails takes a gradient step.  The resolvent
+    runs a damped Newton iteration on the optimality system; the prox
+    objective is strongly convex, so the iteration is safe at any lam > 0.
+    Each row stops at its own iterate and backtracks on its own step
+    length, so a row comes out bitwise as it does when solved alone
+    (except for the banded Cholesky solve, whose blocking can move the
+    last bits of a wide band).
     """
 
     def __init__(self, space, value_fn, grad_fn, hess_fn=None, name="smooth"):
@@ -203,63 +236,93 @@ class SmoothFunctional(Functional):
         self.name = name
 
     def value(self, w):
-        return float(self._value(np.asarray(w, dtype=np.float64)))
+        return float(self.values(w)[0])
+
+    def values(self, w):
+        rows = self.space.rows(np.asarray(w, dtype=np.float64))
+        return np.asarray(self._value(rows), dtype=np.float64).reshape(len(rows))
 
     def gradient(self, w):
-        return self._grad(np.asarray(w, dtype=np.float64))
+        w = np.asarray(w, dtype=np.float64)
+        return np.reshape(self._grad(self.space.rows(w)), w.shape)
+
+    def _newton_steps(self, x, res, lam):
+        """Newton steps of the rows x; a gradient step where the Hessian does not factor."""
+        if self._hess is not None:
+            jac = self._hess(x)
+            jac[0] += 1.0 / lam
+            try:
+                return solveh_banded(jac, -res.ravel(), lower=True).reshape(x.shape)
+            except np.linalg.LinAlgError:
+                if len(x) > 1:  # find the rows that fail: each row alone
+                    return np.concatenate([self._newton_steps(x[i : i + 1], res[i : i + 1], lam) for i in range(len(x))])
+        return -lam * res  # gradient step on the prox objective
 
     def prox(self, w, lam, tol=1e-10, max_iter=100):
         w = np.asarray(w, dtype=np.float64)
-        shape = w.shape
-        z = w.copy()
+        space = self.space
+        rows = space.rows(w)
         # residual entries scale like ||w||/lam: stop relative to that
-        tol_eff = tol * (1.0 + self.space.norm(w) / lam)
+        tol_eff = tol * (1.0 + space.row_norms(rows) / lam)
 
-        def residual(x):
-            r = (x - w) / lam + self._grad(x)
-            return r, self.space.norm(r)
+        def residual(x, target):
+            r = (x - target) / lam + self._grad(x)
+            return r, space.row_norms(r)
 
-        def objective(x):
-            d = x - w
-            return self.space.inner(d, d) / (2.0 * lam) + self._value(x)
+        def objective(x, target):
+            d = x - target
+            return space.row_inner(d, d) / (2.0 * lam) + self.values(x)
 
-        # each iterate's gradient is computed once: an accepted full step
-        # carries its residual into the next iteration
-        res, res_norm = residual(z)
+        # z, target, res, res_norm and tol_eff hold the rows still iterating,
+        # act their positions in w; a row that meets its tolerance moves to
+        # out.  Each iterate's gradient is computed once: an accepted full
+        # step carries its residual into the next iteration
+        out = np.empty_like(rows)
+        act = np.arange(len(rows))
+        z, target = rows.copy(), rows
+        res, res_norm = residual(z, target)
         for _ in range(max_iter):
-            if res_norm <= tol_eff:
-                return z
-            step = None
-            if self._hess is not None:
-                jac = self._hess(z)
-                jac[0] += 1.0 / lam
-                try:
-                    step = solveh_banded(jac, -res.ravel(), lower=True).reshape(shape)
-                except np.linalg.LinAlgError:
-                    step = None
-            if step is None:
-                step = -lam * res  # gradient step on the prox objective
+            met = res_norm <= tol_eff
+            n_met = np.count_nonzero(met)
+            if n_met:
+                if n_met == len(rows):
+                    return z.reshape(w.shape)
+                out[act[met]] = z[met]
+                if n_met == len(act):
+                    return out.reshape(w.shape)
+                going = ~met
+                act, z, target, res, res_norm, tol_eff = act[going], z[going], target[going], res[going], res_norm[going], tol_eff[going]
+            step = self._newton_steps(z, res, lam)
             # full Newton step whenever it halves the residual (objective
             # differences drown in rounding noise near the minimum)
             cand = z + step
-            cand_res, cand_norm = residual(cand)
-            if cand_norm <= 0.5 * res_norm:
+            cand_res, cand_norm = residual(cand, target)
+            full = cand_norm <= 0.5 * res_norm
+            if np.count_nonzero(full) == len(full):
                 z, res, res_norm = cand, cand_res, cand_norm
                 continue
             # otherwise backtrack on the strongly convex objective: halve
             # until the Armijo test holds, then on while halving still
             # lowers it.  A step that passes Armijo can still overshoot the
             # minimum along the ray (p-Dirichlet with p < 2: Newton flips
-            # the signs of near-zero face gradients step after step)
-            t = 1.0
-            slope = self.space.inner(res, step)
-            obj = objective(z)
-            obj_t = objective(z + step)
+            # the signs of near-zero face gradients step after step).  Each
+            # row halves its own step length t
+            back = ~full
+            xb, sb, wb = z[back], step[back], target[back]
+            t = np.ones(len(xb))
+            slope = space.row_inner(res[back], sb)
+            obj = objective(xb, wb)
+            obj_t = objective(xb + sb, wb)
+            halving = np.arange(len(xb))
             for _ in range(40):
-                obj_half = objective(z + 0.5 * t * step)
-                if obj_half >= obj_t and obj_t <= obj + 1e-4 * t * slope:
+                obj_half = objective(xb[halving] + (0.5 * t[halving])[:, None] * sb[halving], wb[halving])
+                stop = (obj_half >= obj_t[halving]) & (obj_t[halving] <= obj[halving] + 1e-4 * t[halving] * slope[halving])
+                on = halving[~stop]
+                t[on], obj_t[on] = 0.5 * t[on], obj_half[~stop]
+                halving = on
+                if not halving.size:
                     break
-                t, obj_t = 0.5 * t, obj_half
-            z = z + t * step
-            res, res_norm = residual(z)
-        raise ProxNonconvergence(res_norm, max_iter)
+            z[full], res[full], res_norm[full] = cand[full], cand_res[full], cand_norm[full]
+            z[back] = xb + t[:, None] * sb
+            res[back], res_norm[back] = residual(z[back], wb)
+        raise ProxNonconvergence(float(np.max(res_norm)), max_iter)

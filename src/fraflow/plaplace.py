@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import PowerPotential, SmoothFunctional, Space
 from .kernels import TimeGrid, rl_pair
-from .solver import BlowUpReport, ProblemSpec, SolverConfig, Trajectory, solve_dc_flow
+from .solver import BlowUpReport, ProblemSpec, SolverConfig, Trajectory, solve_dc_rows
 
 FLUX_EPS = 1e-12
 
@@ -64,21 +64,28 @@ class Grid:
 
 
 def _forward_diff(a, axis):
-    # np.diff(a, axis=axis) by two slices, without np.diff's per-call cost
-    before = (slice(None),) * axis
-    return a[before + (slice(1, None),)] - a[before + (slice(None, -1),)]
+    # np.diff(a, axis=axis) by two slices, without np.diff's per-call cost;
+    # axis counts from the end, so leading stack axes pass through
+    after = (slice(None),) * (-1 - axis)
+    return a[(..., slice(1, None)) + after] - a[(..., slice(None, -1)) + after]
 
 
 def _face_gradients(grid, u):
+    """Forward-difference face gradients of one state or of a stack of them.
+
+    The grid axes come last.  A single state (``grid.npoints`` values)
+    gets no stack axis, so its arrays are those of the plain grid; a stack
+    of states gets a leading one.
+    """
     h = grid.h
+    u = u.reshape(grid.shape if u.size == grid.npoints else (-1,) + grid.shape)
+    z = np.zeros(u.shape[: u.ndim - grid.dim] + (grid.m + 2,) * grid.dim)
     if grid.dim == 1:
-        z = np.zeros(grid.m + 2)
-        z[1:-1] = u
-        return (_forward_diff(z, 0) / h,)
-    z = np.zeros((grid.m + 2, grid.m + 2))
-    z[1:-1, 1:-1] = u.reshape(grid.shape)
-    gx = _forward_diff(z[:, 1:-1], 0) / h
-    gy = _forward_diff(z[1:-1, :], 1) / h
+        z[..., 1:-1] = u
+        return (_forward_diff(z, -1) / h,)
+    z[..., 1:-1, 1:-1] = u
+    gx = _forward_diff(z[..., 1:-1], -2) / h
+    gy = _forward_diff(z[..., 1:-1, :], -1) / h
     return gx, gy
 
 
@@ -105,7 +112,7 @@ def discrete_p_laplacian(grid, u, p, eps=FLUX_EPS):
         raise ValueError(f"exponent must exceed 1, got {p}")
     u = np.asarray(u, dtype=np.float64)
     grads = _face_gradients(grid, u)
-    div = sum(_forward_diff(_flux(g, p, eps), axis) / grid.h for axis, g in enumerate(grads))
+    div = sum(_forward_diff(_flux(g, p, eps), axis - grid.dim) / grid.h for axis, g in enumerate(grads))
     return div.reshape(u.shape)
 
 
@@ -130,33 +137,39 @@ class PDirichletEnergy(SmoothFunctional):
         cell = self.grid.h**self.grid.dim
         total = 0.0
         for g in _face_gradients(self.grid, u):
-            total += float(np.sum(_face_energy(g, self.p, self.eps)))
+            # one sum per state, in the order of a sum over its faces
+            energy = _face_energy(g, self.p, self.eps)
+            total += energy.reshape(energy.shape[: energy.ndim - self.grid.dim] + (-1,)).sum(axis=-1)
         return cell * total / self.p
 
     def _grad_h(self, u):
         return -discrete_p_laplacian(self.grid, u, self.p, eps=self.eps)
 
     def _hess_h(self, u):
-        """H-Hessian B^T diag(w) B / h^2 in lower banded storage.
+        """H-Hessians B^T diag(w) B / h^2 of a stack of states, in lower banded storage.
 
         Row k holds the couplings at node-index offset k (row 0 is the
         diagonal).  In the natural ij ordering an axis with stride s couples
         nodes s apart, so 1D needs 2 rows and 2D needs m + 1 (y faces at
-        offset 1, x faces at offset m); the rows in between stay zero.
+        offset 1, x faces at offset m); the rows in between stay zero.  The
+        states' blocks follow one another along the columns, and the last
+        node of a block has no coupling past it, so the storage is that of
+        the block-diagonal matrix.
         """
         grid = self.grid
-        shape = grid.shape
-        ab = np.zeros((grid.m ** (grid.dim - 1) + 1, grid.npoints))
-        diag = ab[0].reshape(shape)
-        for axis, g in enumerate(_face_gradients(grid, u)):
+        faces = _face_gradients(grid, u)
+        stack = faces[0].shape[: faces[0].ndim - grid.dim]
+        ab = np.zeros((grid.m ** (grid.dim - 1) + 1,) + stack + grid.shape)
+        diag = ab[0]
+        for axis, g in enumerate(faces):
             w = _face_weight(g, self.p, self.eps)
-            before = (slice(None),) * axis
-            diag += w[before + (slice(None, -1),)] + w[before + (slice(1, None),)]
+            after = (slice(None),) * (grid.dim - 1 - axis)
+            diag += w[(..., slice(None, -1)) + after] + w[(..., slice(1, None)) + after]
             # the last node along the axis has no neighbour at +stride
-            off = ab[grid.m ** (grid.dim - 1 - axis)].reshape(shape)
-            off[before + (slice(None, -1),)] = -w[before + (slice(1, -1),)]
+            off = ab[grid.m ** (grid.dim - 1 - axis)]
+            off[(..., slice(None, -1)) + after] = -w[(..., slice(1, -1)) + after]
         ab /= grid.h**2
-        return ab
+        return ab.reshape(len(ab), -1)
 
 
 def dirichlet_p_energy(grid, p, eps=FLUX_EPS):
@@ -448,49 +461,76 @@ class ExperimentResult:
 
 def run_experiment(spec, config=None, keep_trajectory=False):
     """Assemble the flow problem for one experiment and solve it."""
+    outcome = run_experiments([spec], config, keep_trajectory)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def run_experiments(specs, config=None, keep_trajectory=False):
+    """Solve experiments that differ only in their amplitude as one batch.
+
+    Returns, per spec, what :func:`run_experiment` returns for it alone, or
+    the exception it raises alone.
+    """
     config = config or SolverConfig()
-    grid = spec.grid
-    d_exp = spec.exponent_dim if spec.exponent_dim is not None else grid.dim
-    regime = classify_regime(spec.p, spec.q, d_exp)
-    phi1 = dirichlet_p_energy(grid, spec.p)
-    phi2 = q_potential(grid, spec.q)
-    problem = ProblemSpec(
-        phi1=phi1,
-        phi2=phi2,
-        pair=rl_pair(spec.alpha),
-        u0=initial_profile(grid, spec.u0_profile, spec.amplitude),
-        forcing=forcing_profile(grid, spec.f_profile, spec.f_amplitude),
-        grid=TimeGrid(spec.horizon, spec.steps),
-    )
-    result = solve_dc_flow(problem, config)
-    tau = spec.horizon / spec.steps
-    if isinstance(result, BlowUpReport):
-        sup_e = float(np.max(result.energy_history))
-        ratio = sup_e / result.e_t if result.e_t > 0 else None
-        return ExperimentResult(
-            verdict="blew_up",
-            spec=spec,
-            regime=regime,
-            sup_energy1=sup_e,
-            e_t=result.e_t,
-            energy_ratio=ratio,
-            t_star=result.time - tau,  # last accepted node before the crossing
-            tau=tau,
-            final_norm=None,
-        )
-    ratio = result.sup_energy1 / result.e_t if result.e_t > 0 else None
-    return ExperimentResult(
-        verdict="completed",
-        spec=spec,
-        regime=regime,
-        sup_energy1=result.sup_energy1,
-        e_t=result.e_t,
-        energy_ratio=ratio,
-        t_star=None,
-        tau=tau,
-        final_norm=float(result.norms[-1]),
-        trajectory=result if keep_trajectory else None,
-    )
+    first = specs[0]
+    if any(replace(spec, amplitude=first.amplitude) != first for spec in specs):
+        raise ValueError("the experiments of a batch may differ in amplitude only")
+    grid = first.grid
+    d_exp = first.exponent_dim if first.exponent_dim is not None else grid.dim
+    regime = classify_regime(first.p, first.q, d_exp)
+    phi1 = dirichlet_p_energy(grid, first.p)
+    phi2 = q_potential(grid, first.q)
+    pair = rl_pair(first.alpha)
+    forcing = forcing_profile(grid, first.f_profile, first.f_amplitude)
+    time_grid = TimeGrid(first.horizon, first.steps)
+    tau = first.horizon / first.steps
+    outcomes = [None] * len(specs)
+    problems = []
+    for i, spec in enumerate(specs):
+        try:
+            u0 = initial_profile(grid, spec.u0_profile, spec.amplitude)
+            problems.append((i, ProblemSpec(phi1=phi1, phi2=phi2, pair=pair, u0=u0, forcing=forcing, grid=time_grid)))
+        except Exception as exc:  # noqa: BLE001 - the row's own outcome
+            outcomes[i] = exc
+    # consumed chunk by chunk: once its trajectories are dropped, a chunk's
+    # buffers are freed before the next chunk is solved (a zip over the
+    # generator would keep the last row alive in its cached result tuple)
+    results = iter(solve_dc_rows([problem for _, problem in problems], config) if problems else [])
+    for i, _ in problems:
+        result = next(results)
+        spec = specs[i]
+        if isinstance(result, Exception):
+            outcomes[i] = result
+        elif isinstance(result, BlowUpReport):
+            sup_e = float(np.max(result.energy_history))
+            outcomes[i] = ExperimentResult(
+                verdict="blew_up",
+                spec=spec,
+                regime=regime,
+                sup_energy1=sup_e,
+                e_t=result.e_t,
+                energy_ratio=sup_e / result.e_t if result.e_t > 0 else None,
+                t_star=result.time - tau,  # last accepted node before the crossing
+                tau=tau,
+                final_norm=None,
+            )
+        else:
+            outcomes[i] = ExperimentResult(
+                verdict="completed",
+                spec=spec,
+                regime=regime,
+                sup_energy1=result.sup_energy1,
+                e_t=result.e_t,
+                energy_ratio=result.sup_energy1 / result.e_t if result.e_t > 0 else None,
+                t_star=None,
+                tau=tau,
+                final_norm=float(result.norms[-1]),
+                trajectory=result if keep_trajectory else None,
+            )
+        del result  # the next chunk is solved while this name is still bound
+    return outcomes
 
 
 class BisectionPremiseError(ValueError):

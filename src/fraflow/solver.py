@@ -26,6 +26,21 @@ each completed dyadic block adds through one FFT product.  A run with
 fewer steps than one block takes the direct sum at every step.  The
 history buffer is flat, one row of u0.size values per node, so states of
 any rank take the same path.
+
+The step loop marches a batch of rows: problems that share phi1, phi2,
+the kernel pair, the forcing and the grid and differ only in u0 (a sweep
+over data amplitudes at one (alpha, q)).  Every step array carries a
+leading row axis; each row keeps its own history buffer, the resolvents
+work row by row inside one call (one banded Cholesky solve for the
+p-Dirichlet Newton steps of all rows), and every per-row reduction keeps
+the single-row summation order, so a row comes out bitwise as it does
+alone (a wide 2D band can differ in the last bits, through the blocking
+of the Cholesky factorization).  A row leaves the batch at its own exit
+(a threshold, a non-finite state, a stalled resolvent, or any exception,
+which becomes its outcome) with exactly the outcome it gets when run
+alone, and the other rows march on.  A single solve is a batch of one.
+``solve_dc_rows`` splits a batch whose whole-path buffers exceed
+``BATCH_BYTES`` into chunks.
 """
 
 import math
@@ -160,19 +175,17 @@ class LipschitzPerturbation:
         return self.lipschitz / (self.weight * visc)
 
 
-def _energy_forcing_sup(spec, f_path):
-    """E_T = phi1(u0) + sup_j (ell * ||f||_H^2)(t_j)."""
+def _forcing_sup(spec, f_path):
+    """sup_j (ell * ||f||_H^2)(t_j), the forcing part of E_T."""
     weight = spec.phi1.space.weight
     axes = tuple(range(1, f_path.ndim))
     sq = weight * np.sum(f_path**2, axis=axes)
     if spec.pair is None or not np.any(sq):
-        conv_sup = 0.0
-    else:
-        conv_sup = float(np.max(convolve(spec.pair.ell, sq, spec.grid)))
-    return float(spec.phi1.value(spec.u0)) + conv_sup
+        return 0.0
+    return float(np.max(convolve(spec.pair.ell, sq, spec.grid)))
 
 
-def _residuals(spec, config, states, xi, eta, forcing_path):
+def _residuals(spec, config, u0, states, xi, eta, forcing_path):
     """Node-wise H-norm of the discrete equation residual, node 0 set to 0.
 
     Re-assembled from scratch, independent of the step algebra, so it also
@@ -181,31 +194,107 @@ def _residuals(spec, config, states, xi, eta, forcing_path):
     """
     axes = tuple(range(1, states.ndim))
     if spec.pair is not None:
-        deriv = nonlocal_derivative(spec.pair.k, states - spec.u0, spec.grid)
+        res_vec = nonlocal_derivative(spec.pair.k, states - u0, spec.grid)
     else:
-        deriv = np.zeros_like(states)
+        res_vec = np.zeros_like(states)
     if config.visc > 0:
-        deriv = deriv.copy()
-        deriv[1:] += config.visc * np.diff(states, axis=0) / spec.grid.tau
-    res_vec = deriv + xi - eta - forcing_path
-    residuals = np.sqrt(spec.phi1.space.weight * np.sum(res_vec**2, axis=axes))
+        res_vec[1:] += config.visc * np.diff(states, axis=0) / spec.grid.tau
+    # deriv + xi - eta - f, in place: no path-sized temporaries
+    res_vec += xi
+    res_vec -= eta
+    res_vec -= forcing_path
+    residuals = np.sqrt(spec.phi1.space.weight * np.sum(np.square(res_vec, out=res_vec), axis=axes))
     residuals[0] = 0.0
     return residuals
 
 
-def _solve_loop(spec, config, forcing_path, eta_source):
-    """Shared stepping core.
+# byte budget of the whole-path buffers (states, xi, eta and the history
+# input v) of one batch of rows; solve_dc_rows splits larger groups
+BATCH_BYTES = 2 << 20
 
-    ``eta_source(j, u_prev)`` returns the explicit part added to the
-    right-hand side at node j (the phi2 Yosida evaluation, a perturbation
-    -B, or zero) together with its envelope diagnostic.
+
+def _isolate(fn, exc, *batches, **kwargs):
+    """Sort out which rows made ``fn(*batches)`` raise ``exc``: run each row alone.
+
+    ``fn`` returns a tuple of per-row outputs.  Returns ``(kept, out,
+    errors)``: ``out`` is the output for the rows that succeed, ``kept``
+    their positions in the batch and ``errors`` the exception of each
+    failing row by its position.  A batch of one is not re-run: ``exc`` is
+    its row's.
+    """
+    if len(batches[0]) == 1:
+        return np.zeros(0, dtype=int), None, {0: exc}
+    parts, errors = [], {}
+    for k in range(len(batches[0])):
+        try:
+            parts.append(fn(*(b[k : k + 1] for b in batches), **kwargs))
+        except Exception as error:  # noqa: BLE001 - the row's own outcome
+            errors[k] = error
+    kept = np.array([k for k in range(len(batches[0])) if k not in errors], dtype=int)
+    if not parts:
+        return kept, None, errors
+    out = tuple(
+        None if first is None else np.concatenate([np.reshape(p[i], (1,) + np.shape(p[i])[1:]) for p in parts])
+        for i, first in enumerate(parts[0])
+    )
+    return kept, out, errors
+
+
+def _rows(keep, *arrays):
+    # the rows ``keep`` of each per-row array; None and scalars stand for every row
+    return [x if x is None or np.ndim(x) == 0 else x[keep] for x in arrays]
+
+
+def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val):
+    """The inner Picard loop of the coupled mode, row by row.
+
+    Each row iterates until its own increment converges or grows; the
+    rows are updated in place.  Returns which rows converged and the
+    exceptions of the rows that failed, by position.
+    """
+    pending = np.arange(len(u_new))  # the rows still iterating
+    prev_inc = np.full(len(u_new), np.nan)
+    converged = np.zeros(len(u_new), dtype=bool)
+    errors = {}
+    for _ in range(config.max_picard):
+        try:
+            out = step_rows(u_new[pending], base[pending], picard=True)
+        except Exception as exc:  # noqa: BLE001 - sorted out row by row
+            kept, out, failed = _isolate(step_rows, exc, u_new[pending], base[pending], picard=True)
+            errors.update((int(pending[k]), error) for k, error in failed.items())
+            pending = pending[kept]
+            if out is None:
+                break
+        eta_val[pending], env_val[pending], u_next, rhs[pending] = out
+        inc = space.row_norms(u_next - u_new[pending])
+        u_new[pending] = u_next
+        conv = inc <= config.inner_tol * (1.0 + space.row_norms(u_next))
+        converged[pending[conv]] = True
+        stop = conv | ((inc > prev_inc[pending]) & (inc > 1e-8))
+        prev_inc[pending] = inc
+        pending = pending[~stop]
+        if not pending.size:
+            break
+    return converged, errors
+
+
+def _solve_loop(spec, config, forcing_path, eta_source, u0s):
+    """Shared stepping core: march the initial states ``u0s`` (stacked
+    along axis 0) as one batch of rows.
+
+    ``eta_source(j, u_prev)`` returns, for the rows u_prev, the explicit
+    part added to the right-hand side at node j (the phi2 Yosida
+    evaluation, a perturbation -B, or zero) and its envelope diagnostic
+    (None: no envelope, it stays 0).  Returns one outcome per row: a
+    :class:`Trajectory`, a :class:`BlowUpReport`, or the exception the row
+    raises.  A row leaves the batch at its own exit, the others march on.
     """
     grid = spec.grid
     tau = grid.tau
     n = grid.steps
-    u0 = spec.u0
     space = spec.phi1.space
-    shape = u0.shape
+    rows = len(u0s)
+    size = u0s[0].size
 
     if spec.pair is not None:
         omega = conv_weights(spec.pair.k, grid).omega
@@ -219,122 +308,227 @@ def _solve_loop(spec, config, forcing_path, eta_source):
     denom = omega0 + config.visc
     mu = tau / denom
 
-    states = np.zeros((n + 1,) + shape)
-    xi = np.zeros_like(states)
-    eta = np.zeros_like(states)
-    envelope2 = np.zeros(n + 1)
-    energy1 = np.zeros(n + 1)
-    norms = np.zeros(n + 1)
-    states[0] = u0
-    energy1[0] = spec.phi1.value(u0)
-    norms[0] = space.norm(u0)
+    # whole-path buffers, node first: a row's trajectory is the slice
+    # [:, r], and a step writes node j of every live row at once
+    states = np.zeros((n + 1,) + u0s.shape)
+    xi = np.zeros(states.shape)
+    eta = np.zeros(states.shape)
+    envelope2 = np.zeros((n + 1, rows))
+    energy1 = np.zeros((n + 1, rows))
+    norms = np.zeros((n + 1, rows))
+    states[0] = u0s
+    energy1[0] = spec.phi1.values(u0s)
+    e_t = energy1[0] + _forcing_sup(spec, forcing_path)
+    outcomes = [None] * rows
+    live = np.arange(rows)  # the rows still marching
     if spec.phi2 is not None:
-        envelope2[0] = spec.phi2.envelope(u0, config.yosida_lam, tol=config.inner_tol)
+        initial = lambda u: (spec.phi2.yosida(u, config.yosida_lam, tol=config.inner_tol).envelope,)
+        try:
+            envelope2[0] = initial(u0s)[0]
+        except Exception as exc:  # noqa: BLE001 - sorted out row by row
+            live, out, errors = _isolate(initial, exc, u0s)
+            for k, error in errors.items():
+                outcomes[k] = error
+            if out is not None:
+                envelope2[0, live] = out[0]
 
-    # u - u0 history for the nonlocal term, one flat row per node
-    v = np.zeros((n + 1, u0.size))
-    history = History(omega, v) if omega is not None else None
-    start = omega0 * u0
+    # u - u0 history for the nonlocal term: per state one contiguous path,
+    # one flat row per node, as History reads it
+    v = np.zeros((rows, n + 1, size))
+    v_nodes = v.swapaxes(0, 1)
+    histories = [History(omega, v[r]) for r in range(rows)] if omega is not None else []
+    hist = np.zeros((rows, size))
+    start = omega0 * u0s
+    u0_flat = u0s.reshape(rows, size)
 
-    def _blowup(j, reason, accepted):
-        return BlowUpReport(
+    def path_norms(r, accepted):
+        # ||u_j||_H of one row's accepted nodes, all at once at its exit
+        norms[: accepted + 1, r] = space.row_norms(states[: accepted + 1, r])
+
+    def blowup(r, j, reason, accepted):
+        path_norms(r, accepted)
+        outcomes[r] = BlowUpReport(
             node=j,
             time=j * tau,
             reason=reason,
-            norm_history=norms[: accepted + 1],
-            energy_history=energy1[: accepted + 1],
-            e_t=_energy_forcing_sup(spec, forcing_path),
+            norm_history=norms[: accepted + 1, r],
+            energy_history=energy1[: accepted + 1, r],
+            e_t=float(e_t[r]),
         )
 
-    for j in range(1, n + 1):
-        hist = history(j).reshape(shape) if history is not None else 0.0
-        base = (start - hist + config.visc * states[j - 1]) / denom
+    def fail(r, j, exc):
+        # a step escaping toward overflow (through the phi1 or the phi2
+        # resolvent) is a threshold crossing, not a solver defect; on a
+        # bounded state the exception is the row's outcome
+        if isinstance(exc, (FloatingPointError, ProxNonconvergence)) and np.max(np.abs(states[j - 1, r])) >= 0.01 * config.blowup_norm:
+            blowup(r, j, "norm-threshold", j - 1)
+        else:
+            outcomes[r] = exc
 
-        def prox_step(eta_val):
-            rhs = base + mu * (forcing_path[j] + eta_val)
-            if not np.isfinite(rhs).all():
-                raise FloatingPointError("non-finite step data")
-            u_new = spec.phi1.prox(rhs, mu, tol=config.inner_tol)
-            return u_new, (rhs - u_new) / mu
+    def step_rows(u, b, picard=False):
+        # the explicit part at the rows u (eta_source at the previous states,
+        # or the phi2 Yosida rate at a Picard iterate), then the phi1
+        # resolvent of the rows with step data b
+        if picard:
+            ye = spec.phi2.yosida(u, config.yosida_lam, tol=config.inner_tol)
+            eta_val, env_val = ye.rate, ye.envelope
+        else:
+            eta_val, env_val = eta_source(j, u)
+        rhs = b + mu * (forcing_path[j] + eta_val)
+        if not np.isfinite(rhs).all():
+            raise FloatingPointError("non-finite step data")
+        return eta_val, env_val, spec.phi1.prox(rhs, mu, tol=config.inner_tol), rhs
+
+    marching = -1  # the number of live rows the per-row data below are for
+    for j in range(1, n + 1):
+        if live.size != marching:
+            if not live.size:
+                break
+            marching = live.size
+            at = slice(None) if marching == rows else live
+            prev, live_start, live_u0 = states[j - 1, at], start[at], u0_flat[at]
+            live_hist = hist[:marching].reshape(prev.shape)
+            live_histories = [histories[r] for r in live] if histories else []
+        for k, history in enumerate(live_histories):
+            hist[k] = history(j)
+        base = (live_start - live_hist + config.visc * prev) / denom
 
         try:
-            eta_val, env_val = eta_source(j, states[j - 1])
-            u_new, xi_new = prox_step(eta_val)
-        except (FloatingPointError, ProxNonconvergence):
-            # a step escaping toward overflow (through the phi1 or the phi2
-            # resolvent) is a threshold crossing, not a solver defect;
-            # re-raise on bounded states
-            if np.max(np.abs(states[j - 1])) >= 0.01 * config.blowup_norm:
-                return _blowup(j, "norm-threshold", j - 1)
-            raise
+            eta_val, env_val, u_new, rhs = step_rows(prev, base)
+        except Exception as exc:  # noqa: BLE001 - sorted out row by row
+            kept, out, errors = _isolate(step_rows, exc, prev, base)
+            for k, error in errors.items():
+                fail(live[k], j, error)
+            live, base = _rows(kept, live, base)
+            if out is None:
+                continue
+            eta_val, env_val, u_new, rhs = out
 
         if config.coupling == "coupled" and spec.phi2 is not None:
-            prev_inc = None
-            converged = False
-            for _ in range(config.max_picard):
-                ye = spec.phi2.yosida(u_new, config.yosida_lam, tol=config.inner_tol)
-                eta_val, env_val = ye.rate, ye.envelope
-                u_next, xi_new = prox_step(eta_val)
-                inc = space.norm(u_next - u_new)
-                u_new = u_next
-                if inc <= config.inner_tol * (1.0 + space.norm(u_new)):
-                    converged = True
-                    break
-                if prev_inc is not None and inc > prev_inc and inc > 1e-8:
-                    break
-                prev_inc = inc
-            if not converged and np.max(np.abs(u_new)) <= config.blowup_norm:
-                return _blowup(j, "inner-divergence", j - 1)
+            env_val = np.array(np.broadcast_to(env_val, live.shape), dtype=np.float64)
+            converged, errors = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val)
+            for k, error in errors.items():
+                fail(live[k], j, error)
+            bounded = np.abs(u_new).reshape(live.size, size).max(axis=1) <= config.blowup_norm
+            keep = converged | ~bounded
+            keep[list(errors)] = False
+            for k in np.flatnonzero(~keep):
+                if k not in errors:
+                    blowup(live[k], j, "inner-divergence", j - 1)
+            live, u_new, rhs, eta_val, env_val = _rows(keep, live, u_new, rhs, eta_val, env_val)
+            if not live.size:
+                continue
 
-        amax = float(np.abs(u_new).max())
-        if not math.isfinite(amax):
-            return _blowup(j, "non-finite", j - 1)
-        states[j] = u_new
-        xi[j] = xi_new
-        eta[j] = eta_val
-        envelope2[j] = env_val
-        v[j] = (u_new - u0).ravel()
-        energy1[j] = spec.phi1.value(u_new)
-        norms[j] = space.norm(u_new)
+        # per-row maxima only when some row may leave: the largest entry
+        # of the batch fails this test when any is non-finite or too big
+        amax = None
+        if not np.abs(u_new).max() <= config.blowup_norm:
+            amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
+            finite = np.isfinite(amax)
+            for k in np.flatnonzero(~finite):
+                blowup(live[k], j, "non-finite", j - 1)
+            if not finite.all():
+                live, u_new, rhs, eta_val, env_val, amax = _rows(finite, live, u_new, rhs, eta_val, env_val, amax)
+                if not live.size:
+                    continue
+        if live.size != marching:
+            at, live_u0 = live, u0_flat[live]
+        node = j if live.size == rows else (j, live)  # an int index is the fast one
+        states[node] = u_new
+        xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
+        eta[node] = eta_val
+        if env_val is not None:
+            envelope2[node] = env_val
+        v_nodes[node] = u_new.reshape(live.size, size) - live_u0
+        energy1[node] = e1 = spec.phi1.values(u_new)
+        prev = u_new  # the next step's previous states, while no row leaves
 
-        if amax > config.blowup_norm or energy1[j] > config.blowup_energy:
-            reason = "norm-threshold" if amax > config.blowup_norm else "energy-threshold"
-            return _blowup(j, reason, j)
+        # a NaN maximum also takes the per-row test, which ignores NaN
+        if amax is not None or not max(e1.tolist()) <= config.blowup_energy:
+            if amax is None:
+                amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
+            over = (amax > config.blowup_norm) | (e1 > config.blowup_energy)
+            for k in np.flatnonzero(over):
+                blowup(live[k], j, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold", j)
+            live = live[~over]
 
-    return Trajectory(
-        grid=grid,
-        states=states,
-        xi=xi,
-        eta=eta,
-        space_weight=space.weight,
-        energy1=energy1,
-        envelope2=envelope2,
-        norms=norms,
-        residuals=_residuals(spec, config, states, xi, eta, forcing_path),
-        e_t=_energy_forcing_sup(spec, forcing_path),
-        visc=config.visc,
-        alpha=spec.pair.alpha if spec.pair is not None else None,
-    )
+    # the history input is not needed any more: free it before the
+    # re-assembly of the residuals
+    v = v_nodes = histories = live_histories = None
+    for r in live:
+        path_norms(r, n)
+        path = xi[1:, r]  # rhs until now: xi = (rhs - u)/mu, in place
+        np.divide(np.subtract(path, states[1:, r], out=path), mu, out=path)
+        outcomes[r] = Trajectory(
+            grid=grid,
+            states=states[:, r],
+            xi=xi[:, r],
+            eta=eta[:, r],
+            space_weight=space.weight,
+            energy1=energy1[:, r],
+            envelope2=envelope2[:, r],
+            norms=norms[:, r],
+            residuals=_residuals(spec, config, u0s[r], states[:, r], xi[:, r], eta[:, r], forcing_path),
+            e_t=float(e_t[r]),
+            visc=config.visc,
+            alpha=spec.pair.alpha if spec.pair is not None else None,
+        )
+    return outcomes
+
+
+def _alone(outcome):
+    # the outcome of a batch of one: raise what the row raised
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def solve_dc_rows(specs, config=None):
+    """March Cauchy problems that differ only in u0 as one batch of rows.
+
+    The specs must share phi1, phi2, the kernel pair, the forcing and the
+    grid (the same objects).  Yields, per spec and in order, what
+    :func:`solve_dc_flow` returns for it alone, or the exception it raises
+    alone: each row leaves the batch at its own exit with its single-row
+    outcome.  Rows whose whole-path buffers would exceed ``BATCH_BYTES``
+    together are marched in consecutive chunks, each yielded as soon as it
+    is done, so a consumer that drops the trajectories holds one chunk's
+    buffers at a time.
+    """
+    config = config or SolverConfig()
+    first = specs[0]
+    shared = ("phi1", "phi2", "pair", "forcing", "grid")
+    if any(getattr(spec, name) is not getattr(first, name) for spec in specs for name in shared):
+        raise ValueError("the rows of a batch must share everything but u0")
+    forcing_path = first.forcing_path()
+    zero = np.zeros((len(specs),) + first.u0.shape)
+    if first.phi2 is None:
+
+        def eta_source(j, u_prev):
+            return zero[: len(u_prev)], None
+
+    else:
+
+        def eta_source(j, u_prev):
+            ye = first.phi2.yosida(u_prev, config.yosida_lam, tol=config.inner_tol)
+            return ye.rate, ye.envelope
+
+    u0s = np.stack([spec.u0 for spec in specs])
+    per_row = 4 * (first.grid.steps + 1) * first.u0.size * u0s.itemsize
+    chunk = max(1, BATCH_BYTES // per_row)
+    for lo in range(0, len(specs), chunk):
+        yield from _solve_loop(first, config, forcing_path, eta_source, u0s[lo : lo + chunk])
 
 
 def solve_dc_flow(spec, config=None):
     """March the difference-of-convex flow; one resolvent call per step.
 
     Returns a :class:`Trajectory`, or a :class:`BlowUpReport` when a
-    threshold is crossed or the coupled inner loop diverges.
+    threshold is crossed or the coupled inner loop diverges.  A single
+    solve is a batch of one row.
     """
-    config = config or SolverConfig()
-    forcing_path = spec.forcing_path()
-    if spec.phi2 is None:
-        zero = np.zeros_like(spec.u0)
-        eta_source = lambda j, u_prev: (zero, 0.0)
-    else:
-
-        def eta_source(j, u_prev):
-            ye = spec.phi2.yosida(u_prev, config.yosida_lam, tol=config.inner_tol)
-            return ye.rate, ye.envelope
-
-    return _solve_loop(spec, config, forcing_path, eta_source)
+    (outcome,) = solve_dc_rows([spec], config)
+    return _alone(outcome)
 
 
 @dataclass
@@ -377,13 +571,13 @@ def solve_lipschitz_perturbed(spec, config, pert, ratio_tol=1e-2):
             return float(np.max(weights * norms))
 
         base_spec = ProblemSpec(spec.phi1, None, spec.pair, spec.u0, None, grid)
-        zero = np.zeros_like(spec.u0)
+        zero = np.zeros((1,) + spec.u0.shape)
         prev_states = np.broadcast_to(spec.u0, forcing_path.shape).copy()
         increments = []
         traj = None
         for _ in range(config.max_picard):
             b_path = np.stack([pert.op(prev_states[j]) for j in range(grid.steps + 1)])
-            result = _solve_loop(base_spec, config, forcing_path - b_path, lambda j, u: (zero, 0.0))
+            result = _alone(_solve_loop(base_spec, config, forcing_path - b_path, lambda j, u: (zero, None), spec.u0[None])[0])
             if isinstance(result, BlowUpReport):
                 return result
             inc = xdist(result.states, prev_states)
@@ -401,13 +595,13 @@ def solve_lipschitz_perturbed(spec, config, pert, ratio_tol=1e-2):
         traj.picard_ratios = ratios
         traj.eta = -np.stack([pert.op(traj.states[j]) for j in range(grid.steps + 1)])
         # recompute residuals with the perturbation in place of -dphi2
-        traj.residuals = _residuals(spec, config, traj.states, traj.xi, traj.eta, forcing_path)
+        traj.residuals = _residuals(spec, config, spec.u0, traj.states, traj.xi, traj.eta, forcing_path)
         log = PicardLog(increments=increments, ratios=ratios, kappa=kappa, ratio_tol=ratio_tol)
         return traj, log
 
     # semi-implicit: evaluate B at the previous node, single pass
-    eta_source = lambda j, u_prev: (-pert.op(u_prev), 0.0)
-    result = _solve_loop(spec, config, forcing_path, eta_source)
+    eta_source = lambda j, u_prev: (-pert.op(u_prev[0])[None], None)
+    result = _alone(_solve_loop(spec, config, forcing_path, eta_source, spec.u0[None])[0])
     if isinstance(result, BlowUpReport):
         return result
     return result, PicardLog(increments=[], ratios=[], kappa=pert.contraction_factor(config.visc), ratio_tol=ratio_tol)

@@ -198,6 +198,35 @@ def test_power_prox_abs_pass_budget_over_a_wide_range(q):
         assert np.all(prox_residual(r, a, lam, q) <= 1e-14 * (1.0 + a))
 
 
+def test_power_prox_abs_takes_zero_below_the_double_range():
+    # q close to 1, a << lam: the root is about 1e-400, and f(5e-324) > 0
+    assert power_prox_abs(np.array([1e-4]), 1.0, 1.01).tolist() == [0.0]
+
+
+def test_power_prox_abs_converges_where_the_start_bound_underflows():
+    # the root is about 1e-300, but (a/(2 lam))^(1/(q-1)) = 5e-4^100 underflows
+    import mpmath
+
+    r = power_prox_abs(np.array([1e-3]), 1.0, 1.01)
+    with mpmath.workdps(40):
+        got, a = mpmath.mpf(float(r[0])), mpmath.mpf(1e-3)
+        assert abs(got + got ** mpmath.mpf(0.01) - a) <= 1e-14 * (1 + a)
+        # f' ~ 1e-5 r^-1 here, so the stop |f| <= 1e-14 (1 + a) pins r to
+        # about 1e-9 relative; r << a, so the root is a^100 to 40 digits
+        root = a**100
+        assert abs(got - root) <= 1e-9 * root
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0, 4.0])
+def test_power_prox_abs_stops_each_row_at_its_own_pass(q):
+    # a row comes out bitwise as it does alone, however many passes the
+    # other rows take
+    rows = np.stack([PROX_GRID, PROX_GRID[::-1] * 0.01, np.full(PROX_GRID.size, 3e4)])
+    batch = power_prox_abs(rows, 0.1, q)
+    for row, got in zip(rows, batch):
+        np.testing.assert_array_equal(got, power_prox_abs(row, 0.1, q))
+
+
 def test_power_prox_abs_raises_on_nan():
     with pytest.raises(ProxNonconvergence) as err:
         power_prox_abs(np.array([np.nan]), 0.1, 3.0)

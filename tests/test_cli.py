@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,9 @@ class TestConfigLoading:
             # one even when a nested error is found first
             ({"mode": "solve", "solver": {"tol": "x", "bad": 1}}, "Additional properties are not allowed ('bad', 'tol' were unexpected)"),
             ({"mode": "solve", "problem": {"u0": "x"}, "chain_rule_slack": "y"}, "'y' is not of type 'number'"),
+            # the swept values have the bounds of kernel.alpha and problem.q
+            ({"mode": "sweep", "sweep": {"alphas": [1.5]}}, "1.5 is greater than or equal to the maximum of 1"),
+            ({"mode": "sweep", "sweep": {"qs": [0.5]}}, "0.5 is less than or equal to the minimum of 1"),
         ],
     )
     def test_rejection_message(self, tmp_path, payload, message):
@@ -228,11 +232,27 @@ class TestSweepCommand:
         entries = [json.loads(line) for line in ledger.read_text().splitlines()]
         assert sorted(entry["key"][2] for entry in entries) == [0.5, 8.0]
 
+    def test_resume_inside_a_group(self, tmp_path):
+        # the ledger holds one row of the (0.5, 4.0) group: only the other
+        # two are solved, as a batch of two, and the CSV is unchanged
+        payload = dict(SMALL_SWEEP, sweep={"alphas": [0.5], "amplitudes": [0.5, 2.0, 8.0]})
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"])
+        first = (out / "sweep.csv").read_bytes()
+        ledger = out / "sweep_ledger.jsonl"
+        kept = ledger.read_text().splitlines()[1]
+        ledger.write_text(kept + "\n")
+        assert main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == first
+        entries = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert [entry["key"][2] for entry in entries] == [2.0, 0.5, 8.0]
+
     def test_error_row_ledger_keeps_message(self, tmp_path, monkeypatch):
         def stalled(args):
             raise ProxNonconvergence(6.8e-6, 50)
 
-        monkeypatch.setattr(fraflow.cli, "_sweep_row", stalled)
+        monkeypatch.setattr(fraflow.cli, "_sweep_group", stalled)
         payload = dict(SMALL_SWEEP, sweep={"alphas": [0.5], "amplitudes": [0.5]})
         out = tmp_path / "out"
         assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(out), "--jobs", "1"]) == EXIT_OK
@@ -248,6 +268,20 @@ class TestSweepCommand:
         main(["sweep", "--config", config, "--out", str(serial), "--jobs", "1"])
         main(["sweep", "--config", config, "--out", str(parallel), "--jobs", "4"])
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+    def test_error_row_crosses_the_process_pool(self, tmp_path):
+        # a row that stalls (2D, p = 1.5, q = 8, A = 8) must come back from a
+        # worker as its error row, not break the pool for every row
+        problem = {"kind": "p-laplace", "p": 1.5, "dim": 2, "m": 16, "u0_profile": "sine"}
+        payload = dict(SMALL_SWEEP, problem=problem, grid={"horizon": 1.0, "steps": 128}, sweep={"qs": [8.0, 3.0], "amplitudes": [8.0]})
+        config = write_config(tmp_path, payload)
+        csv = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", config, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            csv[jobs] = (out / "sweep.csv").read_text()
+        assert csv["2"] == csv["1"]
+        assert "error: ProxNonconvergence" in csv["2"]
 
     def test_regime_diagram_preset(self, tmp_path):
         out = tmp_path / "out"
@@ -268,6 +302,10 @@ class TestSweepCommand:
             4.0: [False] * 3 + [True] * 3,
             5.0: [False] * 3 + [True] * 3,
         }
+        # the bytes the row-by-row solver wrote: solving each (alpha, q)
+        # group as one batch changes no digit
+        digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == "a5129317b02dd38ab8ce570110b77c0192c5570cd5167159c220435992c046b5"
 
 
 class TestCertifyCommand:

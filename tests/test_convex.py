@@ -6,7 +6,6 @@ from fraflow.convex import (
     ProxNonconvergence,
     Quadratic,
     Space,
-    ZeroFunctional,
     minimal_section,
     resolvent,
     yosida,
@@ -57,10 +56,6 @@ class TestResolventBasics:
     def test_rejects_nonfinite_input(self):
         with pytest.raises(ValueError):
             resolvent(Quadratic(Space(2)), 1.0, np.array([np.nan, 0.0]))
-
-    def test_zero_functional_identity(self, rng):
-        w = rng.standard_normal(4)
-        np.testing.assert_array_equal(resolvent(ZeroFunctional(Space(4)), 2.0, w), w)
 
 
 class TestYosida:

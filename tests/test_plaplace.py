@@ -17,7 +17,9 @@ from fraflow.plaplace import (
     initial_profile,
     q_potential,
     run_experiment,
+    run_experiments,
 )
+from fraflow.convex import ProxNonconvergence
 from fraflow.solver import SolverConfig
 
 
@@ -297,3 +299,40 @@ class TestExperiments:
         assert row["verdict"] == "completed"
         assert row["m"] == 8
         assert row["t_star"] == ""
+
+
+class TestBatchedExperiments:
+    """run_experiments solves the amplitudes of one (alpha, q) as one batch."""
+
+    def test_mixed_group_matches_single_runs(self):
+        # m = 15: the rows of the batch hold no multiple of 4 values, where
+        # a BLAS product over several rows at once would change the sums
+        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 15), steps=96)
+        amplitudes = [0.5, 2.0, 8.0, 1.0, 16.0]
+        batch = run_experiments([spec.with_amplitude(a) for a in amplitudes])
+        alone = [run_experiment(spec.with_amplitude(a)) for a in amplitudes]
+        assert [r.verdict for r in alone] == ["completed", "completed", "blew_up", "completed", "blew_up"]
+        assert [r.to_row() for r in batch] == [r.to_row() for r in alone]
+
+    def test_a_stalled_2d_row_never_ends_its_neighbour(self):
+        # p = 1.5 in 2D: A = 8 stalls at a bounded state (a ProxNonconvergence
+        # row), A = 1 completes as it does alone.  The 2D Newton solve of a
+        # batch is one banded Cholesky over the blocks of all rows, whose
+        # blocking may move the last bits, hence the tolerance
+        spec = ExperimentSpec(p=1.5, q=8.0, alpha=0.5, grid=Grid(2, 16), steps=128)
+        done, stalled = run_experiments([spec.with_amplitude(1.0), spec.with_amplitude(8.0)], keep_trajectory=True)
+        alone = run_experiment(spec.with_amplitude(1.0), keep_trajectory=True)
+        assert done.verdict == alone.verdict == "completed"
+        scale = np.max(np.abs(alone.trajectory.states))
+        assert np.max(np.abs(done.trajectory.states - alone.trajectory.states)) <= 1e-13 * scale
+        assert done.sup_energy1 == pytest.approx(alone.sup_energy1, rel=1e-13, abs=0)
+        assert done.e_t == alone.e_t
+        assert isinstance(stalled, ProxNonconvergence)
+        with pytest.raises(ProxNonconvergence) as err:
+            run_experiment(spec.with_amplitude(8.0))
+        assert str(err.value) == str(stalled)
+
+    def test_rows_differ_in_amplitude_only(self):
+        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), steps=16)
+        with pytest.raises(ValueError, match="amplitude only"):
+            run_experiments([spec, ExperimentSpec(p=2.0, q=5.0, alpha=0.5, grid=Grid(1, 8), steps=16)])

@@ -24,6 +24,7 @@ from fraflow.solver import (
     load_state_dump,
     save_state_dump,
     solve_dc_flow,
+    solve_dc_rows,
     solve_lipschitz_perturbed,
     trajectory_to_csv,
 )
@@ -178,6 +179,16 @@ class TestBlowUp:
         assert result.reason == "norm-threshold"
         assert len(result.norm_history) == result.node
         assert result.norm_history[-1] >= 10.0
+
+    def test_stalled_phi2_resolvent_in_the_picard_loop_is_a_blowup(self):
+        # the coupled twin: the stall comes from the Picard loop's Yosida
+        # evaluation at the current iterate, |u_{j-1}| >= 0.01 * blowup_norm
+        spec = scalar_spec(n=256, u0=3.0, phi2=self.StallingPower(Space(1), 4))
+        result = solve_dc_flow(spec, SolverConfig(yosida_lam=0.2, blowup_norm=100.0, coupling="coupled"))
+        assert isinstance(result, BlowUpReport)
+        assert result.reason == "norm-threshold"
+        assert len(result.norm_history) == result.node
+        assert result.norm_history[-1] >= 1.0
 
     def test_stalled_phi2_resolvent_at_a_bounded_state_raises(self):
         spec = scalar_spec(n=256, u0=3.0, phi2=self.StallingPower(Space(1), 4))
@@ -454,3 +465,70 @@ class TestSerialization:
         (tmp_path / "junk.bin").write_bytes(b"not a dump at all, promise")
         with pytest.raises(DumpFormatError):
             load_state_dump(tmp_path / "junk.bin")
+
+
+class TestBatchedRows:
+    """solve_dc_rows marches rows that share everything but u0 as one batch."""
+
+    def specs(self, u0s, phi2=None, n=128):
+        # one phi1, phi2, kernel pair and grid object for every row
+        phi1, pair, grid = Quadratic(Space(2)), rl_pair(0.5), TimeGrid(1.0, n)
+        return [ProblemSpec(phi1, phi2, pair, np.array(u0), None, grid) for u0 in u0s]
+
+    def test_each_row_is_its_single_run(self):
+        config = SolverConfig(yosida_lam=1e-3, blowup_norm=1e3)
+        u0s = [[0.5, -0.2], [3.0, 2.0], [1.0, 0.0], [8.0, -8.0]]
+        phi2 = PowerPotential(Space(2), 4)
+        batch = list(solve_dc_rows(self.specs(u0s, phi2), config))
+        for u0, got in zip(u0s, batch):
+            (alone,) = solve_dc_rows(self.specs([u0], phi2), config)
+            assert type(got) is type(alone)
+            if isinstance(got, Trajectory):
+                np.testing.assert_array_equal(got.states, alone.states)
+                np.testing.assert_array_equal(got.residuals, alone.residuals)
+                assert got.e_t == alone.e_t
+            else:
+                assert (got.node, got.reason) == (alone.node, alone.reason)
+                np.testing.assert_array_equal(got.norm_history, alone.norm_history)
+        assert {type(got) for got in batch} == {Trajectory, BlowUpReport}
+
+    class StallingQuadratic(Quadratic):
+        """A phi1 whose resolvent stalls at 10."""
+
+        def prox(self, w, lam, tol=1e-10):
+            if np.max(np.abs(w)) >= 10.0:
+                raise ProxNonconvergence(1.0, 200)
+            return super().prox(w, lam, tol=tol)
+
+    @pytest.mark.parametrize("stalling", ["phi1", "phi2"])
+    def test_a_stalled_row_leaves_the_others_marching(self, stalling):
+        # the second row stalls at a bounded state: its error is its
+        # outcome, as when it runs alone, and the first row completes
+        if stalling == "phi2":
+            specs = self.specs([[0.1, 0.1], [3.0, 3.0]], TestBlowUp.StallingPower(Space(2), 4), n=256)
+        else:
+            phi1, pair, grid = self.StallingQuadratic(Space(2)), rl_pair(0.5), TimeGrid(1.0, 256)
+            specs = [ProblemSpec(phi1, None, pair, np.array(u0), None, grid) for u0 in ([0.1, 0.1], [30.0, 30.0])]
+        config = SolverConfig(yosida_lam=1e-3, blowup_norm=1e6)
+        small, stalled = solve_dc_rows(specs, config)
+        assert isinstance(small, Trajectory)
+        assert isinstance(stalled, ProxNonconvergence)
+        with pytest.raises(ProxNonconvergence):
+            solve_dc_flow(specs[1], config)
+
+    def test_rows_must_share_the_problem(self):
+        first, second = self.specs([[1.0, 0.0], [0.0, 1.0]])
+        other = dataclasses.replace(second, phi1=Quadratic(Space(2)))
+        with pytest.raises(ValueError, match="share everything but u0"):
+            list(solve_dc_rows([first, other]))
+
+    def test_chunks_match_one_batch(self, monkeypatch):
+        u0s = [[0.5, -0.2], [3.0, 2.0], [1.0, 0.0]]
+        phi2 = PowerPotential(Space(2), 4)
+        whole = list(solve_dc_rows(self.specs(u0s, phi2)))
+        # a budget below one row's buffers: every row is its own chunk
+        monkeypatch.setattr(fraflow.solver, "BATCH_BYTES", 1)
+        chunked = list(solve_dc_rows(self.specs(u0s, phi2)))
+        for a, b in zip(whole, chunked):
+            assert type(a) is type(b)
+            np.testing.assert_array_equal(a.energy1 if isinstance(a, Trajectory) else a.energy_history, b.energy1 if isinstance(b, Trajectory) else b.energy_history)
