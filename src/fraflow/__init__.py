@@ -7,13 +7,10 @@ oracles), ``plaplace`` (the p-Laplace subdiffusion application) and ``cli``.
 The inner kernels they share (triangular convolution, triangular Toeplitz
 inverse, history sum, power prox) live in ``_accel``, written in numpy.
 
-Two dependencies are imported only inside the functions that use them, so
-that no ``fraflow`` command loads them: ``scipy.integrate`` (about 0.25 s
-per process, with ``scipy.optimize`` and ``scipy.sparse`` behind it) serves
-the quadrature fallback of a user kernel built without an antiderivative,
-and ``mpmath`` serves the extended-precision Mittag-Leffler oracle in
-``certify``.  ``scipy.special``, ``scipy.linalg`` and ``jsonschema`` are
-imported at module level because every run uses them.
+``mpmath`` is imported only inside the extended-precision Mittag-Leffler
+oracle in ``certify``, so that no ``fraflow`` command loads it.
+``scipy.special``, ``scipy.linalg`` and ``jsonschema`` are imported at
+module level because every run uses them.
 """
 
 __version__ = "0.1.0"

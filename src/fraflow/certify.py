@@ -16,7 +16,6 @@ the same quadrature the certificates verify against.  Sup norms of sampled
 paths are node-wise maxima; the grid gap is reported, never hidden.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -187,15 +186,8 @@ class Certificate:
     def passed(self):
         return self.status == "pass"
 
-    @property
-    def rejected(self):
-        return self.status == "reject"
-
     def to_dict(self):
         return {"lemma": self.lemma, "status": self.status, **_plain(self.details)}
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _plain(obj):
@@ -517,8 +509,8 @@ class ChainRuleReport:
         }
 
 
-def check_chain_rule(traj, phi, pair, slack_coeff=0.0, xi=None):
-    """Check both integral chain-rule forms for the selection xi of phi.
+def check_chain_rule(traj, phi, pair, slack_coeff=0.0):
+    """Check both integral chain-rule forms for the selection traj.xi of phi.
 
     Form (i): the cumulative pairing of the nonlocal derivative with the
     selection dominates k * (phi(u) - phi(u0)).  Form (ii): the conjugate
@@ -536,12 +528,11 @@ def check_chain_rule(traj, phi, pair, slack_coeff=0.0, xi=None):
     grid = traj.grid
     tau = grid.tau
     u = traj.states
-    xi = traj.xi if xi is None else xi
     space = phi.space
     v = u - u[0]
     deriv = nonlocal_derivative(pair.k, v, grid)
     pairing = np.zeros(grid.steps + 1)
-    pairing[1:] = space.weight * np.sum(deriv[1:] * xi[1:], axis=tuple(range(1, u.ndim)))
+    pairing[1:] = space.weight * np.sum(deriv[1:] * traj.xi[1:], axis=tuple(range(1, u.ndim)))
     energy = np.array([phi.value(u[j]) for j in range(grid.steps + 1)])
     energy_gap = energy - energy[0]
 

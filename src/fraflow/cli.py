@@ -27,7 +27,7 @@ import numpy as np
 from . import certify as cert
 from .convex import Quadratic, Space
 from .kernels import TimeGrid, kernel_l1_gap, regularized_kernel, rl_pair, verify_sonine
-from .plaplace import ExperimentResult, ExperimentSpec, Grid, run_experiment, run_experiments
+from .plaplace import ExperimentResult, ExperimentSpec, Grid, PDirichletEnergy, run_experiment, run_experiments
 from .solver import (
     BlowUpReport,
     DumpFormatError,
@@ -186,13 +186,11 @@ def cmd_solve(config, out_dir):
         exp = run_experiment(exp_spec, solver_config, keep_trajectory=True)
         diagnostics["regime"] = exp.regime.to_dict()
         pair = rl_pair(exp_spec.alpha)
-        from .plaplace import dirichlet_p_energy
-
-        phi1 = dirichlet_p_energy(exp_spec.grid, exp_spec.p)
+        phi1 = PDirichletEnergy(exp_spec.grid, exp_spec.p)
         if not exp.completed:
             diagnostics.update(
                 {
-                    "verdict": "blew_up",
+                    "verdict": exp.verdict,
                     "t_star": exp.t_star,
                     "t_star_uncertainty": exp.tau,
                     "E_T": exp.e_t,
@@ -200,7 +198,8 @@ def cmd_solve(config, out_dir):
                 }
             )
             _write_json(out / "diagnostics.json", diagnostics)
-            return EXIT_BLOWUP
+            # an inner loop that diverged is not the expected blow-up
+            return EXIT_BLOWUP if exp.verdict == "blew_up" else EXIT_ERROR
         traj = exp.trajectory
 
     trajectory_to_csv(traj, out / "trajectory.csv")
@@ -316,6 +315,8 @@ def cmd_sweep(config, out_dir, jobs=None):
     not the rows, go to a process pool.  Each row still gets its own
     ledger entry.
     """
+    if config.get("problem", {}).get("kind", "p-laplace") != "p-laplace":
+        raise ConfigError("a sweep runs the p-laplace problem only")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tuples = _sweep_tuples(config)

@@ -19,7 +19,7 @@ bitwise as it does when passed alone, so per-row reductions keep the
 single-row summation order (one ``np.vdot`` per row).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -95,9 +95,6 @@ class Functional:
             env = 0.5 * lam * self.space.row_inner(rate, rate) + self.values(z)
         return YosidaEval(lam=lam, point=z, rate=rate, envelope=env)
 
-    def envelope(self, w, lam, tol=1e-10):
-        return self.yosida(w, lam, tol=tol).envelope
-
 
 def resolvent(phi, lam, w, tol=1e-10):
     """J_lam(w) = argmin_z ||w - z||_H^2/(2 lam) + phi(z)."""
@@ -113,39 +110,6 @@ def yosida(phi, lam, w, tol=1e-10):
     if not lam > 0:
         raise ValueError(f"Yosida parameter must be positive, got {lam}")
     return phi.yosida(np.asarray(w, dtype=np.float64), lam, tol=tol)
-
-
-@dataclass
-class MinimalSectionResult:
-    value: np.ndarray
-    lambdas: list
-    increments: list
-    converged: bool
-
-
-def minimal_section(phi, w, lambdas=None, tol=1e-6):
-    """Limit of A_lam(w) along a decreasing lambda sequence.
-
-    Stops once successive rates differ by less than ``tol`` relative to
-    the rate scale (no extrapolation; A_lam converges at first order in
-    lam, so the default ladder shrinks by factor 4 per step).  A
-    non-Cauchy tail is flagged, not fatal: it signals w outside the
-    domain of the subdifferential.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if lambdas is None:
-        lambdas = [0.1 * 0.25**k for k in range(16)]
-    lambdas = sorted(lambdas, reverse=True)
-    increments = []
-    prev = None
-    for i, lam in enumerate(lambdas):
-        rate = phi.yosida(w, lam, tol=min(tol * 1e-2, 1e-10)).rate
-        if prev is not None:
-            increments.append(phi.space.norm(rate - prev))
-            if increments[-1] < tol * (1.0 + phi.space.norm(rate)):
-                return MinimalSectionResult(rate, lambdas[: i + 1], increments, True)
-        prev = rate
-    return MinimalSectionResult(prev, list(lambdas), increments, False)
 
 
 # ---------------------------------------------------------------------------

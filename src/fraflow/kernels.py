@@ -53,59 +53,32 @@ class TimeGrid:
 
 
 class Kernel:
-    """A nonnegative nonincreasing kernel with antiderivative access.
+    """A nonnegative nonincreasing kernel with its exact antiderivative.
 
     Parameters
     ----------
     fn : callable
         Pointwise evaluator k(t), valid for t > 0.
-    antiderivative : callable, optional
-        Exact K(t) = int_0^t k; when omitted, K is computed by adaptive
-        quadrature (slow, but keeps user-supplied kernels usable).
-    singular_at_zero : bool
-        Marks kernels that blow up at t = 0; such kernels are only ever
-        touched through K near the origin.
+    antiderivative : callable
+        Exact K(t) = int_0^t k.  Every weight goes through K, so a kernel
+        that is singular at t = 0 is never evaluated there.
     """
 
-    def __init__(self, fn, antiderivative=None, singular_at_zero=False, name="kernel"):
+    def __init__(self, fn, antiderivative, name="kernel"):
         self._fn = fn
         self._anti = antiderivative
-        self.singular_at_zero = singular_at_zero
         self.name = name
 
     def __call__(self, t):
         return self._fn(np.asarray(t, dtype=np.float64))
 
     def antiderivative(self, t):
-        if self._anti is not None:
-            return self._anti(np.asarray(t, dtype=np.float64))
-        # imported here so that no command pays for loading scipy.integrate
-        # (see the package docstring)
-        from scipy.integrate import quad
-
-        t = np.asarray(t, dtype=np.float64)
-        scalar = t.ndim == 0
-        vals = np.array([quad(self._fn, 0.0, ti, limit=200)[0] for ti in np.atleast_1d(t)])
-        return vals[0] if scalar else vals
+        return self._anti(np.asarray(t, dtype=np.float64))
 
     def cell_averages(self, grid):
         """Cell means (K(t_i) - K(t_{i-1})) / tau for i = 1..N."""
         big_k = self.antiderivative(grid.times)
         return np.diff(big_k) / grid.tau
-
-    def check_shape(self, grid, rtol=1e-9):
-        """Verify nonnegativity/monotonicity of k and K on the grid nodes."""
-        t = grid.times[1:]
-        vals = self(t)
-        big_k = self.antiderivative(grid.times)
-        scale = max(abs(vals[0]), 1.0)
-        ok = bool(
-            np.all(vals >= -rtol * scale)
-            and np.all(np.diff(vals) <= rtol * scale)
-            and np.all(np.diff(big_k) >= -rtol * scale)
-            and abs(big_k[0]) <= rtol * scale
-        )
-        return ok
 
 
 @dataclass(frozen=True)
@@ -114,13 +87,6 @@ class ConvWeights:
 
     omega: np.ndarray
     grid: TimeGrid
-
-    def row(self, j):
-        """Weights w[j, i] for i = 1..j (newest node last)."""
-        return self.omega[:j][::-1]
-
-    def row_sum(self, j):
-        return float(np.sum(self.omega[:j]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -150,7 +116,6 @@ def _rl_kernel(alpha):
     return Kernel(
         fn=lambda t: c_k * np.power(t, -alpha),
         antiderivative=lambda t: c_anti * np.power(t, 1.0 - alpha),
-        singular_at_zero=True,
         name=f"rl({alpha:g})",
     )
 
@@ -312,10 +277,6 @@ class RegularizedKernel:
     k_n: np.ndarray
     grid: TimeGrid
     monotone: bool
-
-    @property
-    def value_at_zero(self):
-        return float(self.k_n[0])
 
 
 def regularized_kernel(ell, n, grid, monotone_rtol=1e-9):

@@ -172,19 +172,8 @@ class PDirichletEnergy(SmoothFunctional):
         return ab.reshape(len(ab), -1)
 
 
-def dirichlet_p_energy(grid, p, eps=FLUX_EPS):
-    return PDirichletEnergy(grid, p, eps=eps)
-
-
-def q_potential(grid, q):
-    """phi2(w) = (1/q) sum h^dim |w_i|^q with the componentwise prox."""
-    return PowerPotential(grid.space, q)
-
-
 # ---------------------------------------------------------------------------
 # exponent arithmetic (exact rational)
-
-_INF = Fraction(10**12)  # sentinel; compared via the is_inf flags below
 
 
 def _as_fraction(x):
@@ -310,71 +299,6 @@ def classify_regime(p, q, d):
     )
 
 
-@dataclass(frozen=True)
-class AssumptionProfile:
-    """Symbolic growth data of the built-in energies.
-
-    Scales default to unit placeholders (the theory's constants are
-    nonconstructive); ``fit_lower_scale``/``fit_upper_scale`` turn sampled
-    (energy, minimal-section-norm) pairs into empirical constants.
-    """
-
-    p: Fraction
-    q: Fraction
-    d: Fraction
-    m2_exponent: Fraction  # lower bound ||dphi1|| >= c r^{(p-1)/p}
-    big_m2_exponent: Fraction | None  # upper bound on ||dphi2||
-    r_a3: Fraction  # norm exponent in the A3 comparison (Young absorption)
-    m2_scale: float = 1.0
-    big_m2_scale: float = 1.0
-    nu2: float = 0.0
-    nu3: float = 0.0
-    c1: float = 1.0
-
-    @property
-    def ratio_vanishes(self):
-        """lim_{r -> 0+} M2(r)/m2(r) = 0, decided by exponent comparison."""
-        if self.big_m2_exponent is None:
-            return None
-        return self.big_m2_exponent > self.m2_exponent
-
-    @staticmethod
-    def fit_lower_scale(r_values, bound_values, exponent):
-        r = np.asarray(r_values, dtype=np.float64)
-        b = np.asarray(bound_values, dtype=np.float64)
-        mask = r > 0
-        return float(np.min(b[mask] / r[mask] ** float(exponent)))
-
-    @staticmethod
-    def fit_upper_scale(r_values, bound_values, exponent):
-        r = np.asarray(r_values, dtype=np.float64)
-        b = np.asarray(bound_values, dtype=np.float64)
-        mask = r > 0
-        return float(np.max(b[mask] / r[mask] ** float(exponent)))
-
-
-def assumption_profile(p, q, d):
-    """Exponent data for the small-data assumptions of the built-ins."""
-    report = classify_regime(p, q, d)
-    p, q = report.p, report.q
-    m2_exp = (p - 1) / p
-    if report.p_star is None or 2 * (q - 1) <= report.p_star:
-        big_m2_exp = (q - 1) / p
-    elif report.theta is not None and report.theta_ratio < 1:
-        theta = report.theta
-        big_m2_exp = Fraction(1, 1) / p * (1 - theta) * (q - 1) / (1 - theta * (q - 1) / (p - 1))
-    else:
-        big_m2_exp = None
-    return AssumptionProfile(
-        p=p,
-        q=q,
-        d=report.d,
-        m2_exponent=m2_exp,
-        big_m2_exponent=big_m2_exp,
-        r_a3=Fraction(0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -420,7 +344,6 @@ class ExperimentSpec:
     f_amplitude: float = 0.0
     horizon: float = 1.0
     steps: int = 512
-    exponent_dim: int | None = None  # PDE dimension for the regime arithmetic
 
     def with_amplitude(self, amplitude):
         return replace(self, amplitude=amplitude)
@@ -428,7 +351,7 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    verdict: str  # "completed" | "blew_up"
+    verdict: str  # "completed" | "blew_up" | "inner_divergence"
     spec: ExperimentSpec
     regime: RegimeReport
     sup_energy1: float
@@ -478,10 +401,9 @@ def run_experiments(specs, config=None, keep_trajectory=False):
     if any(replace(spec, amplitude=first.amplitude) != first for spec in specs):
         raise ValueError("the experiments of a batch may differ in amplitude only")
     grid = first.grid
-    d_exp = first.exponent_dim if first.exponent_dim is not None else grid.dim
-    regime = classify_regime(first.p, first.q, d_exp)
-    phi1 = dirichlet_p_energy(grid, first.p)
-    phi2 = q_potential(grid, first.q)
+    regime = classify_regime(first.p, first.q, grid.dim)
+    phi1 = PDirichletEnergy(grid, first.p)
+    phi2 = PowerPotential(grid.space, first.q)
     pair = rl_pair(first.alpha)
     forcing = forcing_profile(grid, first.f_profile, first.f_amplitude)
     time_grid = TimeGrid(first.horizon, first.steps)
@@ -506,13 +428,15 @@ def run_experiments(specs, config=None, keep_trajectory=False):
         elif isinstance(result, BlowUpReport):
             sup_e = float(np.max(result.energy_history))
             outcomes[i] = ExperimentResult(
-                verdict="blew_up",
+                # a coupled-mode inner loop that diverges at a bounded state
+                # is no blow-up
+                verdict="blew_up" if result.blew_up else "inner_divergence",
                 spec=spec,
                 regime=regime,
                 sup_energy1=sup_e,
                 e_t=result.e_t,
                 energy_ratio=sup_e / result.e_t if result.e_t > 0 else None,
-                t_star=result.time - tau,  # last accepted node before the crossing
+                t_star=result.time - tau,  # last accepted node before the exit
                 tau=tau,
                 final_norm=None,
             )
@@ -531,65 +455,3 @@ def run_experiments(specs, config=None, keep_trajectory=False):
             )
         del result  # the next chunk is solved while this name is still bound
     return outcomes
-
-
-class BisectionPremiseError(ValueError):
-    """Amplitude bracket invalid: both endpoints complete or both blow up."""
-
-
-@dataclass
-class BisectionBracket:
-    a_minus: float
-    a_plus: float
-    low_result: ExperimentResult
-    high_result: ExperimentResult
-    runs: int
-    tag: dict  # discretization tag: the bracket is grid-specific
-
-    @property
-    def ratio(self):
-        return self.a_plus / self.a_minus
-
-
-def amplitude_bisection(spec, a_lo, a_hi, budget=40, target_ratio=1.1, config=None):
-    """Bracket the empirical blow-up amplitude of an experiment template.
-
-    Verifies the premise first (a_lo completes, a_hi blows up), then
-    bisects until a_plus/a_minus <= target_ratio or the budget runs out.
-    The bracket carries a discretization tag; it is an empirical probe of
-    the smallness threshold, never a theoretical claim.
-    """
-    if not 0 < a_lo <= a_hi:
-        raise ValueError("need 0 < a_lo <= a_hi")
-    low = run_experiment(spec.with_amplitude(a_lo), config)
-    high = run_experiment(spec.with_amplitude(a_hi), config)
-    runs = 2
-    if not low.completed or high.completed:
-        raise BisectionPremiseError(
-            f"premise failed: A_lo={a_lo} {'completed' if low.completed else 'blew up'}, "
-            f"A_hi={a_hi} {'completed' if high.completed else 'blew up'}"
-        )
-    while a_hi / a_lo > target_ratio and runs < budget:
-        mid = math.sqrt(a_lo * a_hi)
-        res = run_experiment(spec.with_amplitude(mid), config)
-        runs += 1
-        if res.completed:
-            a_lo, low = mid, res
-        else:
-            a_hi, high = mid, res
-    return BisectionBracket(
-        a_minus=a_lo,
-        a_plus=a_hi,
-        low_result=low,
-        high_result=high,
-        runs=runs,
-        tag={
-            "m": spec.grid.m,
-            "dim": spec.grid.dim,
-            "N": spec.steps,
-            "alpha": spec.alpha,
-            "p": spec.p,
-            "q": spec.q,
-            "horizon": spec.horizon,
-        },
-    )

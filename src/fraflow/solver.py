@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import History
-from .convex import ProxNonconvergence, Space
+from .convex import ProxNonconvergence
 from .kernels import SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
 
@@ -139,10 +139,6 @@ class Trajectory:
     @property
     def sup_energy1(self):
         return float(np.max(self.energy1))
-
-    @property
-    def final_state(self):
-        return self.states[-1]
 
 
 @dataclass

@@ -95,6 +95,14 @@ class TestConfigLoading:
             load_config(write_config(tmp_path, payload), None)
         assert str(info.value) == f"config rejected: {message}"
 
+    def test_sweep_rejects_the_scalar_problem(self, tmp_path, capsys):
+        # a sweep runs the p-Laplace problem; an explicit other kind is an error
+        config = write_config(tmp_path, {"mode": "sweep", "problem": {"kind": "scalar-quadratic"}, "grid": {"steps": 16}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"]) == EXIT_USAGE
+        assert "fraflow: a sweep runs the p-laplace problem only" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
         validator_class = type(fraflow.cli._validator())
         check_schema = validator_class.check_schema
@@ -110,6 +118,15 @@ class TestConfigLoading:
         load_config(path, None)
         load_config(path, None)
         assert len(calls) == 1
+
+
+# p = 2, q = 4 with the coupled Picard loop, which diverges at node 1
+COUPLED = {
+    "problem": {"kind": "p-laplace", "p": 2.0, "q": 4.0, "dim": 1, "m": 16, "u0_profile": "sine"},
+    "kernel": {"alpha": 0.5},
+    "grid": {"horizon": 1.0, "steps": 256},
+    "solver": {"coupling": "coupled"},
+}
 
 
 class TestSolveCommand:
@@ -143,6 +160,16 @@ class TestSolveCommand:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["verdict"] == "blew_up"
         assert diag["t_star"] > 0
+
+    def test_coupled_inner_divergence_is_an_error(self, tmp_path):
+        # the inner loop diverges on a bounded state: that is no blow-up, so
+        # the exit code is 1, not 2
+        payload = dict(COUPLED, mode="solve", problem=dict(COUPLED["problem"], amplitude=4.0))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == EXIT_ERROR
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["verdict"] == "inner_divergence"
+        assert diag["t_star"] == 0.0
 
     def test_malformed_config_exit(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -261,6 +288,18 @@ class TestSweepCommand:
         assert entry["row"]["verdict"] == "error: ProxNonconvergence"
         header, row = (line.split(",") for line in (out / "sweep.csv").read_text().splitlines())
         assert dict(zip(header, row))["verdict"] == "error: ProxNonconvergence"
+
+    def test_coupled_inner_divergence_row(self, tmp_path):
+        payload = dict(COUPLED, mode="sweep", sweep={"amplitudes": [4.0, 8.0, 16.0]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        lines = (out / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [(row["amplitude"], row["verdict"], row["t_star"]) for row in rows] == [
+            ("4", "inner_divergence", "0"),
+            ("8", "inner_divergence", "0"),
+            ("16", "inner_divergence", "0"),
+        ]
 
     def test_parallel_matches_serial(self, tmp_path):
         config = write_config(tmp_path, SMALL_SWEEP)

@@ -6,11 +6,10 @@ from fraflow.convex import (
     ProxNonconvergence,
     Quadratic,
     Space,
-    minimal_section,
     resolvent,
     yosida,
 )
-from fraflow.plaplace import Grid, dirichlet_p_energy
+from fraflow.plaplace import Grid, PDirichletEnergy
 
 
 def builtins(dim=6):
@@ -42,7 +41,7 @@ class TestResolventBasics:
 
     def test_p_dirichlet_inner_newton_residual(self, rng):
         grid = Grid(1, 8)
-        phi = dirichlet_p_energy(grid, 3.0)
+        phi = PDirichletEnergy(grid, 3.0)
         w = rng.standard_normal(8)
         lam = 0.3
         z = resolvent(phi, lam, w, tol=1e-10)
@@ -70,7 +69,7 @@ class TestYosida:
     def test_envelope_monotone_toward_value(self, rng):
         for name, phi in builtins().items():
             w = rng.standard_normal(phi.space.dim)
-            envs = [phi.envelope(w, lam) for lam in (1.0, 0.1, 0.01)]
+            envs = [phi.yosida(w, lam).envelope for lam in (1.0, 0.1, 0.01)]
             val = phi.value(w)
             assert envs[0] <= envs[1] <= envs[2] <= val + 1e-12, name
 
@@ -78,32 +77,6 @@ class TestYosida:
         ye = yosida(PowerPotential(Space(1), 4), 0.5, np.array([2.0]))
         # the rate equals the cubic at the prox point
         assert ye.rate[0] == pytest.approx(ye.point[0] ** 3, abs=1e-11)
-
-
-class TestMinimalSection:
-    def test_smooth_quadratic(self, rng):
-        sp = Space(4)
-        w = rng.standard_normal(4)
-        ms = minimal_section(Quadratic(sp), w)
-        assert ms.converged
-        np.testing.assert_allclose(ms.value, w, atol=1e-5)
-
-    def test_power4_componentwise(self):
-        w = np.array([1.5, -0.5])
-        ms = minimal_section(PowerPotential(Space(2), 4), w)
-        assert ms.converged
-        np.testing.assert_allclose(ms.value, np.abs(w) ** 2 * w, atol=1e-5)
-
-    def test_p2_dirichlet_matches_tridiagonal(self, rng):
-        # p = 2: the minimal section is the Dirichlet Laplacian matrix action
-        grid = Grid(1, 16)
-        phi = dirichlet_p_energy(grid, 2.0)
-        u = rng.standard_normal(16)
-        ms = minimal_section(phi, u, tol=1e-5)
-        h = grid.h
-        lap = (np.diag(np.full(16, 2.0)) - np.diag(np.ones(15), 1) - np.diag(np.ones(15), -1)) / h**2
-        np.testing.assert_allclose(ms.value, lap @ u, rtol=1e-4, atol=1e-4)
-        assert ms.converged
 
 
 # property batteries: >= 100 random pairs per built-in functional
@@ -156,10 +129,9 @@ def test_yosida_bounded_by_minimal_section(name, rng):
     dim = phi.space.dim
     for _ in range(25):
         w = 2.0 * rng.standard_normal(dim)
-        ms = minimal_section(phi, w, tol=1e-7)
-        if not ms.converged:
-            continue
-        bound = phi.space.norm(ms.value)
+        # both are smooth: the minimal section is the gradient, in closed form
+        section = phi.scale * w if name == "quadratic" else np.abs(w) ** 2 * w
+        bound = phi.space.norm(section)
         for lam in LAMBDAS:
             assert phi.space.norm(phi.yosida(w, lam).rate) <= bound + 1e-5
 
@@ -188,7 +160,7 @@ def test_space_inner_matches_elementwise_sum(shape, rng):
 
 def counted_p_dirichlet(dim, m, p):
     """A p-Dirichlet energy whose value, gradient and Hessian count their calls."""
-    phi = dirichlet_p_energy(Grid(dim, m), p)
+    phi = PDirichletEnergy(Grid(dim, m), p)
     counts = {"value": 0, "grad": 0, "hess": 0}
 
     def counting(name, fn):

@@ -5,21 +5,16 @@ import pytest
 
 from fraflow.plaplace import (
     FLUX_EPS,
-    AssumptionProfile,
-    BisectionPremiseError,
     ExperimentSpec,
     Grid,
-    amplitude_bisection,
-    assumption_profile,
+    PDirichletEnergy,
     classify_regime,
-    dirichlet_p_energy,
     discrete_p_laplacian,
     initial_profile,
-    q_potential,
     run_experiment,
     run_experiments,
 )
-from fraflow.convex import ProxNonconvergence
+from fraflow.convex import PowerPotential, ProxNonconvergence
 from fraflow.solver import SolverConfig
 
 
@@ -82,7 +77,7 @@ class TestDiscretePLaplacian:
     def test_gradient_consistency(self, dim, m, p, rng):
         # -Delta_p is the H-gradient of the energy: central-difference check
         grid = Grid(dim, m)
-        phi = dirichlet_p_energy(grid, p)
+        phi = PDirichletEnergy(grid, p)
         u = rng.uniform(-1.0, 1.0, grid.npoints)
         analytic = grid.h**dim * (-discrete_p_laplacian(grid, u, p))  # Euclidean gradient
         step = 1e-6
@@ -98,7 +93,7 @@ class TestDiscretePLaplacian:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_hessian_consistency(self, dim, m, p, rng):
         grid = Grid(dim, m)
-        phi = dirichlet_p_energy(grid, p)
+        phi = PDirichletEnergy(grid, p)
         u = rng.uniform(-1.0, 1.0, grid.npoints)
         hess = banded_to_dense(phi._hess(u))
         np.testing.assert_allclose(hess, dense_hessian_reference(grid, u, p), rtol=1e-13, atol=0.0)
@@ -122,26 +117,26 @@ class TestDiscretePLaplacian:
 class TestEnergies:
     def test_zero_states(self):
         g = Grid(1, 4)
-        assert dirichlet_p_energy(g, 3.0).value(np.zeros(4)) == pytest.approx(0.0, abs=1e-15)
-        assert q_potential(g, 4.0).value(np.zeros(4)) == pytest.approx(0.0)
+        assert PDirichletEnergy(g, 3.0).value(np.zeros(4)) == pytest.approx(0.0, abs=1e-15)
+        assert PowerPotential(g.space, 4.0).value(np.zeros(4)) == pytest.approx(0.0)
 
     def test_dirichlet_energy_fixture(self):
         # hand evaluation, frozen: m=2, h=1/3, w=(1,1), p=2; faces carry
         # gradients (3, 0, -3), so phi1 = (h/p) * (9 + 0 + 9) = 3
         g = Grid(1, 2)
-        assert dirichlet_p_energy(g, 2.0).value(np.ones(2)) == pytest.approx(3.0, rel=1e-12)
+        assert PDirichletEnergy(g, 2.0).value(np.ones(2)) == pytest.approx(3.0, rel=1e-12)
 
     def test_q2_potential_is_quadratic_norm(self, rng):
         g = Grid(1, 8)
         w = rng.standard_normal(8)
-        phi2 = q_potential(g, 2.0)
+        phi2 = PowerPotential(g.space, 2.0)
         assert phi2.value(w) == pytest.approx(0.5 * g.space.inner(w, w))
 
     @pytest.mark.parametrize("dim,m", [(1, 8), (2, 6)])
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_p_dirichlet_prox_residual(self, dim, m, p, rng):
         g = Grid(dim, m)
-        phi = dirichlet_p_energy(g, p)
+        phi = PDirichletEnergy(g, p)
         w = rng.standard_normal(g.npoints)
         z = phi.prox(w, 0.5, tol=1e-10)
         res = (z - w) / 0.5 + phi.gradient(z)
@@ -215,28 +210,6 @@ class TestClassifyRegime:
             classify_regime(1.0, 2.0, 3)
 
 
-class TestAssumptionProfile:
-    def test_ratio_vanishes_iff_q_above_p(self):
-        # subcritical growth branch
-        assert assumption_profile(2, 4, 3).ratio_vanishes is True
-        assert assumption_profile(2.5, 2, 3).ratio_vanishes is False
-        # interpolation branch: 2(q-1) > p*
-        prof = assumption_profile(2, 5, 3)
-        assert prof.big_m2_exponent is not None
-        assert prof.ratio_vanishes is True
-
-    def test_m2_exponent_matches_coercivity(self):
-        prof = assumption_profile(3, 2, 3)
-        assert prof.m2_exponent == Fraction(2, 3)  # (p-1)/p
-
-    def test_fit_hooks(self):
-        r = np.array([0.5, 1.0, 2.0])
-        lower = AssumptionProfile.fit_lower_scale(r, 2.0 * r**0.5, Fraction(1, 2))
-        assert lower == pytest.approx(2.0)
-        upper = AssumptionProfile.fit_upper_scale(r, 3.0 * r**2, Fraction(2))
-        assert upper == pytest.approx(3.0)
-
-
 class TestProfiles:
     def test_zero_profile(self):
         g = Grid(1, 8)
@@ -279,19 +252,6 @@ class TestExperiments:
         res = run_experiment(spec.with_amplitude(0.5))
         assert res.completed
         assert res.energy_ratio is not None
-
-    def test_bisection_bracket(self):
-        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=128)
-        br = amplitude_bisection(spec, 0.5, 16.0)
-        assert br.ratio <= 1.1
-        assert br.low_result.completed
-        assert not br.high_result.completed
-        assert br.tag["m"] == 16
-
-    def test_bisection_premise_rejected(self):
-        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=128)
-        with pytest.raises(BisectionPremiseError):
-            amplitude_bisection(spec, 0.5, 0.5)  # degenerate: completes twice
 
     def test_experiment_row(self):
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), amplitude=0.25, steps=32)

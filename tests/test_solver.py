@@ -39,7 +39,7 @@ class TestScalarFlow:
     def test_mittag_leffler_endpoint(self):
         traj = solve_dc_flow(scalar_spec(alpha=0.5, n=1024))
         exact = mittag_leffler(0.5, -1.0)
-        assert abs(traj.final_state[0] - exact) / exact <= 2e-3
+        assert abs(traj.states[-1, 0] - exact) / exact <= 2e-3
 
     def test_stationary_initial_data(self):
         spec = ProblemSpec(Quadratic(Space(4)), None, rl_pair(0.5), np.zeros(4), None, TimeGrid(1.0, 64))
