@@ -308,15 +308,19 @@ def cmd_sweep(config, out_dir, jobs=None):
     The pending rows are grouped by (alpha, q): every other setting is
     shared by the whole sweep, so the rows of a group differ only in
     their amplitude and go through one batched solve
-    (``plaplace.run_experiments``; ``solver.BATCH_BYTES`` bounds the
-    whole-path buffers of one batch, and larger groups march in chunks).
-    A row leaves its batch at its own exit with the outcome it gets when
-    run alone, ``error:`` rows included.  With ``jobs`` > 1 the groups,
-    not the rows, go to a process pool.  Each row still gets its own
-    ledger entry.
+    (``plaplace.run_experiments``).  A sweep keeps no trajectory, so a
+    row stores no selection paths; ``solver.BATCH_BYTES`` bounds the
+    whole-path buffers of one batch, and larger groups march in chunks
+    (a 6-amplitude group at m = 32, N = 512 fits in one).  A row leaves
+    its batch at its own exit with the outcome it gets when run alone,
+    ``error:`` rows included.  With ``jobs`` > 1 the groups, not the
+    rows, go to a process pool of at most one worker per group; ``jobs``
+    below 1 is a usage error.  Each row still gets its own ledger entry.
     """
     if config.get("problem", {}).get("kind", "p-laplace") != "p-laplace":
         raise ConfigError("a sweep runs the p-laplace problem only")
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tuples = _sweep_tuples(config)
@@ -335,7 +339,8 @@ def cmd_sweep(config, out_dir, jobs=None):
     if groups:
         with open(ledger_path, "a", newline="\n") as ledger:
             if jobs > 1 and len(groups) > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                # the pool starts all its workers at the first submit
+                with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
                     futures = {pool.submit(_sweep_group, (config, *key, amps)): (key, amps) for key, amps in groups.items()}
                     for fut in concurrent.futures.as_completed(futures):
                         key, amps = futures[fut]

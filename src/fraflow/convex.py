@@ -22,7 +22,7 @@ single-row summation order (one ``np.vdot`` per row).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import get_lapack_funcs
 
 from ._accel import ProxNonconvergence, power_prox_abs
 
@@ -170,6 +170,31 @@ class PowerPotential(Functional):
         return np.abs(w) ** (self.q - 2.0) * w
 
 
+# the LAPACK routines scipy.linalg.solveh_banded(..., lower=True) calls,
+# fetched once
+_PTSV, _PBSV = get_lapack_funcs(("ptsv", "pbsv"), dtype=np.float64)
+
+
+def _solveh_banded(ab, b):
+    """``scipy.linalg.solveh_banded(ab, b, lower=True)`` for float64 arrays.
+
+    The same LAPACK call (``ptsv`` on a band of 2 rows, ``pbsv``
+    otherwise), the same finite check and the same errors, without the
+    wrapper's per-call input validation.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(ab) == 2:
+        _, _, x, info = _PTSV(ab[0], ab[1, :-1], b)
+    else:
+        _, x, info = _PBSV(ab, b, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+    return x
+
+
 class SmoothFunctional(Functional):
     """Convex functional given by value/gradient/Hessian callables.
 
@@ -182,14 +207,16 @@ class SmoothFunctional(Functional):
     ``scipy.linalg.solveh_banded``), with no coupling between the blocks
     of two rows.  The prox adds ``1/lam`` to row 0 in place and factors
     H + I/lam of all rows in one banded Cholesky solve, so that sum must
-    be positive definite; when the factorization fails, each row is solved
-    alone and a row that still fails takes a gradient step.  The resolvent
-    runs a damped Newton iteration on the optimality system; the prox
-    objective is strongly convex, so the iteration is safe at any lam > 0.
-    Each row stops at its own iterate and backtracks on its own step
-    length, so a row comes out bitwise as it does when solved alone
-    (except for the banded Cholesky solve, whose blocking can move the
-    last bits of a wide band).
+    be positive definite.  The solve calls LAPACK directly, as
+    ``solveh_banded(lower=True)`` does: ``ptsv`` on the tridiagonal band
+    of a 1D grid, ``pbsv`` on a wider one.  When the factorization fails,
+    each row is solved alone and a row that still fails takes a gradient
+    step.  The resolvent runs a damped Newton iteration on the optimality
+    system; the prox objective is strongly convex, so the iteration is
+    safe at any lam > 0.  Each row stops at its own iterate and
+    backtracks on its own step length, so a row comes out bitwise as it
+    does when solved alone (except for the banded Cholesky solve, whose
+    blocking can move the last bits of a wide band).
     """
 
     def __init__(self, space, value_fn, grad_fn, hess_fn=None, name="smooth"):
@@ -216,7 +243,7 @@ class SmoothFunctional(Functional):
             jac = self._hess(x)
             jac[0] += 1.0 / lam
             try:
-                return solveh_banded(jac, -res.ravel(), lower=True).reshape(x.shape)
+                return _solveh_banded(jac, -res.ravel()).reshape(x.shape)
             except np.linalg.LinAlgError:
                 if len(x) > 1:  # find the rows that fail: each row alone
                     return np.concatenate([self._newton_steps(x[i : i + 1], res[i : i + 1], lam) for i in range(len(x))])

@@ -394,7 +394,9 @@ def run_experiments(specs, config=None, keep_trajectory=False):
     """Solve experiments that differ only in their amplitude as one batch.
 
     Returns, per spec, what :func:`run_experiment` returns for it alone, or
-    the exception it raises alone.
+    the exception it raises alone.  Without ``keep_trajectory`` the solver
+    stores no selection paths and re-assembles no residuals; the result
+    rows are the same either way.
     """
     config = config or SolverConfig()
     first = specs[0]
@@ -419,7 +421,7 @@ def run_experiments(specs, config=None, keep_trajectory=False):
     # consumed chunk by chunk: once its trajectories are dropped, a chunk's
     # buffers are freed before the next chunk is solved (a zip over the
     # generator would keep the last row alive in its cached result tuple)
-    results = iter(solve_dc_rows([problem for _, problem in problems], config) if problems else [])
+    results = iter(solve_dc_rows([problem for _, problem in problems], config, keep_trajectory) if problems else [])
     for i, _ in problems:
         result = next(results)
         spec = specs[i]

@@ -40,7 +40,9 @@ of the Cholesky factorization).  A row leaves the batch at its own exit
 which becomes its outcome) with exactly the outcome it gets when run
 alone, and the other rows march on.  A single solve is a batch of one.
 ``solve_dc_rows`` splits a batch whose whole-path buffers exceed
-``BATCH_BYTES`` into chunks.
+``BATCH_BYTES`` into chunks.  It counts only the buffers a batch
+allocates: the states and the history input always, the selections xi and
+eta only when the caller keeps the trajectories.
 """
 
 import math
@@ -119,18 +121,21 @@ class Trajectory:
     """Discrete solution path with selections and per-node diagnostics.
 
     Arrays are aligned with the grid nodes (index 0 = initial data); the
-    selections and residuals are only meaningful from node 1 on.
+    selections and residuals are only meaningful from node 1 on.  A solve
+    whose caller drops the trajectory (``solve_dc_rows`` with
+    ``keep_trajectory=False``) stores no selections and re-assembles no
+    residuals: ``xi``, ``eta`` and ``residuals`` are None there.
     """
 
     grid: TimeGrid
     states: np.ndarray  # (N+1,) + state shape
-    xi: np.ndarray  # selection in dphi1, node-aligned
-    eta: np.ndarray  # Yosida evaluation of phi2 (or -B(u))
+    xi: np.ndarray | None  # selection in dphi1, node-aligned
+    eta: np.ndarray | None  # Yosida evaluation of phi2 (or -B(u))
     space_weight: float
     energy1: np.ndarray  # phi1(u_j)
     envelope2: np.ndarray  # phi2_lam at the eta evaluation point
     norms: np.ndarray  # ||u_j||_H
-    residuals: np.ndarray  # discrete equation residual per node
+    residuals: np.ndarray | None  # discrete equation residual per node
     e_t: float  # phi1(u0) + sup_j (ell * ||f||^2)(t_j)
     visc: float = 0.0
     alpha: float | None = None
@@ -204,8 +209,9 @@ def _residuals(spec, config, u0, states, xi, eta, forcing_path):
     return residuals
 
 
-# byte budget of the whole-path buffers (states, xi, eta and the history
-# input v) of one batch of rows; solve_dc_rows splits larger groups
+# byte budget of the whole-path buffers (states and the history input v,
+# plus xi and eta when the trajectories are kept) of one batch of rows;
+# solve_dc_rows splits larger groups
 BATCH_BYTES = 2 << 20
 
 
@@ -274,7 +280,7 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val):
     return converged, errors
 
 
-def _solve_loop(spec, config, forcing_path, eta_source, u0s):
+def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=True):
     """Shared stepping core: march the initial states ``u0s`` (stacked
     along axis 0) as one batch of rows.
 
@@ -284,6 +290,8 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s):
     (None: no envelope, it stays 0).  Returns one outcome per row: a
     :class:`Trajectory`, a :class:`BlowUpReport`, or the exception the row
     raises.  A row leaves the batch at its own exit, the others march on.
+    Without ``keep_trajectory`` no xi/eta path is stored and no residual
+    re-assembled: a completed row's Trajectory carries None for them.
     """
     grid = spec.grid
     tau = grid.tau
@@ -307,8 +315,8 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s):
     # whole-path buffers, node first: a row's trajectory is the slice
     # [:, r], and a step writes node j of every live row at once
     states = np.zeros((n + 1,) + u0s.shape)
-    xi = np.zeros(states.shape)
-    eta = np.zeros(states.shape)
+    xi = np.zeros(states.shape) if keep_trajectory else None
+    eta = np.zeros(states.shape) if keep_trajectory else None
     envelope2 = np.zeros((n + 1, rows))
     energy1 = np.zeros((n + 1, rows))
     norms = np.zeros((n + 1, rows))
@@ -431,8 +439,9 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s):
             at, live_u0 = live, u0_flat[live]
         node = j if live.size == rows else (j, live)  # an int index is the fast one
         states[node] = u_new
-        xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
-        eta[node] = eta_val
+        if keep_trajectory:
+            xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
+            eta[node] = eta_val
         if env_val is not None:
             envelope2[node] = env_val
         v_nodes[node] = u_new.reshape(live.size, size) - live_u0
@@ -453,18 +462,22 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s):
     v = v_nodes = histories = live_histories = None
     for r in live:
         path_norms(r, n)
-        path = xi[1:, r]  # rhs until now: xi = (rhs - u)/mu, in place
-        np.divide(np.subtract(path, states[1:, r], out=path), mu, out=path)
+        xi_r = eta_r = residuals = None
+        if keep_trajectory:
+            xi_r, eta_r = xi[:, r], eta[:, r]
+            path = xi_r[1:]  # rhs until now: xi = (rhs - u)/mu, in place
+            np.divide(np.subtract(path, states[1:, r], out=path), mu, out=path)
+            residuals = _residuals(spec, config, u0s[r], states[:, r], xi_r, eta_r, forcing_path)
         outcomes[r] = Trajectory(
             grid=grid,
             states=states[:, r],
-            xi=xi[:, r],
-            eta=eta[:, r],
+            xi=xi_r,
+            eta=eta_r,
             space_weight=space.weight,
             energy1=energy1[:, r],
             envelope2=envelope2[:, r],
             norms=norms[:, r],
-            residuals=_residuals(spec, config, u0s[r], states[:, r], xi[:, r], eta[:, r], forcing_path),
+            residuals=residuals,
             e_t=float(e_t[r]),
             visc=config.visc,
             alpha=spec.pair.alpha if spec.pair is not None else None,
@@ -479,17 +492,22 @@ def _alone(outcome):
     return outcome
 
 
-def solve_dc_rows(specs, config=None):
+def solve_dc_rows(specs, config=None, keep_trajectory=True):
     """March Cauchy problems that differ only in u0 as one batch of rows.
 
     The specs must share phi1, phi2, the kernel pair, the forcing and the
     grid (the same objects).  Yields, per spec and in order, what
     :func:`solve_dc_flow` returns for it alone, or the exception it raises
     alone: each row leaves the batch at its own exit with its single-row
-    outcome.  Rows whose whole-path buffers would exceed ``BATCH_BYTES``
-    together are marched in consecutive chunks, each yielded as soon as it
-    is done, so a consumer that drops the trajectories holds one chunk's
-    buffers at a time.
+    outcome.  A caller that drops the trajectories passes
+    ``keep_trajectory=False``: then a completed row's Trajectory carries
+    ``xi = eta = residuals = None``, and everything else (states,
+    energies, norms, envelope, E_T, every BlowUpReport field) is as when
+    it is kept.  Rows whose whole-path buffers (states and history input,
+    plus xi and eta when kept) would exceed ``BATCH_BYTES`` together are
+    marched in consecutive chunks, each yielded as soon as it is done, so
+    a consumer that drops the trajectories holds one chunk's buffers at a
+    time.
     """
     config = config or SolverConfig()
     first = specs[0]
@@ -510,10 +528,10 @@ def solve_dc_rows(specs, config=None):
             return ye.rate, ye.envelope
 
     u0s = np.stack([spec.u0 for spec in specs])
-    per_row = 4 * (first.grid.steps + 1) * first.u0.size * u0s.itemsize
+    per_row = (4 if keep_trajectory else 2) * (first.grid.steps + 1) * first.u0.size * u0s.itemsize
     chunk = max(1, BATCH_BYTES // per_row)
     for lo in range(0, len(specs), chunk):
-        yield from _solve_loop(first, config, forcing_path, eta_source, u0s[lo : lo + chunk])
+        yield from _solve_loop(first, config, forcing_path, eta_source, u0s[lo : lo + chunk], keep_trajectory)
 
 
 def solve_dc_flow(spec, config=None):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -307,6 +308,43 @@ class TestSweepCommand:
         main(["sweep", "--config", config, "--out", str(serial), "--jobs", "1"])
         main(["sweep", "--config", config, "--out", str(parallel), "--jobs", "4"])
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+    def test_pool_has_at_most_one_worker_per_group(self, tmp_path, monkeypatch):
+        # a fork pool starts all max_workers at its first submit: --jobs 4 on
+        # a 2-group sweep must not start 4.  The stand-in runs each group at
+        # submit, so no process is started here
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        config = write_config(tmp_path, SMALL_SWEEP)
+        serial, pooled = tmp_path / "s", tmp_path / "p"
+        assert main(["sweep", "--config", config, "--out", str(serial), "--jobs", "1"]) == EXIT_OK
+        assert sizes == []
+        assert main(["sweep", "--config", config, "--out", str(pooled), "--jobs", "4"]) == EXIT_OK
+        assert sizes == [2]
+        assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, SMALL_SWEEP), "--out", str(out), "--jobs", jobs]) == EXIT_USAGE
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_error_row_crosses_the_process_pool(self, tmp_path):
         # a row that stalls (2D, p = 1.5, q = 8, A = 8) must come back from a

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from fraflow.convex import (
     PowerPotential,
     ProxNonconvergence,
     Quadratic,
     Space,
+    _solveh_banded,
     resolvent,
     yosida,
 )
@@ -198,3 +200,45 @@ class TestResolventWorkBudget:
         assert counts["value"] > 0  # the full Newton step failed at least once
         res = (z - w) / lam + phi.gradient(z)
         assert phi.space.norm(res) <= 1e-10 * (1.0 + phi.space.norm(w) / lam)
+
+
+class TestDirectBandedSolve:
+    """The Newton steps call LAPACK directly: the reference is scipy's wrapper."""
+
+    @staticmethod
+    def stacked_system(dim, m, rows, rng, lam=1e-2):
+        # the band the prox factors: the p-Dirichlet H-Hessians of a stack of
+        # states plus 1/lam on the diagonal, and a right-hand side
+        phi = PDirichletEnergy(Grid(dim, m), 3.0)
+        ab = phi._hess(rng.standard_normal((rows, m**dim)))
+        ab[0] += 1.0 / lam
+        return ab, rng.standard_normal(rows * m**dim)
+
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 8)])
+    def test_bitwise_equal_to_solveh_banded(self, dim, m, rng):
+        ab, b = self.stacked_system(dim, m, 3, rng)
+        assert len(ab) == (2 if dim == 1 else m + 1)  # ptsv in 1D, pbsv in 2D
+        reference = solveh_banded(ab, b, lower=True)
+        got = _solveh_banded(ab, b)
+        assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 8)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["ab", "b"])
+    def test_non_finite_entry_raises_value_error(self, dim, m, bad, where, rng):
+        ab, b = self.stacked_system(dim, m, 2, rng)
+        (ab if where == "ab" else b).flat[5] = bad
+        with pytest.raises(ValueError):
+            solveh_banded(ab, b, lower=True)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solveh_banded(ab, b)
+
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 8)])
+    def test_indefinite_band_raises_lin_alg_error(self, dim, m, rng):
+        ab, b = self.stacked_system(dim, m, 2, rng)
+        ab[0, 7] = -1.0
+        with pytest.raises(np.linalg.LinAlgError) as reference:
+            solveh_banded(ab, b, lower=True)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _solveh_banded(ab, b)
+        assert str(got.value) == str(reference.value)

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import fraflow.plaplace
+import fraflow.solver
 from fraflow.plaplace import (
     FLUX_EPS,
     ExperimentSpec,
@@ -15,7 +18,7 @@ from fraflow.plaplace import (
     run_experiments,
 )
 from fraflow.convex import PowerPotential, ProxNonconvergence
-from fraflow.solver import SolverConfig
+from fraflow.solver import SolverConfig, Trajectory
 
 
 def dense_hessian_reference(grid, u, p, eps=FLUX_EPS):
@@ -296,3 +299,83 @@ class TestBatchedExperiments:
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), steps=16)
         with pytest.raises(ValueError, match="amplitude only"):
             run_experiments([spec, ExperimentSpec(p=2.0, q=5.0, alpha=0.5, grid=Grid(1, 8), steps=16)])
+
+
+class TestLeanRows:
+    """A sweep drops the trajectories: its rows store no xi/eta path and no residuals."""
+
+    # m = 15, N = 96: A = 0.5, 2, 1 complete, A = 8, 16 blow up
+    SPEC = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 15), steps=96)
+    AMPLITUDES = [0.5, 2.0, 8.0, 1.0, 16.0]
+
+    def specs(self):
+        return [self.SPEC.with_amplitude(a) for a in self.AMPLITUDES]
+
+    def test_lean_rows_are_the_kept_rows(self, monkeypatch):
+        solved = []
+        solve_dc_rows = fraflow.solver.solve_dc_rows
+
+        def recording(*args):
+            # the lean solve's outcomes, trajectories included
+            outcomes = list(solve_dc_rows(*args))
+            solved.append(outcomes)
+            return iter(outcomes)
+
+        monkeypatch.setattr(fraflow.plaplace, "solve_dc_rows", recording)
+        lean = run_experiments(self.specs())
+        kept = run_experiments(self.specs(), keep_trajectory=True)
+        assert [r.verdict for r in lean] == ["completed", "completed", "blew_up", "completed", "blew_up"]
+        assert [r.to_row() for r in lean] == [r.to_row() for r in kept]
+        assert [r.final_norm for r in lean] == [r.final_norm for r in kept]
+        assert all(r.trajectory is None for r in lean)
+        for got, full in zip(solved[0], solved[1]):
+            if isinstance(full, Trajectory):
+                assert got.xi is got.eta is got.residuals is None
+                for name in ("states", "energy1", "envelope2", "norms"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(full, name))
+                assert got.e_t == full.e_t
+            else:
+                assert (got.node, got.time, got.reason, got.e_t) == (full.node, full.time, full.reason, full.e_t)
+                np.testing.assert_array_equal(got.norm_history, full.norm_history)
+                np.testing.assert_array_equal(got.energy_history, full.energy_history)
+
+    def test_kept_trajectories_are_unchanged(self):
+        kept = run_experiments(self.specs(), keep_trajectory=True)
+        digest = hashlib.sha256()
+        for result, amplitude in zip(kept, self.AMPLITUDES):
+            if not result.completed:
+                continue
+            traj = result.trajectory
+            alone = run_experiment(self.SPEC.with_amplitude(amplitude), keep_trajectory=True).trajectory
+            for name in ("states", "xi", "eta", "residuals"):
+                np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+                digest.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
+            assert np.max(traj.residuals) <= 1e-10
+        # the bytes the solver wrote when every row stored its xi/eta path
+        assert digest.hexdigest() == "0232f9cf8b6da2c843b7c1616f729cb1c228c133dc0ae97e8b13d5e7fc37d27b"
+
+    def test_a_six_amplitude_sweep_group_is_one_batch(self, monkeypatch):
+        # the regime-sweep benchmark's group size: m = 32, N = 512
+        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 32), steps=512)
+        specs = [spec.with_amplitude(a) for a in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
+        batches = []
+        solve_loop = fraflow.solver._solve_loop
+
+        def counting(*args):
+            batches.append(len(args[4]))
+            return solve_loop(*args)
+
+        monkeypatch.setattr(fraflow.solver, "_solve_loop", counting)
+        results = run_experiments(specs)
+        assert batches == [6]
+        assert [r.verdict for r in results] == ["completed"] * 3 + ["blew_up"] * 3
+
+        def skipping(*args):
+            # kept rows hold twice the bytes: count the chunks, solve none
+            batches.append(len(args[4]))
+            return [ValueError("not solved")] * len(args[4])
+
+        batches.clear()
+        monkeypatch.setattr(fraflow.solver, "_solve_loop", skipping)
+        run_experiments(specs, keep_trajectory=True)
+        assert batches == [3, 3]
