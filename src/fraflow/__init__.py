@@ -8,9 +8,12 @@ The inner kernels they share (triangular convolution, triangular Toeplitz
 inverse, history sum, power prox) live in ``_accel``, written in numpy.
 
 ``mpmath`` is imported only inside the extended-precision Mittag-Leffler
-oracle in ``certify``, so that no ``fraflow`` command loads it.
-``scipy.special``, ``scipy.linalg`` and ``jsonschema`` are imported at
-module level because every run uses them.
+oracle in ``certify``, so that no ``fraflow`` command loads it.  No module
+imports ``scipy.special``: the Gamma values of the kernel constants and of
+the oracle's series come from ``kernels._log_gamma``, a port of the routine
+behind ``scipy.special.gammaln``.  ``scipy.linalg`` (the LAPACK banded solve of the
+Newton resolvent) and ``jsonschema`` (the config check) are imported at
+module level: the runs that use them would only pay the same import later.
 """
 
 __version__ = "0.1.0"

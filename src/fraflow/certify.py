@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._accel import causal_conv
-from .kernels import conv_weights, inverse_weights, nonlocal_antiderivative, nonlocal_derivative
+from .kernels import _log_gamma, conv_weights, inverse_weights, nonlocal_antiderivative, nonlocal_derivative
 
 
 def slack_budget(tau, coeff=0.0):
@@ -49,7 +48,7 @@ def _series_peak_log10(alpha, x):
     best = 0.0
     k = 1
     while k < 200000:
-        v = k * math.log(x) - gammaln(alpha * k + 1.0)
+        v = k * math.log(x) - _log_gamma(alpha * k + 1.0)
         if v > best:
             best = v
         elif v < best - 60.0:

@@ -15,6 +15,14 @@ so a single length-N array represents the whole table, and every
 whole-path sum is one causal convolution (``_accel.causal_conv``).
 Singular kernels are never evaluated at t = 0; every node-0 contribution
 goes through the antiderivative.
+
+The Riemann-Liouville constants 1/Gamma(1-a) and 1/Gamma(2-a) come from
+``_log_gamma``, a port of Moshier's Cephes ``lgam`` (Methods and Programs
+for Mathematical Functions, 1989), the routine ``scipy.special.gammaln``
+evaluates.  It reproduces ``gammaln`` bit for bit without loading
+``scipy.special``; ``math.lgamma`` is a different algorithm whose last bit
+differs from ``gammaln`` on most of (0, 2), which changes the kernel weights
+and every output written from them.
 """
 
 import functools
@@ -22,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._accel import causal_conv, toeplitz_inverse, volterra_sn
 
@@ -109,10 +116,90 @@ class SoninePair:
     alpha: float | None = None
 
 
+# Cephes lgam: A is the Stirling series of log Gamma, B/C the rational
+# approximation of log Gamma(2 + t) on 0 <= t < 1.  Cephes leaves C's leading
+# 1 implied (p1evl); 1 * t + c is exactly t + c, so it is written out here.
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0,
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+
+
+def _polevl(x, coef):
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _log_gamma(x):
+    """log Gamma(x) for finite x > 0, bit for bit ``scipy.special.gammaln``.
+
+    Cephes ``lgam`` restricted to x > 0, in its order of operations: below
+    13, the recurrence Gamma(u + 1) = u Gamma(u) moves the argument into
+    [2, 3) and a rational in t = u - 2 finishes; from 13 on, Stirling's
+    series, its two-term form from 1000 on and the bare leading terms
+    above 1e8.
+    """
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"log-gamma needs a finite positive argument, got {x}")
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        p = x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+        return math.log(z) + p
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / x
+    else:
+        q += _polevl(p, _LGAM_A) / x
+    return q
+
+
 def _rl_kernel(alpha):
     # t^{-alpha} / Gamma(1-alpha), antiderivative t^{1-alpha} / Gamma(2-alpha)
-    c_k = math.exp(-gammaln(1.0 - alpha))
-    c_anti = math.exp(-gammaln(2.0 - alpha))
+    c_k = math.exp(-_log_gamma(1.0 - alpha))
+    c_anti = math.exp(-_log_gamma(2.0 - alpha))
     return Kernel(
         fn=lambda t: c_k * np.power(t, -alpha),
         antiderivative=lambda t: c_anti * np.power(t, 1.0 - alpha),

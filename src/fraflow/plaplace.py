@@ -177,11 +177,8 @@ class PDirichletEnergy(SmoothFunctional):
 
 
 def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)  # floats convert exactly (binary expansion)
+    # ints and floats convert exactly (a float by its binary expansion)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,15 @@ class TestSolveCommand:
         assert (out1 / "state.bin").read_bytes() == (out2 / "state.bin").read_bytes()
         assert (out1 / "diagnostics.json").read_bytes() == (out2 / "diagnostics.json").read_bytes()
 
+    def test_scalar_trajectory_bytes(self, tmp_path):
+        # written before the Riemann-Liouville constants came from the
+        # in-tree log-gamma: a last-bit change in a kernel constant shows here
+        config = write_config(tmp_path, dict(SCALAR_SOLVE, grid={"horizon": 1.0, "steps": 2048}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", config, "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == "76bf03f7d2c231b181f32b7b49c1cff2a9971f290a9b8e8075e258b7daf8d343"
+
 
 SMALL_SWEEP = {
     "mode": "sweep",
@@ -465,12 +474,16 @@ class TestKernelsCommand:
         for entry in payload["entries"]:
             assert entry["sonine"]["status"] == "pass"
             assert entry["regularization"]["strictly_decreasing"]
+        # the bytes written when the constants came from scipy.special.gammaln
+        digest = hashlib.sha256((out / "kernels.json").read_bytes()).hexdigest()
+        assert digest == "e6f9b6643f6c8357c798bd5b4e8bb330a8679ec9448869f26508bec240e43bc1"
 
 
-# loaded only where they are used: scipy.signal (about 0.6 s and 24 MB) and
-# scipy.integrate (about 0.25 s, with scipy.optimize behind it) by no
+# loaded only where they are used: scipy.signal (about 0.6 s and 24 MB),
+# scipy.integrate (about 0.25 s, with scipy.optimize behind it) and
+# scipy.special (about 0.07 s, replaced by the in-tree log-gamma) by no
 # command, mpmath by the Mittag-Leffler oracle alone
-DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "mpmath"]
+DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.special", "mpmath"]
 
 
 def run_python(code, cwd):
@@ -500,6 +513,33 @@ def test_cli_commands_leave_deferred_modules_unloaded(tmp_path):
             main(["certify", "--config", {certify!r}, "--out", "certified"]),
         ]
         assert codes == [0, 0, 0], codes
+        loaded = [name for name in {DEFERRED_MODULES!r} if name in sys.modules]
+        assert not loaded, f"imported by a command: {{loaded}}"
+        """
+    )
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_p_laplace_commands_leave_deferred_modules_unloaded(tmp_path):
+    payload = {
+        "mode": "solve",
+        "problem": {"kind": "p-laplace", "p": 3.0, "q": 4.0, "dim": 1, "m": 8, "amplitude": 1.0},
+        "kernel": {"alpha": 0.5},
+        "grid": {"horizon": 1.0, "steps": 64},
+        "chain_rule_slack": 0.5,
+    }
+    solve = write_config(tmp_path, payload)
+    sweep = write_config(tmp_path, SMALL_SWEEP, "sweep.json")
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from fraflow.cli import main
+        codes = [
+            main(["solve", "--config", {solve!r}, "--out", "solved"]),
+            main(["sweep", "--config", {sweep!r}, "--out", "swept", "--jobs", "1"]),
+        ]
+        assert codes == [0, 0], codes
         loaded = [name for name in {DEFERRED_MODULES!r} if name in sys.modules]
         assert not loaded, f"imported by a command: {{loaded}}"
         """

@@ -1,11 +1,15 @@
+import importlib.resources
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
+from scipy.special import gammaln
 
 from fraflow.kernels import (
     TimeGrid,
+    _log_gamma,
     constant_kernel,
     conv_weights,
     convolve,
@@ -46,6 +50,66 @@ class TestRiemannLiouvillePair:
     def test_rejects_out_of_range_order(self, alpha):
         with pytest.raises(ValueError):
             rl_pair(alpha)
+
+
+def shipped_alphas():
+    """Every kernel order a shipped preset names."""
+    alphas = set()
+    for entry in importlib.resources.files("fraflow").joinpath("presets").iterdir():
+        if entry.name.endswith(".json"):
+            config = json.loads(entry.read_text())
+            kernel = config.get("kernel", {})
+            alphas.update(kernel.get("alphas", []), config.get("sweep", {}).get("alphas", []))
+            if "alpha" in kernel:
+                alphas.add(kernel["alpha"])
+    return sorted(alphas)
+
+
+class TestLogGamma:
+    """``_log_gamma`` is ``scipy.special.gammaln`` to the last bit on x > 0."""
+
+    @staticmethod
+    def assert_bitwise(xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        ours = np.array([_log_gamma(float(x)) for x in xs])
+        ref = gammaln(xs)
+        differ = ours.view(np.int64) != ref.view(np.int64)
+        assert not differ.any(), f"{differ.sum()} of {xs.size} differ, first at x = {xs[differ][0]!r}"
+
+    def test_dense_grid_up_to_three(self):
+        self.assert_bitwise(np.linspace(0.0, 3.0, 30001)[1:])
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 2.0), (2.0, 3.0), (3.0, 13.0), (13.0, 1000.0), (1000.0, 1e8), (1e8, 1e300)],
+    )
+    def test_random_draws_in_each_branch(self, lo, hi):
+        rng = np.random.default_rng(20250114)
+        xs = rng.uniform(lo, hi, 2000)
+        # log-uniform draws reach the small end of each range as well
+        xs = np.concatenate([xs, np.exp(rng.uniform(math.log(max(lo, 1e-300)), math.log(hi), 2000))])
+        xs = xs[(xs > 0.0) & (xs >= lo) & (xs <= hi)]
+        assert xs.size > 3900
+        self.assert_bitwise(xs)
+
+    def test_branch_points_and_their_neighbours(self):
+        points = [1.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305]
+        self.assert_bitwise(points + [np.nextafter(x, 0.0) for x in points] + [np.nextafter(x, np.inf) for x in points])
+        # subnormal arguments, and the overflow to inf past the last branch
+        self.assert_bitwise([5e-324, 1e-310, 1e306, 1.7e308])
+        assert _log_gamma(1.0) == 0.0
+        assert _log_gamma(2.0) == 0.0
+
+    def test_orders_of_the_shipped_presets(self):
+        alphas = shipped_alphas()
+        assert {0.3, 0.5, 0.7, 0.9, 0.99} <= set(alphas)
+        # 1 - a and 2 - a for the pair k, a and 1 + a for its conjugate ell
+        self.assert_bitwise([x for a in alphas for x in (1.0 - a, 2.0 - a, a, 1.0 + a)])
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -2.5, -math.inf, math.inf, math.nan])
+    def test_rejects_arguments_outside_the_positive_reals(self, x):
+        with pytest.raises(ValueError):
+            _log_gamma(x)
 
 
 class TestConvWeights:
