@@ -11,9 +11,13 @@ inverse, history sum, power prox) live in ``_accel``, written in numpy.
 oracle in ``certify``, so that no ``fraflow`` command loads it.  No module
 imports ``scipy.special``: the Gamma values of the kernel constants and of
 the oracle's series come from ``kernels._log_gamma``, a port of the routine
-behind ``scipy.special.gammaln``.  ``scipy.linalg`` (the LAPACK banded solve of the
-Newton resolvent) and ``jsonschema`` (the config check) are imported at
-module level: the runs that use them would only pay the same import later.
+behind ``scipy.special.gammaln``.  No module imports ``scipy.linalg``
+either (about 0.25 s): the banded Cholesky solves of the Newton resolvent
+call LAPACK ``dptsv``/``dpbsv`` from scipy's compiled ``_flapack``
+extension, which ``convex`` loads from its file.  ``jsonschema`` (the config
+check) and ``numpy.fft`` (which numpy 2 loads on first use) are imported at
+module level: every command uses them, and would only pay the same import
+inside its run.
 """
 
 __version__ = "0.1.0"

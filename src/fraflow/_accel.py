@@ -19,6 +19,10 @@ near-field work through it.
 
 import numpy as np
 
+# numpy 2 loads numpy.fft on first use: import it here, with the program,
+# so that no command pays for it inside its run
+import numpy.fft
+
 
 def causal_conv(omega, cells):
     """Causal triangular convolution of kernel weights with cell values.

@@ -19,10 +19,12 @@ bitwise as it does when passed alone, so per-row reductions keep the
 single-row summation order (one ``np.vdot`` per row).
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from ._accel import ProxNonconvergence, power_prox_abs
 
@@ -170,9 +172,29 @@ class PowerPotential(Functional):
         return np.abs(w) ** (self.q - 2.0) * w
 
 
-# the LAPACK routines scipy.linalg.solveh_banded(..., lower=True) calls,
-# fetched once
-_PTSV, _PBSV = get_lapack_funcs(("ptsv", "pbsv"), dtype=np.float64)
+def _scipy_flapack():
+    """scipy's compiled LAPACK wrapper ``scipy/linalg/_flapack``, loaded from its file.
+
+    Neither scipy nor ``scipy.linalg`` is imported, and the interpreter
+    records the extension as the top-level module ``_flapack``, not under
+    scipy's name.
+    """
+    linalg_dir = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {linalg_dir}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# dptsv and dpbsv, the LAPACK routines scipy.linalg.solveh_banded(...,
+# lower=True) calls.  Importing scipy.linalg for them would add about
+# 0.25 s to every command's start (mostly scipy's array_api_compat cloning
+# the numpy namespace).  They are the routines get_lapack_funcs(("ptsv",
+# "pbsv"), dtype=float64) returns, so every solve is bit for bit the same
+_FLAPACK = _scipy_flapack()
+_PTSV, _PBSV = _FLAPACK.dptsv, _FLAPACK.dpbsv
 
 
 def _solveh_banded(ab, b):
@@ -209,14 +231,17 @@ class SmoothFunctional(Functional):
     H + I/lam of all rows in one banded Cholesky solve, so that sum must
     be positive definite.  The solve calls LAPACK directly, as
     ``solveh_banded(lower=True)`` does: ``ptsv`` on the tridiagonal band
-    of a 1D grid, ``pbsv`` on a wider one.  When the factorization fails,
-    each row is solved alone and a row that still fails takes a gradient
-    step.  The resolvent runs a damped Newton iteration on the optimality
-    system; the prox objective is strongly convex, so the iteration is
-    safe at any lam > 0.  Each row stops at its own iterate and
-    backtracks on its own step length, so a row comes out bitwise as it
-    does when solved alone (except for the banded Cholesky solve, whose
-    blocking can move the last bits of a wide band).
+    of a 1D grid, ``pbsv`` on a wider one.  Both come from scipy's
+    compiled ``_flapack`` extension, loaded without importing
+    ``scipy.linalg``, which would add about 0.25 s to every command's
+    start.  When the factorization fails, each row is solved alone and a
+    row that still fails takes a gradient step.  The resolvent runs a
+    damped Newton iteration on the optimality system; the prox objective
+    is strongly convex, so the iteration is safe at any lam > 0.  Each row
+    stops at its own iterate and backtracks on its own step length, so a
+    row comes out bitwise as it does when solved alone (except for the
+    banded Cholesky solve, whose blocking can move the last bits of a
+    wide band).
     """
 
     def __init__(self, space, value_fn, grad_fn, hess_fn=None, name="smooth"):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import importlib.resources
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -104,21 +106,25 @@ class TestConfigLoading:
         assert "fraflow: a sweep runs the p-laplace problem only" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
-    def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
+    def test_load_config_makes_no_check_schema_call(self, tmp_path, monkeypatch):
+        # the metaschema check of the shipped schema is a test
+        # (test_shipped_schema_is_valid_against_its_metaschema), not run time
         validator_class = type(fraflow.cli._validator())
-        check_schema = validator_class.check_schema
         calls = []
-
-        def counted(schema, *args, **kwargs):
-            calls.append(schema)
-            return check_schema(schema, *args, **kwargs)
-
-        monkeypatch.setattr(validator_class, "check_schema", counted)
+        monkeypatch.setattr(validator_class, "check_schema", lambda schema, *args, **kwargs: calls.append(schema))
         fraflow.cli._validator.cache_clear()
         path = write_config(tmp_path, SCALAR_SOLVE)
         load_config(path, None)
         load_config(path, None)
-        assert len(calls) == 1
+        assert calls == []
+
+
+def test_shipped_schema_is_valid_against_its_metaschema():
+    schema = json.loads(importlib.resources.files("fraflow").joinpath("config_schema.json").read_text())
+    # default=None: a "$schema" that jsonschema does not know gives no validator
+    validator_class = jsonschema.validators.validator_for(schema, default=None)
+    assert validator_class is not None, schema.get("$schema")
+    validator_class.check_schema(schema)
 
 
 # p = 2, q = 4 with the coupled Picard loop, which diverges at node 1
@@ -458,6 +464,15 @@ class TestCertifyCommand:
         assert by_kind["continuity-modulus"]["moduli"] == pytest.approx(modulus["moduli"], rel=1e-12)
         assert by_kind["continuity-modulus"]["bounds"] == pytest.approx(modulus["bounds"], rel=1e-12)
 
+    @pytest.mark.parametrize("block", [None, {}, {"dump": "", "slack_coeff": 0.5}], ids=["no-block", "empty-block", "empty-dump"])
+    def test_nothing_to_certify_is_a_usage_error(self, tmp_path, capsys, block):
+        # no dump and no suite: an empty bundle must not pass
+        payload = {"mode": "certify"} if block is None else {"mode": "certify", "certify": block}
+        out = tmp_path / "out"
+        assert main(["certify", "--config", write_config(tmp_path, payload), "--out", str(out)]) == EXIT_USAGE
+        assert "fraflow: certify needs a dump or at least one suite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupted_dump_exit(self, tmp_path):
         bad = tmp_path / "corrupt.bin"
         bad.write_bytes(b"FFLW" + b"\x00" * 10)
@@ -480,10 +495,12 @@ class TestKernelsCommand:
 
 
 # loaded only where they are used: scipy.signal (about 0.6 s and 24 MB),
-# scipy.integrate (about 0.25 s, with scipy.optimize behind it) and
-# scipy.special (about 0.07 s, replaced by the in-tree log-gamma) by no
-# command, mpmath by the Mittag-Leffler oracle alone
-DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.special", "mpmath"]
+# scipy.integrate (about 0.25 s, with scipy.optimize behind it),
+# scipy.special (about 0.07 s, replaced by the in-tree log-gamma) and
+# scipy.linalg (about 0.25 s; the Newton steps take LAPACK ptsv/pbsv from
+# scipy's compiled _flapack directly) by no command, mpmath by the
+# Mittag-Leffler oracle alone
+DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "mpmath"]
 
 
 def run_python(code, cwd):
@@ -542,6 +559,41 @@ def test_p_laplace_commands_leave_deferred_modules_unloaded(tmp_path):
         assert codes == [0, 0], codes
         loaded = [name for name in {DEFERRED_MODULES!r} if name in sys.modules]
         assert not loaded, f"imported by a command: {{loaded}}"
+        """
+    )
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_import_no_module_after_the_cli(tmp_path):
+    # whatever a command imports on first use is paid inside its run: the
+    # benchmark's stages (kernels, scalar solve, certify of the dump, 2D
+    # p-Laplace solve, sweep) and a 1D p-Laplace solve must find every
+    # module loaded by `import fraflow.cli`
+    solve = write_config(tmp_path, SCALAR_SOLVE)
+    dump = str(tmp_path / "solved" / "state.bin")
+    certify = write_config(tmp_path, {"mode": "certify", "certify": {"dump": dump, "slack_coeff": 0.5}}, "certify.json")
+    problem = {"kind": "p-laplace", "p": 3.0, "q": 4.0, "dim": 1, "m": 8, "amplitude": 1.0}
+    p_solve = {"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": {"horizon": 1.0, "steps": 64}, "chain_rule_slack": 0.5}
+    solve_1d = write_config(tmp_path, p_solve, "solve_1d.json")
+    solve_2d = write_config(tmp_path, dict(p_solve, problem=dict(problem, dim=2, m=6), grid={"horizon": 1.0, "steps": 32}), "solve_2d.json")
+    sweep = write_config(tmp_path, SMALL_SWEEP, "sweep.json")
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from fraflow.cli import main
+        before = set(sys.modules)
+        codes = [
+            main(["kernels", "--preset", "sonine-check", "--out", "kernels"]),
+            main(["solve", "--config", {solve!r}, "--out", "solved"]),
+            main(["certify", "--config", {certify!r}, "--out", "certified"]),
+            main(["solve", "--config", {solve_1d!r}, "--out", "solved_1d"]),
+            main(["solve", "--config", {solve_2d!r}, "--out", "solved_2d"]),
+            main(["sweep", "--config", {sweep!r}, "--out", "swept", "--jobs", "1"]),
+        ]
+        assert codes == [0] * 6, codes
+        added = sorted(set(sys.modules) - before)
+        assert not added, f"imported by a command: {{added}}"
         """
     )
     proc = run_python(code, tmp_path)

@@ -1,3 +1,7 @@
+import importlib.machinery
+import importlib.util
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
@@ -7,6 +11,7 @@ from fraflow.convex import (
     ProxNonconvergence,
     Quadratic,
     Space,
+    _scipy_flapack,
     _solveh_banded,
     resolvent,
     yosida,
@@ -214,9 +219,15 @@ class TestDirectBandedSolve:
         ab[0] += 1.0 / lam
         return ab, rng.standard_normal(rows * m**dim)
 
-    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 8)])
-    def test_bitwise_equal_to_solveh_banded(self, dim, m, rng):
-        ab, b = self.stacked_system(dim, m, 3, rng)
+    # also the benchmark's shapes: the single-row m = 20 band of plaplace-2d
+    # (pbsv) and a 6-row m = 32 stack, one regime-sweep group (ptsv)
+    @pytest.mark.parametrize(
+        "dim, m, rows",
+        [(1, 32, 3), (2, 8, 3), (2, 20, 1), (1, 32, 6)],
+        ids=["1-32", "2-8", "2-20", "1-32-6rows"],
+    )
+    def test_bitwise_equal_to_solveh_banded(self, dim, m, rows, rng):
+        ab, b = self.stacked_system(dim, m, rows, rng)
         assert len(ab) == (2 if dim == 1 else m + 1)  # ptsv in 1D, pbsv in 2D
         reference = solveh_banded(ab, b, lower=True)
         got = _solveh_banded(ab, b)
@@ -232,6 +243,13 @@ class TestDirectBandedSolve:
             solveh_banded(ab, b, lower=True)
         with pytest.raises(ValueError, match="infs or NaNs"):
             _solveh_banded(ab, b)
+
+    def test_missing_extension_names_the_path(self, tmp_path, monkeypatch):
+        # a scipy package directory without linalg/_flapack
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "__init__.py"))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+        with pytest.raises(ImportError, match=re.escape(f"_flapack not found in {tmp_path / 'linalg'}")):
+            _scipy_flapack()
 
     @pytest.mark.parametrize("dim, m", [(1, 32), (2, 8)])
     def test_indefinite_band_raises_lin_alg_error(self, dim, m, rng):
