@@ -1,8 +1,10 @@
 """Batch front end: configure, run, certify and sweep; plot-ready CSV/JSON.
 
 Subcommands: ``solve | sweep | certify | kernels``.  Configuration is JSON
-validated against the published schema (unknown keys rejected); presets
-ship with the package and ``FRAFLOW_PRESET_DIR`` overrides the lookup.
+validated against the published schema, ``config_schema.json`` (unknown
+keys rejected), by a small in-tree checker that interprets it and reports
+the error ``jsonschema`` would; presets ship with the package and
+``FRAFLOW_PRESET_DIR`` overrides the lookup.
 
 Exit codes: 0 success, 1 error or failed certificate, 2 blow-up (an
 expected outcome, not a failure), 64 malformed configuration, 66
@@ -17,11 +19,14 @@ import functools
 import hashlib
 import importlib.resources
 import json
+
+# argparse's first gettext call imports locale; loaded here, it is paid at
+# start-up and not inside a command's run
+import locale  # noqa: F401
 import os
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import certify as cert
@@ -58,18 +63,83 @@ class ConfigError(ValueError):
 
 
 @functools.lru_cache(maxsize=None)
-def _validator():
-    """Validator for the shipped schema, built once per process.
+def _schema():
+    """The shipped config schema, read once per process.
 
-    The schema is not checked against its metaschema here: it is package
-    data that changes only with the source, so a tier-1 test checks it
-    (``test_shipped_schema_is_valid_against_its_metaschema``).  The check
-    costs 16-23 ms in a fresh process, against about 0.2 ms for validating
-    a config; ``jsonschema.validate`` would run it on every call.
+    Tier-1 tests check it against its metaschema and that it uses no
+    keyword that ``_violations`` does not interpret.
     """
-    text = importlib.resources.files("fraflow").joinpath("config_schema.json").read_text()
-    schema = json.loads(text)
-    return jsonschema.validators.validator_for(schema)(schema)
+    return json.loads(importlib.resources.files("fraflow").joinpath("config_schema.json").read_text())
+
+
+def _is_type(x, kind):
+    """The JSON Schema type test: a bool is no number, an integral float is an integer."""
+    if isinstance(x, bool):
+        return False
+    if kind == "integer" and isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}[kind])
+
+
+def _violations(schema, x, path=()):
+    """``(path, message)`` of each rule of ``schema`` that ``x`` breaks.
+
+    The messages and their order are those of ``jsonschema``'s
+    ``iter_errors`` for the keywords the shipped schema uses: the schema's
+    keyword order, its ``properties`` order, array items in order.
+    """
+    for keyword, rule in schema.items():
+        if keyword == "type":
+            if not _is_type(x, rule):
+                yield path, f"{x!r} is not of type {rule!r}"
+        elif keyword == "enum":
+            # the enums hold strings and integers, which True and False never equal
+            if isinstance(x, bool) or x not in rule:
+                yield path, f"{x!r} is not one of {rule!r}"
+        elif isinstance(x, dict):
+            if keyword == "required":
+                for name in rule:
+                    if name not in x:
+                        yield path, f"{name!r} is a required property"
+            elif keyword == "properties":
+                for name, sub in rule.items():
+                    if name in x:
+                        yield from _violations(sub, x[name], (*path, name))
+            elif keyword == "additionalProperties":
+                extras = sorted(set(x) - set(schema.get("properties", ())))
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+        elif isinstance(x, list):
+            if keyword == "items":
+                for i, item in enumerate(x):
+                    yield from _violations(rule, item, (*path, i))
+            elif keyword == "minItems" and len(x) < rule:
+                yield path, f"{x!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif _is_type(x, "number"):
+            if keyword == "minimum" and x < rule:
+                yield path, f"{x!r} is less than the minimum of {rule!r}"
+            elif keyword == "exclusiveMinimum" and x <= rule:
+                yield path, f"{x!r} is less than or equal to the minimum of {rule!r}"
+            elif keyword == "exclusiveMaximum" and x >= rule:
+                yield path, f"{x!r} is greater than or equal to the maximum of {rule!r}"
+
+
+def _config_error(config):
+    """The message of the error ``jsonschema.exceptions.best_match`` picks, or None.
+
+    Without ``anyOf``/``oneOf`` its relevance order is the shallowest path,
+    then the greatest path, then the first error found.  (Its last
+    tie-break, whether the instance matches the failing subschema's type,
+    never splits a tie here: every error at one path comes from the one
+    subschema at that path.)
+    """
+    best = max(_violations(_schema(), config), key=lambda error: (-len(error[0]), error[0]), default=None)
+    return None if best is None else best[1]
+
+
+def _reject_constant(name):
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
 
 
 def load_config(path=None, preset=None, seed=None):
@@ -91,16 +161,17 @@ def load_config(path=None, preset=None, seed=None):
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(text)
+        # NaN and Infinity are no JSON, though json.loads reads them
+        config = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     # the override goes through the schema like a seed in the file would
-    if seed is not None:
+    # (a config that is no object is rejected there, seed or not)
+    if seed is not None and isinstance(config, dict):
         config["seed"] = seed
-    # the error jsonschema.validate would raise, so messages are unchanged
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
-    if error is not None:
-        raise ConfigError(f"config rejected: {error.message}") from error
+    message = _config_error(config)
+    if message is not None:
+        raise ConfigError(f"config rejected: {message}")
     return config
 
 

@@ -228,20 +228,20 @@ class SmoothFunctional(Functional):
     ``ab[k, i] = H[i + k, i]`` (the layout of
     ``scipy.linalg.solveh_banded``), with no coupling between the blocks
     of two rows.  The prox adds ``1/lam`` to row 0 in place and factors
-    H + I/lam of all rows in one banded Cholesky solve, so that sum must
-    be positive definite.  The solve calls LAPACK directly, as
-    ``solveh_banded(lower=True)`` does: ``ptsv`` on the tridiagonal band
-    of a 1D grid, ``pbsv`` on a wider one.  Both come from scipy's
-    compiled ``_flapack`` extension, loaded without importing
-    ``scipy.linalg``, which would add about 0.25 s to every command's
-    start.  When the factorization fails, each row is solved alone and a
-    row that still fails takes a gradient step.  The resolvent runs a
-    damped Newton iteration on the optimality system; the prox objective
-    is strongly convex, so the iteration is safe at any lam > 0.  Each row
-    stops at its own iterate and backtracks on its own step length, so a
-    row comes out bitwise as it does when solved alone (except for the
-    banded Cholesky solve, whose blocking can move the last bits of a
-    wide band).
+    H + I/lam by banded Cholesky, so that sum must be positive definite.
+    The solve calls LAPACK directly, as ``solveh_banded(lower=True)``
+    does: ``ptsv`` on the tridiagonal band of a 1D grid, ``pbsv`` on a
+    wider one.  Both come from scipy's compiled ``_flapack`` extension,
+    loaded without importing ``scipy.linalg``, which would add about
+    0.25 s to every command's start.  ``ptsv`` factors all rows in one
+    call; ``pbsv`` factors one row block per call, since its blocking
+    would move the last bits of a stacked solve.  When the factorization
+    fails, each row is solved alone and a row that still fails takes a
+    gradient step.  The resolvent runs a damped Newton iteration on the
+    optimality system; the prox objective is strongly convex, so the
+    iteration is safe at any lam > 0.  Each row stops at its own iterate
+    and backtracks on its own step length, so a row comes out bitwise as
+    it does when solved alone.
     """
 
     def __init__(self, space, value_fn, grad_fn, hess_fn=None, name="smooth"):
@@ -264,15 +264,27 @@ class SmoothFunctional(Functional):
 
     def _newton_steps(self, x, res, lam):
         """Newton steps of the rows x; a gradient step where the Hessian does not factor."""
-        if self._hess is not None:
-            jac = self._hess(x)
-            jac[0] += 1.0 / lam
+        if self._hess is None:
+            return -lam * res  # gradient step on the prox objective
+        jac = self._hess(x)
+        jac[0] += 1.0 / lam
+        if len(x) == 1 or len(jac) == 2:
             try:
                 return _solveh_banded(jac, -res.ravel()).reshape(x.shape)
             except np.linalg.LinAlgError:
-                if len(x) > 1:  # find the rows that fail: each row alone
-                    return np.concatenate([self._newton_steps(x[i : i + 1], res[i : i + 1], lam) for i in range(len(x))])
-        return -lam * res  # gradient step on the prox objective
+                if len(x) == 1:
+                    return -lam * res
+        # one row block at a time: on a wide band, where pbsv's blocking
+        # would move the last bits of a stacked solve, and to find the rows
+        # that do not factor, which keep their gradient step
+        n = x.shape[1]
+        steps = -lam * res
+        for i in range(len(x)):
+            try:
+                steps[i] = _solveh_banded(jac[:, i * n : (i + 1) * n], -res[i])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
     def prox(self, w, lam, tol=1e-10, max_iter=100):
         w = np.asarray(w, dtype=np.float64)

@@ -31,14 +31,13 @@ The step loop marches a batch of rows: problems that share phi1, phi2,
 the kernel pair, the forcing and the grid and differ only in u0 (a sweep
 over data amplitudes at one (alpha, q)).  Every step array carries a
 leading row axis; each row keeps its own history buffer, the resolvents
-work row by row inside one call (one banded Cholesky solve for the
-p-Dirichlet Newton steps of all rows), and every per-row reduction keeps
-the single-row summation order, so a row comes out bitwise as it does
-alone (a wide 2D band can differ in the last bits, through the blocking
-of the Cholesky factorization).  A row leaves the batch at its own exit
-(a threshold, a non-finite state, a stalled resolvent, or any exception,
-which becomes its outcome) with exactly the outcome it gets when run
-alone, and the other rows march on.  A single solve is a batch of one.
+work row by row inside one call (the p-Dirichlet Newton steps of all rows
+take one banded Cholesky solve on a 1D grid, one per row on a 2D grid),
+and every per-row reduction keeps the single-row summation order, so a
+row comes out bitwise as it does alone.  A row leaves the batch at its
+own exit (a threshold, a non-finite state, a stalled resolvent, or any
+exception, which becomes its outcome) with exactly the outcome it gets
+when run alone, and the other rows march on.  A single solve is a batch of one.
 ``solve_dc_rows`` splits a batch whose whole-path buffers exceed
 ``BATCH_BYTES`` into chunks.  It counts only the buffers a batch
 allocates: the states and the history input always, the selections xi and

@@ -1,8 +1,10 @@
 import concurrent.futures
+import copy
 import hashlib
 import importlib.resources
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -46,6 +48,19 @@ SCALAR_SOLVE = {
 }
 
 
+REJECTIONS = [
+    ({"mode": "solve", "bogus": 1}, "Additional properties are not allowed ('bogus' was unexpected)"),
+    ({"mode": "solve", "grid": {"steps": "many"}}, "'many' is not of type 'integer'"),
+    # two errors: the message jsonschema.validate picks, the shallower
+    # one even when a nested error is found first
+    ({"mode": "solve", "solver": {"tol": "x", "bad": 1}}, "Additional properties are not allowed ('bad', 'tol' were unexpected)"),
+    ({"mode": "solve", "problem": {"u0": "x"}, "chain_rule_slack": "y"}, "'y' is not of type 'number'"),
+    # the swept values have the bounds of kernel.alpha and problem.q
+    ({"mode": "sweep", "sweep": {"alphas": [1.5]}}, "1.5 is greater than or equal to the maximum of 1"),
+    ({"mode": "sweep", "sweep": {"qs": [0.5]}}, "0.5 is less than or equal to the minimum of 1"),
+]
+
+
 class TestConfigLoading:
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_config(tmp_path, {"mode": "solve", "extra": 1})
@@ -79,20 +94,7 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(None, None)
 
-    @pytest.mark.parametrize(
-        "payload, message",
-        [
-            ({"mode": "solve", "bogus": 1}, "Additional properties are not allowed ('bogus' was unexpected)"),
-            ({"mode": "solve", "grid": {"steps": "many"}}, "'many' is not of type 'integer'"),
-            # two errors: the message jsonschema.validate picks, the shallower
-            # one even when a nested error is found first
-            ({"mode": "solve", "solver": {"tol": "x", "bad": 1}}, "Additional properties are not allowed ('bad', 'tol' were unexpected)"),
-            ({"mode": "solve", "problem": {"u0": "x"}, "chain_rule_slack": "y"}, "'y' is not of type 'number'"),
-            # the swept values have the bounds of kernel.alpha and problem.q
-            ({"mode": "sweep", "sweep": {"alphas": [1.5]}}, "1.5 is greater than or equal to the maximum of 1"),
-            ({"mode": "sweep", "sweep": {"qs": [0.5]}}, "0.5 is less than or equal to the minimum of 1"),
-        ],
-    )
+    @pytest.mark.parametrize("payload, message", REJECTIONS)
     def test_rejection_message(self, tmp_path, payload, message):
         with pytest.raises(ConfigError) as info:
             load_config(write_config(tmp_path, payload), None)
@@ -106,17 +108,46 @@ class TestConfigLoading:
         assert "fraflow: a sweep runs the p-laplace problem only" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
-    def test_load_config_makes_no_check_schema_call(self, tmp_path, monkeypatch):
-        # the metaschema check of the shipped schema is a test
-        # (test_shipped_schema_is_valid_against_its_metaschema), not run time
-        validator_class = type(fraflow.cli._validator())
-        calls = []
-        monkeypatch.setattr(validator_class, "check_schema", lambda schema, *args, **kwargs: calls.append(schema))
-        fraflow.cli._validator.cache_clear()
+    def test_schema_is_read_once_per_process(self, tmp_path, monkeypatch):
+        read = []
+        read_text = Path.read_text
+
+        def recording(path, *args, **kwargs):
+            read.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recording)
+        fraflow.cli._schema.cache_clear()
         path = write_config(tmp_path, SCALAR_SOLVE)
         load_config(path, None)
         load_config(path, None)
-        assert calls == []
+        assert read == ["config.json", "config_schema.json", "config.json"]
+
+    @pytest.mark.parametrize(
+        "payload, constant",
+        [
+            ('{"mode": "solve", "problem": {"kind": "p-laplace", "amplitude": NaN}}', "NaN"),
+            ('{"mode": "solve", "problem": {"kind": "scalar-quadratic", "u0": Infinity}}', "Infinity"),
+            ('{"mode": "solve", "grid": {"horizon": Infinity, "steps": 16}}', "Infinity"),
+            ('{"mode": "sweep", "grid": {"steps": 16}, "sweep": {"amplitudes": [1.0, NaN]}}', "NaN"),
+        ],
+        ids=["amplitude", "u0", "horizon", "swept-amplitudes"],
+    )
+    def test_non_finite_literals_are_malformed(self, tmp_path, capsys, payload, constant):
+        # json.loads reads NaN and Infinity, which JSON does not have
+        path = tmp_path / "config.json"
+        path.write_text(payload)
+        command = json.loads(payload, parse_constant=float)["mode"]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), "--jobs", "1"]) == EXIT_USAGE
+        assert f"fraflow: config is not valid JSON: {constant} is not a JSON number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [[], 1, "solve", None])
+    def test_a_config_that_is_no_object_is_rejected_with_a_seed(self, tmp_path, payload):
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match="is not of type 'object'"):
+            load_config(path, None, seed=3)
 
 
 def test_shipped_schema_is_valid_against_its_metaschema():
@@ -125,6 +156,160 @@ def test_shipped_schema_is_valid_against_its_metaschema():
     validator_class = jsonschema.validators.validator_for(schema, default=None)
     assert validator_class is not None, schema.get("$schema")
     validator_class.check_schema(schema)
+
+
+# the keywords fraflow.cli._violations interprets; $schema and title are annotations
+INTERPRETED_KEYWORDS = {
+    *("$schema", "title", "type", "enum", "required", "properties", "additionalProperties"),
+    *("items", "minItems", "minimum", "exclusiveMinimum", "exclusiveMaximum"),
+}
+
+
+def test_shipped_schema_uses_only_interpreted_keywords():
+    # a rule the checker does not know (anyOf, pattern, ...) would be
+    # silently ignored: every subschema must keep to the interpreted set
+    def walk(schema, where):
+        unknown = set(schema) - INTERPRETED_KEYWORDS
+        assert not unknown, f"{where}: {sorted(unknown)}"
+        assert schema.get("type", "object") in ("object", "array", "string", "number", "integer"), where
+        # the checker reads additionalProperties as false
+        assert schema.get("additionalProperties", False) is False, where
+        for name, sub in schema.get("properties", {}).items():
+            walk(sub, f"{where}.{name}")
+        if "items" in schema:
+            walk(schema["items"], f"{where}[]")
+
+    walk(fraflow.cli._schema(), "schema")
+
+
+# the benchmark's workload configs (perfbench/workloads.py), seeded values rounded
+WORKLOAD_CONFIGS = {
+    "scalar-certify solve": dict(SCALAR_SOLVE, problem={"kind": "scalar-quadratic", "u0": 1.25}, grid={"horizon": 1.0, "steps": 16384}),
+    "scalar-certify certify": {"mode": "certify", "certify": {"dump": "solve/state.bin", "slack_coeff": 0.5}},
+    "plaplace-2d solve": {
+        "mode": "solve",
+        "problem": {"kind": "p-laplace", "p": 3.0, "q": 4.0, "dim": 2, "m": 20, "amplitude": 1.01, "u0_profile": "sine"},
+        "kernel": {"alpha": 0.5},
+        "grid": {"horizon": 1.0, "steps": 64},
+        "chain_rule_slack": 0.5,
+    },
+    "regime-sweep sweep": {
+        "mode": "sweep",
+        "problem": {"kind": "p-laplace", "p": 2.0, "dim": 1, "m": 32, "u0_profile": "sine"},
+        "kernel": {"alpha": 0.5},
+        "grid": {"horizon": 1.0, "steps": 512},
+        "sweep": {"qs": [3.0, 4.0, 5.0], "amplitudes": [0.502, 0.995, 2.01, 3.98, 8.05, 15.9]},
+    },
+}
+
+
+def shipped_configs():
+    presets = importlib.resources.files("fraflow").joinpath("presets")
+    configs = {entry.name: json.loads(entry.read_text()) for entry in presets.iterdir() if entry.name.endswith(".json")}
+    return {**configs, **WORKLOAD_CONFIGS}
+
+
+def nodes(value, path=()):
+    """``(path, value)`` of the value and of everything nested in it."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from nodes(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from nodes(item, (*path, index))
+
+
+def mutated(config, path, kind, value=None):
+    """A copy of ``config`` with the node at ``path`` set to ``value``,
+    deleted, or (``kind`` "add") given the extra key ``value``."""
+    config = copy.deepcopy(config)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if kind == "add":
+        (node[path[-1]] if path else node)[value] = 1
+    elif kind == "set":
+        node[path[-1]] = value
+    else:
+        del node[path[-1]]
+    return config
+
+
+# replacement values: wrong types, bools, numbers out of some bound, an empty array
+REPLACEMENTS = ["x", "1", None, [0.5], {"a": 1}, True, False, -1, 0, 0.0, -0.0, 0.5, 1, 1.0, 1.5, 2, 2.0, 3, 1e300, -1e300, []]
+EXTRA_KEYS = ["bogus", "aaa", "zzz"]
+
+
+def single_mutations(config):
+    """Each kind of mutation on each node: a replaced value, a removed key
+    (``mode`` included), an unknown key."""
+    for path, value in nodes(config):
+        if path:
+            for replacement in REPLACEMENTS:
+                yield mutated(config, path, "set", replacement)
+            yield mutated(config, path, "delete")
+        if isinstance(value, dict):
+            for key in EXTRA_KEYS:
+                yield mutated(config, path, "add", key)
+
+
+def random_mutations(config, rng, count):
+    """``count`` copies of ``config``, each with 1 to 4 random mutations."""
+    for _ in range(count):
+        variant = config
+        for _ in range(rng.randint(1, 4)):
+            path, value = rng.choice(list(nodes(variant)))
+            kinds = (["set", "set", "delete"] if path else []) + (["add"] if isinstance(value, dict) else [])
+            kind = rng.choice(kinds)
+            variant = mutated(variant, path, kind, rng.choice(EXTRA_KEYS if kind == "add" else REPLACEMENTS))
+        yield variant
+
+
+def best_match_message(config, schema=None):
+    schema = schema or fraflow.cli._schema()
+    error = jsonschema.exceptions.best_match(jsonschema.validators.validator_for(schema)(schema).iter_errors(config))
+    return None if error is None else error.message
+
+
+class TestCheckerMatchesJsonschema:
+    """The in-tree checker raises the message jsonschema's best_match picks."""
+
+    @pytest.mark.parametrize("payload, message", REJECTIONS)
+    def test_pinned_rejections(self, payload, message):
+        assert fraflow.cli._config_error(payload) == best_match_message(payload) == message
+
+    @pytest.mark.parametrize("payload", [[], 1, 2.5, "solve", None, True, {}])
+    def test_degenerate_configs(self, payload):
+        assert fraflow.cli._config_error(payload) == best_match_message(payload)
+
+    @pytest.mark.parametrize(
+        "schema, instance",
+        [
+            # rules the shipped schema holds only where another rule fails first
+            ({"enum": [1, 2]}, True),
+            ({"enum": [1, 2]}, 1.0),
+            ({"enum": [0]}, False),
+            ({"type": "array", "minItems": 2}, [1]),
+            ({"type": "integer"}, 2.0),
+            ({"type": "number", "minimum": 0}, True),
+        ],
+    )
+    def test_semantics_outside_the_shipped_schema(self, schema, instance):
+        schema = {"$schema": "https://json-schema.org/draft/2020-12/schema", **schema}
+        message = best_match_message(instance, schema)
+        assert next((m for _, m in fraflow.cli._violations(schema, instance)), None) == message
+
+    @pytest.mark.parametrize("name", sorted(shipped_configs()))
+    def test_mutated_shipped_configs(self, name):
+        config = shipped_configs()[name]
+        assert fraflow.cli._config_error(config) is None
+        corpus = [*single_mutations(config), *random_mutations(config, random.Random(f"parity:{name}"), 300)]
+        pairs = [(variant, fraflow.cli._config_error(variant), best_match_message(variant)) for variant in corpus]
+        mismatches = [pair for pair in pairs if pair[1] != pair[2]]
+        assert not mismatches, mismatches[:3]
+        # most mutations break a rule: the corpus tests the ranking, not only acceptance
+        assert sum(expected is not None for _, _, expected in pairs) >= len(pairs) // 2
 
 
 # p = 2, q = 4 with the coupled Picard loop, which diverges at node 1
@@ -496,11 +681,12 @@ class TestKernelsCommand:
 
 # loaded only where they are used: scipy.signal (about 0.6 s and 24 MB),
 # scipy.integrate (about 0.25 s, with scipy.optimize behind it),
-# scipy.special (about 0.07 s, replaced by the in-tree log-gamma) and
+# scipy.special (about 0.07 s, replaced by the in-tree log-gamma),
 # scipy.linalg (about 0.25 s; the Newton steps take LAPACK ptsv/pbsv from
-# scipy's compiled _flapack directly) by no command, mpmath by the
-# Mittag-Leffler oracle alone
-DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "mpmath"]
+# scipy's compiled _flapack directly) and jsonschema (about 0.07 s; the
+# config check is in-tree) by no command, mpmath by the Mittag-Leffler
+# oracle alone
+DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "jsonschema", "mpmath"]
 
 
 def run_python(code, cwd):
@@ -565,11 +751,10 @@ def test_p_laplace_commands_leave_deferred_modules_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_commands_import_no_module_after_the_cli(tmp_path):
-    # whatever a command imports on first use is paid inside its run: the
-    # benchmark's stages (kernels, scalar solve, certify of the dump, 2D
-    # p-Laplace solve, sweep) and a 1D p-Laplace solve must find every
-    # module loaded by `import fraflow.cli`
+def benchmark_commands(tmp_path):
+    """The benchmark's stages at small sizes (kernels, scalar solve, certify
+    of its dump, 2D p-Laplace solve, sweep) and a 1D p-Laplace solve, as
+    ``main`` argument lists that write below the working directory."""
     solve = write_config(tmp_path, SCALAR_SOLVE)
     dump = str(tmp_path / "solved" / "state.bin")
     certify = write_config(tmp_path, {"mode": "certify", "certify": {"dump": dump, "slack_coeff": 0.5}}, "certify.json")
@@ -578,19 +763,26 @@ def test_commands_import_no_module_after_the_cli(tmp_path):
     solve_1d = write_config(tmp_path, p_solve, "solve_1d.json")
     solve_2d = write_config(tmp_path, dict(p_solve, problem=dict(problem, dim=2, m=6), grid={"horizon": 1.0, "steps": 32}), "solve_2d.json")
     sweep = write_config(tmp_path, SMALL_SWEEP, "sweep.json")
+    return [
+        ["kernels", "--preset", "sonine-check", "--out", "kernels"],
+        ["solve", "--config", solve, "--out", "solved"],
+        ["certify", "--config", certify, "--out", "certified"],
+        ["solve", "--config", solve_1d, "--out", "solved_1d"],
+        ["solve", "--config", solve_2d, "--out", "solved_2d"],
+        ["sweep", "--config", sweep, "--out", "swept", "--jobs", "1"],
+    ]
+
+
+def test_commands_import_no_module_after_the_cli(tmp_path):
+    # whatever a command imports on first use is paid inside its run: the
+    # benchmark's stages and a 1D p-Laplace solve must find every module
+    # loaded by `import fraflow.cli`
     code = textwrap.dedent(
         f"""
         import sys
         from fraflow.cli import main
         before = set(sys.modules)
-        codes = [
-            main(["kernels", "--preset", "sonine-check", "--out", "kernels"]),
-            main(["solve", "--config", {solve!r}, "--out", "solved"]),
-            main(["certify", "--config", {certify!r}, "--out", "certified"]),
-            main(["solve", "--config", {solve_1d!r}, "--out", "solved_1d"]),
-            main(["solve", "--config", {solve_2d!r}, "--out", "solved_2d"]),
-            main(["sweep", "--config", {sweep!r}, "--out", "swept", "--jobs", "1"]),
-        ]
+        codes = [main(argv) for argv in {benchmark_commands(tmp_path)!r}]
         assert codes == [0] * 6, codes
         added = sorted(set(sys.modules) - before)
         assert not added, f"imported by a command: {{added}}"
@@ -598,3 +790,22 @@ def test_commands_import_no_module_after_the_cli(tmp_path):
     )
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_run_without_jsonschema(tmp_path):
+    # jsonschema is a test dependency only: with it unimportable every
+    # benchmark stage runs and a malformed config still exits 64
+    rejected = write_config(tmp_path, {"mode": "solve", "grid": {"steps": "many"}}, "rejected.json")
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["jsonschema"] = None
+        from fraflow.cli import main
+        codes = [main(argv) for argv in {benchmark_commands(tmp_path)!r}]
+        assert codes == [0] * 6, codes
+        assert main(["solve", "--config", {rejected!r}, "--out", "rejected"]) == 64
+        """
+    )
+    proc = run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "config rejected: 'many' is not of type 'integer'" in proc.stderr

@@ -155,6 +155,26 @@ def test_prox_nonconvergence_reports():
     assert err.value.residual > 0
 
 
+@pytest.mark.parametrize("band", [2, 3], ids=["ptsv", "pbsv"])
+def test_a_row_whose_hessian_does_not_factor_takes_gradient_steps(band):
+    # phi = |z|^2 / 2 with a Hessian band that is indefinite in the rows
+    # whose first entry is negative: those rows take gradient steps, the
+    # others Newton steps, each as when solved alone.  Two such rows stay a
+    # stack of rows once the others have met the tolerance
+    from fraflow.convex import SmoothFunctional
+
+    def hess(rows):
+        ab = np.zeros((band, rows.size))
+        ab[0] = np.repeat(np.where(rows[:, 0] < 0, -10.0, 1.0), rows.shape[1])
+        return ab
+
+    phi = SmoothFunctional(Space(4), lambda rows: 0.5 * np.sum(rows**2, axis=1), lambda rows: rows, hess)
+    w, lam = np.array([[1.0, 2.0, 3.0, 4.0], [-1.0, 2.0, 3.0, 4.0], [0.5, -0.5, 0.5, 0.5], [-0.5, 0.5, 0.5, 0.5]]), 0.25
+    z = phi.prox(w, lam)
+    assert np.array_equal(z, np.concatenate([phi.prox(row, lam)[None] for row in w]))
+    np.testing.assert_allclose(z, w / (1 + lam), rtol=1e-9)
+
+
 @pytest.mark.parametrize("shape", [(32,), (32, 32)])
 def test_space_inner_matches_elementwise_sum(shape, rng):
     sp = Space(int(np.prod(shape)), weight=1.0 / 33 ** len(shape))
