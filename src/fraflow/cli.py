@@ -7,8 +7,9 @@ the error ``jsonschema`` would; presets ship with the package and
 ``FRAFLOW_PRESET_DIR`` overrides the lookup.
 
 Exit codes: 0 success, 1 error or failed certificate, 2 blow-up (an
-expected outcome, not a failure), 64 malformed configuration, 66
-unreadable trajectory dump.  All emitted CSV/JSON is deterministic for a
+expected outcome, not a failure), 64 malformed configuration, coupled
+mode whose Picard map does not contract included, 66 unreadable
+trajectory dump.  All emitted CSV/JSON is deterministic for a
 fixed config and seed: fixed column order, 17 significant digits, LF line
 endings, no timestamps.
 """
@@ -39,6 +40,7 @@ from .solver import (
     ProblemSpec,
     SolverConfig,
     Trajectory,
+    check_coupling,
     continuity_modulus,
     load_state_dump,
     save_state_dump,
@@ -138,6 +140,22 @@ def _config_error(config):
     return None if best is None else best[1]
 
 
+def _integers(schema, x):
+    """``x`` with each integral float at an ``"type": "integer"`` position of ``schema`` made an int.
+
+    The schema accepts 16.0 as an integer, as JSON Schema does; the code
+    that reads these values (grid sizes, loop bounds, seeds) needs an int.
+    """
+    if isinstance(x, float) and schema.get("type") == "integer":
+        return int(x)
+    if isinstance(x, dict):
+        properties = schema.get("properties", {})
+        return {name: _integers(properties.get(name, {}), value) for name, value in x.items()}
+    if isinstance(x, list):
+        return [_integers(schema.get("items", {}), item) for item in x]
+    return x
+
+
 def _reject_constant(name):
     raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
 
@@ -172,7 +190,7 @@ def load_config(path=None, preset=None, seed=None):
     message = _config_error(config)
     if message is not None:
         raise ConfigError(f"config rejected: {message}")
-    return config
+    return _integers(_schema(), config)
 
 
 def _solver_config(config):
@@ -182,6 +200,23 @@ def _solver_config(config):
 def _grid(config, default_steps=512, default_horizon=1.0):
     block = config.get("grid", {})
     return TimeGrid(block.get("horizon", default_horizon), block.get("steps", default_steps))
+
+
+def _check_coupling(config, alphas):
+    """Reject coupled mode where its Picard map does not contract at one of ``alphas``.
+
+    The step's mu, and so kappa, depends on alpha (``solver.check_coupling``);
+    the check runs before anything is written.
+    """
+    solver_config = _solver_config(config)
+    if solver_config.coupling != "coupled":
+        return
+    grid = _grid(config)
+    for alpha in alphas:
+        try:
+            check_coupling(solver_config, rl_pair(alpha), grid)
+        except ValueError as exc:
+            raise ConfigError(f"alpha = {alpha:g}: {exc}") from exc
 
 
 def _fmt(x):
@@ -225,10 +260,12 @@ def _build_experiment(config):
 
 
 def cmd_solve(config, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     prob = config.get("problem", {})
     kind = prob.get("kind", "scalar-quadratic")
+    if kind == "p-laplace":
+        _check_coupling(config, [config.get("kernel", {}).get("alpha", 0.5)])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     solver_config = _solver_config(config)
     slack_coeff = config.get("chain_rule_slack", DEFAULT_CHAIN_SLACK)
     diagnostics = {"mode": "solve", "problem_kind": kind}
@@ -270,8 +307,7 @@ def cmd_solve(config, out_dir):
                 }
             )
             _write_json(out / "diagnostics.json", diagnostics)
-            # an inner loop that diverged is not the expected blow-up
-            return EXIT_BLOWUP if exp.verdict == "blew_up" else EXIT_ERROR
+            return EXIT_BLOWUP
         traj = exp.trajectory
 
     trajectory_to_csv(traj, out / "trajectory.csv")
@@ -393,9 +429,10 @@ def cmd_sweep(config, out_dir, jobs=None):
         raise ConfigError("a sweep runs the p-laplace problem only")
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    tuples = _sweep_tuples(config)
+    _check_coupling(config, dict.fromkeys(alpha for alpha, _, _ in tuples))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tuples = _sweep_tuples(config)
     ledger_path = out / "sweep_ledger.jsonl"
     digest = _config_digest(config)
     # the next entry must start on a line of its own

@@ -348,7 +348,13 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    verdict: str  # "completed" | "blew_up" | "inner_divergence"
+    """Outcome of one experiment that ran to its end or to a blow-up.
+
+    A run whose solve raises (a resolvent or a coupled Picard loop that
+    stalls at a bounded state) has no result: the exception is its outcome.
+    """
+
+    verdict: str  # "completed" | "blew_up"
     spec: ExperimentSpec
     regime: RegimeReport
     sup_energy1: float
@@ -427,9 +433,7 @@ def run_experiments(specs, config=None, keep_trajectory=False):
         elif isinstance(result, BlowUpReport):
             sup_e = float(np.max(result.energy_history))
             outcomes[i] = ExperimentResult(
-                # a coupled-mode inner loop that diverges at a bounded state
-                # is no blow-up
-                verdict="blew_up" if result.blew_up else "inner_divergence",
+                verdict="blew_up",
                 spec=spec,
                 regime=regime,
                 sup_energy1=sup_e,

@@ -19,6 +19,14 @@ prox optimality system, eta_j is the explicit Yosida evaluation of phi2
 at the previous state (semi-implicit default) or at the current state via
 an inner Picard loop (coupled mode).
 
+The coupled step is the fixed point of the Picard map
+u -> J_mu(b + mu A_lam(u)), which contracts with factor kappa = mu/lam
+(J_mu is nonexpansive, A_lam is 1/lam-Lipschitz).  Coupled mode runs only
+where kappa < 1 and kappa**max_picard <= inner_tol (:func:`check_coupling`);
+beyond that the implicit step can have spurious roots.  Without viscosity
+at alpha = 0.5 and the default lam and budget this needs N of about 2e6
+steps; otherwise take a moderate lam or a viscosity.
+
 The history H_j is a causal convolution whose input v appears one step at
 a time.  ``_accel.History`` evaluates it exactly: a direct sum over the
 current block of at most ``HISTORY_BLOCK`` rows, plus a far field that
@@ -94,7 +102,17 @@ class ProblemSpec:
 
 @dataclass
 class SolverConfig:
-    """Discretization knobs; defaults target desk-scale experiments."""
+    """Discretization knobs; defaults target desk-scale experiments.
+
+    ``coupling="coupled"`` takes the phi2 Yosida rate at the current state
+    through a Picard loop of at most ``max_picard`` iterations to
+    ``inner_tol``.  A coupled solve raises ``ValueError`` before its first
+    step unless kappa = mu/yosida_lam < 1 and kappa**max_picard <=
+    inner_tol, with mu = tau/(omega_0 + visc).  At alpha = 0.5 without
+    viscosity mu is about 0.89 N^(-1/2): the default yosida_lam = 1e-3
+    needs N of about 2e6 steps, yosida_lam = 0.1 any N >= 198, and a
+    viscosity lowers kappa at any N.
+    """
 
     yosida_lam: float = 1e-3  # Moreau-Yosida parameter of phi2
     visc: float = 0.0  # viscosity coefficient, 0 disables the du/dt term
@@ -147,18 +165,19 @@ class Trajectory:
 
 @dataclass
 class BlowUpReport:
-    """Early termination: threshold crossing, non-finite state or a diverging inner loop."""
+    """Early termination at a blow-up: a threshold crossing or a non-finite state.
+
+    A resolvent that stalls (or a coupled Picard loop that uses up its
+    budget) on a state of at least 0.01 * blowup_norm counts as a
+    norm-threshold crossing at the last accepted node.
+    """
 
     node: int
     time: float
-    reason: str  # "norm-threshold" | "energy-threshold" | "inner-divergence" | "non-finite"
+    reason: str  # "norm-threshold" | "energy-threshold" | "non-finite"
     norm_history: np.ndarray
     energy_history: np.ndarray
     e_t: float
-
-    @property
-    def blew_up(self):
-        return self.reason != "inner-divergence"
 
 
 @dataclass
@@ -214,7 +233,7 @@ def _residuals(spec, config, u0, states, xi, eta, forcing_path):
 BATCH_BYTES = 2 << 20
 
 
-def _isolate(fn, exc, *batches, **kwargs):
+def _isolate(fn, exc, *batches):
     """Sort out which rows made ``fn(*batches)`` raise ``exc``: run each row alone.
 
     ``fn`` returns a tuple of per-row outputs.  Returns ``(kept, out,
@@ -228,7 +247,7 @@ def _isolate(fn, exc, *batches, **kwargs):
     parts, errors = [], {}
     for k in range(len(batches[0])):
         try:
-            parts.append(fn(*(b[k : k + 1] for b in batches), **kwargs))
+            parts.append(fn(*(b[k : k + 1] for b in batches)))
         except Exception as error:  # noqa: BLE001 - the row's own outcome
             errors[k] = error
     kept = np.array([k for k in range(len(batches[0])) if k not in errors], dtype=int)
@@ -246,37 +265,66 @@ def _rows(keep, *arrays):
     return [x if x is None or np.ndim(x) == 0 else x[keep] for x in arrays]
 
 
+def _step_weights(pair, grid, visc):
+    """The Toeplitz weights omega of k (None without a kernel), the step
+    denominator omega_0 + visc and the resolvent parameter mu = tau/denom."""
+    if pair is not None:
+        omega = conv_weights(pair.k, grid).omega
+        omega0 = omega[0]
+    else:
+        omega = None
+        omega0 = 0.0
+        if visc <= 0:
+            raise ValueError("disabling the kernel requires a positive viscosity")
+    denom = omega0 + visc
+    return omega, denom, grid.tau / denom
+
+
+def check_coupling(config, pair, grid):
+    """Reject a coupled step whose Picard map does not contract within its budget.
+
+    The map u -> J_mu(b + mu A_lam(u)) has Lipschitz constant kappa =
+    mu/lam.  Raises ``ValueError`` naming kappa unless kappa < 1 and
+    kappa**max_picard <= inner_tol: the loop then reaches its tolerance
+    within its budget.
+    """
+    kappa = _step_weights(pair, grid, config.visc)[2] / config.yosida_lam
+    if not (kappa < 1 and kappa**config.max_picard <= config.inner_tol):
+        raise ValueError(
+            f"coupled mode needs kappa = mu/yosida_lam < 1 and kappa**max_picard <= inner_tol, got kappa = {kappa:.4g} "
+            f"(max_picard = {config.max_picard}, inner_tol = {config.inner_tol:g}); use a larger yosida_lam or a viscosity"
+        )
+
+
 def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val):
     """The inner Picard loop of the coupled mode, row by row.
 
-    Each row iterates until its own increment converges or grows; the
-    rows are updated in place.  Returns which rows converged and the
-    exceptions of the rows that failed, by position.
+    Each row iterates until its own increment converges; the rows are
+    updated in place.  Returns the exceptions of the rows that failed, by
+    position: what a row raised, or ``ProxNonconvergence`` for a row that
+    used up its ``max_picard`` budget.
     """
     pending = np.arange(len(u_new))  # the rows still iterating
-    prev_inc = np.full(len(u_new), np.nan)
-    converged = np.zeros(len(u_new), dtype=bool)
+    inc = np.full(len(u_new), np.inf)
     errors = {}
     for _ in range(config.max_picard):
         try:
-            out = step_rows(u_new[pending], base[pending], picard=True)
+            out = step_rows(u_new[pending], base[pending])
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
-            kept, out, failed = _isolate(step_rows, exc, u_new[pending], base[pending], picard=True)
+            kept, out, failed = _isolate(step_rows, exc, u_new[pending], base[pending])
             errors.update((int(pending[k]), error) for k, error in failed.items())
             pending = pending[kept]
             if out is None:
-                break
+                return errors
         eta_val[pending], env_val[pending], u_next, rhs[pending] = out
         inc = space.row_norms(u_next - u_new[pending])
         u_new[pending] = u_next
-        conv = inc <= config.inner_tol * (1.0 + space.row_norms(u_next))
-        converged[pending[conv]] = True
-        stop = conv | ((inc > prev_inc[pending]) & (inc > 1e-8))
-        prev_inc[pending] = inc
-        pending = pending[~stop]
+        going = ~(inc <= config.inner_tol * (1.0 + space.row_norms(u_next)))
+        pending, inc = pending[going], inc[going]
         if not pending.size:
-            break
-    return converged, errors
+            return errors
+    errors.update((int(k), ProxNonconvergence(float(r), config.max_picard)) for k, r in zip(pending, inc))
+    return errors
 
 
 def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=True):
@@ -286,9 +334,10 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
     ``eta_source(j, u_prev)`` returns, for the rows u_prev, the explicit
     part added to the right-hand side at node j (the phi2 Yosida
     evaluation, a perturbation -B, or zero) and its envelope diagnostic
-    (None: no envelope, it stays 0).  Returns one outcome per row: a
-    :class:`Trajectory`, a :class:`BlowUpReport`, or the exception the row
-    raises.  A row leaves the batch at its own exit, the others march on.
+    (None: no envelope, it stays 0); with a phi2 it is the phi2 Yosida
+    evaluation, which coupled mode's Picard loop takes at its iterates.
+    Returns one outcome per row: a :class:`Trajectory`, a
+    :class:`BlowUpReport`, or the exception the row raises.  A row leaves the batch at its own exit, the others march on.
     Without ``keep_trajectory`` no xi/eta path is stored and no residual
     re-assembled: a completed row's Trajectory carries None for them.
     """
@@ -299,17 +348,10 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
     rows = len(u0s)
     size = u0s[0].size
 
-    if spec.pair is not None:
-        omega = conv_weights(spec.pair.k, grid).omega
-        omega0 = omega[0]
-    else:
-        omega = None
-        omega0 = 0.0
-        if config.visc <= 0:
-            raise ValueError("disabling the kernel requires a positive viscosity")
-
-    denom = omega0 + config.visc
-    mu = tau / denom
+    omega, denom, mu = _step_weights(spec.pair, grid, config.visc)
+    coupled = config.coupling == "coupled" and spec.phi2 is not None
+    if coupled:
+        check_coupling(config, spec.pair, grid)
 
     # whole-path buffers, node first: a row's trajectory is the slice
     # [:, r], and a step writes node j of every live row at once
@@ -341,7 +383,7 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
     v_nodes = v.swapaxes(0, 1)
     histories = [History(omega, v[r]) for r in range(rows)] if omega is not None else []
     hist = np.zeros((rows, size))
-    start = omega0 * u0s
+    start = (omega[0] if omega is not None else 0.0) * u0s
     u0_flat = u0s.reshape(rows, size)
 
     def path_norms(r, accepted):
@@ -368,15 +410,11 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
         else:
             outcomes[r] = exc
 
-    def step_rows(u, b, picard=False):
-        # the explicit part at the rows u (eta_source at the previous states,
-        # or the phi2 Yosida rate at a Picard iterate), then the phi1
-        # resolvent of the rows with step data b
-        if picard:
-            ye = spec.phi2.yosida(u, config.yosida_lam, tol=config.inner_tol)
-            eta_val, env_val = ye.rate, ye.envelope
-        else:
-            eta_val, env_val = eta_source(j, u)
+    def step_rows(u, b):
+        # the explicit part eta_source at the rows u (the previous states, or
+        # in coupled mode a Picard iterate), then the phi1 resolvent of the
+        # rows with step data b
+        eta_val, env_val = eta_source(j, u)
         rhs = b + mu * (forcing_path[j] + eta_val)
         if not np.isfinite(rhs).all():
             raise FloatingPointError("non-finite step data")
@@ -407,17 +445,13 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
                 continue
             eta_val, env_val, u_new, rhs = out
 
-        if config.coupling == "coupled" and spec.phi2 is not None:
+        if coupled:
             env_val = np.array(np.broadcast_to(env_val, live.shape), dtype=np.float64)
-            converged, errors = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val)
+            errors = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val)
             for k, error in errors.items():
                 fail(live[k], j, error)
-            bounded = np.abs(u_new).reshape(live.size, size).max(axis=1) <= config.blowup_norm
-            keep = converged | ~bounded
+            keep = np.ones(live.size, dtype=bool)
             keep[list(errors)] = False
-            for k in np.flatnonzero(~keep):
-                if k not in errors:
-                    blowup(live[k], j, "inner-divergence", j - 1)
             live, u_new, rhs, eta_val, env_val = _rows(keep, live, u_new, rhs, eta_val, env_val)
             if not live.size:
                 continue
@@ -536,9 +570,11 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
 def solve_dc_flow(spec, config=None):
     """March the difference-of-convex flow; one resolvent call per step.
 
-    Returns a :class:`Trajectory`, or a :class:`BlowUpReport` when a
-    threshold is crossed or the coupled inner loop diverges.  A single
-    solve is a batch of one row.
+    Returns a :class:`Trajectory`, or a :class:`BlowUpReport` when the
+    state blows up (a threshold crossing or a non-finite state).  Coupled
+    mode raises ``ValueError`` before the first step unless its Picard map
+    contracts within its budget (:func:`check_coupling`).  A single solve
+    is a batch of one row.
     """
     (outcome,) = solve_dc_rows([spec], config)
     return _alone(outcome)

@@ -150,6 +150,49 @@ class TestConfigLoading:
             load_config(path, None, seed=3)
 
 
+CERTIFY_SUITE = {"mode": "certify", "seed": 3, "certify": {"suites": ["gronwall-linear"], "instances": 2}}
+P_LAPLACE_SOLVE = {
+    "mode": "solve",
+    "problem": {"kind": "p-laplace", "p": 2.0, "q": 4.0, "dim": 1, "m": 8},
+    "grid": {"horizon": 1.0, "steps": 16},
+}
+# yosida_lam = 0.1 at N = 256: kappa = 0.55, a contraction within 60 iterations
+COUPLED_SOLVE = dict(P_LAPLACE_SOLVE, grid={"steps": 256}, solver={"coupling": "coupled", "yosida_lam": 0.1, "max_picard": 60})
+TWO_ROW_SWEEP = {"mode": "sweep", "problem": {"kind": "p-laplace", "m": 8}, "grid": {"steps": 32}, "sweep": {"amplitudes": [0.5, 8.0]}}
+KERNELS = {"mode": "kernels", "kernel": {"alpha": 0.5, "regularization_indices": [4, 16]}, "grid": {"steps": 64}}
+
+
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        (CERTIFY_SUITE, ("seed",)),
+        (dict(P_LAPLACE_SOLVE, problem=dict(P_LAPLACE_SOLVE["problem"], dim=2, m=4)), ("problem", "dim")),
+        (P_LAPLACE_SOLVE, ("problem", "m")),
+        (P_LAPLACE_SOLVE, ("grid", "steps")),
+        (TWO_ROW_SWEEP, ("grid", "steps")),
+        (COUPLED_SOLVE, ("solver", "max_picard")),
+        (CERTIFY_SUITE, ("certify", "instances")),
+        (KERNELS, ("kernel", "regularization_indices", 0)),
+    ],
+    ids=["seed", "problem.dim", "problem.m", "grid.steps", "sweep-grid.steps", "solver.max_picard", "certify.instances", "kernel.regularization_indices"],
+)
+def test_integral_floats_at_integer_keys_run_as_ints(tmp_path, payload, path):
+    # the schema accepts 16.0 as an integer; the run must be the one of 16
+    floated = copy.deepcopy(payload)
+    *parents, last = path
+    node = floated
+    for key in parents:
+        node = node[key]
+    node[last] = float(node[last])
+    outputs = []
+    for name, config in (("int", payload), ("float", floated)):
+        out = tmp_path / name
+        argv = [config["mode"], "--config", write_config(tmp_path, config, f"{name}.json"), "--out", str(out), "--jobs", "1"]
+        assert main(argv) == EXIT_OK
+        outputs.append({file.name: file.read_bytes() for file in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+
+
 def test_shipped_schema_is_valid_against_its_metaschema():
     schema = json.loads(importlib.resources.files("fraflow").joinpath("config_schema.json").read_text())
     # default=None: a "$schema" that jsonschema does not know gives no validator
@@ -312,7 +355,8 @@ class TestCheckerMatchesJsonschema:
         assert sum(expected is not None for _, _, expected in pairs) >= len(pairs) // 2
 
 
-# p = 2, q = 4 with the coupled Picard loop, which diverges at node 1
+# p = 2, q = 4 in coupled mode at the default yosida_lam = 1e-3: the Picard
+# map's factor is kappa = mu/yosida_lam = 55 at N = 256, no contraction
 COUPLED = {
     "problem": {"kind": "p-laplace", "p": 2.0, "q": 4.0, "dim": 1, "m": 16, "u0_profile": "sine"},
     "kernel": {"alpha": 0.5},
@@ -353,15 +397,12 @@ class TestSolveCommand:
         assert diag["verdict"] == "blew_up"
         assert diag["t_star"] > 0
 
-    def test_coupled_inner_divergence_is_an_error(self, tmp_path):
-        # the inner loop diverges on a bounded state: that is no blow-up, so
-        # the exit code is 1, not 2
+    def test_coupled_mode_without_contraction_is_a_usage_error(self, tmp_path, capsys):
         payload = dict(COUPLED, mode="solve", problem=dict(COUPLED["problem"], amplitude=4.0))
         out = tmp_path / "out"
-        assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == EXIT_ERROR
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["verdict"] == "inner_divergence"
-        assert diag["t_star"] == 0.0
+        assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == EXIT_USAGE
+        assert "fraflow: alpha = 0.5: coupled mode needs kappa = mu/yosida_lam < 1 and kappa**max_picard <= inner_tol, got kappa = 55.39" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_config_exit(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -490,17 +531,47 @@ class TestSweepCommand:
         header, row = (line.split(",") for line in (out / "sweep.csv").read_text().splitlines())
         assert dict(zip(header, row))["verdict"] == "error: ProxNonconvergence"
 
-    def test_coupled_inner_divergence_row(self, tmp_path):
+    def test_coupled_mode_without_contraction_is_a_usage_error(self, tmp_path, capsys):
         payload = dict(COUPLED, mode="sweep", sweep={"amplitudes": [4.0, 8.0, 16.0]})
         out = tmp_path / "out"
-        assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(out), "--jobs", "1"]) == EXIT_OK
-        lines = (out / "sweep.csv").read_text().splitlines()
-        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
-        assert [(row["amplitude"], row["verdict"], row["t_star"]) for row in rows] == [
-            ("4", "inner_divergence", "0"),
-            ("8", "inner_divergence", "0"),
-            ("16", "inner_divergence", "0"),
+        assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(out), "--jobs", "1"]) == EXIT_USAGE
+        assert "kappa = 55.39" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coupled_check_covers_every_swept_alpha(self, tmp_path, capsys):
+        # yosida_lam = 0.1, N = 256: kappa = 0.55 at alpha = 0.5 and 3.07 at
+        # alpha = 0.2, so the alpha = 0.5 rows alone run and the sweep does not
+        payload = dict(COUPLED, mode="sweep", solver={"coupling": "coupled", "yosida_lam": 0.1}, sweep={"amplitudes": [1.0]})
+        alone = tmp_path / "alone"
+        config = write_config(tmp_path, dict(payload, sweep={"alphas": [0.5], "amplitudes": [1.0]}), "alone.json")
+        assert main(["sweep", "--config", config, "--out", str(alone), "--jobs", "1"]) == EXIT_OK
+        out = tmp_path / "out"
+        config = write_config(tmp_path, dict(payload, sweep={"alphas": [0.5, 0.2], "amplitudes": [1.0]}))
+        assert main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"]) == EXIT_USAGE
+        assert "fraflow: alpha = 0.2: coupled mode needs kappa = mu/yosida_lam < 1 and kappa**max_picard <= inner_tol, got kappa = 3.07" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_of_an_ill_posed_coupled_sweep_leaves_its_ledger(self, tmp_path):
+        # a ledger that the same kappa = 55 config wrote when coupled mode
+        # still ran there, with its digest: a resume would replay these rows
+        payload = dict(COUPLED, mode="sweep", sweep={"amplitudes": [4.0, 8.0, 16.0]})
+        config = write_config(tmp_path, payload)
+        digest = "55788fdacfe2bae1d2dd237686bc4d76158b212c7d9f34d0ea9f8d6aaf6d08a1"
+        assert fraflow.cli._config_digest(load_config(config)) == digest
+        row = {"p": 2.0, "q": 4.0, "alpha": 0.5, "m": 16, "N": 256, "verdict": "inner_divergence", "t_star": 0.0}
+        energies = {4.0: 39.36619353081909, 8.0: 157.46477412327636, 16.0: 629.8590964931054}
+        entries = [
+            {"config": digest, "key": [0.5, 4.0, a], "row": dict(row, amplitude=a, sup_energy1=e, E_T=e, C_emp=1.0)}
+            for a, e in energies.items()
         ]
+        out = tmp_path / "out"
+        out.mkdir()
+        ledger = out / "sweep_ledger.jsonl"
+        ledger.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+        before = ledger.read_bytes()
+        assert main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"]) == EXIT_USAGE
+        assert ledger.read_bytes() == before
+        assert sorted(path.name for path in out.iterdir()) == ["sweep_ledger.jsonl"]
 
     def test_parallel_matches_serial(self, tmp_path):
         config = write_config(tmp_path, SMALL_SWEEP)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 import sys
@@ -13,6 +14,7 @@ from fraflow.certify import mittag_leffler
 from fraflow.cli import main
 from fraflow.convex import PowerPotential, ProxNonconvergence, Quadratic, Space
 from fraflow.kernels import TimeGrid, rl_pair
+from fraflow.plaplace import ExperimentSpec, Grid, run_experiment, run_experiments
 from fraflow.solver import (
     BlowUpReport,
     DumpFormatError,
@@ -139,14 +141,60 @@ class TestCoupledMode:
         assert isinstance(coup, Trajectory)
         assert np.max(np.abs(semi.states - coup.states)) <= 1e-2
 
-    def test_divergence_reported_when_bounded(self):
-        # step contraction factor mu/lam > 1 makes the inner loop diverge
-        # while the state stays bounded: distinct from blow-up
+    def test_rejected_without_contraction(self):
+        # the Picard map contracts with kappa = mu/lam = 1567 > 1 here: the
+        # implicit step is ill-posed, so no step is taken
         spec = scalar_spec(n=32, u0=0.9, phi2=PowerPotential(Space(1), 4))
-        result = solve_dc_flow(spec, SolverConfig(yosida_lam=1e-4, coupling="coupled", max_picard=8))
-        assert isinstance(result, BlowUpReport)
-        assert result.reason == "inner-divergence"
-        assert not result.blew_up
+        with pytest.raises(ValueError, match=r"kappa = 1567"):
+            solve_dc_flow(spec, SolverConfig(yosida_lam=1e-4, coupling="coupled", max_picard=8))
+
+    def test_rejected_when_the_budget_cannot_reach_the_tolerance(self):
+        # 2D, m = 16, N = 128, lam = 0.1: kappa = 0.78 contracts, but
+        # 0.78**50 = 5e-6 > inner_tol = 1e-10; 0.78**200 = 6e-22 is within it
+        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(2, 16), steps=128)
+        with pytest.raises(ValueError, match=r"kappa = 0\.7833 \(max_picard = 50, inner_tol = 1e-10\)"):
+            run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled", max_picard=50))
+        assert run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled", max_picard=200)).completed
+
+    def test_well_posed_outputs_are_pinned(self):
+        # states and residuals of well-posed coupled runs (kappa = 0.055,
+        # 0.007, 0.28 and 0.55), pinned bitwise: the Picard loop shares the
+        # Yosida evaluation of eta_source
+        digest = hashlib.sha256()
+        for knobs in ({"yosida_lam": 1.0}, {"yosida_lam": 1.0, "visc": 0.5}, {"yosida_lam": 0.2}):
+            spec = scalar_spec(n=256, u0=0.5, phi2=PowerPotential(Space(1), 4))
+            traj = solve_dc_flow(spec, SolverConfig(coupling="coupled", **knobs))
+            digest.update(traj.states.tobytes())
+            digest.update(traj.residuals.tobytes())
+        base = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=256)
+        specs = [base.with_amplitude(a) for a in (0.5, 1.0, 4.0, 16.0)]
+        for result in run_experiments(specs, SolverConfig(yosida_lam=0.1, coupling="coupled"), keep_trajectory=True):
+            digest.update(result.trajectory.states.tobytes())
+            digest.update(result.trajectory.residuals.tobytes())
+        assert digest.hexdigest() == "cad28572cdec34de51a7d69b8de4c47a90b89f4e549bd1260474482cfe05c995"
+        spec = scalar_spec(n=256, u0=3.0, phi2=PowerPotential(Space(1), 4))
+        report = solve_dc_flow(spec, SolverConfig(yosida_lam=0.2, blowup_norm=100.0, coupling="coupled"))
+        assert (report.node, report.reason) == (100, "norm-threshold")
+        pinned = hashlib.sha256(report.norm_history.tobytes() + report.energy_history.tobytes()).hexdigest()
+        assert pinned == "da3f94b0b7a5e43169c1796981dfe389d54baad33ee330e5ad0430d69372fd02"
+
+    class SteepRate(PowerPotential):
+        """A phi2 whose Yosida rate is -1000 w, far steeper than the 1/lam that kappa assumes."""
+
+        def yosida(self, w, lam, tol=1e-10):
+            return dataclasses.replace(super().yosida(w, lam, tol=tol), rate=-1e3 * w)
+
+    def test_a_used_up_picard_budget_follows_the_norm_threshold_rule(self):
+        # the Picard map of this phi2 expands, so the loop uses up its budget:
+        # ProxNonconvergence on a bounded state, a blow-up at a large one
+        spec = scalar_spec(n=256, u0=0.5, phi2=self.SteepRate(Space(1), 4))
+        config = SolverConfig(yosida_lam=1.0, coupling="coupled")
+        with pytest.raises(ProxNonconvergence, match="after 50 iterations"):
+            solve_dc_flow(spec, config)
+        report = solve_dc_flow(spec, dataclasses.replace(config, blowup_norm=50.0))
+        assert isinstance(report, BlowUpReport)
+        assert (report.node, report.reason) == (1, "norm-threshold")
+        assert len(report.norm_history) == 1
 
 
 class TestBlowUp:
@@ -157,7 +205,6 @@ class TestBlowUp:
         result = solve_dc_flow(spec, SolverConfig(yosida_lam=1e-3, blowup_norm=1e3))
         assert isinstance(result, BlowUpReport)
         assert result.reason in ("norm-threshold", "energy-threshold")
-        assert result.blew_up
         assert result.node >= 1
         assert len(result.norm_history) == result.node + 1
         assert result.e_t > 0
