@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import causal_conv
-from .kernels import _log_gamma, conv_weights, inverse_weights, nonlocal_antiderivative, nonlocal_derivative
+from .kernels import _log_gamma, convolve, inverse_weights, nonlocal_antiderivative, nonlocal_derivative
 
 
 def slack_budget(tau, coeff=0.0):
@@ -532,21 +532,19 @@ def check_chain_rule(traj, phi, pair, slack_coeff=0.0):
     deriv = nonlocal_derivative(pair.k, v, grid)
     pairing = np.zeros(grid.steps + 1)
     pairing[1:] = space.weight * np.sum(deriv[1:] * traj.xi[1:], axis=tuple(range(1, u.ndim)))
-    energy = np.array([phi.value(u[j]) for j in range(grid.steps + 1)])
+    energy = phi.values(u)
     energy_gap = energy - energy[0]
 
-    omega_k = conv_weights(pair.k, grid).omega
-    omega_ell = conv_weights(pair.ell, grid).omega
     inv_ok = bool(np.all(inverse_weights(pair.k, grid) >= -1e-14))
 
     lhs_cum = tau * np.cumsum(pairing[1:])
-    rhs_cum = causal_conv(omega_k, energy_gap[1:])[1:]
+    rhs_cum = convolve(pair.k, energy_gap, grid)[1:]
     margin_cum = lhs_cum - rhs_cum
 
     lhs_pt = nonlocal_antiderivative(pair.k, pairing, grid)[1:]
     rhs_pt = energy_gap[1:]
     margin_pt = lhs_pt - rhs_pt
-    lhs_quad = causal_conv(omega_ell, pairing[1:])[1:]
+    lhs_quad = convolve(pair.ell, pairing, grid)[1:]
     margin_quad = lhs_quad - rhs_pt
 
     slack = slack_budget(tau, slack_coeff)
@@ -567,8 +565,9 @@ def check_chain_rule(traj, phi, pair, slack_coeff=0.0):
     )
 
 
-def check_ab_inequality(traj, pair, slack_coeff=0.0):
-    """Pairing of the local and nonlocal derivatives along a trajectory.
+def check_ab_inequality(states, grid, space_weight, pair, slack_coeff=0.0):
+    """Pairing of the local and nonlocal derivatives along the states on
+    ``grid``, in the inner product of weight ``space_weight``.
 
     Checks, for every truncation node J,
 
@@ -577,20 +576,17 @@ def check_ab_inequality(traj, pair, slack_coeff=0.0):
 
     the discrete face of the maximal monotonicity of the derivative sum.
     """
-    grid = traj.grid
     tau = grid.tau
-    u = traj.states
-    space_w = traj.space_weight
+    u = states
     v = u - u[0]
     deriv = nonlocal_derivative(pair.k, v, grid)
     du = np.diff(u, axis=0) / tau
     axes = tuple(range(1, u.ndim))
-    pairing = space_w * np.sum(du * deriv[1:], axis=axes)
+    pairing = space_weight * np.sum(du * deriv[1:], axis=axes)
     lhs = tau * np.cumsum(pairing)
     sq = np.zeros(grid.steps + 1)
-    sq[1:] = space_w * np.sum(deriv[1:] ** 2, axis=axes)
-    omega_ell = conv_weights(pair.ell, grid).omega
-    rhs = 0.5 * causal_conv(omega_ell, sq[1:])[1:]
+    sq[1:] = space_weight * np.sum(deriv[1:] ** 2, axis=axes)
+    rhs = 0.5 * convolve(pair.ell, sq, grid)[1:]
     margin = lhs - rhs
     slack = slack_budget(tau, slack_coeff)
     worst = int(np.argmin(margin))

@@ -39,7 +39,6 @@ from .solver import (
     DumpFormatError,
     ProblemSpec,
     SolverConfig,
-    Trajectory,
     check_coupling,
     continuity_modulus,
     load_state_dump,
@@ -515,26 +514,11 @@ def cmd_certify(config, out_dir):
             print("fraflow certify: dump carries no Riemann-Liouville tag", file=sys.stderr)
             return EXIT_NOINPUT
         pair = rl_pair(alpha)
-        grid = data["grid"]
-        states = data["states"]
-        weight = data["space_weight"]
+        states, grid, weight = data["states"], data["grid"], data["space_weight"]
         slack_coeff = block.get("slack_coeff", DEFAULT_CHAIN_SLACK)
-        traj = Trajectory(
-            grid=grid,
-            states=states,
-            xi=np.zeros_like(states),
-            eta=np.zeros_like(states),
-            space_weight=weight,
-            energy1=np.zeros(grid.steps + 1),
-            envelope2=np.zeros(grid.steps + 1),
-            norms=np.sqrt(weight * np.sum(states**2, axis=tuple(range(1, states.ndim)))),
-            residuals=np.zeros(grid.steps + 1),
-            e_t=0.0,
-            alpha=alpha,
-        )
         bundle.append(verify_sonine(pair, grid).to_dict())
-        bundle.append(cert.check_ab_inequality(traj, pair, slack_coeff=slack_coeff).to_dict())
-        bundle.append(continuity_modulus(traj, pair, slack_coeff=slack_coeff).to_dict())
+        bundle.append(cert.check_ab_inequality(states, grid, weight, pair, slack_coeff=slack_coeff).to_dict())
+        bundle.append(continuity_modulus(states, grid, weight, pair, slack_coeff=slack_coeff).to_dict())
 
     if suites:
         instances = block.get("instances", 100)

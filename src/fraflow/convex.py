@@ -98,22 +98,6 @@ class Functional:
         return YosidaEval(lam=lam, point=z, rate=rate, envelope=env)
 
 
-def resolvent(phi, lam, w, tol=1e-10):
-    """J_lam(w) = argmin_z ||w - z||_H^2/(2 lam) + phi(z)."""
-    if not lam > 0:
-        raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("resolvent input must be finite")
-    return phi.prox(w, lam, tol=tol)
-
-
-def yosida(phi, lam, w, tol=1e-10):
-    if not lam > 0:
-        raise ValueError(f"Yosida parameter must be positive, got {lam}")
-    return phi.yosida(np.asarray(w, dtype=np.float64), lam, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # built-in functionals
 

@@ -88,23 +88,20 @@ class Kernel:
         return np.diff(big_k) / grid.tau
 
 
-@dataclass(frozen=True)
-class ConvWeights:
-    """Product-integration weights of one kernel on one grid (Toeplitz)."""
-
-    omega: np.ndarray
-    grid: TimeGrid
-
-
 @functools.lru_cache(maxsize=256)
 def conv_weights(kernel, grid):
-    """Weight table of ``kernel`` on ``grid``; cached per (kernel, grid)."""
+    """The Toeplitz weights omega of ``kernel`` on ``grid``, length N.
+
+    Cached per (kernel, grid); every caller shares the one array, so it
+    is read-only.
+    """
     big_k = kernel.antiderivative(grid.times)
     omega = np.diff(big_k)
     if np.any(omega < 0):
         worst = float(np.min(omega))
         raise ValueError(f"negative convolution weight ({worst:.3e}); kernel is not nonnegative")
-    return ConvWeights(omega=omega, grid=grid)
+    omega.flags.writeable = False
+    return omega
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,7 @@ def convolve(kernel, path, grid):
     path = np.asarray(path, dtype=np.float64)
     if path.shape[0] != grid.steps + 1:
         raise ValueError(f"path has {path.shape[0]} nodes, grid has {grid.steps + 1}")
-    omega = conv_weights(kernel, grid).omega
+    omega = conv_weights(kernel, grid)
     return causal_conv(omega, path[1:])
 
 
@@ -283,7 +280,7 @@ def inverse_weights(kernel, grid):
     the inverse order preserving; certificates verify it before relying
     on monotonicity.
     """
-    omega = conv_weights(kernel, grid).omega
+    omega = conv_weights(kernel, grid)
     return grid.tau * toeplitz_inverse(np.diff(omega, prepend=0.0))
 
 
@@ -316,7 +313,7 @@ def _sonine_defect(pair, grid, skip_time):
     # (k * ell)(t_j) via exact k-weights against cell averages of ell; the
     # first cells of a self-similar singular pair carry a grid-invariant
     # quadrature error, so nodes with t_j <= skip_time are not scored.
-    omega = conv_weights(pair.k, grid).omega
+    omega = conv_weights(pair.k, grid)
     ell_avg = pair.ell.cell_averages(grid)
     # cell i of ell pairs with weight omega[j - i]; no extra tau factor,
     # the averages already carry 1/tau
@@ -370,7 +367,7 @@ def regularized_kernel(ell, n, grid, monotone_rtol=1e-9):
     """Solve the Volterra equation for s_n as a triangular Toeplitz system."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    omega = conv_weights(ell, grid).omega
+    omega = conv_weights(ell, grid)
     s = volterra_sn(omega, float(n))
     k_n = n * s
     scale = max(abs(k_n[0]), 1.0)

@@ -4,7 +4,9 @@ difference-of-convex flow
     d/dt [k * (u - u0)](t) + dphi1(u(t)) - dphi2_lam(u(t)) ni f(t),
 
 its viscous variant (an extra lam_visc * du/dt term) and the Lipschitz
-perturbed problem where a Lipschitz operator B replaces -dphi2.
+perturbed problem where a Lipschitz operator B replaces -dphi2.  Every
+problem has a Sonine kernel pair (k, ell) and a forcing that is absent or
+a callable t -> state.
 
 One step solves, with the Toeplitz weights omega of k and v = u - u0,
 
@@ -17,7 +19,8 @@ parameter mu = tau / (omega_0 + lam_visc); for the Riemann-Liouville pair
 this is exactly an L1-type scheme.  The selection xi_j is read off the
 prox optimality system, eta_j is the explicit Yosida evaluation of phi2
 at the previous state (semi-implicit default) or at the current state via
-an inner Picard loop (coupled mode).
+an inner Picard loop (coupled mode), and zero without a phi2.  The step
+loop ``_solve_loop`` is the one place that evaluates phi2.
 
 The coupled step is the fixed point of the Picard map
 u -> J_mu(b + mu A_lam(u)), which contracts with factor kappa = mu/lam
@@ -26,6 +29,12 @@ where kappa < 1 and kappa**max_picard <= inner_tol (:func:`check_coupling`);
 beyond that the implicit step can have spurious roots.  Without viscosity
 at alpha = 0.5 and the default lam and budget this needs N of about 2e6
 steps; otherwise take a moderate lam or a viscosity.
+
+The Lipschitz perturbed problem is solved by the paper's contraction
+construction: an outer Picard iteration on whole trajectories, each pass
+a solve with B taken at the previous pass's states as part of the
+forcing.  It contracts with kappa = L_B/(omega * visc), so it needs a
+positive viscosity (:func:`solve_lipschitz_perturbed`).
 
 The history H_j is a causal convolution whose input v appears one step at
 a time.  ``_accel.History`` evaluates it exactly: a direct sum over the
@@ -54,7 +63,7 @@ eta only when the caller keeps the trajectories.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,15 +76,13 @@ from .kernels import SoninePair, TimeGrid, conv_weights, convolve, nonlocal_deri
 class ProblemSpec:
     """Cauchy data of the flow: energies, kernel pair, u0, forcing, grid.
 
-    ``pair=None`` disables the nonlocal term entirely (used with a
-    positive viscosity to recover plain implicit Euler in tests).
-    ``forcing`` may be None, a callable t -> state, or a sampled array of
-    shape (N+1,) + state shape.
+    ``phi2`` may be None (no concave part).  ``forcing`` is None (no
+    forcing) or a callable t -> state.
     """
 
     phi1: object
     phi2: object | None
-    pair: SoninePair | None
+    pair: SoninePair
     u0: np.ndarray
     forcing: object | None
     grid: TimeGrid
@@ -88,13 +95,10 @@ class ProblemSpec:
             raise ValueError("initial state must lie in the effective domain of phi1")
 
     def forcing_path(self):
-        shape = (self.grid.steps + 1,) + self.u0.shape
+        """The forcing at the grid nodes, shape (N+1,) + state shape."""
         if self.forcing is None:
-            return np.zeros(shape)
-        if callable(self.forcing):
-            path = np.stack([np.broadcast_to(np.asarray(self.forcing(t), dtype=np.float64), self.u0.shape) for t in self.grid.times])
-        else:
-            path = np.asarray(self.forcing, dtype=np.float64).reshape(shape)
+            return np.zeros((self.grid.steps + 1,) + self.u0.shape)
+        path = np.stack([np.broadcast_to(np.asarray(self.forcing(t), dtype=np.float64), self.u0.shape) for t in self.grid.times])
         if not np.all(np.isfinite(path)):
             raise ValueError("forcing must be finite at all nodes")
         return path
@@ -154,9 +158,7 @@ class Trajectory:
     norms: np.ndarray  # ||u_j||_H
     residuals: np.ndarray | None  # discrete equation residual per node
     e_t: float  # phi1(u0) + sup_j (ell * ||f||^2)(t_j)
-    visc: float = 0.0
     alpha: float | None = None
-    picard_ratios: list = field(default_factory=list)
 
     @property
     def sup_energy1(self):
@@ -199,7 +201,7 @@ def _forcing_sup(spec, f_path):
     weight = spec.phi1.space.weight
     axes = tuple(range(1, f_path.ndim))
     sq = weight * np.sum(f_path**2, axis=axes)
-    if spec.pair is None or not np.any(sq):
+    if not np.any(sq):
         return 0.0
     return float(np.max(convolve(spec.pair.ell, sq, spec.grid)))
 
@@ -212,10 +214,7 @@ def _residuals(spec, config, u0, states, xi, eta, forcing_path):
     convention.
     """
     axes = tuple(range(1, states.ndim))
-    if spec.pair is not None:
-        res_vec = nonlocal_derivative(spec.pair.k, states - u0, spec.grid)
-    else:
-        res_vec = np.zeros_like(states)
+    res_vec = nonlocal_derivative(spec.pair.k, states - u0, spec.grid)
     if config.visc > 0:
         res_vec[1:] += config.visc * np.diff(states, axis=0) / spec.grid.tau
     # deriv + xi - eta - f, in place: no path-sized temporaries
@@ -266,17 +265,10 @@ def _rows(keep, *arrays):
 
 
 def _step_weights(pair, grid, visc):
-    """The Toeplitz weights omega of k (None without a kernel), the step
-    denominator omega_0 + visc and the resolvent parameter mu = tau/denom."""
-    if pair is not None:
-        omega = conv_weights(pair.k, grid).omega
-        omega0 = omega[0]
-    else:
-        omega = None
-        omega0 = 0.0
-        if visc <= 0:
-            raise ValueError("disabling the kernel requires a positive viscosity")
-    denom = omega0 + visc
+    """The Toeplitz weights omega of k, the step denominator omega_0 + visc
+    and the resolvent parameter mu = tau/denom."""
+    omega = conv_weights(pair.k, grid)
+    denom = omega[0] + visc
     return omega, denom, grid.tau / denom
 
 
@@ -327,19 +319,19 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val):
     return errors
 
 
-def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=True):
+def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
     """Shared stepping core: march the initial states ``u0s`` (stacked
-    along axis 0) as one batch of rows.
+    along axis 0) as one batch of rows against ``forcing_path``.
 
-    ``eta_source(j, u_prev)`` returns, for the rows u_prev, the explicit
-    part added to the right-hand side at node j (the phi2 Yosida
-    evaluation, a perturbation -B, or zero) and its envelope diagnostic
-    (None: no envelope, it stays 0); with a phi2 it is the phi2 Yosida
-    evaluation, which coupled mode's Picard loop takes at its iterates.
-    Returns one outcome per row: a :class:`Trajectory`, a
-    :class:`BlowUpReport`, or the exception the row raises.  A row leaves the batch at its own exit, the others march on.
-    Without ``keep_trajectory`` no xi/eta path is stored and no residual
-    re-assembled: a completed row's Trajectory carries None for them.
+    The phi2 term is read from ``spec.phi2`` here and nowhere else: its
+    Yosida rate eta and envelope at the previous states (semi-implicit),
+    or at each Picard iterate (coupled), and the envelope at u0; without
+    a phi2, eta is zero and the envelope stays 0.  Returns one outcome
+    per row: a :class:`Trajectory`, a :class:`BlowUpReport`, or the
+    exception the row raises.  A row leaves the batch at its own exit,
+    the others march on.  Without ``keep_trajectory`` no xi/eta path is
+    stored and no residual re-assembled: a completed row's Trajectory
+    carries None for them.
     """
     grid = spec.grid
     tau = grid.tau
@@ -366,8 +358,19 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
     e_t = energy1[0] + _forcing_sup(spec, forcing_path)
     outcomes = [None] * rows
     live = np.arange(rows)  # the rows still marching
-    if spec.phi2 is not None:
-        initial = lambda u: (spec.phi2.yosida(u, config.yosida_lam, tol=config.inner_tol).envelope,)
+    if spec.phi2 is None:
+        zero = np.zeros(u0s.shape)
+
+        def explicit(u):
+            return zero[: len(u)], None
+
+    else:
+
+        def explicit(u):
+            ye = spec.phi2.yosida(u, config.yosida_lam, tol=config.inner_tol)
+            return ye.rate, ye.envelope
+
+        initial = lambda u: explicit(u)[1:]
         try:
             envelope2[0] = initial(u0s)[0]
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
@@ -381,9 +384,9 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
     # one flat row per node, as History reads it
     v = np.zeros((rows, n + 1, size))
     v_nodes = v.swapaxes(0, 1)
-    histories = [History(omega, v[r]) for r in range(rows)] if omega is not None else []
+    histories = [History(omega, v[r]) for r in range(rows)]
     hist = np.zeros((rows, size))
-    start = (omega[0] if omega is not None else 0.0) * u0s
+    start = omega[0] * u0s
     u0_flat = u0s.reshape(rows, size)
 
     def path_norms(r, accepted):
@@ -411,10 +414,10 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
             outcomes[r] = exc
 
     def step_rows(u, b):
-        # the explicit part eta_source at the rows u (the previous states, or
-        # in coupled mode a Picard iterate), then the phi1 resolvent of the
+        # the explicit part at the rows u (the previous states, or in
+        # coupled mode a Picard iterate), then the phi1 resolvent of the
         # rows with step data b
-        eta_val, env_val = eta_source(j, u)
+        eta_val, env_val = explicit(u)
         rhs = b + mu * (forcing_path[j] + eta_val)
         if not np.isfinite(rhs).all():
             raise FloatingPointError("non-finite step data")
@@ -429,7 +432,7 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
             at = slice(None) if marching == rows else live
             prev, live_start, live_u0 = states[j - 1, at], start[at], u0_flat[at]
             live_hist = hist[:marching].reshape(prev.shape)
-            live_histories = [histories[r] for r in live] if histories else []
+            live_histories = [histories[r] for r in live]
         for k, history in enumerate(live_histories):
             hist[k] = history(j)
         base = (live_start - live_hist + config.visc * prev) / denom
@@ -512,8 +515,7 @@ def _solve_loop(spec, config, forcing_path, eta_source, u0s, keep_trajectory=Tru
             norms=norms[:, r],
             residuals=residuals,
             e_t=float(e_t[r]),
-            visc=config.visc,
-            alpha=spec.pair.alpha if spec.pair is not None else None,
+            alpha=spec.pair.alpha,
         )
     return outcomes
 
@@ -548,23 +550,11 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
     if any(getattr(spec, name) is not getattr(first, name) for spec in specs for name in shared):
         raise ValueError("the rows of a batch must share everything but u0")
     forcing_path = first.forcing_path()
-    zero = np.zeros((len(specs),) + first.u0.shape)
-    if first.phi2 is None:
-
-        def eta_source(j, u_prev):
-            return zero[: len(u_prev)], None
-
-    else:
-
-        def eta_source(j, u_prev):
-            ye = first.phi2.yosida(u_prev, config.yosida_lam, tol=config.inner_tol)
-            return ye.rate, ye.envelope
-
     u0s = np.stack([spec.u0 for spec in specs])
     per_row = (4 if keep_trajectory else 2) * (first.grid.steps + 1) * first.u0.size * u0s.itemsize
     chunk = max(1, BATCH_BYTES // per_row)
     for lo in range(0, len(specs), chunk):
-        yield from _solve_loop(first, config, forcing_path, eta_source, u0s[lo : lo + chunk], keep_trajectory)
+        yield from _solve_loop(first, config, forcing_path, u0s[lo : lo + chunk], keep_trajectory)
 
 
 def solve_dc_flow(spec, config=None):
@@ -597,63 +587,55 @@ class PicardLog:
 def solve_lipschitz_perturbed(spec, config, pert, ratio_tol=1e-2):
     """Flow with a Lipschitz operator B in place of -dphi2.
 
-    With a positive viscosity the solve runs an outer Picard iteration on
-    whole trajectories (the contraction construction with weighted sup
-    norm sup_j e^{-omega t_j} ||.||_H); kappa = L_B/(omega * visc) must be
-    < 1 and the measured decay ratios are logged and checked against it.
-    With zero viscosity B is folded in semi-implicitly (one pass).
+    The paper's contraction construction: an outer Picard iteration on
+    whole trajectories, each pass a solve with B taken at the previous
+    pass's states, measured in the weighted sup norm
+    sup_j e^{-omega t_j} ||.||_H.  Its factor kappa = L_B/(omega * visc)
+    must be < 1, which needs a positive viscosity: raises ``ValueError``
+    naming kappa (inf without a viscosity) otherwise.  ``spec.phi2`` is
+    not used.  Returns the trajectory, with eta = -B(u) and the residuals
+    re-assembled against it, and a :class:`PicardLog` of the measured
+    decay ratios; or the :class:`BlowUpReport` of a pass that blows up.
     """
     config = config or SolverConfig()
+    kappa = pert.contraction_factor(config.visc)
+    if not kappa < 1:
+        raise ValueError(f"contraction factor kappa = {kappa:.3f} must be < 1; increase omega or the viscosity")
     forcing_path = spec.forcing_path()
     grid = spec.grid
     space = spec.phi1.space
+    weights = np.exp(-pert.weight * grid.times)
 
-    if config.visc > 0:
-        kappa = pert.contraction_factor(config.visc)
-        if not kappa < 1:
-            raise ValueError(f"contraction factor kappa = {kappa:.3f} must be < 1; increase omega or the viscosity")
-        weights = np.exp(-pert.weight * grid.times)
+    def xdist(a, b):
+        axes = tuple(range(1, a.ndim))
+        norms = np.sqrt(space.weight * np.sum((a - b) ** 2, axis=axes))
+        return float(np.max(weights * norms))
 
-        def xdist(a, b):
-            axes = tuple(range(1, a.ndim))
-            norms = np.sqrt(space.weight * np.sum((a - b) ** 2, axis=axes))
-            return float(np.max(weights * norms))
-
-        base_spec = ProblemSpec(spec.phi1, None, spec.pair, spec.u0, None, grid)
-        zero = np.zeros((1,) + spec.u0.shape)
-        prev_states = np.broadcast_to(spec.u0, forcing_path.shape).copy()
-        increments = []
-        traj = None
-        for _ in range(config.max_picard):
-            b_path = np.stack([pert.op(prev_states[j]) for j in range(grid.steps + 1)])
-            result = _alone(_solve_loop(base_spec, config, forcing_path - b_path, lambda j, u: (zero, None), spec.u0[None])[0])
-            if isinstance(result, BlowUpReport):
-                return result
-            inc = xdist(result.states, prev_states)
-            increments.append(inc)
-            prev_states = result.states
-            traj = result
-            if inc <= 1e-12 * (1.0 + float(np.max(np.abs(prev_states)))):
-                break
-        floor = 1e-11 * (1.0 + float(np.max(np.abs(prev_states))))
-        ratios = [
-            increments[i] / increments[i - 1]
-            for i in range(1, len(increments))
-            if increments[i - 1] > floor
-        ]
-        traj.picard_ratios = ratios
-        traj.eta = -np.stack([pert.op(traj.states[j]) for j in range(grid.steps + 1)])
-        # recompute residuals with the perturbation in place of -dphi2
-        traj.residuals = _residuals(spec, config, spec.u0, traj.states, traj.xi, traj.eta, forcing_path)
-        log = PicardLog(increments=increments, ratios=ratios, kappa=kappa, ratio_tol=ratio_tol)
-        return traj, log
-
-    # semi-implicit: evaluate B at the previous node, single pass
-    eta_source = lambda j, u_prev: (-pert.op(u_prev[0])[None], None)
-    result = _alone(_solve_loop(spec, config, forcing_path, eta_source, spec.u0[None])[0])
-    if isinstance(result, BlowUpReport):
-        return result
-    return result, PicardLog(increments=[], ratios=[], kappa=pert.contraction_factor(config.visc), ratio_tol=ratio_tol)
+    base_spec = ProblemSpec(spec.phi1, None, spec.pair, spec.u0, None, grid)
+    prev_states = np.broadcast_to(spec.u0, forcing_path.shape).copy()
+    increments = []
+    traj = None
+    for _ in range(config.max_picard):
+        b_path = np.stack([pert.op(prev_states[j]) for j in range(grid.steps + 1)])
+        result = _alone(_solve_loop(base_spec, config, forcing_path - b_path, spec.u0[None])[0])
+        if isinstance(result, BlowUpReport):
+            return result
+        inc = xdist(result.states, prev_states)
+        increments.append(inc)
+        prev_states = result.states
+        traj = result
+        if inc <= 1e-12 * (1.0 + float(np.max(np.abs(prev_states)))):
+            break
+    floor = 1e-11 * (1.0 + float(np.max(np.abs(prev_states))))
+    ratios = [
+        increments[i] / increments[i - 1]
+        for i in range(1, len(increments))
+        if increments[i - 1] > floor
+    ]
+    traj.eta = -np.stack([pert.op(traj.states[j]) for j in range(grid.steps + 1)])
+    # recompute residuals with the perturbation in place of -dphi2
+    traj.residuals = _residuals(spec, config, spec.u0, traj.states, traj.xi, traj.eta, forcing_path)
+    return traj, PicardLog(increments=increments, ratios=ratios, kappa=kappa, ratio_tol=ratio_tol)
 
 
 @dataclass
@@ -677,8 +659,10 @@ class ModulusReport:
         }
 
 
-def continuity_modulus(traj, pair, slack_coeff=0.0):
-    """Check ||u(t+h) - u(t)|| against the continuous-representative bound.
+def continuity_modulus(states, grid, space_weight, pair, slack_coeff=0.0):
+    """Check ||u(t+h) - u(t)|| of the states on ``grid`` against the
+    continuous-representative bound; ``space_weight`` is the weight of
+    the inner product.
 
     For each dyadic lag h the bound is
 
@@ -688,14 +672,13 @@ def continuity_modulus(traj, pair, slack_coeff=0.0):
     with S = sup_j (ell * ||G||^2)(t_j) and G the nonlocal derivative of
     the trajectory; both ell integrals are exact via the antiderivative.
     """
-    grid = traj.grid
     tau = grid.tau
     n = grid.steps
-    u = traj.states
+    u = states
     axes = tuple(range(1, u.ndim))
     deriv = nonlocal_derivative(pair.k, u - u[0], grid)
     sq = np.zeros(n + 1)
-    sq[1:] = traj.space_weight * np.sum(deriv[1:] ** 2, axis=axes)
+    sq[1:] = space_weight * np.sum(deriv[1:] ** 2, axis=axes)
     sup_conv = float(np.max(convolve(pair.ell, sq, grid)))
     big_l = pair.ell.antiderivative
 
@@ -706,7 +689,7 @@ def continuity_modulus(traj, pair, slack_coeff=0.0):
     while m <= n // 2:
         h = m * tau
         diff = u[m:] - u[:-m]
-        modulus = float(np.max(np.sqrt(traj.space_weight * np.sum(diff**2, axis=axes))))
+        modulus = float(np.max(np.sqrt(space_weight * np.sum(diff**2, axis=axes))))
         # nonincreasing ell: ||ell(h+.) - ell(.)||_L1(0,T-h) telescopes
         shift = float(big_l(grid.horizon - h) - (big_l(grid.horizon) - big_l(h)))
         bound = np.sqrt(float(big_l(h)) * sup_conv) + np.sqrt(max(shift, 0.0) * sup_conv)
@@ -753,10 +736,8 @@ def save_state_dump(traj, path):
 
     Layout (version 2): magic "FFLW", version u32, m u32 (flattened state
     dimension), N u32 (steps), horizon f64, alpha f64 (NaN when the kernel
-    is not Riemann-Liouville or absent), space weight f64, rank u32, the
-    state shape as rank u32s, then (N+1) x m float64 states row-major.
-    Version 1 stops the header after alpha; it loads as weight 1 with the
-    flat state shape (m,).
+    is not Riemann-Liouville), space weight f64, rank u32, the state shape
+    as rank u32s, then (N+1) x m float64 states row-major.
     """
     shape = traj.states.shape[1:]
     states = traj.states.reshape(traj.grid.steps + 1, -1)
@@ -771,34 +752,37 @@ def save_state_dump(traj, path):
 
 
 class DumpFormatError(ValueError):
-    """State dump unreadable: bad magic, version, shape or truncation."""
+    """State dump unreadable: bad magic, version, header value, shape or truncation."""
 
 
 def load_state_dump(path):
-    """Read a dump back; raises :class:`DumpFormatError` on corruption.
+    """Read a version-2 dump back; raises :class:`DumpFormatError` on corruption.
 
     Returns the states (shaped), the grid, alpha (None when absent) and the
-    space weight of the inner product.
+    space weight of the inner product.  The header must hold m >= 1 and
+    N >= 1, a finite positive horizon and weight, and alpha NaN or in
+    (0, 1).  A version-1 dump carries no weight and is rejected: read
+    with weight 1, a p-Laplace dump would be certified in the wrong norm.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    header = 4 + 12 + 16
-    if len(blob) < header or blob[:4] != _DUMP_MAGIC:
+    header = 4 + 12 + 16 + 12
+    if len(blob) < 16 or blob[:4] != _DUMP_MAGIC:
         raise DumpFormatError(f"{path}: not a state dump")
     version, m, n = struct.unpack("<III", blob[4:16])
-    if version not in (1, _DUMP_VERSION):
+    if version != _DUMP_VERSION:
         raise DumpFormatError(f"{path}: unsupported version {version}")
-    horizon, alpha = struct.unpack("<dd", blob[16:32])
-    weight, shape = 1.0, (m,)
-    if version == _DUMP_VERSION:
-        try:
-            weight, rank = struct.unpack_from("<dI", blob, header)
-            shape = struct.unpack_from(f"<{rank}I", blob, header + 12)
-        except struct.error as exc:
-            raise DumpFormatError(f"{path}: truncated header") from exc
-        header += 12 + 4 * rank
-        if math.prod(shape) != m:
-            raise DumpFormatError(f"{path}: state shape {shape} does not hold {m} values")
+    try:
+        horizon, alpha, weight, rank = struct.unpack_from("<dddI", blob, 16)
+        shape = struct.unpack_from(f"<{rank}I", blob, header)
+    except struct.error as exc:
+        raise DumpFormatError(f"{path}: truncated header") from exc
+    header += 4 * rank
+    finite_positive = 0 < horizon < math.inf and 0 < weight < math.inf
+    if not (m >= 1 and n >= 1 and finite_positive and (math.isnan(alpha) or 0 < alpha < 1)):
+        raise DumpFormatError(f"{path}: bad header values m = {m}, N = {n}, horizon = {horizon}, alpha = {alpha}, weight = {weight}")
+    if math.prod(shape) != m:
+        raise DumpFormatError(f"{path}: state shape {shape} does not hold {m} values")
     expected = header + (n + 1) * m * 8
     if len(blob) != expected:
         raise DumpFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
@@ -806,6 +790,6 @@ def load_state_dump(path):
     return {
         "states": states,
         "grid": TimeGrid(horizon, n),
-        "alpha": None if np.isnan(alpha) else float(alpha),
+        "alpha": None if math.isnan(alpha) else alpha,
         "space_weight": weight,
     }

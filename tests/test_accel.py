@@ -26,7 +26,7 @@ from fraflow.solver import ProblemSpec, load_state_dump, solve_dc_flow
 
 def forward_substitution_antiderivative(kernel, b, grid):
     """Reference inverse of the discrete nonlocal derivative, node by node."""
-    omega = conv_weights(kernel, grid).omega
+    omega = conv_weights(kernel, grid)
     v = np.zeros_like(b)
     for j in range(1, grid.steps + 1):
         v[j] = (grid.tau * b[j] - l1_history(omega, v, j)) / omega[0]
@@ -94,7 +94,7 @@ def direct_history(omega, v, j):
 
 
 def history_case(m, rng, n=4 * B + 7):
-    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n)).omega
+    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n))
     return omega, rng.standard_normal((n + 1, m))
 
 
@@ -129,7 +129,7 @@ def test_history_reads_no_future_row(rng):
 
 @pytest.mark.parametrize("index", [1.0, 8.0, 64.0])
 def test_volterra_sn_solves_its_equation(index):
-    omega = conv_weights(rl_pair(0.5).ell, TimeGrid(1.0, 128)).omega
+    omega = conv_weights(rl_pair(0.5).ell, TimeGrid(1.0, 128))
     s = volterra_sn(omega, index)
     assert s[0] == 1.0
     # s_j + n * sum_{i=1..j} omega[j-i] s_i = 1 at every node j >= 1
@@ -283,7 +283,7 @@ def test_plaplace_2d_solve_matches_the_bracketed_prox(tmp_path, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 37, 100, 128])
 def test_toeplitz_inverse_is_the_inverse(n, rng):
     # a kernel column (the discrete derivative of rl(0.5)) and a random one
-    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n)).omega
+    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n))
     for column in (np.diff(omega, prepend=0.0), np.concatenate([[2.0], rng.uniform(-1.0, 1.0, n - 1) / n])):
         x = toeplitz_inverse(column)
         dense = toeplitz(column, np.zeros(n))

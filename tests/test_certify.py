@@ -262,7 +262,7 @@ class TestDerivativePairing:
                 Quadratic(Space(1)), PowerPotential(Space(1), 4), rl_pair(0.5), np.array([0.8]), None, TimeGrid(1.0, 256)
             )
             traj = solve_dc_flow(spec, SolverConfig(visc=visc))
-            cert = check_ab_inequality(traj, rl_pair(0.5), slack_coeff=0.1)
+            cert = check_ab_inequality(traj.states, traj.grid, traj.space_weight, rl_pair(0.5), slack_coeff=0.1)
             assert cert.passed, cert.to_dict()
 
     def test_slack_budget_model(self):

@@ -714,8 +714,8 @@ class TestCertifyCommand:
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), steps=64)
         traj = run_experiment(spec, keep_trajectory=True).trajectory
         pair = rl_pair(0.5)
-        pairing = cert.check_ab_inequality(traj, pair, slack_coeff=0.5).to_dict()
-        modulus = continuity_modulus(traj, pair, slack_coeff=0.5).to_dict()
+        pairing = cert.check_ab_inequality(traj.states, traj.grid, traj.space_weight, pair, slack_coeff=0.5).to_dict()
+        modulus = continuity_modulus(traj.states, traj.grid, traj.space_weight, pair, slack_coeff=0.5).to_dict()
         assert by_kind["derivative-pairing"]["min_margin"] == pytest.approx(pairing["min_margin"], rel=1e-12)
         assert by_kind["continuity-modulus"]["moduli"] == pytest.approx(modulus["moduli"], rel=1e-12)
         assert by_kind["continuity-modulus"]["bounds"] == pytest.approx(modulus["bounds"], rel=1e-12)

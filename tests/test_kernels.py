@@ -117,11 +117,17 @@ class TestConvWeights:
     def test_positivity_and_partition(self, alpha):
         pair = rl_pair(alpha)
         grid = TimeGrid(1.0, 128)
-        w = conv_weights(pair.k, grid)
-        assert np.all(w.omega >= 0)
+        omega = conv_weights(pair.k, grid)
+        assert np.all(omega >= 0)
         # telescoping: row sums reproduce the exact antiderivative
         for j in (1, 5, 128):
-            assert np.sum(w.omega[:j]) == pytest.approx(pair.k.antiderivative(j * grid.tau), rel=1e-12)
+            assert np.sum(omega[:j]) == pytest.approx(pair.k.antiderivative(j * grid.tau), rel=1e-12)
+
+    def test_the_cached_weights_are_read_only(self):
+        # every caller shares the cached array: a write would change them all
+        omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, 16))
+        with pytest.raises(ValueError, match="read-only"):
+            omega[0] = 0.0
 
 
 class TestConvolve:

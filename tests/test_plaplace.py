@@ -370,7 +370,7 @@ class TestLeanRows:
         solve_loop = fraflow.solver._solve_loop
 
         def counting(*args):
-            batches.append(len(args[4]))
+            batches.append(len(args[3]))
             return solve_loop(*args)
 
         monkeypatch.setattr(fraflow.solver, "_solve_loop", counting)
@@ -380,8 +380,8 @@ class TestLeanRows:
 
         def skipping(*args):
             # kept rows hold twice the bytes: count the chunks, solve none
-            batches.append(len(args[4]))
-            return [ValueError("not solved")] * len(args[4])
+            batches.append(len(args[3]))
+            return [ValueError("not solved")] * len(args[3])
 
         batches.clear()
         monkeypatch.setattr(fraflow.solver, "_solve_loop", skipping)

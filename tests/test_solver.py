@@ -67,15 +67,6 @@ class TestScalarFlow:
                 gap = phi.value(probe) - phi.value(u) - phi.space.inner(xi, probe - u)
                 assert gap >= -1e-9
 
-    def test_forcing_callable_and_array_agree(self):
-        n = 64
-        grid = TimeGrid(1.0, n)
-        f_call = lambda t: np.array([np.sin(t)])
-        f_arr = np.sin(grid.times)[:, None]
-        t1 = solve_dc_flow(ProblemSpec(Quadratic(Space(1)), None, rl_pair(0.5), np.array([1.0]), f_call, grid))
-        t2 = solve_dc_flow(ProblemSpec(Quadratic(Space(1)), None, rl_pair(0.5), np.array([1.0]), f_arr, grid))
-        np.testing.assert_allclose(t1.states, t2.states, atol=1e-14)
-
     def test_rejects_infinite_initial_energy(self):
         with pytest.raises(ValueError):
             ProblemSpec(Quadratic(Space(1)), None, rl_pair(0.5), np.array([np.inf]), None, TimeGrid(1.0, 8))
@@ -99,18 +90,6 @@ class TestEnergyDiagnostics:
 
 
 class TestViscousFlow:
-    def test_disabled_kernel_is_implicit_euler(self):
-        n = 128
-        spec = ProblemSpec(Quadratic(Space(1)), None, None, np.array([1.0]), None, TimeGrid(1.0, n))
-        traj = solve_dc_flow(spec, SolverConfig(visc=1.0))
-        expected = (1.0 + 1.0 / n) ** (-np.arange(n + 1))
-        np.testing.assert_allclose(traj.states[:, 0], expected, atol=1e-13)
-
-    def test_disabled_kernel_requires_viscosity(self):
-        spec = ProblemSpec(Quadratic(Space(1)), None, None, np.array([1.0]), None, TimeGrid(1.0, 8))
-        with pytest.raises(ValueError):
-            solve_dc_flow(spec)
-
     def test_viscous_limit_regression(self):
         def mk():
             return ProblemSpec(
@@ -159,7 +138,7 @@ class TestCoupledMode:
     def test_well_posed_outputs_are_pinned(self):
         # states and residuals of well-posed coupled runs (kappa = 0.055,
         # 0.007, 0.28 and 0.55), pinned bitwise: the Picard loop shares the
-        # Yosida evaluation of eta_source
+        # semi-implicit step's Yosida evaluation
         digest = hashlib.sha256()
         for knobs in ({"yosida_lam": 1.0}, {"yosida_lam": 1.0, "visc": 0.5}, {"yosida_lam": 0.2}):
             spec = scalar_spec(n=256, u0=0.5, phi2=PowerPotential(Space(1), 4))
@@ -378,26 +357,24 @@ class TestLipschitzPerturbed:
         assert np.max(np.abs(traj.states - ref.states)) <= 1e-9
         assert log.geometric
 
-    def test_semi_implicit_mode_without_viscosity(self):
+    def test_zero_viscosity_is_rejected(self):
+        # the contraction factor L_B/(omega * visc) is infinite without a viscosity
         pert = LipschitzPerturbation(op=lambda w: 0.3 * w, lipschitz=0.3)
-        traj, log = solve_lipschitz_perturbed(scalar_spec(n=128), SolverConfig(), pert)
-        assert isinstance(traj, Trajectory)
-        assert log.ratios == []
-        scale = 1.0 + np.max(np.abs(traj.xi))
-        assert np.max(traj.residuals) <= 1e-9 * scale
+        with pytest.raises(ValueError, match=r"kappa = inf"):
+            solve_lipschitz_perturbed(scalar_spec(n=128), SolverConfig(), pert)
 
 
 class TestContinuityModulus:
     def test_stationary_trajectory(self):
         spec = ProblemSpec(Quadratic(Space(2)), None, rl_pair(0.5), np.zeros(2), None, TimeGrid(1.0, 128))
         traj = solve_dc_flow(spec)
-        rep = continuity_modulus(traj, rl_pair(0.5))
+        rep = continuity_modulus(traj.states, traj.grid, traj.space_weight, rl_pair(0.5))
         np.testing.assert_array_equal(rep.moduli, 0.0)
         assert rep.passed
 
     def test_scalar_flow_bound_and_scaling(self):
         traj = solve_dc_flow(scalar_spec(alpha=0.5, n=1024))
-        rep = continuity_modulus(traj, rl_pair(0.5))
+        rep = continuity_modulus(traj.states, traj.grid, traj.space_weight, rl_pair(0.5))
         assert rep.passed
         # modulus at small lags scales like h^{1/2} = h^{alpha}
         slope = np.polyfit(np.log(rep.lags[:6]), np.log(rep.moduli[:6]), 1)[0]
@@ -406,9 +383,16 @@ class TestContinuityModulus:
     def test_initial_continuity(self):
         # ||u_1 - u_0|| obeys the lag-tau bound: u(0) = u0 attainment
         traj = solve_dc_flow(scalar_spec(alpha=0.5, n=512))
-        rep = continuity_modulus(traj, rl_pair(0.5))
+        rep = continuity_modulus(traj.states, traj.grid, traj.space_weight, rl_pair(0.5))
         first_gap = abs(traj.states[1, 0] - traj.states[0, 0])
         assert first_gap <= rep.bounds[0] + rep.slack
+
+
+def certify_dump(path, tmp_path):
+    # the exit code of ``fraflow certify`` on the dump at path
+    config = tmp_path / "certify.json"
+    config.write_text(json.dumps({"mode": "certify", "certify": {"dump": str(path)}}))
+    return main(["certify", "--config", str(config), "--out", str(tmp_path / "out")])
 
 
 def reference_trajectory_csv(traj, path):
@@ -488,16 +472,51 @@ class TestSerialization:
         np.testing.assert_array_equal(data["states"], shaped.states)
         assert data["space_weight"] == 0.25
 
-    def test_version_1_dump_loads_flat_with_unit_weight(self, tmp_path):
+    def test_version_1_dump_is_rejected(self, tmp_path):
+        # version 1 carries no space weight: a p-Laplace dump read with
+        # weight 1 would be certified in the wrong norm
         states = np.arange(3 * 17, dtype=np.float64).reshape(17, 3)
         header = b"FFLW" + struct.pack("<III", 1, 3, 16) + struct.pack("<dd", 2.0, 0.25)
         path = tmp_path / "v1.bin"
         path.write_bytes(header + states.astype("<f8").tobytes())
-        data = load_state_dump(path)
-        np.testing.assert_array_equal(data["states"], states)
-        assert data["space_weight"] == 1.0
-        assert data["grid"] == TimeGrid(2.0, 16)
-        assert data["alpha"] == 0.25
+        with pytest.raises(DumpFormatError, match="unsupported version 1"):
+            load_state_dump(path)
+        assert certify_dump(path, tmp_path) == 66
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", 0),
+            ("n", 0),
+            ("horizon", -1.0),
+            ("horizon", 0.0),
+            ("horizon", np.nan),
+            ("horizon", np.inf),
+            ("alpha", 1.5),
+            ("alpha", 0.0),
+            ("alpha", 1.0),
+            ("alpha", -np.inf),
+            ("weight", np.inf),
+            ("weight", np.nan),
+            ("weight", 0.0),
+            ("weight", -0.25),
+        ],
+    )
+    def test_bad_header_values_are_rejected(self, tmp_path, field, value):
+        header = {"m": 3, "n": 16, "horizon": 2.0, "alpha": 0.25, "weight": 0.5}
+        header[field] = value
+        states = np.ones((header["n"] + 1, header["m"]))
+        path = tmp_path / "bad.bin"
+        path.write_bytes(
+            b"FFLW"
+            + struct.pack("<III", 2, header["m"], header["n"])
+            + struct.pack("<dddI", header["horizon"], header["alpha"], header["weight"], 1)
+            + struct.pack("<I", header["m"])
+            + states.astype("<f8").tobytes()
+        )
+        with pytest.raises(DumpFormatError, match="bad header values"):
+            load_state_dump(path)
+        assert certify_dump(path, tmp_path) == 66
 
     def test_dump_truncation_detected(self, tmp_path):
         traj = solve_dc_flow(scalar_spec(n=32))
