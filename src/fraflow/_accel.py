@@ -8,7 +8,8 @@ prox.  Whole-path sums are O(N log N) through zero-padded real FFTs.  The
 sequential stepper's history sums go through :class:`History`, O(N log^2 N)
 for a whole run and exact: no per-step sum is O(N) any more.
 ``l1_history`` is the direct sum, which ``History`` calls on the near
-field of at most ``HISTORY_BLOCK`` recent rows.
+field of at most ``HISTORY_BLOCK`` recent rows, with the kernel
+differences it takes once per run.
 
 The module keeps the name ``_accel``, and the near-field sum keeps the
 name ``l1_history``, because the benchmark's tracer
@@ -79,23 +80,31 @@ def volterra_sn(omega_ell, n):
     return np.concatenate([[1.0], np.cumsum(toeplitz_inverse(column))])
 
 
-def l1_history(omega, v, j):
+def l1_history(d, v, j):
     """History term of the discretized nonlocal derivative at step j.
 
-    Returns sum_{i=1..j-1} (omega[j-i] - omega[j-i-1]) * v[i]; the caller
-    adds the leading omega[0] * v[j] term itself.  ``v`` is (N+1, m).
+    Returns sum_{i=1..j-1} (omega[j-i] - omega[j-i-1]) * v[i] from the
+    kernel differences d[k] = omega[k+1] - omega[k] (``np.diff(omega)``,
+    at least j - 1 of them); the caller adds the leading omega[0] * v[j]
+    term itself.  ``v`` is (N+1, m).
+
+    The differences enter as the negative-stride view d[j-2::-1], for
+    which numpy runs its own product loop, bit for bit the sum of
+    ``(omega[1:j] - omega[:j-1])[::-1] @ v[1:j]``.  A contiguous reversed
+    copy would send the product to BLAS gemv, whose blocking gives other
+    last bits than the sha256-pinned outputs hold.
     """
     if j <= 1:
         return np.zeros(v.shape[1:], dtype=np.float64)
-    d = omega[1:j] - omega[: j - 1]
-    return d[::-1] @ v[1:j]
+    return d[j - 2 :: -1] @ v[1:j]
 
 
 HISTORY_BLOCK = 512  # near-field width B of :class:`History`
 
 
 class History:
-    """Exact online history sums H_j = l1_history(omega, v, j), j = 1, 2, ..., N.
+    """Exact online history sums H_j = sum_{i<j} (omega[j-i] - omega[j-i-1]) v[i],
+    j = 1, 2, ..., N.
 
     The blocked convolution of Hairer, Lubich & Schlichte (1985).  ``v``
     is the (N+1, m) buffer the stepper fills row by row; the call at j
@@ -108,10 +117,13 @@ class History:
     O(N B + N log^2 N) and nothing is approximated.  The near field, the
     rows [j - j % B, j), is ``l1_history`` on a window; for j < B that is
     the direct sum itself.
+
+    The kernel differences d[k] = omega[k+1] - omega[k] are taken once,
+    here, and serve both fields; ``l1_history`` reads them for the near
+    field.
     """
 
     def __init__(self, omega, v):
-        self.omega = omega
         self.v = v
         n = v.shape[0] - 1
         # d[k] = omega[k+1] - omega[k], zero past the grid
@@ -125,11 +137,11 @@ class History:
     def __call__(self, j):
         block = HISTORY_BLOCK
         if j < block:
-            return l1_history(self.omega, self.v, j)
+            return l1_history(self.d, self.v, j)
         lo = j - j % block
         if lo == j:
             self._far_field(j)
-        return l1_history(self.omega, self.v[lo - 1 :], j - lo + 1) + self.far[j]
+        return l1_history(self.d, self.v[lo - 1 :], j - lo + 1) + self.far[j]
 
     def _far_field(self, j):
         size = j & -j

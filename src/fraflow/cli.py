@@ -15,7 +15,6 @@ endings, no timestamps.
 """
 
 import argparse
-import concurrent.futures
 import functools
 import hashlib
 import importlib.resources
@@ -447,6 +446,10 @@ def cmd_sweep(config, out_dir, jobs=None):
     if groups:
         with open(ledger_path, "a", newline="\n") as ledger:
             if jobs > 1 and len(groups) > 1:
+                # imported here: with logging it costs every command's
+                # start-up about 5 ms, and only this pool uses it
+                import concurrent.futures
+
                 # the pool starts all its workers at the first submit
                 with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
                     futures = {pool.submit(_sweep_group, (config, *key, amps)): (key, amps) for key, amps in groups.items()}

@@ -113,6 +113,8 @@ class Quadratic(Functional):
         return 0.5 * self.scale * self.space.inner(w, w)
 
     def values(self, w):
+        if w.size == self.space.dim:  # one row: skip the array arithmetic
+            return np.array([self.value(w)])
         return 0.5 * self.scale * self.space.row_inner(w, w)
 
     def prox(self, w, lam, tol=1e-10):

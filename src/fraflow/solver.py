@@ -133,6 +133,10 @@ class SolverConfig:
             raise ValueError("viscosity must be nonnegative")
         if not (self.blowup_norm > 0 and self.blowup_energy > 0):
             raise ValueError("blow-up thresholds must be positive")
+        if not self.inner_tol > 0:
+            raise ValueError("inner tolerance must be positive")
+        if not self.max_picard >= 1:
+            raise ValueError("max_picard must be at least 1")
         if self.coupling not in ("semi_implicit", "coupled"):
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
 
@@ -334,14 +338,14 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
     carries None for them.
     """
     grid = spec.grid
-    tau = grid.tau
     n = grid.steps
     space = spec.phi1.space
     rows = len(u0s)
     size = u0s[0].size
 
     omega, denom, mu = _step_weights(spec.pair, grid, config.visc)
-    coupled = config.coupling == "coupled" and spec.phi2 is not None
+    phi2, prox, tol = spec.phi2, spec.phi1.prox, config.inner_tol
+    coupled = config.coupling == "coupled" and phi2 is not None
     if coupled:
         check_coupling(config, spec.pair, grid)
 
@@ -358,19 +362,12 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
     e_t = energy1[0] + _forcing_sup(spec, forcing_path)
     outcomes = [None] * rows
     live = np.arange(rows)  # the rows still marching
-    if spec.phi2 is None:
-        zero = np.zeros(u0s.shape)
-
-        def explicit(u):
-            return zero[: len(u)], None
-
+    if phi2 is None:
+        # the step data's part mu (f + eta) at every node at once; + 0.0 is
+        # eta = 0, which turns a -0.0 forcing into +0.0
+        drive = mu * (forcing_path + 0.0)
     else:
-
-        def explicit(u):
-            ye = spec.phi2.yosida(u, config.yosida_lam, tol=config.inner_tol)
-            return ye.rate, ye.envelope
-
-        initial = lambda u: explicit(u)[1:]
+        initial = lambda u: (phi2.yosida(u, config.yosida_lam, tol=tol).envelope,)
         try:
             envelope2[0] = initial(u0s)[0]
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
@@ -381,13 +378,12 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
                 envelope2[0, live] = out[0]
 
     # u - u0 history for the nonlocal term: per state one contiguous path,
-    # one flat row per node, as History reads it
-    v = np.zeros((rows, n + 1, size))
+    # read by History as one flat row per node
+    v = np.zeros((rows, n + 1) + u0s.shape[1:])
     v_nodes = v.swapaxes(0, 1)
-    histories = [History(omega, v[r]) for r in range(rows)]
+    histories = [History(omega, v[r].reshape(n + 1, size)) for r in range(rows)]
     hist = np.zeros((rows, size))
     start = omega[0] * u0s
-    u0_flat = u0s.reshape(rows, size)
 
     def path_norms(r, accepted):
         # ||u_j||_H of one row's accepted nodes, all at once at its exit
@@ -397,7 +393,7 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
         path_norms(r, accepted)
         outcomes[r] = BlowUpReport(
             node=j,
-            time=j * tau,
+            time=j * grid.tau,
             reason=reason,
             norm_history=norms[: accepted + 1, r],
             energy_history=energy1[: accepted + 1, r],
@@ -417,11 +413,16 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
         # the explicit part at the rows u (the previous states, or in
         # coupled mode a Picard iterate), then the phi1 resolvent of the
         # rows with step data b
-        eta_val, env_val = explicit(u)
-        rhs = b + mu * (forcing_path[j] + eta_val)
-        if not np.isfinite(rhs).all():
+        if phi2 is None:
+            eta_val = env_val = None
+            rhs = b + drive[j]
+        else:
+            ye = phi2.yosida(u, config.yosida_lam, tol=tol)
+            eta_val, env_val = ye.rate, ye.envelope
+            rhs = b + mu * (forcing_path[j] + eta_val)
+        if not np.logical_and.reduce(np.isfinite(rhs), axis=None):  # ndarray.all adds a Python layer
             raise FloatingPointError("non-finite step data")
-        return eta_val, env_val, spec.phi1.prox(rhs, mu, tol=config.inner_tol), rhs
+        return eta_val, env_val, prox(rhs, mu, tol=tol), rhs
 
     marching = -1  # the number of live rows the per-row data below are for
     for j in range(1, n + 1):
@@ -430,10 +431,10 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
                 break
             marching = live.size
             at = slice(None) if marching == rows else live
-            prev, live_start, live_u0 = states[j - 1, at], start[at], u0_flat[at]
+            prev, live_start = states[j - 1, at], start[at]
             live_hist = hist[:marching].reshape(prev.shape)
-            live_histories = [histories[r] for r in live]
-        for k, history in enumerate(live_histories):
+            live_histories = [(k, histories[r]) for k, r in enumerate(live)]
+        for k, history in live_histories:
             hist[k] = history(j)
         base = (live_start - live_hist + config.visc * prev) / denom
 
@@ -462,7 +463,7 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
         # per-row maxima only when some row may leave: the largest entry
         # of the batch fails this test when any is non-finite or too big
         amax = None
-        if not np.abs(u_new).max() <= config.blowup_norm:
+        if not np.maximum.reduce(np.abs(u_new), axis=None) <= config.blowup_norm:
             amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
             finite = np.isfinite(amax)
             for k in np.flatnonzero(~finite):
@@ -471,16 +472,19 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
                 live, u_new, rhs, eta_val, env_val, amax = _rows(finite, live, u_new, rhs, eta_val, env_val, amax)
                 if not live.size:
                     continue
-        if live.size != marching:
-            at, live_u0 = live, u0_flat[live]
-        node = j if live.size == rows else (j, live)  # an int index is the fast one
+        if live.size == rows:  # an int index is the fast one, and v takes u - u0 in place
+            node = j
+            np.subtract(u_new, u0s, out=v_nodes[j])
+        else:
+            node = (j, live)
+            v_nodes[node] = u_new - u0s[live]
         states[node] = u_new
         if keep_trajectory:
             xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
-            eta[node] = eta_val
-        if env_val is not None:
+        if phi2 is not None:  # eta and the envelope stay 0 without one
+            if keep_trajectory:
+                eta[node] = eta_val
             envelope2[node] = env_val
-        v_nodes[node] = u_new.reshape(live.size, size) - live_u0
         energy1[node] = e1 = spec.phi1.values(u_new)
         prev = u_new  # the next step's previous states, while no row leaves
 
@@ -761,8 +765,10 @@ def load_state_dump(path):
     Returns the states (shaped), the grid, alpha (None when absent) and the
     space weight of the inner product.  The header must hold m >= 1 and
     N >= 1, a finite positive horizon and weight, and alpha NaN or in
-    (0, 1).  A version-1 dump carries no weight and is rejected: read
-    with weight 1, a p-Laplace dump would be certified in the wrong norm.
+    (0, 1), and every state must be finite: a certificate of a NaN or
+    infinite state has no meaning.  A version-1 dump carries no weight and
+    is rejected: read with weight 1, a p-Laplace dump would be certified
+    in the wrong norm.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -787,6 +793,9 @@ def load_state_dump(path):
     if len(blob) != expected:
         raise DumpFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     states = np.frombuffer(blob[header:], dtype="<f8").reshape((n + 1,) + shape).copy()
+    finite = np.isfinite(states.reshape(n + 1, m)).all(axis=1)
+    if not finite.all():
+        raise DumpFormatError(f"{path}: non-finite state at node {int(np.argmin(finite))}")
     return {
         "states": states,
         "grid": TimeGrid(horizon, n),

@@ -27,9 +27,10 @@ from fraflow.solver import ProblemSpec, load_state_dump, solve_dc_flow
 def forward_substitution_antiderivative(kernel, b, grid):
     """Reference inverse of the discrete nonlocal derivative, node by node."""
     omega = conv_weights(kernel, grid)
+    d = np.diff(omega)
     v = np.zeros_like(b)
     for j in range(1, grid.steps + 1):
-        v[j] = (grid.tau * b[j] - l1_history(omega, v, j)) / omega[0]
+        v[j] = (grid.tau * b[j] - l1_history(d, v, j)) / omega[0]
     return v
 
 
@@ -76,7 +77,7 @@ def test_l1_history_is_the_explicit_sum(j, rng):
     omega = np.sort(np.abs(rng.standard_normal(n)))[::-1].copy()
     for v in (rng.standard_normal((n + 1, 3)), rng.standard_normal(n + 1)):
         expected = sum((omega[j - i] - omega[j - i - 1]) * v[i] for i in range(1, j))
-        np.testing.assert_allclose(l1_history(omega, v, j), expected + np.zeros(v.shape[1:]), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(l1_history(np.diff(omega), v, j), expected + np.zeros(v.shape[1:]), rtol=0, atol=1e-13)
 
 
 B = HISTORY_BLOCK
@@ -114,7 +115,20 @@ def test_history_is_the_direct_sum_bitwise_below_one_block(rng):
     omega, v = history_case(3, rng)
     history = History(omega, v)
     for j in range(1, B):
-        np.testing.assert_array_equal(history(j), l1_history(omega, v, j))
+        np.testing.assert_array_equal(history(j), l1_history(np.diff(omega), v, j))
+
+
+@pytest.mark.parametrize("m", [1, 32, 400])
+def test_near_field_over_cached_differences_is_bitwise_the_fresh_difference(m, rng):
+    # the strided view of History.d must give the bits of the fresh
+    # reversed difference; a contiguous reversed copy takes BLAS gemv and
+    # gives other last bits for m = 32 and 400
+    omega, v = history_case(m, rng)
+    d = History(omega, v).d
+    for j in (1, 2, B - 1, B, B + 1, 2 * B, 3 * B + 5):
+        fresh = (omega[1:j] - omega[: j - 1])[::-1] @ v[1:j]
+        near = l1_history(d, v, j)
+        assert near.shape == fresh.shape == (m,) and near.tobytes() == fresh.tobytes(), j
 
 
 def test_history_reads_no_future_row(rng):

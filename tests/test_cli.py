@@ -756,8 +756,9 @@ class TestKernelsCommand:
 # scipy.linalg (about 0.25 s; the Newton steps take LAPACK ptsv/pbsv from
 # scipy's compiled _flapack directly) and jsonschema (about 0.07 s; the
 # config check is in-tree) by no command, mpmath by the Mittag-Leffler
-# oracle alone
-DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "jsonschema", "mpmath"]
+# oracle alone, concurrent.futures (about 5 ms with logging) by the
+# process pool of a sweep with --jobs > 1 alone
+DEFERRED_MODULES = ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "jsonschema", "mpmath", "concurrent.futures"]
 
 
 def run_python(code, cwd):
@@ -880,3 +881,51 @@ def test_commands_run_without_jsonschema(tmp_path):
     proc = run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "config rejected: 'many' is not of type 'integer'" in proc.stderr
+
+
+# the benchmark's three workloads at its full sizes with fixed inputs, and
+# the sha256 of every output they write
+BENCHMARK_PINS = {
+    "scalar": {
+        "solve/chain_rule.json": "685f8d8df961c4cef6e20f7c8876941280af062db8a9186b3b3a67d3944946a0",
+        "solve/diagnostics.json": "1439f9156dffb865a09e722a70c8b581ce8287ffed3ffa7b2e9dd6c59d3d63fa",
+        "solve/state.bin": "b88402236b3cf31872922c226260a5903623e5e2f1ff9c664c1ae45c489a9836",
+        "solve/trajectory.csv": "344689384c70483f1732651138a6b90f57fa76e5f2988b9f4d14009e5850131d",
+        "certify/certificates.json": "b9a38064b55892f363cbc9ff48847522a5282381728cf8da9beb0e8138f7e694",
+    },
+    "plaplace-2d": {
+        "solve/chain_rule.json": "a0d7be540b4b44b1bf814192190430b7cd14bd3da5365df3f2cff37fd2e05e0b",
+        "solve/diagnostics.json": "20addb3f14770700ab4191d8395e7ba80a1373e96289805d85fbb17884c64507",
+        "solve/state.bin": "8f192470a9a43fbd0d3cdb18bb81a0cb549343e02a34c69bb2557d3ff2e93d11",
+        "solve/trajectory.csv": "c0a0de210da8856dbe519f93eb0bca1c0baa74ea563968c7089fbd5625dcd874",
+    },
+    "sweep": {
+        "sweep/sweep.csv": "abe2e1e3b8dfa3d67bd3411ae495e3b1834c19fd7d888130cb85c527bcb5ccd3",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_PINS))
+def test_benchmark_outputs_bytes(tmp_path, workload):
+    # scalar: N = 16384 solve and certify of its dump; plaplace-2d: p = 3,
+    # q = 4, m = 20, N = 64; sweep: 18 rows at m = 32, N = 512, which reach
+    # the history's far field at N = HISTORY_BLOCK
+    out = tmp_path / "out"
+    grid = {"horizon": 1.0, "steps": 16384}
+    if workload == "scalar":
+        problem = {"kind": "scalar-quadratic", "u0": 1.25}
+        solve = {"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": grid, "chain_rule_slack": 0.5}
+        assert main(["solve", "--config", write_config(tmp_path, solve), "--out", str(out / "solve")]) == EXIT_OK
+        certify = {"mode": "certify", "certify": {"dump": str(out / "solve" / "state.bin"), "slack_coeff": 0.5}}
+        assert main(["certify", "--config", write_config(tmp_path, certify, "certify.json"), "--out", str(out / "certify")]) == EXIT_OK
+    elif workload == "plaplace-2d":
+        problem = {"kind": "p-laplace", "p": 3.0, "q": 4.0, "dim": 2, "m": 20, "amplitude": 1.0, "u0_profile": "sine"}
+        solve = {"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": dict(grid, steps=64), "chain_rule_slack": 0.5}
+        assert main(["solve", "--config", write_config(tmp_path, solve), "--out", str(out / "solve")]) == EXIT_OK
+    else:
+        problem = {"kind": "p-laplace", "p": 2.0, "dim": 1, "m": 32, "u0_profile": "sine"}
+        swept = {"qs": [3.0, 4.0, 5.0], "amplitudes": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]}
+        sweep = {"mode": "sweep", "problem": problem, "kernel": {"alpha": 0.5}, "grid": dict(grid, steps=512), "sweep": swept}
+        assert main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out / "sweep"), "--jobs", "1"]) == EXIT_OK
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BENCHMARK_PINS[workload]}
+    assert digests == BENCHMARK_PINS[workload]

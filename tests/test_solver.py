@@ -72,6 +72,14 @@ class TestScalarFlow:
             ProblemSpec(Quadratic(Space(1)), None, rl_pair(0.5), np.array([np.inf]), None, TimeGrid(1.0, 8))
 
 
+@pytest.mark.parametrize("field, value", [("max_picard", 0), ("max_picard", -2), ("inner_tol", 0.0), ("inner_tol", -1e-10), ("inner_tol", np.nan)])
+def test_solver_config_rejects_what_the_schema_rejects(field, value):
+    # with max_picard = 0 the outer loop of solve_lipschitz_perturbed
+    # never runs and leaves no trajectory
+    with pytest.raises(ValueError, match="max_picard must be at least 1" if field == "max_picard" else "inner tolerance must be positive"):
+        SolverConfig(visc=1.0, **{field: value})
+
+
 class TestEnergyDiagnostics:
     def test_e_t_combines_initial_energy_and_forcing(self):
         n = 128
@@ -246,10 +254,10 @@ class DirectHistory:
     """The history as one O(j) sum per step: the reference for ``History``."""
 
     def __init__(self, omega, v):
-        self.omega, self.v = omega, v
+        self.d, self.v = np.diff(omega), v
 
     def __call__(self, j):
-        return l1_history(self.omega, self.v, j)
+        return l1_history(self.d, self.v, j)
 
 
 class TestFastHistory:
@@ -299,9 +307,9 @@ class TestFastHistory:
         near, far = [], []
         history, rfft = fraflow._accel.l1_history, np.fft.rfft
 
-        def counted_history(omega, v, j):
+        def counted_history(d, v, j):
             near.append(max(j - 1, 0))  # rows summed
-            return history(omega, v, j)
+            return history(d, v, j)
 
         def counted_rfft(a, *args, **kwargs):
             if sys._getframe(1).f_code.co_name == "_far_field":
@@ -517,6 +525,18 @@ class TestSerialization:
         with pytest.raises(DumpFormatError, match="bad header values"):
             load_state_dump(path)
         assert certify_dump(path, tmp_path) == 66
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_is_rejected(self, tmp_path, value):
+        # certify would write NaN (not JSON) into certificates.json
+        traj = solve_dc_flow(scalar_spec(n=32))
+        traj.states[5] = value
+        path = tmp_path / "state.bin"
+        save_state_dump(traj, path)
+        with pytest.raises(DumpFormatError, match="non-finite state at node 5"):
+            load_state_dump(path)
+        assert certify_dump(path, tmp_path) == 66
+        assert not (tmp_path / "out" / "certificates.json").exists()
 
     def test_dump_truncation_detected(self, tmp_path):
         traj = solve_dc_flow(scalar_spec(n=32))
