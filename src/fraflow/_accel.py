@@ -129,9 +129,10 @@ class History:
         # d[k] = omega[k+1] - omega[k], zero past the grid
         self.d = np.zeros(2 * n)
         self.d[: len(omega) - 1] = np.diff(omega)
-        # np.zeros, not zeros_like: the pages stay untouched until a far
-        # field lands in them, which only runs of N >= B ever reach
-        self.far = np.zeros(v.shape)
+        # the far field reaches only the targets j >= B: row t is target
+        # B + t.  (A buffer of all N + 1 targets raised the peak RSS of a
+        # 15-row sweep batch at N = B by about 1 MB, one row of it written.)
+        self.far = np.zeros((max(n + 1 - HISTORY_BLOCK, 0),) + v.shape[1:])
         self.spectra = {}  # block size L -> spectrum of d[:2L-1]
 
     def __call__(self, j):
@@ -141,7 +142,7 @@ class History:
         lo = j - j % block
         if lo == j:
             self._far_field(j)
-        return l1_history(self.d, self.v[lo - 1 :], j - lo + 1) + self.far[j]
+        return l1_history(self.d, self.v[lo - 1 :], j - lo + 1) + self.far[j - block]
 
     def _far_field(self, j):
         size = j & -j
@@ -156,8 +157,8 @@ class History:
         sources *= spectrum
         # target t takes the product's entry t - j + size - 1; the entries
         # that wrap around in the size-2L transform all lie below size - 1
-        stop = min(j + size, self.far.shape[0])
-        self.far[j:stop] += np.fft.irfft(sources, 2 * size, axis=0)[size - 1 : size - 1 + stop - j]
+        stop = min(j + size, self.v.shape[0])
+        self.far[j - HISTORY_BLOCK : stop - HISTORY_BLOCK] += np.fft.irfft(sources, 2 * size, axis=0)[size - 1 : size - 1 + stop - j]
 
 
 class ProxNonconvergence(RuntimeError):

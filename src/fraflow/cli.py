@@ -359,8 +359,10 @@ def _load_ledger(ledger_path, digest):
     """Rows of earlier runs of this config, keyed by (alpha, q, amplitude).
 
     Entries of another config, entries without a digest (the old ledger
-    format), error rows, and lines that do not parse or lack ``config``,
-    ``key`` or ``row`` are not replayed; their rows are recomputed.
+    format), error rows, rows that are no object or lack one of
+    ``SWEEP_COLUMNS``, keys that hold a list or an object, and lines that
+    do not parse or lack ``config``, ``key`` or ``row`` are not replayed;
+    their rows are recomputed.
     """
     done = {}
     if not ledger_path.exists():
@@ -370,11 +372,10 @@ def _load_ledger(ledger_path, digest):
             try:
                 entry = json.loads(line)
                 config, key, row = entry["config"], tuple(entry["key"]), entry["row"]
-                replay = config == digest and not row["verdict"].startswith("error:")
+                if config == digest and isinstance(row, dict) and row.keys() >= set(SWEEP_COLUMNS) and not row["verdict"].startswith("error:"):
+                    done[key] = row
             except (ValueError, TypeError, KeyError, AttributeError):
                 continue
-            if replay:
-                done[key] = row
     return done
 
 
@@ -389,39 +390,44 @@ def _drop_torn_tail(path):
 
 
 def _sweep_group(args):
-    """Solve the amplitudes of one (alpha, q) group as one batch of rows.
+    """Solve the rows ``(q, amplitude)`` of one alpha as one batch.
 
-    Returns one ``(row, message)`` pair per amplitude: the sweep row, and
-    for a row that failed the exception message (None otherwise).
+    Returns one ``(row, message)`` pair per row: the sweep row, and for a
+    row that failed the exception message (None otherwise).
     """
-    config, alpha, q, amplitudes = args
+    config, alpha, keys = args
     base = _build_experiment(config)
     base.alpha = alpha
-    base.q = q
-    specs = [base.with_amplitude(amplitude) for amplitude in amplitudes]
+    specs = []
+    for q, amplitude in keys:
+        base.q = q
+        specs.append(base.with_amplitude(amplitude))
     pairs = []
-    for amplitude, outcome in zip(amplitudes, run_experiments(specs, _solver_config(config))):
+    for key, outcome in zip(keys, run_experiments(specs, _solver_config(config))):
         if isinstance(outcome, ExperimentResult):
             pairs.append((outcome.to_row(), None))
         else:
-            pairs.append((_error_row((alpha, q, amplitude), outcome), str(outcome)))
+            pairs.append((_error_row((alpha, *key), outcome), str(outcome)))
     return pairs
 
 
 def cmd_sweep(config, out_dir, jobs=None):
     """Run the sweep and write ``sweep.csv``, resuming from the ledger.
 
-    The pending rows are grouped by (alpha, q): every other setting is
-    shared by the whole sweep, so the rows of a group differ only in
-    their amplitude and go through one batched solve
-    (``plaplace.run_experiments``).  A sweep keeps no trajectory, so a
-    row stores no selection paths; ``solver.BATCH_BYTES`` bounds the
-    whole-path buffers of one batch, and larger groups march in chunks
-    (a 6-amplitude group at m = 32, N = 512 fits in one).  A row leaves
-    its batch at its own exit with the outcome it gets when run alone,
-    ``error:`` rows included.  With ``jobs`` > 1 the groups, not the
-    rows, go to a process pool of at most one worker per group; ``jobs``
-    below 1 is a usage error.  Each row still gets its own ledger entry.
+    The pending rows are grouped by alpha: every other setting but q and
+    the amplitude is shared by the whole sweep, so the rows of one alpha
+    go through one batched solve (``plaplace.run_experiments``), in which
+    each q's potential is evaluated on its own rows.  A sweep keeps no
+    trajectory, so a row stores no path but its history input;
+    ``solver.BATCH_BYTES`` bounds the whole-path buffers of one batch, and
+    larger batches march in chunks (the 18 rows of three q and six
+    amplitudes at m = 32, N = 512 march as 15 and 3).  A row leaves its
+    batch at its own exit with the outcome it gets when run alone,
+    ``error:`` rows included.  The ledger gets one entry per row, written
+    when the row's batch is done.  With ``jobs`` > 1 each alpha's q values
+    are dealt whole to at most ``jobs`` batches, and the batches go to a
+    process pool of at most one worker per batch; ``jobs`` below 1 is a
+    usage error.
     """
     if config.get("problem", {}).get("kind", "p-laplace") != "p-laplace":
         raise ConfigError("a sweep runs the p-laplace problem only")
@@ -440,48 +446,52 @@ def cmd_sweep(config, out_dir, jobs=None):
     groups = {}
     for t in tuples:
         if t not in done:
-            groups.setdefault(t[:2], []).append(t[2])
+            groups.setdefault(t[0], []).append(t[1:])
     jobs = jobs or os.cpu_count() or 1
+    batches = []  # (alpha, rows): the q values of an alpha dealt to at most jobs batches
+    for alpha, keys in groups.items():
+        qs = list(dict.fromkeys(q for q, _ in keys))
+        deal = min(jobs, len(qs))
+        batches.extend((alpha, [key for key in keys if qs.index(key[0]) % deal == i]) for i in range(deal))
     results = dict(done)
-    if groups:
+    if batches:
         with open(ledger_path, "a", newline="\n") as ledger:
-            if jobs > 1 and len(groups) > 1:
+            if jobs > 1 and len(batches) > 1:
                 # imported here: with logging it costs every command's
                 # start-up about 5 ms, and only this pool uses it
                 import concurrent.futures
 
                 # the pool starts all its workers at the first submit
-                with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-                    futures = {pool.submit(_sweep_group, (config, *key, amps)): (key, amps) for key, amps in groups.items()}
+                with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+                    futures = {pool.submit(_sweep_group, (config, *batch)): batch for batch in batches}
                     for fut in concurrent.futures.as_completed(futures):
-                        key, amps = futures[fut]
-                        _ledger_group(ledger, digest, key, amps, fut.result, results)
+                        _ledger_group(ledger, digest, *futures[fut], fut.result, results)
             else:
-                for key, amps in groups.items():
-                    _ledger_group(ledger, digest, key, amps, functools.partial(_sweep_group, (config, *key, amps)), results)
+                for batch in batches:
+                    _ledger_group(ledger, digest, *batch, functools.partial(_sweep_group, (config, *batch)), results)
 
     rows = [results[t] for t in tuples]
     _write_rows_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 
-def _ledger_group(ledger, digest, key, amplitudes, compute, results):
-    """Compute the rows of one group, append one ledger entry per row.
+def _ledger_group(ledger, digest, alpha, keys, compute, results):
+    """Compute the rows ``(q, amplitude)`` of one alpha, append one ledger entry per row.
 
     A row that fails becomes an ``error: <type>`` row (never replayed); its
-    ledger entry also keeps the exception message.  When the group as a
+    ledger entry also keeps the exception message.  When the batch as a
     whole raises, every row of it gets that error.
     """
     try:
         pairs = compute()
-    except Exception as exc:  # group failures recorded, sweep continues
-        pairs = [(_error_row((*key, amplitude), exc), str(exc)) for amplitude in amplitudes]
-    for amplitude, (row, message) in zip(amplitudes, pairs):
-        entry = {"config": digest, "key": [*key, amplitude], "row": row}
+    except Exception as exc:  # batch failures recorded, sweep continues
+        pairs = [(_error_row((alpha, *key), exc), str(exc)) for key in keys]
+    for key, (row, message) in zip(keys, pairs):
+        entry = {"config": digest, "key": [alpha, *key], "row": row}
         if message is not None:
             entry["message"] = message
         ledger.write(json.dumps(entry) + "\n")
-        results[(*key, amplitude)] = row
+        results[(alpha, *key)] = row
 
 
 def _error_row(key, exc):

@@ -98,6 +98,28 @@ class Functional:
         return YosidaEval(lam=lam, point=z, rate=rate, envelope=env)
 
 
+def yosida_rows(phis, which, lam, tol, w, ids):
+    """The Yosida rate and envelope of several functionals, each at its own rows of ``w``.
+
+    Row k of the stack ``w`` is row ``ids[k]`` of a batch whose row r
+    belongs to the functional ``phis[r]``, and ``which[r]`` is the first
+    row with that functional.  Each functional takes one ``yosida`` call,
+    on its own rows; a batch with one functional (``which`` all 0) takes
+    one call on ``w`` itself, without a copy.  Returns the rates, shaped
+    as ``w``, and one envelope per row.
+    """
+    if not which.any():
+        ye = phis[0].yosida(w, lam, tol=tol)
+        return ye.rate, ye.envelope
+    rate, env = np.empty(w.shape), np.empty(len(w))
+    own = which[ids]
+    for i in set(own.tolist()):
+        at = np.flatnonzero(own == i)
+        ye = phis[i].yosida(w[at], lam, tol=tol)
+        rate[at], env[at] = ye.rate, ye.envelope
+    return rate, env
+
+
 # ---------------------------------------------------------------------------
 # built-in functionals
 

@@ -394,31 +394,35 @@ def run_experiment(spec, config=None, keep_trajectory=False):
 
 
 def run_experiments(specs, config=None, keep_trajectory=False):
-    """Solve experiments that differ only in their amplitude as one batch.
+    """Solve experiments that differ only in their exponent q and amplitude as one batch.
 
+    Every spec with one q shares one ``PowerPotential`` and one
+    ``RegimeReport``; the solver evaluates each potential on its own rows.
     Returns, per spec, what :func:`run_experiment` returns for it alone, or
     the exception it raises alone.  Without ``keep_trajectory`` the solver
-    stores no selection paths and re-assembles no residuals; the result
-    rows are the same either way.
+    stores no path but the history input and re-assembles no residuals;
+    the result rows are the same either way.
     """
     config = config or SolverConfig()
     first = specs[0]
-    if any(replace(spec, amplitude=first.amplitude) != first for spec in specs):
-        raise ValueError("the experiments of a batch may differ in amplitude only")
+    if any(replace(spec, q=first.q, amplitude=first.amplitude) != first for spec in specs):
+        raise ValueError("the experiments of a batch may differ in q and amplitude only")
     grid = first.grid
-    regime = classify_regime(first.p, first.q, grid.dim)
     phi1 = PDirichletEnergy(grid, first.p)
-    phi2 = PowerPotential(grid.space, first.q)
     pair = rl_pair(first.alpha)
     forcing = forcing_profile(grid, first.f_profile, first.f_amplitude)
     time_grid = TimeGrid(first.horizon, first.steps)
     tau = first.horizon / first.steps
     outcomes = [None] * len(specs)
+    regimes, phi2s = {}, {}  # by q
     problems = []
     for i, spec in enumerate(specs):
         try:
+            if spec.q not in phi2s:
+                regimes[spec.q] = classify_regime(spec.p, spec.q, grid.dim)
+                phi2s[spec.q] = PowerPotential(grid.space, spec.q)
             u0 = initial_profile(grid, spec.u0_profile, spec.amplitude)
-            problems.append((i, ProblemSpec(phi1=phi1, phi2=phi2, pair=pair, u0=u0, forcing=forcing, grid=time_grid)))
+            problems.append((i, ProblemSpec(phi1=phi1, phi2=phi2s[spec.q], pair=pair, u0=u0, forcing=forcing, grid=time_grid)))
         except Exception as exc:  # noqa: BLE001 - the row's own outcome
             outcomes[i] = exc
     # consumed chunk by chunk: once its trajectories are dropped, a chunk's
@@ -435,7 +439,7 @@ def run_experiments(specs, config=None, keep_trajectory=False):
             outcomes[i] = ExperimentResult(
                 verdict="blew_up",
                 spec=spec,
-                regime=regime,
+                regime=regimes[spec.q],
                 sup_energy1=sup_e,
                 e_t=result.e_t,
                 energy_ratio=sup_e / result.e_t if result.e_t > 0 else None,
@@ -447,7 +451,7 @@ def run_experiments(specs, config=None, keep_trajectory=False):
             outcomes[i] = ExperimentResult(
                 verdict="completed",
                 spec=spec,
-                regime=regime,
+                regime=regimes[spec.q],
                 sup_energy1=result.sup_energy1,
                 e_t=result.e_t,
                 energy_ratio=result.sup_energy1 / result.e_t if result.e_t > 0 else None,

@@ -44,23 +44,21 @@ fewer steps than one block takes the direct sum at every step.  The
 history buffer is flat, one row of u0.size values per node, so states of
 any rank take the same path.
 
-The step loop marches a batch of rows: problems that share phi1, phi2,
-the kernel pair, the forcing and the grid and differ only in u0 (a sweep
-over data amplitudes at one (alpha, q)).  Every step array carries a
-leading row axis; each row keeps its own history buffer, the resolvents
-work row by row inside one call (the p-Dirichlet Newton steps of all rows
-take one banded Cholesky solve on a 1D grid, one per row on a 2D grid),
-and every per-row reduction keeps the single-row summation order, so a
-row comes out bitwise as it does alone.  A row leaves the batch at its
-own exit (a threshold, a non-finite state, a stalled resolvent, or any
-exception, which becomes its outcome) with exactly the outcome it gets
-when run alone, and the other rows march on.  A single solve is a batch of one.
-``solve_dc_rows`` splits a batch whose whole-path buffers exceed
-``BATCH_BYTES`` into chunks.  It counts only the buffers a batch
-allocates: the states and the history input always, the selections xi and
-eta only when the caller keeps the trajectories.
+The step loop marches a batch of rows: problems that share phi1, the
+kernel pair, the forcing and the grid and differ in u0 and phi2 (a sweep
+over amplitudes and exponents q at one alpha).  Each phi2 object takes
+one Yosida call per evaluation, on its own rows.  Every step array has a
+leading row axis, each row its own history buffer; the resolvents work
+row by row inside one call, and every per-row reduction keeps the
+single-row summation order, so a row comes out bitwise as it does alone.
+A row leaves the batch at its own exit (a threshold, a non-finite state,
+a stalled resolvent, or any exception, which becomes its outcome) and
+the others march on.  A single solve is a batch of one.  Whole-path
+buffers beyond ``BATCH_BYTES`` split a batch into chunks: the history
+input always, the states, xi and eta only for kept trajectories.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -68,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import History
-from .convex import ProxNonconvergence
+from .convex import ProxNonconvergence, yosida_rows
 from .kernels import SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
 
@@ -148,21 +146,21 @@ class Trajectory:
     Arrays are aligned with the grid nodes (index 0 = initial data); the
     selections and residuals are only meaningful from node 1 on.  A solve
     whose caller drops the trajectory (``solve_dc_rows`` with
-    ``keep_trajectory=False``) stores no selections and re-assembles no
-    residuals: ``xi``, ``eta`` and ``residuals`` are None there.
+    ``keep_trajectory=False``) stores no path and re-assembles no
+    residuals: ``states``, ``xi``, ``eta`` and ``residuals`` are None there.
     """
 
     grid: TimeGrid
-    states: np.ndarray  # (N+1,) + state shape
-    xi: np.ndarray | None  # selection in dphi1, node-aligned
-    eta: np.ndarray | None  # Yosida evaluation of phi2 (or -B(u))
     space_weight: float
     energy1: np.ndarray  # phi1(u_j)
     envelope2: np.ndarray  # phi2_lam at the eta evaluation point
     norms: np.ndarray  # ||u_j||_H
-    residuals: np.ndarray | None  # discrete equation residual per node
     e_t: float  # phi1(u0) + sup_j (ell * ||f||^2)(t_j)
     alpha: float | None = None
+    states: np.ndarray | None = None  # (N+1,) + state shape
+    xi: np.ndarray | None = None  # selection in dphi1, node-aligned
+    eta: np.ndarray | None = None  # Yosida evaluation of phi2 (or -B(u))
+    residuals: np.ndarray | None = None  # discrete equation residual per node
 
     @property
     def sup_energy1(self):
@@ -230,9 +228,9 @@ def _residuals(spec, config, u0, states, xi, eta, forcing_path):
     return residuals
 
 
-# byte budget of the whole-path buffers (states and the history input v,
-# plus xi and eta when the trajectories are kept) of one batch of rows;
-# solve_dc_rows splits larger groups
+# byte budget of the whole-path buffers (the history input v, plus the
+# states, xi and eta when the trajectories are kept) of one batch of rows;
+# solve_dc_rows splits larger batches
 BATCH_BYTES = 2 << 20
 
 
@@ -292,22 +290,22 @@ def check_coupling(config, pair, grid):
         )
 
 
-def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val):
+def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, ids):
     """The inner Picard loop of the coupled mode, row by row.
 
     Each row iterates until its own increment converges; the rows are
-    updated in place.  Returns the exceptions of the rows that failed, by
-    position: what a row raised, or ``ProxNonconvergence`` for a row that
-    used up its ``max_picard`` budget.
+    updated in place, ``ids`` are their batch rows.  Returns the exceptions
+    of the rows that failed, by position: what a row raised, or
+    ``ProxNonconvergence`` for a row that used up its ``max_picard`` budget.
     """
     pending = np.arange(len(u_new))  # the rows still iterating
-    inc = np.full(len(u_new), np.inf)
     errors = {}
     for _ in range(config.max_picard):
+        rows = u_new[pending], base[pending], ids[pending]
         try:
-            out = step_rows(u_new[pending], base[pending])
+            out = step_rows(*rows)
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
-            kept, out, failed = _isolate(step_rows, exc, u_new[pending], base[pending])
+            kept, out, failed = _isolate(step_rows, exc, *rows)
             errors.update((int(pending[k]), error) for k, error in failed.items())
             pending = pending[kept]
             if out is None:
@@ -323,19 +321,20 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val):
     return errors
 
 
-def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
+def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory=True):
     """Shared stepping core: march the initial states ``u0s`` (stacked
     along axis 0) as one batch of rows against ``forcing_path``.
 
-    The phi2 term is read from ``spec.phi2`` here and nowhere else: its
-    Yosida rate eta and envelope at the previous states (semi-implicit),
-    or at each Picard iterate (coupled), and the envelope at u0; without
-    a phi2, eta is zero and the envelope stays 0.  Returns one outcome
-    per row: a :class:`Trajectory`, a :class:`BlowUpReport`, or the
-    exception the row raises.  A row leaves the batch at its own exit,
-    the others march on.  Without ``keep_trajectory`` no xi/eta path is
-    stored and no residual re-assembled: a completed row's Trajectory
-    carries None for them.
+    Row r's phi2 is ``phi2s[r]`` (``spec.phi2`` is not read), evaluated
+    here and nowhere else: its Yosida rate eta and envelope at the
+    previous states (semi-implicit), or at each Picard iterate (coupled),
+    and the envelope at u0; without a phi2, eta is zero and the envelope
+    stays 0.  Returns one outcome per row: a :class:`Trajectory`, a
+    :class:`BlowUpReport`, or the exception the row raises.  A row leaves
+    the batch at its own exit, the others march on.  Without
+    ``keep_trajectory`` the history input is the only path stored and
+    the norms are taken node by node: a completed row's Trajectory
+    carries None for states, xi, eta and the residuals.
     """
     grid = spec.grid
     n = grid.steps
@@ -344,52 +343,61 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
     size = u0s[0].size
 
     omega, denom, mu = _step_weights(spec.pair, grid, config.visc)
-    phi2, prox, tol = spec.phi2, spec.phi1.prox, config.inner_tol
-    coupled = config.coupling == "coupled" and phi2 is not None
+    prox, tol = spec.phi1.prox, config.inner_tol
+    # each phi2 is evaluated on its own rows: which[r] is the first row
+    # whose phi2 is row r's
+    yosida = functools.partial(yosida_rows, phi2s, np.array([phi2s.index(phi2) for phi2 in phi2s]), config.yosida_lam, tol)
+    has_phi2 = phi2s[0] is not None
+    coupled = config.coupling == "coupled" and has_phi2
     if coupled:
         check_coupling(config, spec.pair, grid)
 
     # whole-path buffers, node first: a row's trajectory is the slice
     # [:, r], and a step writes node j of every live row at once
-    states = np.zeros((n + 1,) + u0s.shape)
-    xi = np.zeros(states.shape) if keep_trajectory else None
-    eta = np.zeros(states.shape) if keep_trajectory else None
     envelope2 = np.zeros((n + 1, rows))
     energy1 = np.zeros((n + 1, rows))
     norms = np.zeros((n + 1, rows))
-    states[0] = u0s
+    states = xi = eta = None  # the paths of kept trajectories
+    if keep_trajectory:
+        states, xi, eta = (np.zeros((n + 1,) + u0s.shape) for _ in range(3))
+        states[0] = u0s
+    else:  # a lean row takes its norms node by node, a kept one at its exit
+        norms[0] = space.row_norms(u0s)
     energy1[0] = spec.phi1.values(u0s)
     e_t = energy1[0] + _forcing_sup(spec, forcing_path)
     outcomes = [None] * rows
     live = np.arange(rows)  # the rows still marching
-    if phi2 is None:
+    if not has_phi2:
         # the step data's part mu (f + eta) at every node at once; + 0.0 is
         # eta = 0, which turns a -0.0 forcing into +0.0
         drive = mu * (forcing_path + 0.0)
     else:
-        initial = lambda u: (phi2.yosida(u, config.yosida_lam, tol=tol).envelope,)
         try:
-            envelope2[0] = initial(u0s)[0]
+            envelope2[0] = yosida(u0s, live)[1]
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
-            live, out, errors = _isolate(initial, exc, u0s)
+            live, out, errors = _isolate(yosida, exc, u0s, live)
             for k, error in errors.items():
                 outcomes[k] = error
             if out is not None:
-                envelope2[0, live] = out[0]
-
+                envelope2[0, live] = out[1]
+    prev = u0s[live]  # the previous states of the live rows, in their order
     # u - u0 history for the nonlocal term: per state one contiguous path,
     # read by History as one flat row per node
     v = np.zeros((rows, n + 1) + u0s.shape[1:])
     v_nodes = v.swapaxes(0, 1)
     histories = [History(omega, v[r].reshape(n + 1, size)) for r in range(rows)]
     hist = np.zeros((rows, size))
-    start = omega[0] * u0s
 
     def path_norms(r, accepted):
-        # ||u_j||_H of one row's accepted nodes, all at once at its exit
-        norms[: accepted + 1, r] = space.row_norms(states[: accepted + 1, r])
+        # ||u_j||_H of a kept row's accepted nodes, all at once at its exit
+        # (a lean row takes them node by node)
+        if keep_trajectory:
+            norms[: accepted + 1, r] = space.row_norms(states[: accepted + 1, r])
 
-    def blowup(r, j, reason, accepted):
+    # blowup and fail take the position k of a row among the live rows, at
+    # the node j being stepped
+    def blowup(k, reason, accepted):
+        r = live[k]
         path_norms(r, accepted)
         outcomes[r] = BlowUpReport(
             node=j,
@@ -400,25 +408,26 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
             e_t=float(e_t[r]),
         )
 
-    def fail(r, j, exc):
-        # a step escaping toward overflow (through the phi1 or the phi2
-        # resolvent) is a threshold crossing, not a solver defect; on a
-        # bounded state the exception is the row's outcome
-        if isinstance(exc, (FloatingPointError, ProxNonconvergence)) and np.max(np.abs(states[j - 1, r])) >= 0.01 * config.blowup_norm:
-            blowup(r, j, "norm-threshold", j - 1)
-        else:
-            outcomes[r] = exc
+    def fail(errors):
+        # the exceptions of the rows that failed, by position: a step
+        # escaping toward overflow (through the phi1 or the phi2 resolvent)
+        # is a threshold crossing, not a solver defect; on a bounded state
+        # the exception is the row's outcome
+        for k, exc in errors.items():
+            if isinstance(exc, (FloatingPointError, ProxNonconvergence)) and np.max(np.abs(prev[k])) >= 0.01 * config.blowup_norm:
+                blowup(k, "norm-threshold", j - 1)
+            else:
+                outcomes[live[k]] = exc
 
-    def step_rows(u, b):
-        # the explicit part at the rows u (the previous states, or in
-        # coupled mode a Picard iterate), then the phi1 resolvent of the
-        # rows with step data b
-        if phi2 is None:
+    def step_rows(u, b, ids):
+        # the explicit part at the rows u of the batch rows ids (the
+        # previous states, or in coupled mode a Picard iterate), then the
+        # phi1 resolvent of the rows with step data b
+        if not has_phi2:
             eta_val = env_val = None
             rhs = b + drive[j]
         else:
-            ye = phi2.yosida(u, config.yosida_lam, tol=tol)
-            eta_val, env_val = ye.rate, ye.envelope
+            eta_val, env_val = yosida(u, ids)
             rhs = b + mu * (forcing_path[j] + eta_val)
         if not np.logical_and.reduce(np.isfinite(rhs), axis=None):  # ndarray.all adds a Python layer
             raise FloatingPointError("non-finite step data")
@@ -430,8 +439,7 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
             if not live.size:
                 break
             marching = live.size
-            at = slice(None) if marching == rows else live
-            prev, live_start = states[j - 1, at], start[at]
+            live_start = omega[0] * u0s[live]
             live_hist = hist[:marching].reshape(prev.shape)
             live_histories = [(k, histories[r]) for k, r in enumerate(live)]
         for k, history in live_histories:
@@ -439,21 +447,19 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
         base = (live_start - live_hist + config.visc * prev) / denom
 
         try:
-            eta_val, env_val, u_new, rhs = step_rows(prev, base)
+            eta_val, env_val, u_new, rhs = step_rows(prev, base, live)
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
-            kept, out, errors = _isolate(step_rows, exc, prev, base)
-            for k, error in errors.items():
-                fail(live[k], j, error)
-            live, base = _rows(kept, live, base)
+            kept, out, errors = _isolate(step_rows, exc, prev, base, live)
+            fail(errors)
+            live, base, prev = _rows(kept, live, base, prev)
             if out is None:
                 continue
             eta_val, env_val, u_new, rhs = out
 
         if coupled:
             env_val = np.array(np.broadcast_to(env_val, live.shape), dtype=np.float64)
-            errors = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val)
-            for k, error in errors.items():
-                fail(live[k], j, error)
+            errors = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, live)
+            fail(errors)
             keep = np.ones(live.size, dtype=bool)
             keep[list(errors)] = False
             live, u_new, rhs, eta_val, env_val = _rows(keep, live, u_new, rhs, eta_val, env_val)
@@ -467,7 +473,7 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
             amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
             finite = np.isfinite(amax)
             for k in np.flatnonzero(~finite):
-                blowup(live[k], j, "non-finite", j - 1)
+                blowup(k, "non-finite", j - 1)
             if not finite.all():
                 live, u_new, rhs, eta_val, env_val, amax = _rows(finite, live, u_new, rhs, eta_val, env_val, amax)
                 if not live.size:
@@ -478,15 +484,17 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
         else:
             node = (j, live)
             v_nodes[node] = u_new - u0s[live]
-        states[node] = u_new
         if keep_trajectory:
+            states[node] = u_new
             xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
-        if phi2 is not None:  # eta and the envelope stay 0 without one
-            if keep_trajectory:
+            if has_phi2:
                 eta[node] = eta_val
+        else:
+            norms[node] = space.row_norms(u_new)
+        if has_phi2:  # the envelope stays 0 without one
             envelope2[node] = env_val
         energy1[node] = e1 = spec.phi1.values(u_new)
-        prev = u_new  # the next step's previous states, while no row leaves
+        prev = u_new
 
         # a NaN maximum also takes the per-row test, which ignores NaN
         if amax is not None or not max(e1.tolist()) <= config.blowup_energy:
@@ -494,33 +502,28 @@ def _solve_loop(spec, config, forcing_path, u0s, keep_trajectory=True):
                 amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
             over = (amax > config.blowup_norm) | (e1 > config.blowup_energy)
             for k in np.flatnonzero(over):
-                blowup(live[k], j, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold", j)
-            live = live[~over]
+                blowup(k, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold", j)
+            live, prev = live[~over], prev[~over]
 
     # the history input is not needed any more: free it before the
     # re-assembly of the residuals
     v = v_nodes = histories = live_histories = None
     for r in live:
         path_norms(r, n)
-        xi_r = eta_r = residuals = None
-        if keep_trajectory:
-            xi_r, eta_r = xi[:, r], eta[:, r]
-            path = xi_r[1:]  # rhs until now: xi = (rhs - u)/mu, in place
-            np.divide(np.subtract(path, states[1:, r], out=path), mu, out=path)
-            residuals = _residuals(spec, config, u0s[r], states[:, r], xi_r, eta_r, forcing_path)
-        outcomes[r] = Trajectory(
+        outcomes[r] = traj = Trajectory(
             grid=grid,
-            states=states[:, r],
-            xi=xi_r,
-            eta=eta_r,
             space_weight=space.weight,
             energy1=energy1[:, r],
             envelope2=envelope2[:, r],
             norms=norms[:, r],
-            residuals=residuals,
             e_t=float(e_t[r]),
             alpha=spec.pair.alpha,
         )
+        if keep_trajectory:
+            traj.states, traj.xi, traj.eta = states[:, r], xi[:, r], eta[:, r]
+            path = traj.xi[1:]  # rhs until now: xi = (rhs - u)/mu, in place
+            np.divide(np.subtract(path, traj.states[1:], out=path), mu, out=path)
+            traj.residuals = _residuals(spec, config, u0s[r], traj.states, traj.xi, traj.eta, forcing_path)
     return outcomes
 
 
@@ -532,33 +535,33 @@ def _alone(outcome):
 
 
 def solve_dc_rows(specs, config=None, keep_trajectory=True):
-    """March Cauchy problems that differ only in u0 as one batch of rows.
+    """March Cauchy problems that differ only in u0 and phi2 as one batch of rows.
 
-    The specs must share phi1, phi2, the kernel pair, the forcing and the
-    grid (the same objects).  Yields, per spec and in order, what
+    The specs share phi1, the kernel pair, the forcing and the grid (the
+    same objects); each has a phi2 or none has, and each phi2 object is
+    evaluated on its own rows.  Yields, per spec and in order, what
     :func:`solve_dc_flow` returns for it alone, or the exception it raises
-    alone: each row leaves the batch at its own exit with its single-row
-    outcome.  A caller that drops the trajectories passes
-    ``keep_trajectory=False``: then a completed row's Trajectory carries
-    ``xi = eta = residuals = None``, and everything else (states,
-    energies, norms, envelope, E_T, every BlowUpReport field) is as when
-    it is kept.  Rows whose whole-path buffers (states and history input,
-    plus xi and eta when kept) would exceed ``BATCH_BYTES`` together are
-    marched in consecutive chunks, each yielded as soon as it is done, so
-    a consumer that drops the trajectories holds one chunk's buffers at a
-    time.
+    alone: each row leaves the batch at its own exit.  A caller that
+    drops the trajectories passes ``keep_trajectory=False``: a completed
+    row's Trajectory then carries ``states = xi = eta = residuals =
+    None``, and all else (energies, norms, envelope, E_T, every
+    BlowUpReport field) is as when kept.  Rows whose whole-path buffers
+    (the history input, plus states, xi and eta when kept) exceed
+    ``BATCH_BYTES`` together march in consecutive chunks, each yielded
+    when done, so a consumer that drops the trajectories holds one
+    chunk's buffers at a time.
     """
     config = config or SolverConfig()
     first = specs[0]
-    shared = ("phi1", "phi2", "pair", "forcing", "grid")
-    if any(getattr(spec, name) is not getattr(first, name) for spec in specs for name in shared):
-        raise ValueError("the rows of a batch must share everything but u0")
+    phi2s = [spec.phi2 for spec in specs]
+    if 0 < phi2s.count(None) < len(specs) or any(getattr(spec, name) is not getattr(first, name) for spec in specs for name in ("phi1", "pair", "forcing", "grid")):
+        raise ValueError("the rows of a batch must share everything but u0 and phi2, and have a phi2 all or none")
     forcing_path = first.forcing_path()
     u0s = np.stack([spec.u0 for spec in specs])
-    per_row = (4 if keep_trajectory else 2) * (first.grid.steps + 1) * first.u0.size * u0s.itemsize
+    per_row = (4 if keep_trajectory else 1) * (first.grid.steps + 1) * first.u0.size * u0s.itemsize
     chunk = max(1, BATCH_BYTES // per_row)
     for lo in range(0, len(specs), chunk):
-        yield from _solve_loop(first, config, forcing_path, u0s[lo : lo + chunk], keep_trajectory)
+        yield from _solve_loop(first, config, forcing_path, u0s[lo : lo + chunk], phi2s[lo : lo + chunk], keep_trajectory)
 
 
 def solve_dc_flow(spec, config=None):
@@ -615,13 +618,12 @@ def solve_lipschitz_perturbed(spec, config, pert, ratio_tol=1e-2):
         norms = np.sqrt(space.weight * np.sum((a - b) ** 2, axis=axes))
         return float(np.max(weights * norms))
 
-    base_spec = ProblemSpec(spec.phi1, None, spec.pair, spec.u0, None, grid)
     prev_states = np.broadcast_to(spec.u0, forcing_path.shape).copy()
     increments = []
     traj = None
     for _ in range(config.max_picard):
         b_path = np.stack([pert.op(prev_states[j]) for j in range(grid.steps + 1)])
-        result = _alone(_solve_loop(base_spec, config, forcing_path - b_path, spec.u0[None])[0])
+        result = _alone(_solve_loop(spec, config, forcing_path - b_path, spec.u0[None], [None])[0])
         if isinstance(result, BlowUpReport):
             return result
         inc = xdist(result.states, prev_states)

@@ -16,6 +16,7 @@ import pytest
 
 import fraflow
 import fraflow.cli
+import fraflow.solver
 from fraflow import certify as cert
 from fraflow.cli import (
     EXIT_BLOWUP,
@@ -30,7 +31,7 @@ from fraflow.cli import (
 from fraflow.convex import ProxNonconvergence
 from fraflow.kernels import rl_pair
 from fraflow.plaplace import ExperimentSpec, Grid, run_experiment
-from fraflow.solver import continuity_modulus
+from fraflow.solver import Trajectory, continuity_modulus
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -441,6 +442,28 @@ SMALL_SWEEP = {
 }
 
 
+def inline_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that records its max_workers in
+    ``sizes`` and runs each task at submit, in this process."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    return InlinePool
+
+
 class TestSweepCommand:
     def test_row_count_and_order(self, tmp_path):
         config = write_config(tmp_path, SMALL_SWEEP)
@@ -517,6 +540,30 @@ class TestSweepCommand:
         entries = [json.loads(line) for line in ledger.read_text().splitlines()]
         assert [entry["key"][2] for entry in entries] == [2.0, 0.5, 8.0]
 
+    @pytest.mark.parametrize("damage", ["row without a column", "list in the key"])
+    def test_resume_recomputes_a_damaged_ledger_row(self, tmp_path, damage):
+        # a ledger row that lacks a column, or whose key cannot be one, is
+        # not replayed: its row is solved again and the CSV is that of the
+        # first run
+        config = write_config(tmp_path, SMALL_SWEEP)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        first = (out / "sweep.csv").read_bytes()
+        ledger = out / "sweep_ledger.jsonl"
+        entries = [json.loads(line) for line in ledger.read_text().splitlines()]
+        key = entries[1]["key"]
+        if damage == "row without a column":
+            del entries[1]["row"]["C_emp"]
+        else:
+            entries[1]["key"] = [[key[0]], *key[1:]]
+        ledger.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+        assert main(["sweep", "--config", config, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == first
+        again = [json.loads(line) for line in ledger.read_text().splitlines()]
+        # solved again: one new entry, with every column
+        assert [entry["key"] for entry in again[len(entries) :]] == [key]
+        assert set(again[-1]["row"]) == set(fraflow.cli.SWEEP_COLUMNS)
+
     def test_error_row_ledger_keeps_message(self, tmp_path, monkeypatch):
         def stalled(args):
             raise ProxNonconvergence(6.8e-6, 50)
@@ -585,23 +632,7 @@ class TestSweepCommand:
         # a 2-group sweep must not start 4.  The stand-in runs each group at
         # submit, so no process is started here
         sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool(sizes))
         config = write_config(tmp_path, SMALL_SWEEP)
         serial, pooled = tmp_path / "s", tmp_path / "p"
         assert main(["sweep", "--config", config, "--out", str(serial), "--jobs", "1"]) == EXIT_OK
@@ -609,6 +640,45 @@ class TestSweepCommand:
         assert main(["sweep", "--config", config, "--out", str(pooled), "--jobs", "4"]) == EXIT_OK
         assert sizes == [2]
         assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
+
+    def test_the_q_values_of_one_alpha_are_dealt_to_the_workers(self, tmp_path, monkeypatch):
+        # regime-diagram: one alpha, three q.  At --jobs 2 its q values go
+        # whole to 2 batches, so 2 workers start, and the CSV is the
+        # --jobs 1 one, with the stand-in pool and with a real one
+        serial = tmp_path / "serial"
+        assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(serial)]) == EXIT_OK
+        pooled = tmp_path / "pooled"
+        assert main(["sweep", "--preset", "regime-diagram", "--jobs", "2", "--out", str(pooled)]) == EXIT_OK
+        assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool(sizes))
+        inline = tmp_path / "inline"
+        assert main(["sweep", "--preset", "regime-diagram", "--jobs", "2", "--out", str(inline)]) == EXIT_OK
+        assert sizes == [2]
+        assert (inline / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+    def test_one_alpha_of_the_benchmark_sweep_marches_as_15_and_3_lean_rows(self, tmp_path, monkeypatch):
+        # one alpha, q in {3, 4, 5}, six amplitudes at m = 32, N = 512: the
+        # 18 rows enter the step loop as one batch in two chunks, and keep
+        # no path but the history input
+        batches = []
+        solve_loop = fraflow.solver._solve_loop
+
+        def recording(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
+            batches.append((len(u0s), sorted({phi2.q for phi2 in phi2s}), keep_trajectory))
+            outcomes = solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory)
+            assert all(outcome.states is None for outcome in outcomes if isinstance(outcome, Trajectory))
+            return outcomes
+
+        monkeypatch.setattr(fraflow.solver, "_solve_loop", recording)
+        problem = {"kind": "p-laplace", "p": 2.0, "dim": 1, "m": 32, "u0_profile": "sine"}
+        swept = {"qs": [3.0, 4.0, 5.0], "amplitudes": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]}
+        sweep = {"mode": "sweep", "problem": problem, "kernel": {"alpha": 0.5}, "grid": {"horizon": 1.0, "steps": 512}, "sweep": swept}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        assert batches == [(15, [3.0, 4.0, 5.0], False), (3, [5.0], False)]
+        digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == BENCHMARK_PINS["sweep"]["sweep/sweep.csv"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):

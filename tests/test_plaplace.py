@@ -265,7 +265,7 @@ class TestExperiments:
 
 
 class TestBatchedExperiments:
-    """run_experiments solves the amplitudes of one (alpha, q) as one batch."""
+    """run_experiments solves the rows (q, amplitude) of one alpha as one batch."""
 
     def test_mixed_group_matches_single_runs(self):
         # m = 15: the rows of the batch hold no multiple of 4 values, where
@@ -303,14 +303,26 @@ class TestBatchedExperiments:
         assert [(r.verdict, r.t_star) for r in alone] == [("blew_up", 0.03125), ("blew_up", 0.0234375)]
         assert [r.to_row() for r in batch] == [r.to_row() for r in alone]
 
-    def test_rows_differ_in_amplitude_only(self):
+    def test_rows_differ_in_q_and_amplitude_only(self):
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), steps=16)
-        with pytest.raises(ValueError, match="amplitude only"):
-            run_experiments([spec, ExperimentSpec(p=2.0, q=5.0, alpha=0.5, grid=Grid(1, 8), steps=16)])
+        with pytest.raises(ValueError, match="q and amplitude only"):
+            run_experiments([spec, ExperimentSpec(p=3.0, q=5.0, alpha=0.5, grid=Grid(1, 8), steps=16)])
+
+    def test_a_mixed_q_batch_matches_single_runs(self):
+        # the rows of two exponents interleaved: each row is its single
+        # run, with the regime of its own q
+        keys = [(3.0, 0.5), (4.0, 8.0), (3.0, 16.0), (4.0, 1.0), (3.0, 2.0), (4.0, 16.0)]
+        specs = [ExperimentSpec(p=2.0, q=q, alpha=0.5, grid=Grid(1, 15), steps=96, amplitude=a) for q, a in keys]
+        batch = run_experiments(specs)
+        alone = [run_experiment(s) for s in specs]
+        assert {(r.spec.q, r.verdict) for r in alone} == {(3.0, "completed"), (3.0, "blew_up"), (4.0, "completed"), (4.0, "blew_up")}
+        assert [r.to_row() for r in batch] == [r.to_row() for r in alone]
+        assert [r.final_norm for r in batch] == [r.final_norm for r in alone]
+        assert [r.regime for r in batch] == [classify_regime(2.0, q, 1) for q, _ in keys]
 
 
 class TestLeanRows:
-    """A sweep drops the trajectories: its rows store no xi/eta path and no residuals."""
+    """A sweep drops the trajectories: its rows store no path but the history input, and no residuals."""
 
     # m = 15, N = 96: A = 0.5, 2, 1 complete, A = 8, 16 blow up
     SPEC = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 15), steps=96)
@@ -338,8 +350,8 @@ class TestLeanRows:
         assert all(r.trajectory is None for r in lean)
         for got, full in zip(solved[0], solved[1]):
             if isinstance(full, Trajectory):
-                assert got.xi is got.eta is got.residuals is None
-                for name in ("states", "energy1", "envelope2", "norms"):
+                assert got.states is got.xi is got.eta is got.residuals is None
+                for name in ("energy1", "envelope2", "norms"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(full, name))
                 assert got.e_t == full.e_t
             else:

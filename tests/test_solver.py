@@ -553,8 +553,20 @@ class TestSerialization:
             load_state_dump(tmp_path / "junk.bin")
 
 
+class CountingPower(PowerPotential):
+    """A power potential that records how many rows each Yosida call gets."""
+
+    def __init__(self, space, q):
+        super().__init__(space, q)
+        self.rows = []
+
+    def yosida(self, w, lam, tol=1e-10):
+        self.rows.append(len(self.space.rows(w)))
+        return super().yosida(w, lam, tol=tol)
+
+
 class TestBatchedRows:
-    """solve_dc_rows marches rows that share everything but u0 as one batch."""
+    """solve_dc_rows marches rows that share everything but u0 and phi2 as one batch."""
 
     def specs(self, u0s, phi2=None, n=128):
         # one phi1, phi2, kernel pair and grid object for every row
@@ -601,6 +613,80 @@ class TestBatchedRows:
         assert isinstance(stalled, ProxNonconvergence)
         with pytest.raises(ProxNonconvergence):
             solve_dc_flow(specs[1], config)
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_interleaved_phi2_rows_are_their_single_runs(self, keep):
+        # rows of q = 3 and q = 4 alternate in one batch: each potential is
+        # evaluated on its own rows, and each row is bitwise its single run
+        config = SolverConfig(yosida_lam=1e-3, blowup_norm=1e3)
+        phi1, pair, grid = Quadratic(Space(2)), rl_pair(0.5), TimeGrid(1.0, 128)
+        cubic, quartic = CountingPower(Space(2), 3), CountingPower(Space(2), 4)
+        u0s = [[0.5, -0.2], [3.0, 2.0], [8.0, -8.0], [1.0, 0.0], [0.2, 0.1], [12.0, 5.0]]
+        phi2s = [cubic, quartic] * 3
+        specs = [ProblemSpec(phi1, phi2, pair, np.array(u0), None, grid) for u0, phi2 in zip(u0s, phi2s)]
+        batch = list(solve_dc_rows(specs, config, keep))
+        # one call per potential and evaluation, each on its own rows only
+        assert cubic.rows[0] == quartic.rows[0] == 3
+        assert max(cubic.rows + quartic.rows) == 3
+        assert len(cubic.rows) == len(quartic.rows) == 129
+        kinds = []
+        for spec, got in zip(specs, batch):
+            (alone,) = solve_dc_rows([spec], config, keep)
+            assert type(got) is type(alone)
+            kinds.append((spec.phi2.q, type(got)))
+            if isinstance(got, Trajectory):
+                if keep:
+                    for name in ("states", "xi", "eta", "residuals"):
+                        np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+                else:
+                    assert got.states is got.xi is got.eta is got.residuals is None
+                for name in ("energy1", "envelope2", "norms"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+                assert got.e_t == alone.e_t
+            else:
+                assert (got.node, got.time, got.reason, got.e_t) == (alone.node, alone.time, alone.reason, alone.e_t)
+                np.testing.assert_array_equal(got.norm_history, alone.norm_history)
+                np.testing.assert_array_equal(got.energy_history, alone.energy_history)
+        assert set(kinds) == {(q, kind) for q in (3, 4) for kind in (Trajectory, BlowUpReport)}
+
+    def test_interleaved_phi2_rows_in_coupled_mode(self):
+        # the Picard iterates take each potential on its own rows too; the
+        # first row leaves at node 1 (phi1 = 1.625 > blowup_energy), so the
+        # live rows' positions are no longer their batch rows
+        config = SolverConfig(yosida_lam=1.0, coupling="coupled", blowup_energy=1.0)
+        phi1, pair, grid = Quadratic(Space(2)), rl_pair(0.5), TimeGrid(1.0, 256)
+        cubic, quartic = CountingPower(Space(2), 3), CountingPower(Space(2), 4)
+        rows = [([1.5, 1.0], cubic), ([0.5, -0.2], quartic), ([0.9, 0.4], cubic), ([0.3, 0.1], quartic)]
+        specs = [ProblemSpec(phi1, phi2, pair, np.array(u0), None, grid) for u0, phi2 in rows]
+        left, *batch = solve_dc_rows(specs, config)
+        assert (left.node, left.reason) == (1, "energy-threshold")
+        assert max(cubic.rows + quartic.rows) == 2
+        for spec, got in zip(specs[1:], batch):
+            alone = solve_dc_flow(spec, config)
+            for name in ("states", "eta", "residuals"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+
+    def test_a_stalling_phi2_leaves_the_rows_of_another_marching(self):
+        # the q = 4 potential stalls on its second row at a bounded state:
+        # that row's error is its outcome, and the q = 3 rows march to
+        # their single-run ends
+        config = SolverConfig(yosida_lam=1e-3, blowup_norm=1e6)
+        phi1, pair, grid = Quadratic(Space(2)), rl_pair(0.5), TimeGrid(1.0, 256)
+        stalling, cubic = TestBlowUp.StallingPower(Space(2), 4), PowerPotential(Space(2), 3)
+        rows = [([0.1, 0.1], stalling), ([0.2, 0.1], cubic), ([3.0, 3.0], stalling), ([0.5, -0.5], cubic)]
+        specs = [ProblemSpec(phi1, phi2, pair, np.array(u0), None, grid) for u0, phi2 in rows]
+        small, first, stalled, second = solve_dc_rows(specs, config)
+        assert isinstance(stalled, ProxNonconvergence)
+        with pytest.raises(ProxNonconvergence):
+            solve_dc_flow(specs[2], config)
+        for spec, got in zip(specs[:2] + specs[3:], (small, first, second)):
+            assert isinstance(got, Trajectory)
+            np.testing.assert_array_equal(got.states, solve_dc_flow(spec, config).states)
+
+    def test_rows_have_a_phi2_all_or_none(self):
+        first, second = self.specs([[1.0, 0.0], [0.0, 1.0]], PowerPotential(Space(2), 4))
+        with pytest.raises(ValueError, match="a phi2 all or none"):
+            list(solve_dc_rows([first, dataclasses.replace(second, phi2=None)]))
 
     def test_rows_must_share_the_problem(self):
         first, second = self.specs([[1.0, 0.0], [0.0, 1.0]])
