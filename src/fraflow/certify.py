@@ -25,7 +25,7 @@ from ._accel import causal_conv
 from .kernels import _log_gamma, convolve, inverse_weights, nonlocal_antiderivative, nonlocal_derivative
 
 
-def slack_budget(tau, coeff=0.0):
+def slack_budget(tau, coeff):
     """Discretization slack 1e-8 + coeff * sqrt(tau).
 
     The continuous inequalities are exact; ``coeff`` is fitted on a
@@ -174,6 +174,12 @@ def picard_from_equality(rhs0, g, transform, tau):
 # ---------------------------------------------------------------------------
 # Gronwall-type certificates
 
+# an input breaks a lemma's hypothesis, and is rejected, when it exceeds its
+# bound by more than HYPOTHESIS_TOL times the bound's scale; gronwall_small
+# also rejects N > HYPOTHESIS_TOL at one of SIGN_PROBES points of [0, delta]
+HYPOTHESIS_TOL = 1e-9
+SIGN_PROBES = 512
+
 
 @dataclass
 class Certificate:
@@ -223,7 +229,7 @@ class GronwallLinearInstance:
         return self.tau * (len(self.phi) - 1)
 
 
-def gronwall_linear(instance, hypothesis_rtol=1e-9):
+def gronwall_linear(instance):
     """Certify ||phi||_r <= C0 ||h||_r with C0 = 2 exp(M S).
 
     M is found by bisection on ||g e^{-M .}||_L1(0,S) = 1/2 (bracket
@@ -236,7 +242,7 @@ def gronwall_linear(instance, hypothesis_rtol=1e-9):
     bound = ins.h + conv
     scale = 1.0 + float(np.max(np.abs(bound)))
     gap = ins.phi - bound
-    if np.any(gap > hypothesis_rtol * scale):
+    if np.any(gap > HYPOTHESIS_TOL * scale):
         worst = int(np.argmax(gap))
         return Certificate(
             "gronwall-linear",
@@ -303,7 +309,7 @@ class GronwallLocalInstance:
         return self.tau * (len(self.g) - 1)
 
 
-def gronwall_local(instance, phi, hypothesis_rtol=1e-9):
+def gronwall_local(instance, phi):
     """Certify sup phi <= a + 1 on [0, min(R, S)].
 
     R is the largest grid time with int_0^R g < 1/(4 M(a+1)), computed
@@ -317,7 +323,7 @@ def gronwall_local(instance, phi, hypothesis_rtol=1e-9):
     bound = ins.a + sample_conv(ins.g, transformed, tau)
     gap = phi - bound
     scale = 1.0 + float(np.max(np.abs(bound)))
-    if np.any(gap > hypothesis_rtol * scale):
+    if np.any(gap > HYPOTHESIS_TOL * scale):
         worst = int(np.argmax(gap))
         return Certificate(
             "gronwall-local",
@@ -362,7 +368,7 @@ class GronwallSmallInstance:
     g: np.ndarray
 
 
-def gronwall_small(instance, phi, hypothesis_rtol=1e-9, sign_grid=512):
+def gronwall_small(instance, phi):
     """Certify sup phi <= b + eps_grid on the whole horizon.
 
     eps_grid reflects the node-wise sampling of the essential sup and is
@@ -376,9 +382,9 @@ def gronwall_small(instance, phi, hypothesis_rtol=1e-9, sign_grid=512):
             "reject",
             {"reason": "requires b < delta", "b": ins.b, "delta": ins.delta},
         )
-    probe = np.linspace(0.0, ins.delta, sign_grid)
+    probe = np.linspace(0.0, ins.delta, SIGN_PROBES)
     n_vals = np.array([ins.n_fn(v) for v in probe])
-    if np.any(n_vals > hypothesis_rtol):
+    if np.any(n_vals > HYPOTHESIS_TOL):
         worst = int(np.argmax(n_vals))
         return Certificate(
             "gronwall-small",
@@ -394,7 +400,7 @@ def gronwall_small(instance, phi, hypothesis_rtol=1e-9, sign_grid=512):
     bound = ins.b + sample_conv(ins.g, transformed, tau)
     gap = phi - bound
     scale = 1.0 + float(np.max(np.abs(bound)))
-    if np.any(gap > hypothesis_rtol * scale):
+    if np.any(gap > HYPOTHESIS_TOL * scale):
         worst = int(np.argmax(gap))
         return Certificate(
             "gronwall-small",

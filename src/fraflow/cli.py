@@ -195,9 +195,9 @@ def _solver_config(config):
     return SolverConfig(**config.get("solver", {}))
 
 
-def _grid(config, default_steps=512, default_horizon=1.0):
+def _grid(config, default_steps=512):
     block = config.get("grid", {})
-    return TimeGrid(block.get("horizon", default_horizon), block.get("steps", default_steps))
+    return TimeGrid(block.get("horizon", 1.0), block.get("steps", default_steps))
 
 
 def _check_coupling(config, alphas):
@@ -290,7 +290,7 @@ def cmd_solve(config, out_dir):
         traj = result
     else:
         exp_spec = _build_experiment(config)
-        exp = run_experiment(exp_spec, solver_config, keep_trajectory=True)
+        exp = run_experiment(exp_spec, solver_config)
         diagnostics["regime"] = exp.regime.to_dict()
         pair = rl_pair(exp_spec.alpha)
         phi1 = PDirichletEnergy(exp_spec.grid, exp_spec.p)

@@ -14,9 +14,12 @@ phi at z in the H sense.
 The stepper marches several states at once, stacked along a leading row
 axis.  A functional reads its input as rows of ``space.dim`` values (one
 state is a stack of one row): ``prox`` and ``yosida`` work on a stack row
-by row, and ``values`` gives one value per row.  Every row comes out
-bitwise as it does when passed alone, so per-row reductions keep the
-single-row summation order (one ``np.vdot`` per row).
+by row, and ``values`` gives one value per row.  ``yosida`` returns the
+pair ``(rate, envelope)``: the Yosida rate A_lam(w) = (w - J_lam w)/lam,
+shaped as ``w``, and the Moreau-Yosida envelope phi_lam(w), one value per
+row of a stack.  Every row comes out bitwise as it does when passed
+alone, so per-row reductions keep the single-row summation order (one
+``np.vdot`` per row).
 """
 
 import importlib.machinery
@@ -59,19 +62,6 @@ class Space:
         return np.sqrt(np.maximum(self.row_inner(u, u), 0.0))
 
 
-@dataclass(frozen=True)
-class YosidaEval:
-    """One Yosida evaluation: A_lam(w) = (w - J_lam w)/lam and the envelope.
-
-    On a stack of states ``envelope`` holds one value per row.
-    """
-
-    lam: float
-    point: np.ndarray  # J_lam w
-    rate: np.ndarray  # A_lam(w)
-    envelope: float | np.ndarray  # phi_lam(w)
-
-
 class Functional:
     """Base convex functional; subclasses provide ``value`` and ``prox``."""
 
@@ -89,13 +79,14 @@ class Functional:
         raise NotImplementedError
 
     def yosida(self, w, lam, tol=1e-10):
+        """``(rate, envelope)``: A_lam(w) = (w - J_lam w)/lam and phi_lam(w)."""
         z = self.prox(w, lam, tol=tol)
         rate = (w - z) / lam
         if np.size(w) == self.space.dim:
             env = 0.5 * lam * self.space.inner(rate, rate) + self.value(z)
         else:
             env = 0.5 * lam * self.space.row_inner(rate, rate) + self.values(z)
-        return YosidaEval(lam=lam, point=z, rate=rate, envelope=env)
+        return rate, env
 
 
 def yosida_rows(phis, which, lam, tol, w, ids):
@@ -109,14 +100,12 @@ def yosida_rows(phis, which, lam, tol, w, ids):
     as ``w``, and one envelope per row.
     """
     if not which.any():
-        ye = phis[0].yosida(w, lam, tol=tol)
-        return ye.rate, ye.envelope
+        return phis[0].yosida(w, lam, tol=tol)
     rate, env = np.empty(w.shape), np.empty(len(w))
     own = which[ids]
     for i in set(own.tolist()):
         at = np.flatnonzero(own == i)
-        ye = phis[i].yosida(w[at], lam, tol=tol)
-        rate[at], env[at] = ye.rate, ye.envelope
+        rate[at], env[at] = phis[i].yosida(w[at], lam, tol=tol)
     return rate, env
 
 
@@ -125,22 +114,18 @@ def yosida_rows(phis, which, lam, tol, w, ids):
 
 
 class Quadratic(Functional):
-    """phi(w) = (scale/2) ||w||_H^2 with closed-form resolvent."""
-
-    def __init__(self, space, scale=1.0):
-        super().__init__(space)
-        self.scale = scale
+    """phi(w) = (1/2) ||w||_H^2 with closed-form resolvent."""
 
     def value(self, w):
-        return 0.5 * self.scale * self.space.inner(w, w)
+        return 0.5 * self.space.inner(w, w)
 
     def values(self, w):
         if w.size == self.space.dim:  # one row: skip the array arithmetic
             return np.array([self.value(w)])
-        return 0.5 * self.scale * self.space.row_inner(w, w)
+        return 0.5 * self.space.row_inner(w, w)
 
     def prox(self, w, lam, tol=1e-10):
-        return np.asarray(w, dtype=np.float64) / (1.0 + lam * self.scale)
+        return np.asarray(w, dtype=np.float64) / (1.0 + lam)
 
 
 class PowerPotential(Functional):
@@ -226,7 +211,7 @@ def _solveh_banded(ab, b):
 
 
 class SmoothFunctional(Functional):
-    """Convex functional given by value/gradient/Hessian callables.
+    """Convex functional given by value/gradient/Hessian callables, all three required.
 
     The callables take a stack of states, an (R, dim) array of rows.
     ``value_fn`` returns the R values, ``grad_fn`` the H-gradients (the
@@ -252,12 +237,11 @@ class SmoothFunctional(Functional):
     it does when solved alone.
     """
 
-    def __init__(self, space, value_fn, grad_fn, hess_fn=None, name="smooth"):
+    def __init__(self, space, value_fn, grad_fn, hess_fn):
         super().__init__(space)
         self._value = value_fn
         self._grad = grad_fn
         self._hess = hess_fn
-        self.name = name
 
     def value(self, w):
         return float(self.values(w)[0])
@@ -272,8 +256,6 @@ class SmoothFunctional(Functional):
 
     def _newton_steps(self, x, res, lam):
         """Newton steps of the rows x; a gradient step where the Hessian does not factor."""
-        if self._hess is None:
-            return -lam * res  # gradient step on the prox objective
         jac = self._hess(x)
         jac[0] += 1.0 / lam
         if len(x) == 1 or len(jac) == 2:

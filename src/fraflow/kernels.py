@@ -71,10 +71,9 @@ class Kernel:
         that is singular at t = 0 is never evaluated there.
     """
 
-    def __init__(self, fn, antiderivative, name="kernel"):
+    def __init__(self, fn, antiderivative):
         self._fn = fn
         self._anti = antiderivative
-        self.name = name
 
     def __call__(self, t):
         return self._fn(np.asarray(t, dtype=np.float64))
@@ -200,7 +199,6 @@ def _rl_kernel(alpha):
     return Kernel(
         fn=lambda t: c_k * np.power(t, -alpha),
         antiderivative=lambda t: c_anti * np.power(t, 1.0 - alpha),
-        name=f"rl({alpha:g})",
     )
 
 
@@ -209,15 +207,6 @@ def rl_pair(alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {alpha}")
     return SoninePair(k=_rl_kernel(alpha), ell=_rl_kernel(1.0 - alpha), alpha=alpha)
-
-
-def constant_kernel(value=1.0):
-    """k == value; useful for tests and classical-limit checks."""
-    return Kernel(
-        fn=lambda t: np.full_like(np.asarray(t, dtype=np.float64), value),
-        antiderivative=lambda t: value * np.asarray(t, dtype=np.float64),
-        name=f"const({value:g})",
-    )
 
 
 def convolve(kernel, path, grid):
@@ -325,14 +314,18 @@ def _sonine_defect(pair, grid, skip_time):
     return float(err[worst - 1]), worst
 
 
-def verify_sonine(pair, grid, tol=1e-2, skip_fraction=1 / 16):
+SONINE_TOL = 1e-2
+SONINE_BURN_IN = 1 / 16
+
+
+def verify_sonine(pair, grid):
     """Certify (k * ell) == 1 on ``grid`` and its one-level refinement.
 
-    Reports the worst defect outside the burn-in window [0, T * skip_fraction]
+    Reports the worst defect outside the burn-in window [0, T * SONINE_BURN_IN]
     and the convergence order observed between the two levels; passes when
-    the finer-level defect is within ``tol``.
+    the finer-level defect is within ``SONINE_TOL``.
     """
-    skip_time = grid.horizon * skip_fraction
+    skip_time = grid.horizon * SONINE_BURN_IN
     fine = grid.refined()
     coarse_err, _ = _sonine_defect(pair, grid, skip_time)
     fine_err, worst = _sonine_defect(pair, fine, skip_time)
@@ -347,8 +340,8 @@ def verify_sonine(pair, grid, tol=1e-2, skip_fraction=1 / 16):
         worst_node=worst,
         worst_time=worst * fine.tau,
         skip_time=skip_time,
-        tol=tol,
-        passed=fine_err <= tol,
+        tol=SONINE_TOL,
+        passed=fine_err <= SONINE_TOL,
     )
 
 
@@ -363,7 +356,11 @@ class RegularizedKernel:
     monotone: bool
 
 
-def regularized_kernel(ell, n, grid, monotone_rtol=1e-9):
+# relative tolerance of the monotonicity test on k_n
+MONOTONE_TOL = 1e-9
+
+
+def regularized_kernel(ell, n, grid):
     """Solve the Volterra equation for s_n as a triangular Toeplitz system."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
@@ -371,7 +368,7 @@ def regularized_kernel(ell, n, grid, monotone_rtol=1e-9):
     s = volterra_sn(omega, float(n))
     k_n = n * s
     scale = max(abs(k_n[0]), 1.0)
-    monotone = bool(np.all(np.diff(k_n) <= monotone_rtol * scale) and np.all(k_n >= -monotone_rtol * scale))
+    monotone = bool(np.all(np.diff(k_n) <= MONOTONE_TOL * scale) and np.all(k_n >= -MONOTONE_TOL * scale))
     return RegularizedKernel(index=n, s=s, k_n=k_n, grid=grid, monotone=monotone)
 
 

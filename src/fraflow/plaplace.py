@@ -119,18 +119,16 @@ def discrete_p_laplacian(grid, u, p, eps=FLUX_EPS):
 class PDirichletEnergy(SmoothFunctional):
     """phi1(w) = (1/p) sum_faces h^dim |grad w|^p (eps-regularized)."""
 
-    def __init__(self, grid, p, eps=FLUX_EPS):
+    def __init__(self, grid, p):
         if not p > 1:
             raise ValueError(f"exponent must exceed 1, got {p}")
         self.grid = grid
         self.p = p
-        self.eps = eps
         super().__init__(
             grid.space,
             self._energy,
             self._grad_h,
             self._hess_h,
-            name=f"p-dirichlet(p={p:g})",
         )
 
     def _energy(self, u):
@@ -138,12 +136,12 @@ class PDirichletEnergy(SmoothFunctional):
         total = 0.0
         for g in _face_gradients(self.grid, u):
             # one sum per state, in the order of a sum over its faces
-            energy = _face_energy(g, self.p, self.eps)
+            energy = _face_energy(g, self.p, FLUX_EPS)
             total += energy.reshape(energy.shape[: energy.ndim - self.grid.dim] + (-1,)).sum(axis=-1)
         return cell * total / self.p
 
     def _grad_h(self, u):
-        return -discrete_p_laplacian(self.grid, u, self.p, eps=self.eps)
+        return -discrete_p_laplacian(self.grid, u, self.p)
 
     def _hess_h(self, u):
         """H-Hessians B^T diag(w) B / h^2 of a stack of states, in lower banded storage.
@@ -162,7 +160,7 @@ class PDirichletEnergy(SmoothFunctional):
         ab = np.zeros((grid.m ** (grid.dim - 1) + 1,) + stack + grid.shape)
         diag = ab[0]
         for axis, g in enumerate(faces):
-            w = _face_weight(g, self.p, self.eps)
+            w = _face_weight(g, self.p, FLUX_EPS)
             after = (slice(None),) * (grid.dim - 1 - axis)
             diag += w[(..., slice(None, -1)) + after] + w[(..., slice(1, None)) + after]
             # the last node along the axis has no neighbour at +stride
@@ -385,9 +383,9 @@ class ExperimentResult:
         }
 
 
-def run_experiment(spec, config=None, keep_trajectory=False):
-    """Assemble the flow problem for one experiment and solve it."""
-    outcome = run_experiments([spec], config, keep_trajectory)[0]
+def run_experiment(spec, config=None):
+    """Assemble the flow problem for one experiment and solve it, keeping its trajectory."""
+    outcome = run_experiments([spec], config, keep_trajectory=True)[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -1,12 +1,11 @@
 """Implicit product-integration time stepping for the nonlocal
 difference-of-convex flow
 
-    d/dt [k * (u - u0)](t) + dphi1(u(t)) - dphi2_lam(u(t)) ni f(t),
+    d/dt [k * (u - u0)](t) + dphi1(u(t)) - dphi2_lam(u(t)) ni f(t)
 
-its viscous variant (an extra lam_visc * du/dt term) and the Lipschitz
-perturbed problem where a Lipschitz operator B replaces -dphi2.  Every
-problem has a Sonine kernel pair (k, ell) and a forcing that is absent or
-a callable t -> state.
+and its viscous variant (an extra lam_visc * du/dt term).  Every problem
+has a Sonine kernel pair (k, ell) and a forcing that is absent or a
+callable t -> state.
 
 One step solves, with the Toeplitz weights omega of k and v = u - u0,
 
@@ -17,10 +16,11 @@ One step solves, with the Toeplitz weights omega of k and v = u - u0,
 which collapses to a single resolvent call on phi1 with the effective
 parameter mu = tau / (omega_0 + lam_visc); for the Riemann-Liouville pair
 this is exactly an L1-type scheme.  The selection xi_j is read off the
-prox optimality system, eta_j is the explicit Yosida evaluation of phi2
-at the previous state (semi-implicit default) or at the current state via
-an inner Picard loop (coupled mode), and zero without a phi2.  The step
-loop ``_solve_loop`` is the one place that evaluates phi2.
+prox optimality system, eta_j is the Yosida rate A_lam of phi2 at the
+previous state (semi-implicit default) or at the current state via an
+inner Picard loop (coupled mode), and zero without a phi2.  The step loop
+``_solve_loop`` is the one place that evaluates phi2: one ``yosida`` call
+gives the rate and the envelope phi2_lam.
 
 The coupled step is the fixed point of the Picard map
 u -> J_mu(b + mu A_lam(u)), which contracts with factor kappa = mu/lam
@@ -29,12 +29,6 @@ where kappa < 1 and kappa**max_picard <= inner_tol (:func:`check_coupling`);
 beyond that the implicit step can have spurious roots.  Without viscosity
 at alpha = 0.5 and the default lam and budget this needs N of about 2e6
 steps; otherwise take a moderate lam or a viscosity.
-
-The Lipschitz perturbed problem is solved by the paper's contraction
-construction: an outer Picard iteration on whole trajectories, each pass
-a solve with B taken at the previous pass's states as part of the
-forcing.  It contracts with kappa = L_B/(omega * visc), so it needs a
-positive viscosity (:func:`solve_lipschitz_perturbed`).
 
 The history H_j is a causal convolution whose input v appears one step at
 a time.  ``_accel.History`` evaluates it exactly: a direct sum over the
@@ -66,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import History
+from .certify import slack_budget
 from .convex import ProxNonconvergence, yosida_rows
 from .kernels import SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
@@ -127,7 +122,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.yosida_lam > 0:
             raise ValueError("Yosida parameter must be positive")
-        if self.visc < 0:
+        if not self.visc >= 0:
             raise ValueError("viscosity must be nonnegative")
         if not (self.blowup_norm > 0 and self.blowup_energy > 0):
             raise ValueError("blow-up thresholds must be positive")
@@ -159,7 +154,7 @@ class Trajectory:
     alpha: float | None = None
     states: np.ndarray | None = None  # (N+1,) + state shape
     xi: np.ndarray | None = None  # selection in dphi1, node-aligned
-    eta: np.ndarray | None = None  # Yosida evaluation of phi2 (or -B(u))
+    eta: np.ndarray | None = None  # Yosida rate of phi2
     residuals: np.ndarray | None = None  # discrete equation residual per node
 
     @property
@@ -182,20 +177,6 @@ class BlowUpReport:
     norm_history: np.ndarray
     energy_history: np.ndarray
     e_t: float
-
-
-@dataclass
-class LipschitzPerturbation:
-    """Lipschitz operator B with its constant and the contraction data."""
-
-    op: object  # callable state -> state
-    lipschitz: float
-    weight: float = 1.0  # omega in the weighted sup norm
-
-    def contraction_factor(self, visc):
-        if visc <= 0:
-            return np.inf
-        return self.lipschitz / (self.weight * visc)
 
 
 def _forcing_sup(spec, f_path):
@@ -321,7 +302,7 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, ids):
     return errors
 
 
-def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory=True):
+def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     """Shared stepping core: march the initial states ``u0s`` (stacked
     along axis 0) as one batch of rows against ``forcing_path``.
 
@@ -578,73 +559,6 @@ def solve_dc_flow(spec, config=None):
 
 
 @dataclass
-class PicardLog:
-    """Weighted-sup-norm increments of the outer fixed-point iteration."""
-
-    increments: list
-    ratios: list
-    kappa: float
-    ratio_tol: float
-
-    @property
-    def geometric(self):
-        return all(r <= self.kappa + self.ratio_tol for r in self.ratios)
-
-
-def solve_lipschitz_perturbed(spec, config, pert, ratio_tol=1e-2):
-    """Flow with a Lipschitz operator B in place of -dphi2.
-
-    The paper's contraction construction: an outer Picard iteration on
-    whole trajectories, each pass a solve with B taken at the previous
-    pass's states, measured in the weighted sup norm
-    sup_j e^{-omega t_j} ||.||_H.  Its factor kappa = L_B/(omega * visc)
-    must be < 1, which needs a positive viscosity: raises ``ValueError``
-    naming kappa (inf without a viscosity) otherwise.  ``spec.phi2`` is
-    not used.  Returns the trajectory, with eta = -B(u) and the residuals
-    re-assembled against it, and a :class:`PicardLog` of the measured
-    decay ratios; or the :class:`BlowUpReport` of a pass that blows up.
-    """
-    config = config or SolverConfig()
-    kappa = pert.contraction_factor(config.visc)
-    if not kappa < 1:
-        raise ValueError(f"contraction factor kappa = {kappa:.3f} must be < 1; increase omega or the viscosity")
-    forcing_path = spec.forcing_path()
-    grid = spec.grid
-    space = spec.phi1.space
-    weights = np.exp(-pert.weight * grid.times)
-
-    def xdist(a, b):
-        axes = tuple(range(1, a.ndim))
-        norms = np.sqrt(space.weight * np.sum((a - b) ** 2, axis=axes))
-        return float(np.max(weights * norms))
-
-    prev_states = np.broadcast_to(spec.u0, forcing_path.shape).copy()
-    increments = []
-    traj = None
-    for _ in range(config.max_picard):
-        b_path = np.stack([pert.op(prev_states[j]) for j in range(grid.steps + 1)])
-        result = _alone(_solve_loop(spec, config, forcing_path - b_path, spec.u0[None], [None])[0])
-        if isinstance(result, BlowUpReport):
-            return result
-        inc = xdist(result.states, prev_states)
-        increments.append(inc)
-        prev_states = result.states
-        traj = result
-        if inc <= 1e-12 * (1.0 + float(np.max(np.abs(prev_states)))):
-            break
-    floor = 1e-11 * (1.0 + float(np.max(np.abs(prev_states))))
-    ratios = [
-        increments[i] / increments[i - 1]
-        for i in range(1, len(increments))
-        if increments[i - 1] > floor
-    ]
-    traj.eta = -np.stack([pert.op(traj.states[j]) for j in range(grid.steps + 1)])
-    # recompute residuals with the perturbation in place of -dphi2
-    traj.residuals = _residuals(spec, config, spec.u0, traj.states, traj.xi, traj.eta, forcing_path)
-    return traj, PicardLog(increments=increments, ratios=ratios, kappa=kappa, ratio_tol=ratio_tol)
-
-
-@dataclass
 class ModulusReport:
     """Measured continuity moduli against the convolution-representative bound."""
 
@@ -706,12 +620,12 @@ def continuity_modulus(states, grid, space_weight, pair, slack_coeff=0.0):
     lags = np.array(lags)
     moduli = np.array(moduli)
     bounds = np.array(bounds)
-    slack = 1e-8 + slack_coeff * np.sqrt(tau)
+    slack = slack_budget(tau, slack_coeff)
     return ModulusReport(
         lags=lags,
         moduli=moduli,
         bounds=bounds,
-        slack=float(slack),
+        slack=slack,
         passed=bool(np.all(moduli <= bounds + slack)),
     )
 

@@ -782,7 +782,7 @@ class TestCertifyCommand:
         by_kind = {entry.get("lemma", entry.get("certificate")): entry for entry in bundle["certificates"]}
 
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), steps=64)
-        traj = run_experiment(spec, keep_trajectory=True).trajectory
+        traj = run_experiment(spec).trajectory
         pair = rl_pair(0.5)
         pairing = cert.check_ab_inequality(traj.states, traj.grid, traj.space_weight, pair, slack_coeff=0.5).to_dict()
         modulus = continuity_modulus(traj.states, traj.grid, traj.space_weight, pair, slack_coeff=0.5).to_dict()

@@ -58,22 +58,23 @@ class TestYosida:
     def test_quadratic_closed_form(self):
         sp = Space(4)
         w = np.array([2.0, 0.0, -2.0, 4.0])
-        ye = Quadratic(sp).yosida(w, 1.0)
-        np.testing.assert_allclose(ye.rate, w / 2)
+        rate, envelope = Quadratic(sp).yosida(w, 1.0)
+        np.testing.assert_allclose(rate, w / 2)
         # phi_lam(w) = ||w||^2 / (2 (1 + lam))
-        assert ye.envelope == pytest.approx(np.sum(w**2) / 4)
+        assert envelope == pytest.approx(np.sum(w**2) / 4)
 
     def test_envelope_monotone_toward_value(self, rng):
         for name, phi in builtins().items():
             w = rng.standard_normal(phi.space.dim)
-            envs = [phi.yosida(w, lam).envelope for lam in (1.0, 0.1, 0.01)]
+            envs = [phi.yosida(w, lam)[1] for lam in (1.0, 0.1, 0.01)]
             val = phi.value(w)
             assert envs[0] <= envs[1] <= envs[2] <= val + 1e-12, name
 
     def test_power4_scalar_consistency(self):
-        ye = PowerPotential(Space(1), 4).yosida(np.array([2.0]), 0.5)
+        phi, w = PowerPotential(Space(1), 4), np.array([2.0])
+        rate, _ = phi.yosida(w, 0.5)
         # the rate equals the cubic at the prox point
-        assert ye.rate[0] == pytest.approx(ye.point[0] ** 3, abs=1e-11)
+        assert rate[0] == pytest.approx(phi.prox(w, 0.5)[0] ** 3, abs=1e-11)
 
 
 # property batteries: >= 100 random pairs per built-in functional
@@ -101,8 +102,8 @@ def test_yosida_lipschitz_and_monotone(name, rng):
         w1 = 3.0 * rng.standard_normal(dim)
         w2 = 3.0 * rng.standard_normal(dim)
         for lam in LAMBDAS:
-            a1 = phi.yosida(w1, lam).rate
-            a2 = phi.yosida(w2, lam).rate
+            a1 = phi.yosida(w1, lam)[0]
+            a2 = phi.yosida(w2, lam)[0]
             assert phi.space.norm(a1 - a2) <= phi.space.norm(w1 - w2) / lam * (1 + 1e-8) + 1e-12
             assert phi.space.inner(a1 - a2, w1 - w2) >= -1e-10
 
@@ -114,10 +115,11 @@ def test_envelope_sandwich_and_resolvent_identity(name, rng):
     for _ in range(40):
         w = 3.0 * rng.standard_normal(dim)
         for lam in LAMBDAS:
-            ye = phi.yosida(w, lam)
-            assert phi.value(ye.point) <= ye.envelope + 1e-10
-            assert ye.envelope <= phi.value(w) + 1e-10
-            np.testing.assert_allclose(ye.point + lam * ye.rate, w, atol=1e-12)
+            rate, envelope = phi.yosida(w, lam)
+            point = phi.prox(w, lam)
+            assert phi.value(point) <= envelope + 1e-10
+            assert envelope <= phi.value(w) + 1e-10
+            np.testing.assert_allclose(point + lam * rate, w, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["quadratic", "power4"])
@@ -127,10 +129,10 @@ def test_yosida_bounded_by_minimal_section(name, rng):
     for _ in range(25):
         w = 2.0 * rng.standard_normal(dim)
         # both are smooth: the minimal section is the gradient, in closed form
-        section = phi.scale * w if name == "quadratic" else np.abs(w) ** 2 * w
+        section = w if name == "quadratic" else np.abs(w) ** 2 * w
         bound = phi.space.norm(section)
         for lam in LAMBDAS:
-            assert phi.space.norm(phi.yosida(w, lam).rate) <= bound + 1e-5
+            assert phi.space.norm(phi.yosida(w, lam)[0]) <= bound + 1e-5
 
 
 def test_prox_nonconvergence_reports():
@@ -138,7 +140,11 @@ def test_prox_nonconvergence_reports():
     # z^2 + z + 1 = 0 has no real root, so the solver must report
     from fraflow.convex import SmoothFunctional
 
-    bad = SmoothFunctional(Space(2), lambda w: float(np.sum(w**2)), lambda w: w**2 + 1.0, None)
+    def hess(rows):
+        # the banded derivative of the fake gradient: 2w on the diagonal
+        return np.stack([2.0 * rows.ravel(), np.zeros(rows.size)])
+
+    bad = SmoothFunctional(Space(2), lambda w: float(np.sum(w**2)), lambda w: w**2 + 1.0, hess)
     with pytest.raises(ProxNonconvergence) as err:
         bad.prox(np.zeros(2), 1.0, tol=1e-14, max_iter=5)
     assert err.value.iterations == 5

@@ -10,6 +10,12 @@ Comments and docstrings do not count either: a name they mention is no
 caller.  The rest of the scan is textual, so a name that also occurs in an
 unrelated string or attribute passes; it finds dead code, it does not
 prove that code is live.
+
+A public attribute that a method of a ``fraflow`` class sets on ``self``
+must be read: loaded as ``.name`` in a ``fraflow`` module, or named by a
+``getattr`` of the harness, which reads the results of the calls it
+traces that way (its plain attribute loads are on its own objects, such
+as ``Path.name``).
 """
 
 import ast
@@ -23,16 +29,15 @@ MODULES = sorted((ROOT / "src" / "fraflow").glob("*.py"))
 HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
 
 KEPT = {
-    # the paper's Lipschitz perturbation construction, tested against the
-    # coupled route (the solve builds the PicardLog it returns)
-    "solve_lipschitz_perturbed",
-    "LipschitzPerturbation",
-    "PicardLog.geometric",
-    # the tests' fake kernel: the classical limit and a non-Sonine pair
-    "constant_kernel",
     # the reference the prox-optimality tests check the resolvents against
     "PowerPotential.gradient",
     "SmoothFunctional.gradient",
+}
+
+KEPT_ATTRIBUTES = {
+    # the data of the stall the exception reports, for a caller that handles it
+    "ProxNonconvergence.iterations",
+    "ProxNonconvergence.residual",
 }
 
 
@@ -100,6 +105,52 @@ def test_every_public_definition_has_a_caller():
 def test_kept_entries_are_defined_and_uncalled():
     # an entry that gains a caller, or loses its definition, leaves the list
     assert sorted(KEPT) == sorted(name for name in uncalled() if name in KEPT)
+
+
+def attributes_set(tree):
+    """(Class.attribute, attribute) of each public attribute a method sets on ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    for sub in ast.walk(item):
+                        if (
+                            isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"
+                            and not sub.attr.startswith("_")
+                        ):
+                            yield f"{node.name}.{sub.attr}", sub.attr
+
+
+def attributes_read():
+    """The attribute names the package loads, and the harness reads by ``getattr``."""
+    read = set()
+    for path in MODULES:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    for path in HARNESS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr" and len(node.args) > 1:
+                if isinstance(node.args[1], ast.Constant):
+                    read.add(node.args[1].value)
+    return read
+
+
+def unread():
+    """Names of the public attributes that nothing outside the tests reads."""
+    read = attributes_read()
+    return sorted({name for path in MODULES for name, attr in attributes_set(ast.parse(path.read_text())) if attr not in read})
+
+
+def test_every_public_attribute_is_read():
+    # an entry that gains a reader, or loses its definition, leaves the list
+    assert unread() == sorted(KEPT_ATTRIBUTES)
+
+
+def test_attributes_read_only_by_a_store_are_found():
+    tree = ast.parse("class A:\n    def __init__(self, x):\n        self.x, self.y = x, 1\n        self._z = 2\n\n    def f(self):\n        return self.y\n")
+    assert sorted(attributes_set(tree)) == [("A.x", "x"), ("A.y", "y")]
 
 
 def test_comments_and_docstrings_are_no_callers():

@@ -237,7 +237,7 @@ class TestProfiles:
 class TestExperiments:
     def test_zero_data_stays_zero(self):
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), amplitude=0.0, u0_profile="zero", steps=32)
-        res = run_experiment(spec, keep_trajectory=True)
+        res = run_experiment(spec)
         assert res.completed
         np.testing.assert_array_equal(res.trajectory.states, 0.0)
 
@@ -282,7 +282,7 @@ class TestBatchedExperiments:
         # row), A = 1 completes bitwise as it does alone
         spec = ExperimentSpec(p=1.5, q=8.0, alpha=0.5, grid=Grid(2, 16), steps=128)
         done, stalled = run_experiments([spec.with_amplitude(1.0), spec.with_amplitude(8.0)], keep_trajectory=True)
-        alone = run_experiment(spec.with_amplitude(1.0), keep_trajectory=True)
+        alone = run_experiment(spec.with_amplitude(1.0))
         assert done.verdict == alone.verdict == "completed"
         assert np.array_equal(done.trajectory.states, alone.trajectory.states)
         assert done.sup_energy1 == alone.sup_energy1
@@ -366,7 +366,7 @@ class TestLeanRows:
             if not result.completed:
                 continue
             traj = result.trajectory
-            alone = run_experiment(self.SPEC.with_amplitude(amplitude), keep_trajectory=True).trajectory
+            alone = run_experiment(self.SPEC.with_amplitude(amplitude)).trajectory
             for name in ("states", "xi", "eta", "residuals"):
                 np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
                 digest.update(np.ascontiguousarray(getattr(traj, name)).tobytes())

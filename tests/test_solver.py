@@ -18,7 +18,6 @@ from fraflow.plaplace import ExperimentSpec, Grid, run_experiment, run_experimen
 from fraflow.solver import (
     BlowUpReport,
     DumpFormatError,
-    LipschitzPerturbation,
     ProblemSpec,
     SolverConfig,
     Trajectory,
@@ -27,7 +26,6 @@ from fraflow.solver import (
     save_state_dump,
     solve_dc_flow,
     solve_dc_rows,
-    solve_lipschitz_perturbed,
     trajectory_to_csv,
 )
 
@@ -72,12 +70,16 @@ class TestScalarFlow:
             ProblemSpec(Quadratic(Space(1)), None, rl_pair(0.5), np.array([np.inf]), None, TimeGrid(1.0, 8))
 
 
-@pytest.mark.parametrize("field, value", [("max_picard", 0), ("max_picard", -2), ("inner_tol", 0.0), ("inner_tol", -1e-10), ("inner_tol", np.nan)])
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_picard", 0), ("max_picard", -2), ("inner_tol", 0.0), ("inner_tol", -1e-10), ("inner_tol", np.nan), ("visc", np.nan), ("visc", -1.0)],
+)
 def test_solver_config_rejects_what_the_schema_rejects(field, value):
-    # with max_picard = 0 the outer loop of solve_lipschitz_perturbed
-    # never runs and leaves no trajectory
-    with pytest.raises(ValueError, match="max_picard must be at least 1" if field == "max_picard" else "inner tolerance must be positive"):
-        SolverConfig(visc=1.0, **{field: value})
+    # a NaN viscosity would pass a `visc < 0` test and die at step 1 on
+    # non-finite step data
+    message = {"max_picard": "max_picard must be at least 1", "inner_tol": "inner tolerance must be positive", "visc": "viscosity must be nonnegative"}
+    with pytest.raises(ValueError, match=message[field]):
+        SolverConfig(**{field: value})
 
 
 class TestEnergyDiagnostics:
@@ -169,7 +171,7 @@ class TestCoupledMode:
         """A phi2 whose Yosida rate is -1000 w, far steeper than the 1/lam that kappa assumes."""
 
         def yosida(self, w, lam, tol=1e-10):
-            return dataclasses.replace(super().yosida(w, lam, tol=tol), rate=-1e3 * w)
+            return -1e3 * w, super().yosida(w, lam, tol=tol)[1]
 
     def test_a_used_up_picard_budget_follows_the_norm_threshold_rule(self):
         # the Picard map of this phi2 expands, so the loop uses up its budget:
@@ -326,50 +328,6 @@ class TestFastHistory:
         # spectrum per dyadic block size
         assert far.count(2) == n // block
         assert far.count(1) == len({j & -j for j in range(block, n + 1, block)})
-
-
-class TestLipschitzPerturbed:
-    def test_zero_perturbation_reduces_to_dc_flow(self):
-        pert = LipschitzPerturbation(op=lambda w: 0.0 * w, lipschitz=0.0)
-        spec = scalar_spec(n=128)
-        traj, log = solve_lipschitz_perturbed(spec, SolverConfig(visc=1.0), pert)
-        ref = solve_dc_flow(scalar_spec(n=128), SolverConfig(visc=1.0))
-        np.testing.assert_allclose(traj.states, ref.states, atol=1e-12)
-        assert log.kappa == 0.0
-
-    def test_contraction_ratio_bound(self):
-        # kappa = L_B / (omega * visc) = 0.5; measured Picard decay must
-        # stay within kappa + 1e-2
-        pert = LipschitzPerturbation(op=lambda w: 0.5 * w, lipschitz=0.5, weight=1.0)
-        traj, log = solve_lipschitz_perturbed(scalar_spec(n=256), SolverConfig(visc=1.0), pert)
-        assert log.kappa == pytest.approx(0.5)
-        assert log.ratios, "expected at least one measured ratio"
-        assert max(log.ratios) <= 0.5 + 1e-2
-        assert log.geometric
-
-    def test_rejects_kappa_geq_one(self):
-        pert = LipschitzPerturbation(op=lambda w: 2.0 * w, lipschitz=2.0, weight=1.0)
-        with pytest.raises(ValueError):
-            solve_lipschitz_perturbed(scalar_spec(n=32), SolverConfig(visc=1.0), pert)
-
-    def test_matches_coupled_yosida_route(self):
-        # B = dphi2_lam is 1/lam-Lipschitz: the perturbed solve and the
-        # coupled dc solve must agree
-        lam = 1.0
-        phi2 = PowerPotential(Space(1), 4)
-        pert = LipschitzPerturbation(op=lambda w: -phi2.yosida(w, lam).rate, lipschitz=1.0 / lam, weight=3.0)
-        spec = scalar_spec(n=256, u0=0.5)
-        traj, log = solve_lipschitz_perturbed(spec, SolverConfig(visc=0.5), pert)
-        ref_spec = scalar_spec(n=256, u0=0.5, phi2=phi2)
-        ref = solve_dc_flow(ref_spec, SolverConfig(yosida_lam=lam, visc=0.5, coupling="coupled"))
-        assert np.max(np.abs(traj.states - ref.states)) <= 1e-9
-        assert log.geometric
-
-    def test_zero_viscosity_is_rejected(self):
-        # the contraction factor L_B/(omega * visc) is infinite without a viscosity
-        pert = LipschitzPerturbation(op=lambda w: 0.3 * w, lipschitz=0.3)
-        with pytest.raises(ValueError, match=r"kappa = inf"):
-            solve_lipschitz_perturbed(scalar_spec(n=128), SolverConfig(), pert)
 
 
 class TestContinuityModulus:
