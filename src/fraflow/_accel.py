@@ -4,9 +4,10 @@ One implementation of each: the causal triangular convolution behind
 every whole-path product-integration sum, the inverse of a
 lower-triangular Toeplitz matrix (the discrete derivative inverse and the
 regularized kernels), the per-step history sum and the componentwise power
-prox.  Whole-path sums are O(N log N) through zero-padded real FFTs.  The
-sequential stepper's history sums go through :class:`History`, O(N log^2 N)
-for a whole run and exact: no per-step sum is O(N) any more.
+prox, with one exponent or one per row.  Whole-path sums are O(N log N)
+through zero-padded real FFTs.  The sequential stepper's history sums go
+through :class:`History`, O(N log^2 N) for a whole run and exact: no
+per-step sum is O(N) any more.
 ``l1_history`` is the direct sum, which ``History`` calls on the near
 field of at most ``HISTORY_BLOCK`` recent rows, with the kernel
 differences it takes once per run.
@@ -17,6 +18,8 @@ name ``l1_history``, because the benchmark's tracer
 ``power_prox_abs`` and ``volterra_sn`` by that module path and counts the
 near-field work through it.
 """
+
+import itertools
 
 import numpy as np
 
@@ -171,15 +174,41 @@ class ProxNonconvergence(RuntimeError):
 
 
 TINY = 5e-324  # the smallest positive double
+POWER_PROX_TOL = 1e-14  # power_prox_abs stops once |f| <= POWER_PROX_TOL (1 + a)
+POWER_PROX_MAX_ITER = 200  # and raises after this many passes
 
 
-def power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):
+def exponent_runs(q):
+    """``(rows, q)`` for each run of consecutive rows with one exponent.
+
+    ``q`` is one exponent, a run of every row (``rows`` is ``slice(None)``),
+    or a column of one exponent per row.  ``rows`` is a slice of rows and
+    ``q`` a float: a power takes a scalar exponent on a view of the run.
+    numpy takes a scalar exponent of 2 or 0.5 as a square or a square
+    root, whose last bits differ from the same power with an exponent
+    array.
+    """
+    if np.ndim(q) == 0:
+        return [(slice(None), float(q))]
+    runs, lo = [], 0
+    for value, rows in itertools.groupby(np.ravel(q).tolist()):
+        hi = lo + len(list(rows))
+        runs.append((slice(lo, hi), value))
+        lo = hi
+    return runs
+
+
+def power_prox_abs(a, lam, q):
     """Root r >= 0 of r + lam * r**(q-1) = a, elementwise for a >= 0.
 
-    ``a`` is one row of values or a stack of rows (R, m).  Each row stops
+    ``a`` is one row of values or a stack of rows (R, m), and ``q`` one
+    exponent or a column (R, 1) of one exponent per row.  Each row stops
     at its own pass: once every entry of a row meets the tolerance, that
-    row is left as it is while the other rows go on, so a row comes out
-    bitwise as it does when solved alone.
+    row is left as it is while the other rows go on.  Each row takes the
+    branch of its own exponent, every power a scalar exponent on the view
+    of a run of rows with one q (:func:`exponent_runs`), and every other
+    operation is elementwise: a row comes out bitwise as it does when
+    solved alone.
 
     f(r) = r + lam r^(q-1) - a is strictly increasing, so the root r* is
     unique, and plain Newton converges monotonically onto it from a start
@@ -202,59 +231,86 @@ def power_prox_abs(a, lam, q, tol=1e-14, max_iter=200):
     TINY is a lower bound that does not underflow and Newton starts there;
     a root in the subnormal range is taken where the step stops moving it.
     Zero entries of a stay at 0.  The iteration stops once
-    |f| <= tol (1 + a) everywhere and raises :class:`ProxNonconvergence`
-    if ``max_iter`` passes do not get there, e.g. on a NaN entry.
+    |f| <= POWER_PROX_TOL (1 + a) everywhere and raises
+    :class:`ProxNonconvergence` if ``POWER_PROX_MAX_ITER`` passes do not
+    get there, e.g. on a NaN entry.  Both constants are read at each call.
     """
     a = np.asarray(a, dtype=np.float64)
-    concave = q < 2.0
-    with np.errstate(over="ignore"):  # an infinite power is never the minimum
-        if concave:
-            r = np.minimum(0.5 * a, np.power(0.5 * a / lam, 1.0 / (q - 1.0)), out=np.empty_like(a))
+    max_iter = POWER_PROX_MAX_ITER
+    runs = exponent_runs(q)
+    # the rows of each branch, adjacent runs of one branch merged
+    concave_rows, convex_rows = [], []
+    for rows, qr in runs:
+        parts = concave_rows if qr < 2.0 else convex_rows
+        if parts and parts[-1].stop == rows.start:
+            parts[-1] = slice(parts[-1].start, rows.stop)
         else:
-            r = np.minimum(a, np.power(a / lam, 1.0 / (q - 1.0)), out=np.empty_like(a))
-    bound = tol * (1.0 + a)
+            parts.append(rows)
+    # the start bound min(c, (c/lam)^(1/(q-1))), c = a/2 (concave) or a (convex)
+    cap = a
+    if concave_rows:
+        cap = a.copy()
+        for rows in concave_rows:
+            np.multiply(0.5, a[rows], out=cap[rows])
+    with np.errstate(over="ignore"):  # an infinite power is never the minimum
+        r = cap / lam
+        for rows, qr in runs:
+            part = r[rows]
+            np.power(part, 1.0 / (qr - 1.0), out=part)
+    np.minimum(cap, r, out=r)
+    bound = POWER_PROX_TOL * (1.0 + a)
     slope = lam * (q - 1.0)
-    if concave:
-        lost = (r == 0.0) & (a > 0.0)
-        if lost.any():
-            below = lost & (TINY + lam * TINY ** (q - 1.0) > a)
-            bound[below] = np.inf  # r = 0 is the rounded root
-            r[lost & ~below] = TINY
-        live = r > 0.0  # 0 stays put: the slope of f is infinite there
-    else:
-        live = True  # 0**(q-2) is finite for q >= 2
-    # r**(q-1) (concave) or r**(q-2) (convex) on the live entries, 0 elsewhere
-    rq = np.zeros_like(a)
+    live = True  # the entries Newton moves: a stopped row and a concave 0 stay put
+    if concave_rows:
+        live = np.ones(a.shape, dtype=bool)
+        for rows, qr in runs:
+            if qr < 2.0:
+                rr, ar = r[rows], a[rows]
+                lost = (rr == 0.0) & (ar > 0.0)
+                if lost.any():
+                    below = lost & (TINY + lam * TINY ** (qr - 1.0) > ar)
+                    bound[rows][below] = np.inf  # r = 0 is the rounded root
+                    rr[lost & ~below] = TINY
+                np.greater(rr, 0.0, out=live[rows])  # 0 stays put: the slope of f is infinite there
+    # r**(q-1) (concave) or r**(q-2) (convex).  Taken everywhere: a stopped
+    # row's r, and so its power, stays as it is, and 0**(q-1) = 0
+    rq = np.empty_like(a)
     f = np.empty_like(a)  # r + lam r**(q-1) - a
     step = np.empty_like(a)  # |f|, then the Newton step
     done = np.empty(a.shape, dtype=bool)
+    # the views of each run and each branch's rows, taken once
+    powers = [(r[rows], rq[rows], qr - 1.0 if qr < 2.0 else qr - 2.0) for rows, qr in runs]
+    convex = [(r[rows], f[rows], step[rows]) for rows in convex_rows]
+    concave = [(rows, r[rows], f[rows], step[rows], bound[rows], done[rows]) for rows in concave_rows]
     stack = a.ndim > 1 and len(a) > 1  # rows to stop one by one
     for _ in range(max_iter):
-        np.power(r, q - 1.0 if concave else q - 2.0, out=rq, where=live)
+        for rr, rqr, power in powers:
+            np.power(rr, power, out=rqr)
         np.multiply(rq, lam, out=f)
-        if not concave:
-            f *= r
+        for rr, fr, _ in convex:
+            fr *= rr
         f += r
         f -= a
         np.less_equal(np.abs(f, out=step), bound, out=done)
         if np.count_nonzero(done) == done.size:
             return r
         if stack:
-            finished = done.all(axis=-1)
-            if finished.any():
+            finished = np.logical_and.reduce(done, axis=-1)
+            if np.count_nonzero(finished):
                 live = live & ~finished[..., None]
         np.multiply(rq, slope, out=step)
-        if concave:
-            step += r
-            np.divide(f, step, out=step, where=live)
-            np.multiply(step, r, out=step, where=live)
+        for rows, rr, fr, sr, br, dr in concave:
+            on = live[rows]
+            sr += rr
+            np.divide(fr, sr, out=sr, where=on)
+            np.multiply(sr, rr, out=sr, where=on)
             # a subnormal root has no double within the tolerance: accept
             # the entries the step no longer moves
-            stuck = (r - step == r) & live & ~done
+            stuck = (rr - sr == rr) & on & ~dr
             if stuck.any():
-                bound[stuck] = np.inf
-        else:
-            step += 1.0
-            np.divide(f, step, out=step)
+                br[stuck] = np.inf
+        for _, fr, sr in convex:
+            sr += 1.0
+            np.divide(fr, sr, out=sr)
         np.subtract(r, step, out=r, where=live)
     raise ProxNonconvergence(float(np.max(np.abs(f) / (1.0 + a))), max_iter)

@@ -417,7 +417,8 @@ def cmd_sweep(config, out_dir, jobs=None):
     The pending rows are grouped by alpha: every other setting but q and
     the amplitude is shared by the whole sweep, so the rows of one alpha
     go through one batched solve (``plaplace.run_experiments``), in which
-    each q's potential is evaluated on its own rows.  A sweep keeps no
+    each step evaluates the potentials of all its q in one Yosida call,
+    one exponent per row (``convex.yosida_rows``).  A sweep keeps no
     trajectory, so a row stores no path but its history input;
     ``solver.BATCH_BYTES`` bounds the whole-path buffers of one batch, and
     larger batches march in chunks (the 18 rows of three q and six

@@ -20,6 +20,11 @@ shaped as ``w``, and the Moreau-Yosida envelope phi_lam(w), one value per
 row of a stack.  Every row comes out bitwise as it does when passed
 alone, so per-row reductions keep the single-row summation order (one
 ``np.vdot`` per row).
+
+A :class:`PowerPotential` may carry one exponent per row, and
+:func:`yosida_rows` evaluates a batch whose rows belong to several
+functionals: the rows of all plain power potentials in one ``yosida``
+call, so that a regime sweep over q takes one power prox per step.
 """
 
 import importlib.machinery
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import ProxNonconvergence, power_prox_abs
+from ._accel import ProxNonconvergence, exponent_runs, power_prox_abs
 
 
 @dataclass(frozen=True)
@@ -89,24 +94,47 @@ class Functional:
         return rate, env
 
 
-def yosida_rows(phis, which, lam, tol, w, ids):
-    """The Yosida rate and envelope of several functionals, each at its own rows of ``w``.
+def yosida_rows(phis, lam, tol):
+    """The Yosida map of a batch whose row r belongs to the functional ``phis[r]``.
 
-    Row k of the stack ``w`` is row ``ids[k]`` of a batch whose row r
-    belongs to the functional ``phis[r]``, and ``which[r]`` is the first
-    row with that functional.  Each functional takes one ``yosida`` call,
-    on its own rows; a batch with one functional (``which`` all 0) takes
-    one call on ``w`` itself, without a copy.  Returns the rates, shaped
-    as ``w``, and one envelope per row.
+    Returns ``yosida(w, ids)``: row k of the stack ``w`` is batch row
+    ``ids[k]``, and the result is the rates, shaped as ``w``, and one
+    envelope per row.  The rows of every plain :class:`PowerPotential`
+    (one exponent, not a subclass) on one space go to one potential with
+    one exponent per row: one ``yosida`` call, one ``power_prox_abs``
+    call, whatever their q.  Each other functional takes one call on its
+    own rows.  The groups and the merged potentials are built once per
+    set of ids, not once per call; a set of ids with one group takes its
+    call on ``w`` itself, without a copy.  Every row comes out bitwise as
+    it does under its own functional alone.
     """
-    if not which.any():
-        return phis[0].yosida(w, lam, tol=tol)
-    rate, env = np.empty(w.shape), np.empty(len(w))
-    own = which[ids]
-    for i in set(own.tolist()):
-        at = np.flatnonzero(own == i)
-        rate[at], env[at] = phis[i].yosida(w[at], lam, tol=tol)
-    return rate, env
+    built, parts = None, None  # the last ids, as bytes, and their groups
+
+    def groups(ids):
+        own = [phis[i] for i in ids.tolist()]
+        by_key = {}  # a space for plain power rows, else the functional's id
+        for k, phi in enumerate(own):
+            by_key.setdefault(phi.space if type(phi) is PowerPotential else id(phi), (phi, []))[1].append(k)
+        out = []
+        for phi, at in by_key.values():
+            if type(phi) is PowerPotential:
+                phi = PowerPotential(phi.space, [own[k].q for k in at])
+            # a run of consecutive rows is a slice: a view, not a copy
+            out.append((phi, slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else np.array(at)))
+        return out
+
+    def yosida(w, ids):
+        nonlocal built, parts
+        if ids.tobytes() != built:
+            built, parts = ids.tobytes(), groups(ids)
+        if len(parts) == 1:
+            return parts[0][0].yosida(w, lam, tol=tol)
+        rate, env = np.empty(w.shape), np.empty(len(w))
+        for phi, at in parts:
+            rate[at], env[at] = phi.yosida(w[at], lam, tol=tol)
+        return rate, env
+
+    return yosida
 
 
 # ---------------------------------------------------------------------------
@@ -131,34 +159,57 @@ class Quadratic(Functional):
 class PowerPotential(Functional):
     """phi(w) = (1/q) sum_i weight * |w_i|^q for q > 1.
 
+    ``q`` is one exponent, or one exponent per row of a stack (a sequence
+    of R values, all > 1): such a potential takes stacks of R rows, each
+    row the potential of its own exponent.  Equal exponents make it a
+    potential with one exponent.  The rows of one q take each power with
+    that q as a scalar exponent (:func:`exponent_runs`), so every row
+    comes out bitwise as it does under the potential of its own q alone.
+
     The H-prox decouples componentwise (the cell weight cancels) into the
     scalar monotone equation r + lam r^{q-1} = |w_i|, solved by plain
-    Newton (``power_prox_abs``).  For q >= 2 the left side is convex and
-    Newton decreases monotonically from the upper bound
-    min(|w_i|, (|w_i|/lam)^{1/(q-1)}); for 1 < q < 2 it is concave and
-    Newton increases monotonically from the lower bound
-    min(|w_i|/2, (|w_i|/(2 lam))^{1/(q-1)}).  A prox that misses its
-    tolerance raises :class:`ProxNonconvergence`.
+    Newton (``power_prox_abs``), one call for all rows.  For q >= 2 the
+    left side is convex and Newton decreases monotonically from the upper
+    bound min(|w_i|, (|w_i|/lam)^{1/(q-1)}); for 1 < q < 2 it is concave
+    and Newton increases monotonically from the lower bound
+    min(|w_i|/2, (|w_i|/(2 lam))^{1/(q-1)}).  The rows of q = 2 take the
+    closed form w/(1 + lam).  A prox that misses its tolerance raises
+    :class:`ProxNonconvergence`.
     """
 
     def __init__(self, space, q):
-        if not q > 1:
+        qs = np.asarray(q, dtype=np.float64)
+        if not np.all(qs > 1):
             raise ValueError(f"exponent must exceed 1, got {q}")
         super().__init__(space)
-        self.q = q
+        # one exponent, or a column of one per row that broadcasts against
+        # a stack; _q_rows divides the (R,) row sums
+        if qs.ndim and np.any(qs != qs.flat[0]):
+            self.q = qs.reshape(-1, 1)
+            self._q_rows = qs.ravel()
+        else:
+            self.q = self._q_rows = q if qs.ndim == 0 else float(qs.flat[0])
+        self._runs = exponent_runs(self.q)
+        self._closed = [rows for rows, q in self._runs if q == 2.0]
 
     def value(self, w):
         return self.space.weight * float(np.sum(np.abs(w) ** self.q)) / self.q
 
     def values(self, w):
-        return self.space.weight * (np.abs(self.space.rows(w)) ** self.q).sum(axis=-1) / self.q
+        powers = np.abs(self.space.rows(w))
+        for rows, q in self._runs:
+            part = powers[rows]
+            np.power(part, q, out=part)
+        return self.space.weight * powers.sum(axis=-1) / self._q_rows
 
     def prox(self, w, lam, tol=1e-10):
         w = np.asarray(w, dtype=np.float64)
-        if self.q == 2.0:
+        if self._closed == [slice(None)]:
             return w / (1.0 + lam)
-        r = power_prox_abs(np.abs(self.space.rows(w)), lam, self.q)
-        return np.sign(w) * r.reshape(w.shape)
+        z = np.sign(w) * power_prox_abs(np.abs(self.space.rows(w)), lam, self.q).reshape(w.shape)
+        for rows in self._closed:  # the closed form keeps the sign of a zero
+            z[rows] = w[rows] / (1.0 + lam)
+        return z
 
     def gradient(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -208,6 +259,9 @@ def _solveh_banded(ab, b):
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
     return x
+
+
+PROX_MAX_ITER = 100  # the Newton budget of SmoothFunctional.prox, read at each call
 
 
 class SmoothFunctional(Functional):
@@ -276,8 +330,9 @@ class SmoothFunctional(Functional):
                 pass
         return steps
 
-    def prox(self, w, lam, tol=1e-10, max_iter=100):
+    def prox(self, w, lam, tol=1e-10):
         w = np.asarray(w, dtype=np.float64)
+        max_iter = PROX_MAX_ITER
         space = self.space
         rows = space.rows(w)
         # residual entries scale like ||w||/lam: stop relative to that

@@ -395,7 +395,8 @@ def run_experiments(specs, config=None, keep_trajectory=False):
     """Solve experiments that differ only in their exponent q and amplitude as one batch.
 
     Every spec with one q shares one ``PowerPotential`` and one
-    ``RegimeReport``; the solver evaluates each potential on its own rows.
+    ``RegimeReport``; the solver evaluates the potentials of all q in one
+    Yosida call per step, one exponent per row.
     Returns, per spec, what :func:`run_experiment` returns for it alone, or
     the exception it raises alone.  Without ``keep_trajectory`` the solver
     stores no path but the history input and re-assembles no residuals;

@@ -40,11 +40,13 @@ any rank take the same path.
 
 The step loop marches a batch of rows: problems that share phi1, the
 kernel pair, the forcing and the grid and differ in u0 and phi2 (a sweep
-over amplitudes and exponents q at one alpha).  Each phi2 object takes
-one Yosida call per evaluation, on its own rows.  Every step array has a
-leading row axis, each row its own history buffer; the resolvents work
-row by row inside one call, and every per-row reduction keeps the
-single-row summation order, so a row comes out bitwise as it does alone.
+over amplitudes and exponents q at one alpha).  The rows of all plain
+power potentials take one Yosida call per evaluation, one exponent per
+row, and any other phi2 object one call on its own rows
+(``convex.yosida_rows``).  Every step array has a leading row axis, each
+row its own history buffer; the resolvents work row by row inside one
+call, and every per-row reduction keeps the single-row summation order,
+so a row comes out bitwise as it does alone.
 A row leaves the batch at its own exit (a threshold, a non-finite state,
 a stalled resolvent, or any exception, which becomes its outcome) and
 the others march on.  A single solve is a batch of one.  Whole-path
@@ -52,7 +54,6 @@ buffers beyond ``BATCH_BYTES`` split a batch into chunks: the history
 input always, the states, xi and eta only for kept trajectories.
 """
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -307,10 +308,10 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     along axis 0) as one batch of rows against ``forcing_path``.
 
     Row r's phi2 is ``phi2s[r]`` (``spec.phi2`` is not read), evaluated
-    here and nowhere else: its Yosida rate eta and envelope at the
-    previous states (semi-implicit), or at each Picard iterate (coupled),
-    and the envelope at u0; without a phi2, eta is zero and the envelope
-    stays 0.  Returns one outcome per row: a :class:`Trajectory`, a
+    here and nowhere else, through ``convex.yosida_rows``: its Yosida rate
+    eta and envelope at the previous states (semi-implicit), or at each
+    Picard iterate (coupled), and the envelope at u0; without a phi2, eta
+    is zero and the envelope stays 0.  Returns one outcome per row: a :class:`Trajectory`, a
     :class:`BlowUpReport`, or the exception the row raises.  A row leaves
     the batch at its own exit, the others march on.  Without
     ``keep_trajectory`` the history input is the only path stored and
@@ -325,9 +326,8 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
 
     omega, denom, mu = _step_weights(spec.pair, grid, config.visc)
     prox, tol = spec.phi1.prox, config.inner_tol
-    # each phi2 is evaluated on its own rows: which[r] is the first row
-    # whose phi2 is row r's
-    yosida = functools.partial(yosida_rows, phi2s, np.array([phi2s.index(phi2) for phi2 in phi2s]), config.yosida_lam, tol)
+    # one Yosida call for the rows of all plain power potentials, one per other phi2
+    yosida = yosida_rows(phi2s, config.yosida_lam, tol)
     has_phi2 = phi2s[0] is not None
     coupled = config.coupling == "coupled" and has_phi2
     if coupled:
@@ -519,14 +519,14 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
     """March Cauchy problems that differ only in u0 and phi2 as one batch of rows.
 
     The specs share phi1, the kernel pair, the forcing and the grid (the
-    same objects); each has a phi2 or none has, and each phi2 object is
-    evaluated on its own rows.  Yields, per spec and in order, what
-    :func:`solve_dc_flow` returns for it alone, or the exception it raises
-    alone: each row leaves the batch at its own exit.  A caller that
-    drops the trajectories passes ``keep_trajectory=False``: a completed
-    row's Trajectory then carries ``states = xi = eta = residuals =
-    None``, and all else (energies, norms, envelope, E_T, every
-    BlowUpReport field) is as when kept.  Rows whose whole-path buffers
+    same objects); each has a phi2 or none has, and the phi2 are evaluated
+    in the groups of ``convex.yosida_rows``.  Yields, per spec and in
+    order, what :func:`solve_dc_flow` returns for it alone, or the
+    exception it raises alone: each row leaves the batch at its own exit.
+    A caller that drops the trajectories passes ``keep_trajectory=False``:
+    a completed row's Trajectory then carries ``states = xi = eta =
+    residuals = None``, and all else (energies, norms, envelope, E_T,
+    every BlowUpReport field) is as when kept.  Rows whose whole-path buffers
     (the history input, plus states, xi and eta when kept) exceed
     ``BATCH_BYTES`` together march in consecutive chunks, each yielded
     when done, so a consumer that drops the trajectories holds one

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+import fraflow._accel
 import fraflow.convex
 from fraflow._accel import (
     HISTORY_BLOCK,
@@ -195,20 +196,22 @@ def test_power_prox_abs_matches_a_40_digit_root(q, lam):
 
 
 @prox_cases
-def test_power_prox_abs_pass_budget(q, lam):
+def test_power_prox_abs_pass_budget(q, lam, monkeypatch):
     # monotone Newton from the one-sided bound; the bracketed reference
     # needs up to 77 passes on this grid
-    r = power_prox_abs(PROX_GRID, lam, q, max_iter=12)
+    monkeypatch.setattr(fraflow._accel, "POWER_PROX_MAX_ITER", 12)
+    r = power_prox_abs(PROX_GRID, lam, q)
     assert np.all(prox_residual(r, PROX_GRID, lam, q) <= 1e-14 * (1.0 + PROX_GRID))
 
 
 @pytest.mark.parametrize("q", [1.1, 1.5, 1.9, 2.5, 3.0, 4.0, 5.0, 8.0])
-def test_power_prox_abs_pass_budget_over_a_wide_range(q):
+def test_power_prox_abs_pass_budget_over_a_wide_range(q, monkeypatch):
     # measured: at most 10 passes at q = 1.1, at most 7 elsewhere; the start
     # bounds overflow for q near 1 and huge a without a warning
+    monkeypatch.setattr(fraflow._accel, "POWER_PROX_MAX_ITER", 12)
     a = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 801)])
     for lam in np.geomspace(1e-6, 1e3, 10):
-        r = power_prox_abs(a, lam, q, max_iter=12)
+        r = power_prox_abs(a, lam, q)
         assert np.all(prox_residual(r, a, lam, q) <= 1e-14 * (1.0 + a))
 
 
@@ -247,9 +250,10 @@ def test_power_prox_abs_raises_on_nan():
     assert err.value.iterations == 200
 
 
-def test_power_prox_abs_raises_when_out_of_passes():
+def test_power_prox_abs_raises_when_out_of_passes(monkeypatch):
+    monkeypatch.setattr(fraflow._accel, "POWER_PROX_MAX_ITER", 1)
     with pytest.raises(ProxNonconvergence) as err:
-        power_prox_abs(np.array([3e4]), 0.1, 3.0, max_iter=1)
+        power_prox_abs(np.array([3e4]), 0.1, 3.0)
     assert err.value.iterations == 1
     assert err.value.residual > 1e-14
 

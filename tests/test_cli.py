@@ -16,6 +16,8 @@ import pytest
 
 import fraflow
 import fraflow.cli
+import fraflow.convex
+import fraflow.plaplace
 import fraflow.solver
 from fraflow import certify as cert
 from fraflow.cli import (
@@ -999,3 +1001,23 @@ def test_benchmark_outputs_bytes(tmp_path, workload):
         assert main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out / "sweep"), "--jobs", "1"]) == EXIT_OK
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BENCHMARK_PINS[workload]}
     assert digests == BENCHMARK_PINS[workload]
+
+
+def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatch):
+    # the 18 rows of q = 3, 4 and 5 march as chunks of 15 and 3 rows; each
+    # step of a chunk evaluates the phi2 of all its live rows in one
+    # power_prox_abs call, next to the one phi1 resolvent of the step, and
+    # each chunk takes one more call for the envelope at u0
+    counts = {"power": 0, "phi1": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fraflow.convex, "power_prox_abs", counted("power", fraflow.convex.power_prox_abs))
+    monkeypatch.setattr(fraflow.plaplace.PDirichletEnergy, "prox", counted("phi1", fraflow.plaplace.PDirichletEnergy.prox))
+    test_benchmark_outputs_bytes(tmp_path, "sweep")
+    assert counts == {"power": 518 + 2, "phi1": 518}

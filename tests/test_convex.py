@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
+import fraflow.convex
+from fraflow._accel import power_prox_abs
 from fraflow.convex import (
     PowerPotential,
     ProxNonconvergence,
@@ -13,6 +15,7 @@ from fraflow.convex import (
     Space,
     _scipy_flapack,
     _solveh_banded,
+    yosida_rows,
 )
 from fraflow.plaplace import Grid, PDirichletEnergy
 
@@ -77,6 +80,73 @@ class TestYosida:
         assert rate[0] == pytest.approx(phi.prox(w, 0.5)[0] ** 3, abs=1e-11)
 
 
+class TestPowerRowsInOneCall:
+    """A potential with one exponent per row: each row is bitwise the potential of its own q alone."""
+
+    QS = (1.5, 2.0, 3.0, 4.0, 5.0)
+
+    def rows(self, qs, rng):
+        # per q: magnitudes up to the near-blow-up 3e4, where the convex
+        # start takes (a/lam)^(1/(q-1)), down to 1e-3, where it takes a;
+        # tiny ones, where the concave start at q = 1.5 underflows (at
+        # lam = 1e-3, 2.6e-165 starts at TINY; at lam = 0.1, 2.7e-163; the
+        # root of 1e-170 rounds to 0), with signed zeros; and a normal draw
+        signs = rng.choice([-1.0, 1.0], 16)
+        tiny = np.concatenate([[1e-170, -2.6e-165, 2.7e-163, -1e-160, 0.0, -0.0], rng.standard_normal(10) * 1e-8])
+        per_q = {q: iter([signs * np.geomspace(1e-3, 3e4, 16), tiny, rng.standard_normal(16)]) for q in self.QS}
+        return np.array([next(per_q[q]) for q in qs])
+
+    @pytest.mark.parametrize("order", ["contiguous", "interleaved"])
+    @pytest.mark.parametrize("lam", [1e-3, 0.1])
+    def test_each_row_is_its_own_potential_alone(self, order, lam, rng, monkeypatch):
+        space = Space(16, 0.25)
+        qs = np.repeat(self.QS, 3) if order == "contiguous" else np.tile(self.QS, 3)
+        w = self.rows(qs, rng)
+        calls = []
+        monkeypatch.setattr(fraflow.convex, "power_prox_abs", lambda *args: calls.append(args[0].shape) or power_prox_abs(*args))
+        rate, env = PowerPotential(space, qs).yosida(w, lam)
+        assert calls == [w.shape]  # one power prox for all rows, q = 2 rows included
+        for k, q in enumerate(qs):
+            alone_rate, alone_env = PowerPotential(space, q).yosida(w[k], lam)
+            assert rate[k].tobytes() == alone_rate.tobytes(), (k, q)
+            assert env[k].tobytes() == np.float64(alone_env).tobytes(), (k, q)
+
+    def test_equal_exponents_make_one_exponent(self):
+        phi = PowerPotential(Space(4), [3.0, 3.0])
+        assert phi.q == 3.0
+        with pytest.raises(ValueError, match="exceed 1"):
+            PowerPotential(Space(4), [3.0, 1.0])
+
+    def test_yosida_rows_takes_one_call_per_space_and_per_other_functional(self, rng, monkeypatch):
+        # plain power rows of three q share one call; a subclass row and a
+        # quadratic row keep their own; each row is its functional alone
+        space = Space(16)
+
+        class Subclass(PowerPotential):
+            pass
+
+        cubic, quartic, sub, quad = PowerPotential(space, 3), PowerPotential(space, 4), Subclass(space, 1.5), Quadratic(space)
+        phis = [cubic, sub, quartic, quad, PowerPotential(space, 1.5), cubic, sub]
+        built = []
+        original = PowerPotential.__init__
+        monkeypatch.setattr(PowerPotential, "__init__", lambda self, *args: built.append(type(self)) or original(self, *args))
+        yosida = yosida_rows(phis, 1e-3, 1e-10)
+        w = 3.0 * rng.standard_normal((6, 16))
+        ids = np.array([0, 1, 2, 3, 4, 6])
+        calls = []
+        monkeypatch.setattr(fraflow.convex, "power_prox_abs", lambda *args: calls.append(len(args[0])) or power_prox_abs(*args))
+        for _ in range(2):
+            rate, env = yosida(w, ids)
+        assert built == [PowerPotential]  # built once for these ids
+        assert sorted(calls) == [2, 2, 3, 3]  # per call: the two subclass rows, the three plain ones
+        for k, i in enumerate(ids):
+            alone_rate, alone_env = phis[i].yosida(w[k], 1e-3, tol=1e-10)
+            assert rate[k].tobytes() == alone_rate.tobytes()
+            assert env[k] == alone_env
+        yosida(w[:2], ids[:2])
+        assert built == [PowerPotential] * 2
+
+
 # property batteries: >= 100 random pairs per built-in functional
 LAMBDAS = [0.01, 0.1, 1.0]
 
@@ -135,10 +205,12 @@ def test_yosida_bounded_by_minimal_section(name, rng):
             assert phi.space.norm(phi.yosida(w, lam)[0]) <= bound + 1e-5
 
 
-def test_prox_nonconvergence_reports():
+def test_prox_nonconvergence_reports(monkeypatch):
     # fake gradient w^2 + 1 at w = 0, lam = 1: the optimality system
     # z^2 + z + 1 = 0 has no real root, so the solver must report
     from fraflow.convex import SmoothFunctional
+
+    monkeypatch.setattr(fraflow.convex, "PROX_MAX_ITER", 5)
 
     def hess(rows):
         # the banded derivative of the fake gradient: 2w on the diagonal
@@ -146,7 +218,7 @@ def test_prox_nonconvergence_reports():
 
     bad = SmoothFunctional(Space(2), lambda w: float(np.sum(w**2)), lambda w: w**2 + 1.0, hess)
     with pytest.raises(ProxNonconvergence) as err:
-        bad.prox(np.zeros(2), 1.0, tol=1e-14, max_iter=5)
+        bad.prox(np.zeros(2), 1.0, tol=1e-14)
     assert err.value.iterations == 5
     assert err.value.residual > 0
 

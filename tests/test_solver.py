@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fraflow._accel
+import fraflow.convex
 import fraflow.solver
 from fraflow._accel import HISTORY_BLOCK, l1_history
 from fraflow.certify import mittag_leffler
@@ -623,6 +624,46 @@ class TestBatchedRows:
             alone = solve_dc_flow(spec, config)
             for name in ("states", "eta", "residuals"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+
+    @pytest.mark.parametrize("coupling", ["semi_implicit", "coupled"])
+    def test_interleaved_plain_power_rows_are_their_single_runs(self, coupling, monkeypatch):
+        # plain potentials of q = 1.5, 2, 3 and 4 alternate in one batch:
+        # every evaluation takes one power_prox_abs call for all live rows,
+        # and each row is bitwise its single run.  Semi-implicit, rows blow
+        # up on the way; coupled, the first row leaves at node 1
+        # (phi1 = 1.625 > blowup_energy), so the live rows' positions are no
+        # longer their batch rows
+        if coupling == "coupled":
+            config, n = SolverConfig(yosida_lam=1.0, coupling="coupled", blowup_energy=1.0), 256
+            u0s = [[1.5, 1.0], [0.5, -0.2], [0.9, 0.4], [0.3, 0.1], [0.2, -0.6], [0.7, 0.0], [0.4, 0.4], [-0.6, 0.3]]
+        else:
+            config, n = SolverConfig(yosida_lam=1e-3, blowup_norm=1e3), 128
+            u0s = [[0.5, -0.2], [3.0, 2.0], [8.0, -8.0], [1.0, 0.0], [0.2, 0.1], [12.0, 5.0], [2.0, 2.0], [-9.0, 1.0]]
+        phi1, pair, grid = Quadratic(Space(2)), rl_pair(0.5), TimeGrid(1.0, n)
+        phi2s = [PowerPotential(Space(2), q) for q in (1.5, 2.0, 3.0, 4.0)] * 2
+        specs = [ProblemSpec(phi1, phi2, pair, np.array(u0), None, grid) for u0, phi2 in zip(u0s, phi2s)]
+        calls = []
+        prox_abs = fraflow.convex.power_prox_abs
+        monkeypatch.setattr(fraflow.convex, "power_prox_abs", lambda *args: calls.append(len(args[0])) or prox_abs(*args))
+        batch = list(solve_dc_rows(specs, config))
+        if coupling == "semi_implicit":
+            # the envelope at u0 and each step, until the last row leaves
+            last = max(n if isinstance(got, Trajectory) else got.node for got in batch)
+            assert len(calls) == last + 1
+        assert calls[0] == len(specs)
+        kinds = set()
+        for spec, got in zip(specs, batch):
+            alone = solve_dc_flow(spec, config)
+            assert type(got) is type(alone)
+            kinds.add(type(got))
+            if isinstance(got, Trajectory):
+                for name in ("states", "xi", "eta", "residuals", "energy1", "envelope2", "norms"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+            else:
+                assert (got.node, got.reason) == (alone.node, alone.reason)
+                np.testing.assert_array_equal(got.norm_history, alone.norm_history)
+                np.testing.assert_array_equal(got.energy_history, alone.energy_history)
+        assert kinds == {Trajectory, BlowUpReport}
 
     def test_a_stalling_phi2_leaves_the_rows_of_another_marching(self):
         # the q = 4 potential stalls on its second row at a bounded state:
