@@ -304,10 +304,6 @@ class GronwallLocalInstance:
     big_m: object  # callable, nondecreasing on [0, infty)
     g: np.ndarray
 
-    @property
-    def horizon(self):
-        return self.tau * (len(self.g) - 1)
-
 
 def gronwall_local(instance, phi):
     """Certify sup phi <= a + 1 on [0, min(R, S)].
@@ -487,8 +483,6 @@ def random_small_instance(rng):
 class ChainRuleReport:
     """Margins of both integral chain-rule forms along one trajectory."""
 
-    margin_cumulative: np.ndarray  # form (i), nodes 1..N
-    margin_pointwise: np.ndarray  # form (ii), nodes 1..N
     min_margin_cumulative: float
     min_margin_pointwise: float
     worst_node_cumulative: int
@@ -514,13 +508,14 @@ class ChainRuleReport:
         }
 
 
-def check_chain_rule(traj, phi, pair, slack_coeff=0.0):
-    """Check both integral chain-rule forms for the selection traj.xi of phi.
+def check_chain_rule(traj, pair, slack_coeff=0.0):
+    """Check both integral chain-rule forms for the selection traj.xi of phi1.
 
     Form (i): the cumulative pairing of the nonlocal derivative with the
-    selection dominates k * (phi(u) - phi(u0)).  Form (ii): the conjugate
-    convolution of the pairing dominates phi(u(t)) - phi(u0) pointwise.
-    Margins must stay above -slack(tau).
+    selection dominates k * (phi1(u) - phi1(u0)).  Form (ii): the conjugate
+    convolution of the pairing dominates phi1(u(t)) - phi1(u0) pointwise.
+    Margins must stay above -slack(tau).  The energies are the solver's,
+    ``traj.energy1``, and the pairing takes the weight ``traj.space_weight``.
 
     The conjugate convolution in form (ii) is realized as the exact
     triangular inverse of the discrete derivative (how the pairing
@@ -533,13 +528,10 @@ def check_chain_rule(traj, phi, pair, slack_coeff=0.0):
     grid = traj.grid
     tau = grid.tau
     u = traj.states
-    space = phi.space
-    v = u - u[0]
-    deriv = nonlocal_derivative(pair.k, v, grid)
+    deriv = nonlocal_derivative(pair.k, u - u[0], grid)
     pairing = np.zeros(grid.steps + 1)
-    pairing[1:] = space.weight * np.sum(deriv[1:] * traj.xi[1:], axis=tuple(range(1, u.ndim)))
-    energy = phi.values(u)
-    energy_gap = energy - energy[0]
+    pairing[1:] = traj.space_weight * np.sum(deriv[1:] * traj.xi[1:], axis=tuple(range(1, u.ndim)))
+    energy_gap = traj.energy1 - traj.energy1[0]
 
     inv_ok = bool(np.all(inverse_weights(pair.k, grid) >= -1e-14))
 
@@ -557,8 +549,6 @@ def check_chain_rule(traj, phi, pair, slack_coeff=0.0):
     min_cum = float(np.min(margin_cum))
     min_pt = float(np.min(margin_pt))
     return ChainRuleReport(
-        margin_cumulative=margin_cum,
-        margin_pointwise=margin_pt,
         min_margin_cumulative=min_cum,
         min_margin_pointwise=min_pt,
         worst_node_cumulative=int(np.argmin(margin_cum)) + 1,
@@ -569,6 +559,16 @@ def check_chain_rule(traj, phi, pair, slack_coeff=0.0):
         slack_coeff=slack_coeff,
         passed=min_cum >= -slack and min_pt >= -slack and inv_ok,
     )
+
+
+def _derivative_energy(states, grid, space_weight, pair):
+    """The nonlocal derivative G = d/dt [k * (u - u0)] of the states on
+    ``grid`` and (ell * ||G||^2)(t_j) at the nodes, in the inner product of
+    weight ``space_weight``; the dump certificates read both from here."""
+    deriv = nonlocal_derivative(pair.k, states - states[0], grid)
+    sq = np.zeros(grid.steps + 1)
+    sq[1:] = space_weight * np.sum(deriv[1:] ** 2, axis=tuple(range(1, states.ndim)))
+    return deriv, convolve(pair.ell, sq, grid)
 
 
 def check_ab_inequality(states, grid, space_weight, pair, slack_coeff=0.0):
@@ -584,15 +584,11 @@ def check_ab_inequality(states, grid, space_weight, pair, slack_coeff=0.0):
     """
     tau = grid.tau
     u = states
-    v = u - u[0]
-    deriv = nonlocal_derivative(pair.k, v, grid)
+    deriv, ell_sq = _derivative_energy(u, grid, space_weight, pair)
     du = np.diff(u, axis=0) / tau
-    axes = tuple(range(1, u.ndim))
-    pairing = space_weight * np.sum(du * deriv[1:], axis=axes)
+    pairing = space_weight * np.sum(du * deriv[1:], axis=tuple(range(1, u.ndim)))
     lhs = tau * np.cumsum(pairing)
-    sq = np.zeros(grid.steps + 1)
-    sq[1:] = space_weight * np.sum(deriv[1:] ** 2, axis=axes)
-    rhs = 0.5 * convolve(pair.ell, sq, grid)[1:]
+    rhs = 0.5 * ell_sq[1:]
     margin = lhs - rhs
     slack = slack_budget(tau, slack_coeff)
     worst = int(np.argmin(margin))

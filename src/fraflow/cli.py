@@ -32,9 +32,8 @@ import numpy as np
 from . import certify as cert
 from .convex import Quadratic, Space
 from .kernels import TimeGrid, kernel_l1_gap, regularized_kernel, rl_pair, verify_sonine
-from .plaplace import ExperimentResult, ExperimentSpec, Grid, PDirichletEnergy, run_experiment, run_experiments
+from .plaplace import ExperimentResult, ExperimentSpec, Grid, run_experiment, run_experiments
 from .solver import (
-    BlowUpReport,
     DumpFormatError,
     ProblemSpec,
     SolverConfig,
@@ -272,14 +271,13 @@ def cmd_solve(config, out_dir):
         alpha = config.get("kernel", {}).get("alpha", 0.5)
         grid = _grid(config, default_steps=2048)
         pair = rl_pair(alpha)
-        phi1 = Quadratic(Space(1))
-        spec = ProblemSpec(phi1, None, pair, np.array([prob.get("u0", 1.0)]), None, grid)
+        spec = ProblemSpec(Quadratic(Space(1)), None, pair, np.array([prob.get("u0", 1.0)]), None, grid)
         result = solve_dc_flow(spec, solver_config)
-        if isinstance(result, BlowUpReport):
+        if result.reason is not None:
             diagnostics.update(
                 {
                     "verdict": "blew_up",
-                    "t_star": result.time - grid.tau,
+                    "t_star": result.t_star,
                     "last_node": result.node,
                     "reason": result.reason,
                     "E_T": result.e_t,
@@ -293,7 +291,6 @@ def cmd_solve(config, out_dir):
         exp = run_experiment(exp_spec, solver_config)
         diagnostics["regime"] = exp.regime.to_dict()
         pair = rl_pair(exp_spec.alpha)
-        phi1 = PDirichletEnergy(exp_spec.grid, exp_spec.p)
         if not exp.completed:
             diagnostics.update(
                 {
@@ -310,7 +307,7 @@ def cmd_solve(config, out_dir):
 
     trajectory_to_csv(traj, out / "trajectory.csv")
     save_state_dump(traj, out / "state.bin")
-    chain = cert.check_chain_rule(traj, phi1, pair, slack_coeff=slack_coeff)
+    chain = cert.check_chain_rule(traj, pair, slack_coeff=slack_coeff)
     _write_json(out / "chain_rule.json", chain.to_dict())
     diagnostics.update(
         {

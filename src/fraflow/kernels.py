@@ -81,11 +81,6 @@ class Kernel:
     def antiderivative(self, t):
         return self._anti(np.asarray(t, dtype=np.float64))
 
-    def cell_averages(self, grid):
-        """Cell means (K(t_i) - K(t_{i-1})) / tau for i = 1..N."""
-        big_k = self.antiderivative(grid.times)
-        return np.diff(big_k) / grid.tau
-
 
 @functools.lru_cache(maxsize=256)
 def conv_weights(kernel, grid):
@@ -303,7 +298,7 @@ def _sonine_defect(pair, grid, skip_time):
     # first cells of a self-similar singular pair carry a grid-invariant
     # quadrature error, so nodes with t_j <= skip_time are not scored.
     omega = conv_weights(pair.k, grid)
-    ell_avg = pair.ell.cell_averages(grid)
+    ell_avg = conv_weights(pair.ell, grid) / grid.tau  # cell means of ell
     # cell i of ell pairs with weight omega[j - i]; no extra tau factor,
     # the averages already carry 1/tau
     vals = causal_conv(omega, ell_avg)[1:]
@@ -349,10 +344,8 @@ def verify_sonine(pair, grid):
 class RegularizedKernel:
     """k_n = n * s_n where s_n solves s_n + n (ell * s_n) = 1."""
 
-    index: int
     s: np.ndarray
     k_n: np.ndarray
-    grid: TimeGrid
     monotone: bool
 
 
@@ -369,7 +362,7 @@ def regularized_kernel(ell, n, grid):
     k_n = n * s
     scale = max(abs(k_n[0]), 1.0)
     monotone = bool(np.all(np.diff(k_n) <= MONOTONE_TOL * scale) and np.all(k_n >= -MONOTONE_TOL * scale))
-    return RegularizedKernel(index=n, s=s, k_n=k_n, grid=grid, monotone=monotone)
+    return RegularizedKernel(s=s, k_n=k_n, monotone=monotone)
 
 
 def kernel_l1_gap(reg, kernel, grid):

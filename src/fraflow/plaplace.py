@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import PowerPotential, SmoothFunctional, Space
 from .kernels import TimeGrid, rl_pair
-from .solver import BlowUpReport, ProblemSpec, SolverConfig, Trajectory, solve_dc_rows
+from .solver import ProblemSpec, SolverConfig, Trajectory, solve_dc_rows
 
 FLUX_EPS = 1e-12
 
@@ -193,10 +193,6 @@ class RegimeReport:
     theta_ratio: Fraction | None  # theta (q-1)/(p-1)
     verdict: str
     condition: str
-    local_ok: bool
-    small_data_ok: bool
-    critical: bool
-    global_ok: bool
 
     def to_dict(self):
         def num(x):
@@ -254,11 +250,10 @@ def classify_regime(p, q, d):
                 theta = cand
                 theta_ratio = theta * (q - 1) / (p - 1)
 
-    cond_82 = p > 2 * d / (d + 2) and _lt_star(q, p_star)
-    local_ok = cond_82
+    local_ok = p > 2 * d / (d + 2) and _lt_star(q, p_star)
     critical = p_star is not None and q == p_star
     small_data_ok = p < q and p > 2 * d / (d + 2) and (critical or _lt_star(q, p_star))
-    global_ok = p > q and cond_82
+    global_ok = p > q and local_ok
 
     if global_ok:
         verdict = "global"
@@ -287,10 +282,6 @@ def classify_regime(p, q, d):
         theta_ratio=theta_ratio,
         verdict=verdict,
         condition=condition,
-        local_ok=local_ok,
-        small_data_ok=small_data_ok,
-        critical=critical,
-        global_ok=global_ok,
     )
 
 
@@ -350,6 +341,8 @@ class ExperimentResult:
 
     A run whose solve raises (a resolvent or a coupled Picard loop that
     stalls at a bounded state) has no result: the exception is its outcome.
+    ``trajectory`` is the solver's record when it is kept: the whole path
+    of a completed run, the energies and norms up to T* of a blow-up.
     """
 
     verdict: str  # "completed" | "blew_up"
@@ -411,7 +404,6 @@ def run_experiments(specs, config=None, keep_trajectory=False):
     pair = rl_pair(first.alpha)
     forcing = forcing_profile(grid, first.f_profile, first.f_amplitude)
     time_grid = TimeGrid(first.horizon, first.steps)
-    tau = first.horizon / first.steps
     outcomes = [None] * len(specs)
     regimes, phi2s = {}, {}  # by q
     problems = []
@@ -433,30 +425,18 @@ def run_experiments(specs, config=None, keep_trajectory=False):
         spec = specs[i]
         if isinstance(result, Exception):
             outcomes[i] = result
-        elif isinstance(result, BlowUpReport):
-            sup_e = float(np.max(result.energy_history))
-            outcomes[i] = ExperimentResult(
-                verdict="blew_up",
-                spec=spec,
-                regime=regimes[spec.q],
-                sup_energy1=sup_e,
-                e_t=result.e_t,
-                energy_ratio=sup_e / result.e_t if result.e_t > 0 else None,
-                t_star=result.time - tau,  # last accepted node before the exit
-                tau=tau,
-                final_norm=None,
-            )
         else:
+            completed = result.reason is None
             outcomes[i] = ExperimentResult(
-                verdict="completed",
+                verdict="completed" if completed else "blew_up",
                 spec=spec,
                 regime=regimes[spec.q],
                 sup_energy1=result.sup_energy1,
                 e_t=result.e_t,
                 energy_ratio=result.sup_energy1 / result.e_t if result.e_t > 0 else None,
-                t_star=None,
-                tau=tau,
-                final_norm=float(result.norms[-1]),
+                t_star=result.t_star,
+                tau=time_grid.tau,
+                final_norm=float(result.norms[-1]) if completed else None,
                 trajectory=result if keep_trajectory else None,
             )
         del result  # the next chunk is solved while this name is still bound

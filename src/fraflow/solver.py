@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import History
-from .certify import slack_budget
+from .certify import _derivative_energy, slack_budget
 from .convex import ProxNonconvergence, yosida_rows
 from .kernels import SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
@@ -144,6 +144,15 @@ class Trajectory:
     whose caller drops the trajectory (``solve_dc_rows`` with
     ``keep_trajectory=False``) stores no path and re-assembles no
     residuals: ``states``, ``xi``, ``eta`` and ``residuals`` are None there.
+
+    A row that blows up (a threshold crossing or a non-finite state) is
+    the path of its maximal interval: ``energy1``, ``envelope2`` and
+    ``norms`` run through its last accepted node, ``states``, ``xi``,
+    ``eta`` and ``residuals`` are None, ``node`` is the node being stepped
+    when it left and ``reason`` says why.  Both are None for a row that
+    reached T.  A resolvent that stalls (or a coupled Picard loop that
+    uses up its budget) on a state of at least 0.01 * blowup_norm counts
+    as a norm-threshold crossing at the last accepted node.
     """
 
     grid: TimeGrid
@@ -157,27 +166,17 @@ class Trajectory:
     xi: np.ndarray | None = None  # selection in dphi1, node-aligned
     eta: np.ndarray | None = None  # Yosida rate of phi2
     residuals: np.ndarray | None = None  # discrete equation residual per node
+    node: int | None = None  # the node being stepped at a blow-up
+    reason: str | None = None  # "norm-threshold" | "energy-threshold" | "non-finite"
 
     @property
     def sup_energy1(self):
         return float(np.max(self.energy1))
 
-
-@dataclass
-class BlowUpReport:
-    """Early termination at a blow-up: a threshold crossing or a non-finite state.
-
-    A resolvent that stalls (or a coupled Picard loop that uses up its
-    budget) on a state of at least 0.01 * blowup_norm counts as a
-    norm-threshold crossing at the last accepted node.
-    """
-
-    node: int
-    time: float
-    reason: str  # "norm-threshold" | "energy-threshold" | "non-finite"
-    norm_history: np.ndarray
-    energy_history: np.ndarray
-    e_t: float
+    @property
+    def t_star(self):
+        """The time of the last accepted node of a row that blew up, None for one that reached T."""
+        return None if self.node is None else self.node * self.grid.tau - self.grid.tau
 
 
 def _forcing_sup(spec, f_path):
@@ -311,12 +310,13 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     here and nowhere else, through ``convex.yosida_rows``: its Yosida rate
     eta and envelope at the previous states (semi-implicit), or at each
     Picard iterate (coupled), and the envelope at u0; without a phi2, eta
-    is zero and the envelope stays 0.  Returns one outcome per row: a :class:`Trajectory`, a
-    :class:`BlowUpReport`, or the exception the row raises.  A row leaves
-    the batch at its own exit, the others march on.  Without
-    ``keep_trajectory`` the history input is the only path stored and
-    the norms are taken node by node: a completed row's Trajectory
-    carries None for states, xi, eta and the residuals.
+    is zero and the envelope stays 0.  Returns one outcome per row: a
+    :class:`Trajectory` (one that stopped early at a blow-up), or the
+    exception the row raises.  A row leaves the batch at its own exit, the
+    others march on.  Without ``keep_trajectory`` the history input is
+    the only path stored and the norms are taken node by node: a
+    completed row's Trajectory carries None for states, xi, eta and the
+    residuals.
     """
     grid = spec.grid
     n = grid.steps
@@ -369,34 +369,40 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     histories = [History(omega, v[r].reshape(n + 1, size)) for r in range(rows)]
     hist = np.zeros((rows, size))
 
-    def path_norms(r, accepted):
-        # ||u_j||_H of a kept row's accepted nodes, all at once at its exit
-        # (a lean row takes them node by node)
-        if keep_trajectory:
-            norms[: accepted + 1, r] = space.row_norms(states[: accepted + 1, r])
-
-    # blowup and fail take the position k of a row among the live rows, at
-    # the node j being stepped
-    def blowup(k, reason, accepted):
+    # finish and fail take the position k of a row among the live rows, at
+    # the node j being stepped.  finish makes every row's Trajectory: its
+    # path runs through the node ``accepted``, and a row that blew up
+    # leaves at j with a ``reason``
+    def finish(k, accepted, reason=None):
         r = live[k]
-        path_norms(r, accepted)
-        outcomes[r] = BlowUpReport(
-            node=j,
-            time=j * grid.tau,
-            reason=reason,
-            norm_history=norms[: accepted + 1, r],
-            energy_history=energy1[: accepted + 1, r],
+        path = slice(accepted + 1)
+        if keep_trajectory:  # a lean row takes its norms node by node
+            norms[path, r] = space.row_norms(states[path, r])
+        outcomes[r] = traj = Trajectory(
+            grid=grid,
+            space_weight=space.weight,
+            energy1=energy1[path, r],
+            envelope2=envelope2[path, r],
+            norms=norms[path, r],
             e_t=float(e_t[r]),
+            alpha=spec.pair.alpha,
+            node=None if reason is None else j,
+            reason=reason,
         )
+        if keep_trajectory and reason is None:
+            traj.states, traj.xi, traj.eta = states[:, r], xi[:, r], eta[:, r]
+            sel = traj.xi[1:]  # rhs until now: xi = (rhs - u)/mu, in place
+            np.divide(np.subtract(sel, traj.states[1:], out=sel), mu, out=sel)
+            traj.residuals = _residuals(spec, config, u0s[r], traj.states, traj.xi, traj.eta, forcing_path)
 
     def fail(errors):
-        # the exceptions of the rows that failed, by position: a step
-        # escaping toward overflow (through the phi1 or the phi2 resolvent)
-        # is a threshold crossing, not a solver defect; on a bounded state
-        # the exception is the row's outcome
+        # the exceptions of the rows that failed: a step escaping toward
+        # overflow (through the phi1 or the phi2 resolvent) is a threshold
+        # crossing, not a solver defect; on a bounded state the exception
+        # is the row's outcome
         for k, exc in errors.items():
             if isinstance(exc, (FloatingPointError, ProxNonconvergence)) and np.max(np.abs(prev[k])) >= 0.01 * config.blowup_norm:
-                blowup(k, "norm-threshold", j - 1)
+                finish(k, j - 1, "norm-threshold")
             else:
                 outcomes[live[k]] = exc
 
@@ -454,7 +460,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
             amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
             finite = np.isfinite(amax)
             for k in np.flatnonzero(~finite):
-                blowup(k, "non-finite", j - 1)
+                finish(k, j - 1, "non-finite")
             if not finite.all():
                 live, u_new, rhs, eta_val, env_val, amax = _rows(finite, live, u_new, rhs, eta_val, env_val, amax)
                 if not live.size:
@@ -483,28 +489,14 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
                 amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
             over = (amax > config.blowup_norm) | (e1 > config.blowup_energy)
             for k in np.flatnonzero(over):
-                blowup(k, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold", j)
+                finish(k, j, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold")
             live, prev = live[~over], prev[~over]
 
     # the history input is not needed any more: free it before the
     # re-assembly of the residuals
     v = v_nodes = histories = live_histories = None
-    for r in live:
-        path_norms(r, n)
-        outcomes[r] = traj = Trajectory(
-            grid=grid,
-            space_weight=space.weight,
-            energy1=energy1[:, r],
-            envelope2=envelope2[:, r],
-            norms=norms[:, r],
-            e_t=float(e_t[r]),
-            alpha=spec.pair.alpha,
-        )
-        if keep_trajectory:
-            traj.states, traj.xi, traj.eta = states[:, r], xi[:, r], eta[:, r]
-            path = traj.xi[1:]  # rhs until now: xi = (rhs - u)/mu, in place
-            np.divide(np.subtract(path, traj.states[1:], out=path), mu, out=path)
-            traj.residuals = _residuals(spec, config, u0s[r], traj.states, traj.xi, traj.eta, forcing_path)
+    for k in range(live.size):
+        finish(k, n)
     return outcomes
 
 
@@ -526,11 +518,11 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
     A caller that drops the trajectories passes ``keep_trajectory=False``:
     a completed row's Trajectory then carries ``states = xi = eta =
     residuals = None``, and all else (energies, norms, envelope, E_T,
-    every BlowUpReport field) is as when kept.  Rows whose whole-path buffers
-    (the history input, plus states, xi and eta when kept) exceed
-    ``BATCH_BYTES`` together march in consecutive chunks, each yielded
-    when done, so a consumer that drops the trajectories holds one
-    chunk's buffers at a time.
+    the exit node and reason of a blow-up) is as when kept.  Rows whose
+    whole-path buffers (the history input, plus states, xi and eta when
+    kept) exceed ``BATCH_BYTES`` together march in consecutive chunks,
+    each yielded when done, so a consumer that drops the trajectories
+    holds one chunk's buffers at a time.
     """
     config = config or SolverConfig()
     first = specs[0]
@@ -548,8 +540,9 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
 def solve_dc_flow(spec, config=None):
     """March the difference-of-convex flow; one resolvent call per step.
 
-    Returns a :class:`Trajectory`, or a :class:`BlowUpReport` when the
-    state blows up (a threshold crossing or a non-finite state).  Coupled
+    Returns a :class:`Trajectory`; when the state blows up (a threshold
+    crossing or a non-finite state) it stops at its last accepted node
+    and carries the exit ``node`` and ``reason``.  Coupled
     mode raises ``ValueError`` before the first step unless its Picard map
     contracts within its budget (:func:`check_coupling`).  A single solve
     is a batch of one row.
@@ -560,7 +553,11 @@ def solve_dc_flow(spec, config=None):
 
 @dataclass
 class ModulusReport:
-    """Measured continuity moduli against the convolution-representative bound."""
+    """Measured continuity moduli against the convolution-representative bound.
+
+    A grid of one step has no dyadic lag h <= T/2: nothing is compared,
+    and the report is a reject.
+    """
 
     lags: np.ndarray
     moduli: np.ndarray
@@ -569,7 +566,7 @@ class ModulusReport:
     passed: bool
 
     def to_dict(self):
-        return {
+        out = {
             "certificate": "continuity-modulus",
             "status": "pass" if self.passed else "fail",
             "lags": self.lags.tolist(),
@@ -577,6 +574,9 @@ class ModulusReport:
             "bounds": self.bounds.tolist(),
             "slack": self.slack,
         }
+        if not self.lags.size:  # nothing was compared
+            out.update(status="reject", reason="no dyadic lag h <= T/2: the grid has one step")
+        return out
 
 
 def continuity_modulus(states, grid, space_weight, pair, slack_coeff=0.0):
@@ -596,10 +596,7 @@ def continuity_modulus(states, grid, space_weight, pair, slack_coeff=0.0):
     n = grid.steps
     u = states
     axes = tuple(range(1, u.ndim))
-    deriv = nonlocal_derivative(pair.k, u - u[0], grid)
-    sq = np.zeros(n + 1)
-    sq[1:] = space_weight * np.sum(deriv[1:] ** 2, axis=axes)
-    sup_conv = float(np.max(convolve(pair.ell, sq, grid)))
+    sup_conv = float(np.max(_derivative_energy(u, grid, space_weight, pair)[1]))
     big_l = pair.ell.antiderivative
 
     lags = []
@@ -626,7 +623,7 @@ def continuity_modulus(states, grid, space_weight, pair, slack_coeff=0.0):
         moduli=moduli,
         bounds=bounds,
         slack=slack,
-        passed=bool(np.all(moduli <= bounds + slack)),
+        passed=bool(lags.size) and bool(np.all(moduli <= bounds + slack)),
     )
 
 

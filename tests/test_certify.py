@@ -224,7 +224,7 @@ class TestChainRule:
         for phi in (Quadratic(Space(3)), PowerPotential(Space(3), 4)):
             spec = ProblemSpec(phi, None, rl_pair(0.5), np.zeros(3), None, TimeGrid(1.0, 64))
             traj = solve_dc_flow(spec)
-            rep = check_chain_rule(traj, phi, rl_pair(0.5))
+            rep = check_chain_rule(traj, rl_pair(0.5))
             assert abs(rep.min_margin_cumulative) <= 1e-10
             assert abs(rep.min_margin_pointwise) <= 1e-10
             assert rep.passed
@@ -236,7 +236,7 @@ class TestChainRule:
         phi = Quadratic(Space(1))
         spec = ProblemSpec(phi, None, rl_pair(0.5), np.array([1.0]), None, TimeGrid(1.0, 1024))
         traj = solve_dc_flow(spec)
-        rep = check_chain_rule(traj, phi, rl_pair(0.5), slack_coeff=0.5)
+        rep = check_chain_rule(traj, rl_pair(0.5), slack_coeff=0.5)
         assert rep.passed
         assert rep.inverse_order_preserving
         assert rep.min_margin_cumulative >= -1e-10  # form (i) holds discretely
@@ -250,7 +250,7 @@ class TestChainRule:
         for n in (256, 1024):
             spec = ProblemSpec(phi, None, rl_pair(0.5), np.array([1.0]), None, TimeGrid(1.0, n))
             traj = solve_dc_flow(spec)
-            rep = check_chain_rule(traj, phi, rl_pair(0.5))
+            rep = check_chain_rule(traj, rl_pair(0.5))
             margins.append(rep.min_margin_quadrature)
         assert margins[0] < 0 < margins[1] or margins[1] > margins[0]
 

@@ -792,6 +792,19 @@ class TestCertifyCommand:
         assert by_kind["continuity-modulus"]["moduli"] == pytest.approx(modulus["moduli"], rel=1e-12)
         assert by_kind["continuity-modulus"]["bounds"] == pytest.approx(modulus["bounds"], rel=1e-12)
 
+    def test_a_one_step_dump_has_no_lag_and_is_rejected(self, tmp_path):
+        # N = 1 leaves no dyadic lag h <= T/2: a modulus certificate that
+        # compares nothing must not pass
+        solve_out = tmp_path / "solved"
+        payload = {**SCALAR_SOLVE, "grid": {"horizon": 1.0, "steps": 1}}
+        assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(solve_out)]) == EXIT_OK
+        config = write_config(tmp_path, {"mode": "certify", "certify": {"dump": str(solve_out / "state.bin")}}, name="certify.json")
+        main(["certify", "--config", config, "--out", str(tmp_path / "out")])
+        bundle = json.loads((tmp_path / "out" / "certificates.json").read_text())
+        (modulus,) = [entry for entry in bundle["certificates"] if entry.get("certificate") == "continuity-modulus"]
+        assert (modulus["status"], modulus["lags"]) == ("reject", [])
+        assert bundle["rejected"] == 1
+
     @pytest.mark.parametrize("block", [None, {}, {"dump": "", "slack_coeff": 0.5}], ids=["no-block", "empty-block", "empty-dump"])
     def test_nothing_to_certify_is_a_usage_error(self, tmp_path, capsys, block):
         # no dump and no suite: an empty bundle must not pass

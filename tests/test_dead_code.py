@@ -11,11 +11,12 @@ caller.  The rest of the scan is textual, so a name that also occurs in an
 unrelated string or attribute passes; it finds dead code, it does not
 prove that code is live.
 
-A public attribute that a method of a ``fraflow`` class sets on ``self``
-must be read: loaded as ``.name`` in a ``fraflow`` module, or named by a
-``getattr`` of the harness, which reads the results of the calls it
-traces that way (its plain attribute loads are on its own objects, such
-as ``Path.name``).
+A public attribute that a method of a ``fraflow`` class sets on ``self``,
+and a public field of a ``fraflow`` dataclass, must be read: loaded as
+``.name`` in a ``fraflow`` module, or named by a ``getattr`` of the
+harness, which reads the results of the calls it traces that way (its
+plain attribute loads are on its own objects, such as ``Path.name``).
+A field whose name another class also reads (``.grid``) passes here too.
 """
 
 import ast
@@ -38,6 +39,18 @@ KEPT_ATTRIBUTES = {
     # the data of the stall the exception reports, for a caller that handles it
     "ProxNonconvergence.iterations",
     "ProxNonconvergence.residual",
+}
+
+KEPT_FIELDS = {
+    # theta (q-1)/(p-1): the side of the q < p* <=> theta (q-1)/(p-1) < 1
+    # equivalence that the regime scans check
+    "RegimeReport.theta_ratio",
+    # s_n, the Volterra solution k_n is built from, checked against its closed form
+    "RegularizedKernel.s",
+    # whether k_n is nonincreasing and nonnegative, as the paper's k_n are
+    "RegularizedKernel.monotone",
+    # ||u(T)|| of a completed run, the one path value a lean (sweep) row keeps
+    "ExperimentResult.final_norm",
 }
 
 
@@ -146,6 +159,40 @@ def unread():
 def test_every_public_attribute_is_read():
     # an entry that gains a reader, or loses its definition, leaves the list
     assert unread() == sorted(KEPT_ATTRIBUTES)
+
+
+def is_dataclass(decorator):
+    """``@dataclass`` or ``@dataclass(...)``."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def dataclass_fields(tree):
+    """(Class.field, field) of each public field of a dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and not item.target.id.startswith("_"):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def unread_fields():
+    """Names of the public dataclass fields that nothing outside the tests reads."""
+    read = attributes_read()
+    return sorted({name for path in MODULES for name, field in dataclass_fields(ast.parse(path.read_text())) if field not in read})
+
+
+def test_every_dataclass_field_is_read():
+    # an entry that gains a reader, or loses its definition, leaves the list
+    assert unread_fields() == sorted(KEPT_FIELDS)
+
+
+def test_dataclass_fields_are_found():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    _y: int = 0\n\n    def f(self):\n        return 1\n\n\n"
+        "@dataclass\nclass B:\n    z: float\n\n\nclass C:\n    w: int\n"
+    )
+    assert sorted(dataclass_fields(tree)) == [("A.x", "x"), ("B.z", "z")]
 
 
 def test_attributes_read_only_by_a_store_are_found():

@@ -17,7 +17,6 @@ from fraflow.convex import PowerPotential, ProxNonconvergence, Quadratic, Space
 from fraflow.kernels import TimeGrid, rl_pair
 from fraflow.plaplace import ExperimentSpec, Grid, run_experiment, run_experiments
 from fraflow.solver import (
-    BlowUpReport,
     DumpFormatError,
     ProblemSpec,
     SolverConfig,
@@ -128,7 +127,7 @@ class TestCoupledMode:
         spec2 = scalar_spec(n=256, u0=0.5, phi2=PowerPotential(Space(1), 4))
         semi = solve_dc_flow(spec1, SolverConfig(yosida_lam=1.0))
         coup = solve_dc_flow(spec2, SolverConfig(yosida_lam=1.0, coupling="coupled"))
-        assert isinstance(coup, Trajectory)
+        assert isinstance(coup, Trajectory) and coup.reason is None
         assert np.max(np.abs(semi.states - coup.states)) <= 1e-2
 
     def test_rejected_without_contraction(self):
@@ -165,7 +164,7 @@ class TestCoupledMode:
         spec = scalar_spec(n=256, u0=3.0, phi2=PowerPotential(Space(1), 4))
         report = solve_dc_flow(spec, SolverConfig(yosida_lam=0.2, blowup_norm=100.0, coupling="coupled"))
         assert (report.node, report.reason) == (100, "norm-threshold")
-        pinned = hashlib.sha256(report.norm_history.tobytes() + report.energy_history.tobytes()).hexdigest()
+        pinned = hashlib.sha256(report.norms.tobytes() + report.energy1.tobytes()).hexdigest()
         assert pinned == "da3f94b0b7a5e43169c1796981dfe389d54baad33ee330e5ad0430d69372fd02"
 
     class SteepRate(PowerPotential):
@@ -182,9 +181,9 @@ class TestCoupledMode:
         with pytest.raises(ProxNonconvergence, match="after 50 iterations"):
             solve_dc_flow(spec, config)
         report = solve_dc_flow(spec, dataclasses.replace(config, blowup_norm=50.0))
-        assert isinstance(report, BlowUpReport)
+        assert report.reason is not None
         assert (report.node, report.reason) == (1, "norm-threshold")
-        assert len(report.norm_history) == 1
+        assert len(report.norms) == 1
 
 
 class TestBlowUp:
@@ -193,10 +192,10 @@ class TestBlowUp:
         phi2 = PowerPotential(Space(1), 4)
         spec = scalar_spec(n=256, u0=3.0, phi2=phi2)
         result = solve_dc_flow(spec, SolverConfig(yosida_lam=1e-3, blowup_norm=1e3))
-        assert isinstance(result, BlowUpReport)
+        assert result.reason is not None
         assert result.reason in ("norm-threshold", "energy-threshold")
         assert result.node >= 1
-        assert len(result.norm_history) == result.node + 1
+        assert len(result.norms) == result.node + 1
         assert result.e_t > 0
 
     class StallingPower(PowerPotential):
@@ -212,20 +211,20 @@ class TestBlowUp:
         # least 0.01 * blowup_norm
         spec = scalar_spec(n=256, u0=3.0, phi2=self.StallingPower(Space(1), 4))
         result = solve_dc_flow(spec, SolverConfig(yosida_lam=1e-3, blowup_norm=1e3))
-        assert isinstance(result, BlowUpReport)
+        assert result.reason is not None
         assert result.reason == "norm-threshold"
-        assert len(result.norm_history) == result.node
-        assert result.norm_history[-1] >= 10.0
+        assert len(result.norms) == result.node
+        assert result.norms[-1] >= 10.0
 
     def test_stalled_phi2_resolvent_in_the_picard_loop_is_a_blowup(self):
         # the coupled twin: the stall comes from the Picard loop's Yosida
         # evaluation at the current iterate, |u_{j-1}| >= 0.01 * blowup_norm
         spec = scalar_spec(n=256, u0=3.0, phi2=self.StallingPower(Space(1), 4))
         result = solve_dc_flow(spec, SolverConfig(yosida_lam=0.2, blowup_norm=100.0, coupling="coupled"))
-        assert isinstance(result, BlowUpReport)
+        assert result.reason is not None
         assert result.reason == "norm-threshold"
-        assert len(result.norm_history) == result.node
-        assert result.norm_history[-1] >= 1.0
+        assert len(result.norms) == result.node
+        assert result.norms[-1] >= 1.0
 
     def test_stalled_phi2_resolvent_at_a_bounded_state_raises(self):
         spec = scalar_spec(n=256, u0=3.0, phi2=self.StallingPower(Space(1), 4))
@@ -246,11 +245,11 @@ class TestBlowUp:
 
         spec = ProblemSpec(NanOnLastStep(Space(1)), None, rl_pair(0.5), np.array([1.0]), None, TimeGrid(1.0, n))
         result = solve_dc_flow(spec)
-        assert isinstance(result, BlowUpReport)
+        assert result.reason is not None
         assert result.reason == "non-finite"
         assert result.node == n
-        assert len(result.norm_history) == n
-        assert np.all(np.isfinite(result.norm_history))
+        assert len(result.norms) == n
+        assert np.all(np.isfinite(result.norms))
 
 
 class DirectHistory:
@@ -539,15 +538,15 @@ class TestBatchedRows:
         batch = list(solve_dc_rows(self.specs(u0s, phi2), config))
         for u0, got in zip(u0s, batch):
             (alone,) = solve_dc_rows(self.specs([u0], phi2), config)
-            assert type(got) is type(alone)
-            if isinstance(got, Trajectory):
+            assert got.reason == alone.reason
+            if got.reason is None:
                 np.testing.assert_array_equal(got.states, alone.states)
                 np.testing.assert_array_equal(got.residuals, alone.residuals)
                 assert got.e_t == alone.e_t
             else:
                 assert (got.node, got.reason) == (alone.node, alone.reason)
-                np.testing.assert_array_equal(got.norm_history, alone.norm_history)
-        assert {type(got) for got in batch} == {Trajectory, BlowUpReport}
+                np.testing.assert_array_equal(got.norms, alone.norms)
+        assert {got.reason is None for got in batch} == {True, False}
 
     class StallingQuadratic(Quadratic):
         """A phi1 whose resolvent stalls at 10."""
@@ -568,7 +567,7 @@ class TestBatchedRows:
             specs = [ProblemSpec(phi1, None, pair, np.array(u0), None, grid) for u0 in ([0.1, 0.1], [30.0, 30.0])]
         config = SolverConfig(yosida_lam=1e-3, blowup_norm=1e6)
         small, stalled = solve_dc_rows(specs, config)
-        assert isinstance(small, Trajectory)
+        assert isinstance(small, Trajectory) and small.reason is None
         assert isinstance(stalled, ProxNonconvergence)
         with pytest.raises(ProxNonconvergence):
             solve_dc_flow(specs[1], config)
@@ -591,9 +590,9 @@ class TestBatchedRows:
         kinds = []
         for spec, got in zip(specs, batch):
             (alone,) = solve_dc_rows([spec], config, keep)
-            assert type(got) is type(alone)
-            kinds.append((spec.phi2.q, type(got)))
-            if isinstance(got, Trajectory):
+            assert got.reason == alone.reason
+            kinds.append((spec.phi2.q, got.reason is None))
+            if got.reason is None:
                 if keep:
                     for name in ("states", "xi", "eta", "residuals"):
                         np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
@@ -603,10 +602,10 @@ class TestBatchedRows:
                     np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
                 assert got.e_t == alone.e_t
             else:
-                assert (got.node, got.time, got.reason, got.e_t) == (alone.node, alone.time, alone.reason, alone.e_t)
-                np.testing.assert_array_equal(got.norm_history, alone.norm_history)
-                np.testing.assert_array_equal(got.energy_history, alone.energy_history)
-        assert set(kinds) == {(q, kind) for q in (3, 4) for kind in (Trajectory, BlowUpReport)}
+                assert (got.node, got.t_star, got.reason, got.e_t) == (alone.node, alone.t_star, alone.reason, alone.e_t)
+                np.testing.assert_array_equal(got.norms, alone.norms)
+                np.testing.assert_array_equal(got.energy1, alone.energy1)
+        assert set(kinds) == {(q, done) for q in (3, 4) for done in (True, False)}
 
     def test_interleaved_phi2_rows_in_coupled_mode(self):
         # the Picard iterates take each potential on its own rows too; the
@@ -648,22 +647,22 @@ class TestBatchedRows:
         batch = list(solve_dc_rows(specs, config))
         if coupling == "semi_implicit":
             # the envelope at u0 and each step, until the last row leaves
-            last = max(n if isinstance(got, Trajectory) else got.node for got in batch)
+            last = max(n if got.reason is None else got.node for got in batch)
             assert len(calls) == last + 1
         assert calls[0] == len(specs)
         kinds = set()
         for spec, got in zip(specs, batch):
             alone = solve_dc_flow(spec, config)
-            assert type(got) is type(alone)
-            kinds.add(type(got))
-            if isinstance(got, Trajectory):
+            assert got.reason == alone.reason
+            kinds.add(got.reason is None)
+            if got.reason is None:
                 for name in ("states", "xi", "eta", "residuals", "energy1", "envelope2", "norms"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
             else:
                 assert (got.node, got.reason) == (alone.node, alone.reason)
-                np.testing.assert_array_equal(got.norm_history, alone.norm_history)
-                np.testing.assert_array_equal(got.energy_history, alone.energy_history)
-        assert kinds == {Trajectory, BlowUpReport}
+                np.testing.assert_array_equal(got.norms, alone.norms)
+                np.testing.assert_array_equal(got.energy1, alone.energy1)
+        assert kinds == {True, False}
 
     def test_a_stalling_phi2_leaves_the_rows_of_another_marching(self):
         # the q = 4 potential stalls on its second row at a bounded state:
@@ -679,7 +678,7 @@ class TestBatchedRows:
         with pytest.raises(ProxNonconvergence):
             solve_dc_flow(specs[2], config)
         for spec, got in zip(specs[:2] + specs[3:], (small, first, second)):
-            assert isinstance(got, Trajectory)
+            assert isinstance(got, Trajectory) and got.reason is None
             np.testing.assert_array_equal(got.states, solve_dc_flow(spec, config).states)
 
     def test_rows_have_a_phi2_all_or_none(self):
@@ -701,5 +700,5 @@ class TestBatchedRows:
         monkeypatch.setattr(fraflow.solver, "BATCH_BYTES", 1)
         chunked = list(solve_dc_rows(self.specs(u0s, phi2)))
         for a, b in zip(whole, chunked):
-            assert type(a) is type(b)
-            np.testing.assert_array_equal(a.energy1 if isinstance(a, Trajectory) else a.energy_history, b.energy1 if isinstance(b, Trajectory) else b.energy_history)
+            assert a.reason == b.reason
+            np.testing.assert_array_equal(a.energy1, b.energy1)
