@@ -7,10 +7,10 @@ regularized kernels), the per-step history sum and the componentwise power
 prox, with one exponent or one per row.  Whole-path sums are O(N log N)
 through zero-padded real FFTs.  The sequential stepper's history sums go
 through :class:`History`, O(N log^2 N) for a whole run and exact: no
-per-step sum is O(N) any more.
-``l1_history`` is the direct sum, which ``History`` calls on the near
-field of at most ``HISTORY_BLOCK`` recent rows, with the kernel
-differences it takes once per run.
+per-step sum is O(N) any more.  One ``History`` serves a whole batch of
+rows, one contiguous path per row, and each step sums the near field of
+every live row in one ``l1_history`` call, with the kernel differences
+it takes once per run.
 
 The module keeps the name ``_accel``, and the near-field sum keeps the
 name ``l1_history``, because the benchmark's tracer
@@ -89,17 +89,25 @@ def l1_history(d, v, j):
     Returns sum_{i=1..j-1} (omega[j-i] - omega[j-i-1]) * v[i] from the
     kernel differences d[k] = omega[k+1] - omega[k] (``np.diff(omega)``,
     at least j - 1 of them); the caller adds the leading omega[0] * v[j]
-    term itself.  ``v`` is (N+1, m).
+    term itself.  ``v`` is node first: one row's path (N+1, m), or the
+    paths of R rows side by side, (N+1, R, m).
 
-    The differences enter as the negative-stride view d[j-2::-1], for
-    which numpy runs its own product loop, bit for bit the sum of
-    ``(omega[1:j] - omega[:j-1])[::-1] @ v[1:j]``.  A contiguous reversed
-    copy would send the product to BLAS gemv, whose blocking gives other
-    last bits than the sha256-pinned outputs hold.
+    The differences enter as the negative-stride view d[j-2::-1].  On one
+    row's path, ``d[j-2::-1] @ v[1:j]`` is numpy's own product loop, bit
+    for bit the sum of ``(omega[1:j] - omega[:j-1])[::-1] @ v[1:j]``; a
+    contiguous reversed copy would send the product to BLAS gemv, whose
+    blocking gives other last bits than the sha256-pinned outputs hold.
+    Rows side by side go through ``np.einsum``, which takes the same
+    products and adds them in the same node order, rows on the outside and
+    columns on the inside: each row comes out bitwise as its own product,
+    and the columns run side by side, where the product loop walks them
+    one by one.
     """
     if j <= 1:
         return np.zeros(v.shape[1:], dtype=np.float64)
-    return d[j - 2 :: -1] @ v[1:j]
+    if v.ndim < 3:
+        return d[j - 2 :: -1] @ v[1:j]
+    return np.einsum("n,n...->...", d[j - 2 :: -1], v[1:j])
 
 
 HISTORY_BLOCK = 512  # near-field width B of :class:`History`
@@ -107,61 +115,93 @@ HISTORY_BLOCK = 512  # near-field width B of :class:`History`
 
 class History:
     """Exact online history sums H_j = sum_{i<j} (omega[j-i] - omega[j-i-1]) v[i],
-    j = 1, 2, ..., N.
+    j = 1, 2, ..., N, for one row or a batch of rows at once.
 
     The blocked convolution of Hairer, Lubich & Schlichte (1985).  ``v``
-    is the (N+1, m) buffer the stepper fills row by row; the call at j
-    reads only the rows v[1:j], and the calls must come in the order
-    j = 1, 2, ....  The rows below the current block of B rows reach H_j
-    through ``far``: whenever j is a multiple of B, with L = j & -j, the
-    rows [j-L, j) are added into the targets [j, j+L) by one zero-padded
-    FFT middle product with the kernel differences.  Every pair of rows in
-    different blocks is covered exactly once, so a whole run costs
-    O(N B + N log^2 N) and nothing is approximated.  The near field, the
-    rows [j - j % B, j), is ``l1_history`` on a window; for j < B that is
-    the direct sum itself.
+    is the buffer the stepper fills node by node: one row's path (N+1, m),
+    or the paths of R rows (R, N+1, m), each row's path contiguous.  The
+    call at j reads only the nodes v[..., 1:j, :] and returns H_j of every
+    row, (m,) or (R, m); the calls must come in the order j = 1, 2, ....
+    The nodes below the current block of B nodes reach H_j through
+    ``far``: whenever j is a multiple of B, with L = j & -j, the nodes
+    [j-L, j) of each row are added into its targets [j, j+L) by one
+    zero-padded FFT middle product with the kernel differences.  Every
+    pair of nodes in different blocks is covered exactly once, so a whole
+    run costs O(N B + N log^2 N) per row and nothing is approximated.  The
+    near field, the nodes [j - j % B, j), is one ``l1_history`` call on a
+    window of the node-first view, for all rows; for j < B that is the
+    direct sum itself.
 
-    The kernel differences d[k] = omega[k+1] - omega[k] are taken once,
-    here, and serve both fields; ``l1_history`` reads them for the near
-    field.
+    A row that leaves the batch is dropped by :meth:`compact`.  The kernel
+    differences d[k] = omega[k+1] - omega[k] are taken once, here, and
+    serve both fields; ``l1_history`` reads them for the near field.
     """
 
     def __init__(self, omega, v):
-        self.v = v
-        n = v.shape[0] - 1
+        self.paths = v if v.ndim == 3 else v[None]  # rows first
+        n = self.paths.shape[1] - 1
         # d[k] = omega[k+1] - omega[k], zero past the grid
         self.d = np.zeros(2 * n)
         self.d[: len(omega) - 1] = np.diff(omega)
-        # the far field reaches only the targets j >= B: row t is target
-        # B + t.  (A buffer of all N + 1 targets raised the peak RSS of a
-        # 15-row sweep batch at N = B by about 1 MB, one row of it written.)
-        self.far = np.zeros((max(n + 1 - HISTORY_BLOCK, 0),) + v.shape[1:])
+        # the far field reaches only the targets j >= B: far[r, t] is
+        # target B + t of row r.  (A buffer of all N + 1 targets raised the
+        # peak RSS of a 15-row sweep batch at N = B by about 1 MB, one
+        # target of it written.)
+        self.far = np.zeros((len(self.paths), max(n + 1 - HISTORY_BLOCK, 0), self.paths.shape[2]))
+        self.reach = 0  # the far field holds the targets below this one
         self.spectra = {}  # block size L -> spectrum of d[:2L-1]
+        self._views(v.ndim == 3)
+
+    def _views(self, batch):
+        # the node-first views the calls read: one row's own 2-D path, or
+        # (N+1, R, m) over the paths of the batch
+        if batch:
+            self.nodes, self.far_nodes = self.paths.swapaxes(0, 1), self.far.swapaxes(0, 1)
+        else:
+            self.nodes, self.far_nodes = self.paths[0], self.far[0]
 
     def __call__(self, j):
         block = HISTORY_BLOCK
         if j < block:
-            return l1_history(self.d, self.v, j)
+            return l1_history(self.d, self.nodes, j)
         lo = j - j % block
         if lo == j:
             self._far_field(j)
-        return l1_history(self.d, self.v[lo - 1 :], j - lo + 1) + self.far[j - block]
+        return l1_history(self.d, self.nodes[lo - 1 :], j - lo + 1) + self.far_nodes[j - block]
+
+    def compact(self, keep, j):
+        """Keep the rows at the positions ``keep`` (ascending), in that
+        order, before the call at j.
+
+        Each kept row moves down to its new position in place, with the
+        nodes written so far (j' < j) and the far-field targets already
+        summed for steps >= j; nothing else is copied.
+        """
+        far = slice(max(j - HISTORY_BLOCK, 0), max(self.reach - HISTORY_BLOCK, 0))
+        for row, r in enumerate(keep):
+            if row != r:
+                self.paths[row, :j] = self.paths[r, :j]
+                self.far[row, far] = self.far[r, far]
+        self.paths, self.far = self.paths[: len(keep)], self.far[: len(keep)]
+        self._views(True)
 
     def _far_field(self, j):
         size = j & -j
         spectrum = self.spectra.get(size)
         if spectrum is None:
             spectrum = self.spectra[size] = np.fft.rfft(self.d[: 2 * size - 1], 2 * size)[:, None]
-        rows = self.v[j - size : j]
-        if j == size:  # like l1_history, leave out row 0
-            rows = rows.copy()
-            rows[0] = 0.0
-        sources = np.fft.rfft(rows, 2 * size, axis=0)
-        sources *= spectrum
         # target t takes the product's entry t - j + size - 1; the entries
         # that wrap around in the size-2L transform all lie below size - 1
-        stop = min(j + size, self.v.shape[0])
-        self.far[j - HISTORY_BLOCK : stop - HISTORY_BLOCK] += np.fft.irfft(sources, 2 * size, axis=0)[size - 1 : size - 1 + stop - j]
+        stop = min(j + size, self.paths.shape[1])
+        self.reach = stop
+        for path, far in zip(self.paths, self.far):  # one row's columns per transform
+            nodes = path[j - size : j]
+            if j == size:  # like l1_history, leave out node 0
+                nodes = nodes.copy()
+                nodes[0] = 0.0
+            sources = np.fft.rfft(nodes, 2 * size, axis=0)
+            sources *= spectrum
+            far[j - HISTORY_BLOCK : stop - HISTORY_BLOCK] += np.fft.irfft(sources, 2 * size, axis=0)[size - 1 : size - 1 + stop - j]
 
 
 class ProxNonconvergence(RuntimeError):

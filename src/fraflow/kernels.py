@@ -278,9 +278,10 @@ class SonineCertificate:
     skip_time: float
     tol: float
     passed: bool
+    reason: str | None = None  # why the grid is rejected, None when it is scored
 
     def to_dict(self):
-        return {
+        out = {
             "certificate": "sonine",
             "status": "pass" if self.passed else "fail",
             "max_error": self.max_error,
@@ -291,6 +292,9 @@ class SonineCertificate:
             "skip_time": self.skip_time,
             "tol": self.tol,
         }
+        if self.reason is not None:
+            out.update(status="reject", reason=self.reason)
+        return out
 
 
 def _sonine_defect(pair, grid, skip_time):
@@ -311,6 +315,7 @@ def _sonine_defect(pair, grid, skip_time):
 
 SONINE_TOL = 1e-2
 SONINE_BURN_IN = 1 / 16
+SONINE_MIN_CELLS = 3  # coarse cells the burn-in window must hold
 
 
 def verify_sonine(pair, grid):
@@ -318,9 +323,19 @@ def verify_sonine(pair, grid):
 
     Reports the worst defect outside the burn-in window [0, T * SONINE_BURN_IN]
     and the convergence order observed between the two levels; passes when
-    the finer-level defect is within ``SONINE_TOL``.
+    the finer-level defect is within ``SONINE_TOL``.  A coarse grid whose
+    burn-in window holds fewer than ``SONINE_MIN_CELLS`` cells would score
+    the first cells' quadrature error, which does not shrink with the
+    grid: its certificate is a reject, with a reason, not a pass or fail.
     """
     skip_time = grid.horizon * SONINE_BURN_IN
+    cells = grid.steps * SONINE_BURN_IN
+    reason = None
+    if cells < SONINE_MIN_CELLS:
+        reason = (
+            f"the burn-in window [0, T * {SONINE_BURN_IN:g}] holds {cells:g} of the N = {grid.steps} cells, "
+            f"fewer than {SONINE_MIN_CELLS}: the first cells' quadrature error, which does not shrink with the grid, would be scored"
+        )
     fine = grid.refined()
     coarse_err, _ = _sonine_defect(pair, grid, skip_time)
     fine_err, worst = _sonine_defect(pair, fine, skip_time)
@@ -336,7 +351,8 @@ def verify_sonine(pair, grid):
         worst_time=worst * fine.tau,
         skip_time=skip_time,
         tol=SONINE_TOL,
-        passed=fine_err <= SONINE_TOL,
+        passed=reason is None and fine_err <= SONINE_TOL,
+        reason=reason,
     )
 
 

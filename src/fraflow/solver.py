@@ -32,26 +32,28 @@ steps; otherwise take a moderate lam or a viscosity.
 
 The history H_j is a causal convolution whose input v appears one step at
 a time.  ``_accel.History`` evaluates it exactly: a direct sum over the
-current block of at most ``HISTORY_BLOCK`` rows, plus a far field that
+current block of at most ``HISTORY_BLOCK`` nodes, plus a far field that
 each completed dyadic block adds through one FFT product.  A run with
 fewer steps than one block takes the direct sum at every step.  The
-history buffer is flat, one row of u0.size values per node, so states of
-any rank take the same path.
+history buffer is flat, u0.size values per node and row, so states of any
+rank take the same path.
 
 The step loop marches a batch of rows: problems that share phi1, the
 kernel pair, the forcing and the grid and differ in u0 and phi2 (a sweep
 over amplitudes and exponents q at one alpha).  The rows of all plain
 power potentials take one Yosida call per evaluation, one exponent per
 row, and any other phi2 object one call on its own rows
-(``convex.yosida_rows``).  Every step array has a leading row axis, each
-row its own history buffer; the resolvents work row by row inside one
-call, and every per-row reduction keeps the single-row summation order,
-so a row comes out bitwise as it does alone.
+(``convex.yosida_rows``).  Every step array has a leading row axis.  The
+rows share one ``History``, each row's path contiguous, and each step
+sums the near field of all live rows in one call; the resolvents work
+row by row inside one call, and every per-row reduction keeps the
+single-row summation order, so a row comes out bitwise as it does alone.
 A row leaves the batch at its own exit (a threshold, a non-finite state,
-a stalled resolvent, or any exception, which becomes its outcome) and
-the others march on.  A single solve is a batch of one.  Whole-path
-buffers beyond ``BATCH_BYTES`` split a batch into chunks: the history
-input always, the states, xi and eta only for kept trajectories.
+a stalled resolvent, or any exception, which becomes its outcome), the
+history drops its path before the next step, and the others march on.
+A single solve is a batch of one.  Whole-path buffers beyond
+``BATCH_BYTES`` split a batch into chunks: the history input always, the
+states, xi and eta only for kept trajectories.
 """
 
 import math
@@ -362,12 +364,15 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
             if out is not None:
                 envelope2[0, live] = out[1]
     prev = u0s[live]  # the previous states of the live rows, in their order
-    # u - u0 history for the nonlocal term: per state one contiguous path,
-    # read by History as one flat row per node
+    # u - u0 history for the nonlocal term: one contiguous path per row,
+    # flat states, summed for all live rows at once.  The history holds
+    # the rows ``held``, the live rows of the last compaction, at the
+    # positions 0, 1, ...; node j of the row at position k is v_nodes[j, k]
     v = np.zeros((rows, n + 1) + u0s.shape[1:])
     v_nodes = v.swapaxes(0, 1)
-    histories = [History(omega, v[r].reshape(n + 1, size)) for r in range(rows)]
-    hist = np.zeros((rows, size))
+    paths = v.reshape(rows, n + 1, size)
+    history = History(omega, paths[0] if rows == 1 else paths)
+    held = np.arange(rows)
 
     # finish and fail take the position k of a row among the live rows, at
     # the node j being stepped.  finish makes every row's Trajectory: its
@@ -425,13 +430,13 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
         if live.size != marching:
             if not live.size:
                 break
+            if live.size < held.size:  # rows left: drop them from the history
+                history.compact(np.searchsorted(held, live), j)
+                held = live
             marching = live.size
-            live_start = omega[0] * u0s[live]
-            live_hist = hist[:marching].reshape(prev.shape)
-            live_histories = [(k, histories[r]) for k, r in enumerate(live)]
-        for k, history in live_histories:
-            hist[k] = history(j)
-        base = (live_start - live_hist + config.visc * prev) / denom
+            live_u0 = u0s[live]
+            live_start = omega[0] * live_u0
+        base = (live_start - history(j).reshape(prev.shape) + config.visc * prev) / denom
 
         try:
             eta_val, env_val, u_new, rhs = step_rows(prev, base, live)
@@ -465,12 +470,13 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
                 live, u_new, rhs, eta_val, env_val, amax = _rows(finite, live, u_new, rhs, eta_val, env_val, amax)
                 if not live.size:
                     continue
-        if live.size == rows:  # an int index is the fast one, and v takes u - u0 in place
-            node = j
-            np.subtract(u_new, u0s, out=v_nodes[j])
+        # an int index is the fast one, and v takes u - u0 in place while
+        # every row the history holds is live
+        node = j if live.size == rows else (j, live)
+        if live.size == marching:
+            np.subtract(u_new, live_u0, out=v_nodes[j, :marching])
         else:
-            node = (j, live)
-            v_nodes[node] = u_new - u0s[live]
+            v_nodes[j, np.searchsorted(held, live)] = u_new - u0s[live]
         if keep_trajectory:
             states[node] = u_new
             xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
@@ -494,7 +500,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
 
     # the history input is not needed any more: free it before the
     # re-assembly of the residuals
-    v = v_nodes = histories = live_histories = None
+    v = v_nodes = paths = history = None
     for k in range(live.size):
         finish(k, n)
     return outcomes

@@ -132,6 +132,37 @@ def test_near_field_over_cached_differences_is_bitwise_the_fresh_difference(m, r
         assert near.shape == fresh.shape == (m,) and near.tobytes() == fresh.tobytes(), j
 
 
+def hard_values(shape, rng):
+    """Normal values scaled over 10^-320..10^4, so that subnormals and
+    underflowing products occur, with a tenth of them -0.0 and a twentieth
+    +0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 5, shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape) < 0.05] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 3, 15])
+@pytest.mark.parametrize("m", [1, 2, 32, 400])
+def test_near_field_of_a_batch_is_bitwise_each_rows_product(m, rows, rng):
+    # one l1_history call over the node-first view (N+1, R, m) of paths
+    # stored rows first must give, row by row, the bits of that row's own
+    # product loop: same products, same node order.  A numpy that fuses
+    # the multiply-add inside einsum fails here
+    n = 2 * B + 1
+    d = hard_values(2 * n, rng)
+    paths = np.empty((rows, n + 1, m))
+    for path in paths:
+        path[:] = hard_values((n + 1, m), rng)
+    nodes = paths.swapaxes(0, 1)
+    for j in (2, 3, B - 1, B, B + 1, 2 * B + 1):
+        expected = np.stack([d[j - 2 :: -1] @ path[1:j] for path in paths])
+        near = l1_history(d, nodes, j)
+        assert near.shape == (rows, m) and near.tobytes() == expected.tobytes(), j
+        if rows == 1:  # one row's own 2-D path
+            assert l1_history(d, paths[0], j).tobytes() == expected[0].tobytes(), j
+
+
 def test_history_reads_no_future_row(rng):
     omega, v = history_case(3, rng)
     path = np.full_like(v, np.nan)

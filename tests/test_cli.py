@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fraflow
+import fraflow._accel
 import fraflow.cli
 import fraflow.convex
 import fraflow.plaplace
@@ -803,7 +804,21 @@ class TestCertifyCommand:
         bundle = json.loads((tmp_path / "out" / "certificates.json").read_text())
         (modulus,) = [entry for entry in bundle["certificates"] if entry.get("certificate") == "continuity-modulus"]
         assert (modulus["status"], modulus["lags"]) == ("reject", [])
-        assert bundle["rejected"] == 1
+        # the Sonine certificate of a one-step grid is a reject too
+        assert bundle["rejected"] == 2
+
+    def test_a_short_dump_rejects_only_its_sonine_certificate(self, tmp_path):
+        # N = 16 puts one coarse cell in the Sonine burn-in window: that
+        # certificate is a reject, the AB and continuity certificates pass
+        solve_out = tmp_path / "solved"
+        payload = {**SCALAR_SOLVE, "grid": {"horizon": 1.0, "steps": 16}}
+        assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(solve_out)]) == EXIT_OK
+        config = write_config(tmp_path, {"mode": "certify", "certify": {"dump": str(solve_out / "state.bin")}}, name="certify.json")
+        assert main(["certify", "--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
+        bundle = json.loads((tmp_path / "out" / "certificates.json").read_text())
+        statuses = {entry.get("lemma", entry.get("certificate")): entry["status"] for entry in bundle["certificates"]}
+        assert statuses == {"sonine": "reject", "derivative-pairing": "pass", "continuity-modulus": "pass"}
+        assert (bundle["failed"], bundle["rejected"]) == (0, 1)
 
     @pytest.mark.parametrize("block", [None, {}, {"dump": "", "slack_coeff": 0.5}], ids=["no-block", "empty-block", "empty-dump"])
     def test_nothing_to_certify_is_a_usage_error(self, tmp_path, capsys, block):
@@ -1034,3 +1049,14 @@ def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatc
     monkeypatch.setattr(fraflow.plaplace.PDirichletEnergy, "prox", counted("phi1", fraflow.plaplace.PDirichletEnergy.prox))
     test_benchmark_outputs_bytes(tmp_path, "sweep")
     assert counts == {"power": 518 + 2, "phi1": 518}
+
+
+def test_benchmark_sweep_takes_one_history_sum_per_step(tmp_path, monkeypatch):
+    # each step of a chunk (15 and 3 rows) sums the near field of all its
+    # live rows in one l1_history call: 512 steps for the chunk of 15, 6
+    # for the chunk of 3, whose rows all leave by node 6
+    calls = []
+    history = fraflow._accel.l1_history
+    monkeypatch.setattr(fraflow._accel, "l1_history", lambda d, v, j: calls.append(j) or history(d, v, j))
+    test_benchmark_outputs_bytes(tmp_path, "sweep")
+    assert len(calls) == 512 + 6

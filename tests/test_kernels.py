@@ -210,6 +210,22 @@ class TestVerifySonine:
         cert = verify_sonine(rl_pair(0.9), TimeGrid(1.0, 512))
         assert cert.max_error <= 1e-2
 
+    @pytest.mark.parametrize("steps", [1, 16, 32])
+    def test_grid_with_fewer_than_three_burn_in_cells_is_rejected(self, steps):
+        # N / 16 < 3 coarse cells in [0, T/16]: the score would hold the
+        # first cells' grid-invariant quadrature error
+        cert = verify_sonine(rl_pair(0.5), TimeGrid(1.0, steps))
+        assert not cert.passed
+        out = cert.to_dict()
+        assert out["status"] == "reject"
+        assert f"N = {steps} cells" in out["reason"]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_grid_with_three_burn_in_cells_is_scored(self, alpha):
+        cert = verify_sonine(rl_pair(alpha), TimeGrid(1.0, 48))
+        assert cert.passed
+        assert cert.to_dict()["status"] == "pass" and "reason" not in cert.to_dict()
+
 
 class TestRegularizedKernel:
     def test_constant_kernel_gives_exponential(self):

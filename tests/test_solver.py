@@ -10,7 +10,7 @@ import pytest
 import fraflow._accel
 import fraflow.convex
 import fraflow.solver
-from fraflow._accel import HISTORY_BLOCK, l1_history
+from fraflow._accel import HISTORY_BLOCK
 from fraflow.certify import mittag_leffler
 from fraflow.cli import main
 from fraflow.convex import PowerPotential, ProxNonconvergence, Quadratic, Space
@@ -253,13 +253,20 @@ class TestBlowUp:
 
 
 class DirectHistory:
-    """The history as one O(j) sum per step: the reference for ``History``."""
+    """The history as one O(j) sum per step and row: the reference for
+    ``History``, on one row's path (N+1, m) or rows side by side (R, N+1, m)."""
 
     def __init__(self, omega, v):
-        self.d, self.v = np.diff(omega), v
+        self.d, self.paths = np.diff(omega), v if v.ndim == 3 else v[None]
+        self.batch = v.ndim == 3
 
     def __call__(self, j):
-        return l1_history(self.d, self.v, j)
+        sums = np.stack([self.d[j - 2 :: -1] @ path[1:j] if j > 1 else np.zeros(path.shape[1:]) for path in self.paths])
+        return sums if self.batch else sums[0]
+
+    def compact(self, keep, j):
+        self.paths[: len(keep), :j] = self.paths[keep, :j]
+        self.paths = self.paths[: len(keep)]
 
 
 class TestFastHistory:
@@ -328,6 +335,42 @@ class TestFastHistory:
         # spectrum per dyadic block size
         assert far.count(2) == n // block
         assert far.count(1) == len({j & -j for j in range(block, n + 1, block)})
+
+    # u0 amplitudes of a cubic potential's rows and the nodes they leave at
+    # on N = 2B + 37: before B, at B - 1 (the far field at B runs right
+    # after the compaction), at B, after B (the far targets of the rows
+    # behind it move), after 2B and at N - 1 (one far target left to
+    # move); the last row reaches T
+    LEAVERS = {
+        "semi_implicit": ([4.0, 2.2142, 2.2117, 2.0, 1.5999, 1.5901, 1.0], [247, 511, 512, 613, 1040, 1060, None]),
+        "coupled": ([4.0, 2.1601, 2.1577, 2.0, 1.5869, 1.5772, 1.0], [230, 511, 512, 590, 1040, 1060, None]),
+    }
+
+    @pytest.mark.parametrize("coupling", ["semi_implicit", "coupled"])
+    @pytest.mark.parametrize("m", [2, 32])
+    def test_batch_rows_are_their_single_runs_across_the_far_field(self, m, coupling, monkeypatch):
+        # each row that leaves is compacted out of the batch's history, and
+        # every row, before and after, is bitwise its single run
+        monkeypatch.setattr(fraflow.solver, "BATCH_BYTES", 1 << 30)  # one batch of kept paths
+        amplitudes, nodes = self.LEAVERS[coupling]
+        space = Space(m)
+        phi1, phi2, pair, grid = Quadratic(space), PowerPotential(space, 3.0), rl_pair(0.5), TimeGrid(1.0, 2 * self.B + 37)
+        profile = np.linspace(1.0, 0.5, m)
+        specs = [ProblemSpec(phi1, phi2, pair, a * profile, None, grid) for a in amplitudes]
+        config = SolverConfig(yosida_lam=0.1, coupling=coupling, blowup_norm=1e3)
+        calls = []
+        history = fraflow._accel.l1_history
+        monkeypatch.setattr(fraflow._accel, "l1_history", lambda d, v, j: calls.append(v.shape[1]) or history(d, v, j))
+        batch = list(solve_dc_rows(specs, config))
+        # one near-field sum per step for all live rows
+        assert len(calls) == grid.steps and calls[0] == len(specs)
+        for spec, got, node in zip(specs, batch, nodes):
+            alone = solve_dc_flow(spec, config)
+            assert got.node == alone.node == node
+            assert got.reason == alone.reason == (None if node is None else "norm-threshold")
+            for name in ("energy1", "envelope2", "norms", "states", "xi", "eta", "residuals"):
+                a, b = getattr(got, name), getattr(alone, name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
 
 
 class TestContinuityModulus:
