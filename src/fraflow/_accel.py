@@ -118,10 +118,12 @@ class History:
     j = 1, 2, ..., N, for one row or a batch of rows at once.
 
     The blocked convolution of Hairer, Lubich & Schlichte (1985).  ``v``
-    is the buffer the stepper fills node by node: one row's path (N+1, m),
-    or the paths of R rows (R, N+1, m), each row's path contiguous.  The
-    call at j reads only the nodes v[..., 1:j, :] and returns H_j of every
-    row, (m,) or (R, m); the calls must come in the order j = 1, 2, ....
+    is the buffer the stepper fills node by node: the paths of R rows
+    (R, N+1, m), each row's path contiguous.  The call at j reads only the
+    nodes v[:, 1:j] and returns H_j of every row, (R, m), or (m,) while
+    one row is held: its near field is then one row's own 2-D product,
+    which skips the batch view.  The calls must come in the order
+    j = 1, 2, ....
     The nodes below the current block of B nodes reach H_j through
     ``far``: whenever j is a multiple of B, with L = j & -j, the nodes
     [j-L, j) of each row are added into its targets [j, j+L) by one
@@ -138,7 +140,7 @@ class History:
     """
 
     def __init__(self, omega, v):
-        self.paths = v if v.ndim == 3 else v[None]  # rows first
+        self.paths = v  # rows first
         n = self.paths.shape[1] - 1
         # d[k] = omega[k+1] - omega[k], zero past the grid
         self.d = np.zeros(2 * n)
@@ -150,15 +152,15 @@ class History:
         self.far = np.zeros((len(self.paths), max(n + 1 - HISTORY_BLOCK, 0), self.paths.shape[2]))
         self.reach = 0  # the far field holds the targets below this one
         self.spectra = {}  # block size L -> spectrum of d[:2L-1]
-        self._views(v.ndim == 3)
+        self._views()
 
-    def _views(self, batch):
+    def _views(self):
         # the node-first views the calls read: one row's own 2-D path, or
         # (N+1, R, m) over the paths of the batch
-        if batch:
-            self.nodes, self.far_nodes = self.paths.swapaxes(0, 1), self.far.swapaxes(0, 1)
-        else:
+        if len(self.paths) == 1:
             self.nodes, self.far_nodes = self.paths[0], self.far[0]
+        else:
+            self.nodes, self.far_nodes = self.paths.swapaxes(0, 1), self.far.swapaxes(0, 1)
 
     def __call__(self, j):
         block = HISTORY_BLOCK
@@ -183,7 +185,7 @@ class History:
                 self.paths[row, :j] = self.paths[r, :j]
                 self.far[row, far] = self.far[r, far]
         self.paths, self.far = self.paths[: len(keep)], self.far[: len(keep)]
-        self._views(True)
+        self._views()
 
     def _far_field(self, j):
         size = j & -j
@@ -193,7 +195,8 @@ class History:
         # target t takes the product's entry t - j + size - 1; the entries
         # that wrap around in the size-2L transform all lie below size - 1
         stop = min(j + size, self.paths.shape[1])
-        self.reach = stop
+        # a pass with a smaller L can end below an earlier, longer one
+        self.reach = max(self.reach, stop)
         for path, far in zip(self.paths, self.far):  # one row's columns per transform
             nodes = path[j - size : j]
             if j == size:  # like l1_history, leave out node 0

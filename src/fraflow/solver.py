@@ -371,7 +371,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     v = np.zeros((rows, n + 1) + u0s.shape[1:])
     v_nodes = v.swapaxes(0, 1)
     paths = v.reshape(rows, n + 1, size)
-    history = History(omega, paths[0] if rows == 1 else paths)
+    history = History(omega, paths)
     held = np.arange(rows)
 
     # finish and fail take the position k of a row among the live rows, at

@@ -103,7 +103,7 @@ def history_case(m, rng, n=4 * B + 7):
 @pytest.mark.parametrize("m", [1, 3])
 def test_history_matches_the_direct_sum(m, rng):
     omega, v = history_case(m, rng)
-    history = History(omega, v)
+    history = History(omega, v[None])
     checked = {1, 2, B - 1, B, B + 1, 2 * B, 3 * B + 5}
     for j in range(1, max(checked) + 1):
         h = history(j)
@@ -114,7 +114,7 @@ def test_history_matches_the_direct_sum(m, rng):
 
 def test_history_is_the_direct_sum_bitwise_below_one_block(rng):
     omega, v = history_case(3, rng)
-    history = History(omega, v)
+    history = History(omega, v[None])
     for j in range(1, B):
         np.testing.assert_array_equal(history(j), l1_history(np.diff(omega), v, j))
 
@@ -125,7 +125,7 @@ def test_near_field_over_cached_differences_is_bitwise_the_fresh_difference(m, r
     # reversed difference; a contiguous reversed copy takes BLAS gemv and
     # gives other last bits for m = 32 and 400
     omega, v = history_case(m, rng)
-    d = History(omega, v).d
+    d = History(omega, v[None]).d
     for j in (1, 2, B - 1, B, B + 1, 2 * B, 3 * B + 5):
         fresh = (omega[1:j] - omega[: j - 1])[::-1] @ v[1:j]
         near = l1_history(d, v, j)
@@ -163,10 +163,34 @@ def test_near_field_of_a_batch_is_bitwise_each_rows_product(m, rows, rng):
             assert l1_history(d, paths[0], j).tobytes() == expected[0].tobytes(), j
 
 
+def test_compacted_rows_are_bitwise_their_single_histories(rng):
+    # a row leaves at 5B < j <= 6B: the far pass at 5B (L = B) ends at 6B,
+    # below the targets [6B, 8B) that the pass at 4B (L = 4B) wrote, and
+    # those must move down with the kept rows too
+    n = 8 * B + 7
+    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n))
+    v = rng.standard_normal((3, n + 1, 2))
+    paths = np.full_like(v, np.nan)
+    alone = np.full_like(v, np.nan)
+    batch, singles = History(omega, paths), [History(omega, alone[r : r + 1]) for r in range(3)]
+    held, leave = [0, 1, 2], 5 * B + 40
+    for j in range(1, n + 1):
+        if j == leave:
+            batch.compact([1, 2], j)
+            held = [1, 2]
+        # the stepper's order: nodes 0..j-1 known, j..N not yet
+        paths[: len(held), j - 1] = v[held, j - 1]
+        alone[:, j - 1] = v[:, j - 1]
+        sums = batch(j).reshape(len(held), -1)
+        expected = [single(j) for single in singles]
+        for k, r in enumerate(held):
+            assert sums[k].tobytes() == expected[r].tobytes(), (j, r)
+
+
 def test_history_reads_no_future_row(rng):
     omega, v = history_case(3, rng)
     path = np.full_like(v, np.nan)
-    history = History(omega, path)
+    history = History(omega, path[None])
     for j in range(1, v.shape[0]):
         # the stepper's order: rows 0..j-1 known, j..N not yet
         path[j - 1] = v[j - 1]

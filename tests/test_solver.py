@@ -254,15 +254,13 @@ class TestBlowUp:
 
 class DirectHistory:
     """The history as one O(j) sum per step and row: the reference for
-    ``History``, on one row's path (N+1, m) or rows side by side (R, N+1, m)."""
+    ``History``, on the paths of R rows side by side (R, N+1, m)."""
 
     def __init__(self, omega, v):
-        self.d, self.paths = np.diff(omega), v if v.ndim == 3 else v[None]
-        self.batch = v.ndim == 3
+        self.d, self.paths = np.diff(omega), v
 
     def __call__(self, j):
-        sums = np.stack([self.d[j - 2 :: -1] @ path[1:j] if j > 1 else np.zeros(path.shape[1:]) for path in self.paths])
-        return sums if self.batch else sums[0]
+        return np.stack([self.d[j - 2 :: -1] @ path[1:j] if j > 1 else np.zeros(path.shape[1:]) for path in self.paths])
 
     def compact(self, keep, j):
         self.paths[: len(keep), :j] = self.paths[keep, :j]
