@@ -148,8 +148,6 @@ class Quadratic(Functional):
         return 0.5 * self.space.inner(w, w)
 
     def values(self, w):
-        if w.size == self.space.dim:  # one row: skip the array arithmetic
-            return np.array([self.value(w)])
         return 0.5 * self.space.row_inner(w, w)
 
     def prox(self, w, lam, tol=1e-10):

@@ -54,6 +54,17 @@ history drops its path before the next step, and the others march on.
 A single solve is a batch of one.  Whole-path buffers beyond
 ``BATCH_BYTES`` split a batch into chunks: the history input always, the
 states, xi and eta only for kept trajectories.
+
+A chunk of one row whose state holds one value, without a phi2 (every
+scalar-quadratic solve), marches in Python floats (``_march_one_value``),
+selected by the row count, the state size and the absent phi2 alone.
+Each step takes the array loop's operations in its order on one value
+each; the history sum and the resolvent still take arrays, one call each
+per step, and the row exits are the same helpers.  A Python float is an
+IEEE double rounded to nearest, as numpy's float64 is, so each operation
+rounds alike and the row comes out bitwise as ``_solve_loop`` makes it,
+without numpy's per-call overhead on one-element arrays.  (Python floats
+give no RuntimeWarning where numpy warns of an overflow.)
 """
 
 import math
@@ -304,6 +315,67 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, ids):
     return errors
 
 
+class _Batch:
+    """The whole-path buffers of a batch of rows and the outcome of each row.
+
+    The buffers are node first: a row's trajectory is the slice [:, r],
+    and a step writes node j of every live row at once.  ``finish`` and
+    ``fail`` are the row exits of both step loops.
+    """
+
+    def __init__(self, spec, config, forcing_path, u0s, keep_trajectory):
+        n, rows = spec.grid.steps, len(u0s)
+        self.spec, self.config, self.forcing_path, self.u0s, self.keep = spec, config, forcing_path, u0s, keep_trajectory
+        self.omega, self.denom, self.mu = _step_weights(spec.pair, spec.grid, config.visc)
+        self.space = spec.phi1.space
+        self.envelope2, self.energy1, self.norms = (np.zeros((n + 1, rows)) for _ in range(3))
+        self.states = self.xi = self.eta = None  # the paths of kept trajectories
+        if keep_trajectory:
+            self.states, self.xi, self.eta = (np.zeros((n + 1,) + u0s.shape) for _ in range(3))
+            self.states[0] = u0s
+        else:  # a lean row takes its norms node by node, a kept one at its exit
+            self.norms[0] = self.space.row_norms(u0s)
+        self.energy1[0] = spec.phi1.values(u0s)
+        self.e_t = self.energy1[0] + _forcing_sup(spec, forcing_path)
+        self.outcomes = [None] * rows
+
+    def finish(self, r, accepted, node=None, reason=None):
+        """Make row r's Trajectory: its path runs through the node
+        ``accepted``, and a row that blew up left at ``node`` with a ``reason``."""
+        path = slice(accepted + 1)
+        if self.keep:  # a lean row takes its norms node by node
+            self.norms[path, r] = self.space.row_norms(self.states[path, r])
+        self.outcomes[r] = traj = Trajectory(
+            grid=self.spec.grid,
+            space_weight=self.space.weight,
+            energy1=self.energy1[path, r],
+            envelope2=self.envelope2[path, r],
+            norms=self.norms[path, r],
+            e_t=float(self.e_t[r]),
+            alpha=self.spec.pair.alpha,
+            node=node,
+            reason=reason,
+        )
+        if self.keep and reason is None:
+            traj.states, traj.xi, traj.eta = self.states[:, r], self.xi[:, r], self.eta[:, r]
+            sel = traj.xi[1:]  # rhs until now: xi = (rhs - u)/mu, in place
+            np.divide(np.subtract(sel, traj.states[1:], out=sel), self.mu, out=sel)
+            traj.residuals = _residuals(self.spec, self.config, self.u0s[r], traj.states, traj.xi, traj.eta, self.forcing_path)
+
+    def fail(self, r, exc, amax, j):
+        """Row r's step j raised ``exc``; ``amax`` is the largest entry of
+        its previous state in absolute value.
+
+        A step escaping toward overflow (through the phi1 or the phi2
+        resolvent) is a threshold crossing, not a solver defect; on a
+        bounded state the exception is the row's outcome.
+        """
+        if isinstance(exc, (FloatingPointError, ProxNonconvergence)) and amax >= 0.01 * self.config.blowup_norm:
+            self.finish(r, j - 1, j, "norm-threshold")
+        else:
+            self.outcomes[r] = exc
+
+
 def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     """Shared stepping core: march the initial states ``u0s`` (stacked
     along axis 0) as one batch of rows against ``forcing_path``.
@@ -326,7 +398,6 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     rows = len(u0s)
     size = u0s[0].size
 
-    omega, denom, mu = _step_weights(spec.pair, grid, config.visc)
     prox, tol = spec.phi1.prox, config.inner_tol
     # one Yosida call for the rows of all plain power potentials, one per other phi2
     yosida = yosida_rows(phi2s, config.yosida_lam, tol)
@@ -335,20 +406,8 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     if coupled:
         check_coupling(config, spec.pair, grid)
 
-    # whole-path buffers, node first: a row's trajectory is the slice
-    # [:, r], and a step writes node j of every live row at once
-    envelope2 = np.zeros((n + 1, rows))
-    energy1 = np.zeros((n + 1, rows))
-    norms = np.zeros((n + 1, rows))
-    states = xi = eta = None  # the paths of kept trajectories
-    if keep_trajectory:
-        states, xi, eta = (np.zeros((n + 1,) + u0s.shape) for _ in range(3))
-        states[0] = u0s
-    else:  # a lean row takes its norms node by node, a kept one at its exit
-        norms[0] = space.row_norms(u0s)
-    energy1[0] = spec.phi1.values(u0s)
-    e_t = energy1[0] + _forcing_sup(spec, forcing_path)
-    outcomes = [None] * rows
+    batch = _Batch(spec, config, forcing_path, u0s, keep_trajectory)
+    omega, denom, mu, envelope2 = batch.omega, batch.denom, batch.mu, batch.envelope2
     live = np.arange(rows)  # the rows still marching
     if not has_phi2:
         # the step data's part mu (f + eta) at every node at once; + 0.0 is
@@ -360,7 +419,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
             live, out, errors = _isolate(yosida, exc, u0s, live)
             for k, error in errors.items():
-                outcomes[k] = error
+                batch.outcomes[k] = error
             if out is not None:
                 envelope2[0, live] = out[1]
     prev = u0s[live]  # the previous states of the live rows, in their order
@@ -374,42 +433,10 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     history = History(omega, paths)
     held = np.arange(rows)
 
-    # finish and fail take the position k of a row among the live rows, at
-    # the node j being stepped.  finish makes every row's Trajectory: its
-    # path runs through the node ``accepted``, and a row that blew up
-    # leaves at j with a ``reason``
-    def finish(k, accepted, reason=None):
-        r = live[k]
-        path = slice(accepted + 1)
-        if keep_trajectory:  # a lean row takes its norms node by node
-            norms[path, r] = space.row_norms(states[path, r])
-        outcomes[r] = traj = Trajectory(
-            grid=grid,
-            space_weight=space.weight,
-            energy1=energy1[path, r],
-            envelope2=envelope2[path, r],
-            norms=norms[path, r],
-            e_t=float(e_t[r]),
-            alpha=spec.pair.alpha,
-            node=None if reason is None else j,
-            reason=reason,
-        )
-        if keep_trajectory and reason is None:
-            traj.states, traj.xi, traj.eta = states[:, r], xi[:, r], eta[:, r]
-            sel = traj.xi[1:]  # rhs until now: xi = (rhs - u)/mu, in place
-            np.divide(np.subtract(sel, traj.states[1:], out=sel), mu, out=sel)
-            traj.residuals = _residuals(spec, config, u0s[r], traj.states, traj.xi, traj.eta, forcing_path)
-
     def fail(errors):
-        # the exceptions of the rows that failed: a step escaping toward
-        # overflow (through the phi1 or the phi2 resolvent) is a threshold
-        # crossing, not a solver defect; on a bounded state the exception
-        # is the row's outcome
+        # the exceptions of the rows that failed, by their position among the live rows
         for k, exc in errors.items():
-            if isinstance(exc, (FloatingPointError, ProxNonconvergence)) and np.max(np.abs(prev[k])) >= 0.01 * config.blowup_norm:
-                finish(k, j - 1, "norm-threshold")
-            else:
-                outcomes[live[k]] = exc
+            batch.fail(live[k], exc, np.max(np.abs(prev[k])), j)
 
     def step_rows(u, b, ids):
         # the explicit part at the rows u of the batch rows ids (the
@@ -465,7 +492,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
             amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
             finite = np.isfinite(amax)
             for k in np.flatnonzero(~finite):
-                finish(k, j - 1, "non-finite")
+                batch.finish(live[k], j - 1, j, "non-finite")
             if not finite.all():
                 live, u_new, rhs, eta_val, env_val, amax = _rows(finite, live, u_new, rhs, eta_val, env_val, amax)
                 if not live.size:
@@ -478,15 +505,15 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
         else:
             v_nodes[j, np.searchsorted(held, live)] = u_new - u0s[live]
         if keep_trajectory:
-            states[node] = u_new
-            xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
+            batch.states[node] = u_new
+            batch.xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
             if has_phi2:
-                eta[node] = eta_val
+                batch.eta[node] = eta_val
         else:
-            norms[node] = space.row_norms(u_new)
+            batch.norms[node] = space.row_norms(u_new)
         if has_phi2:  # the envelope stays 0 without one
             envelope2[node] = env_val
-        energy1[node] = e1 = spec.phi1.values(u_new)
+        batch.energy1[node] = e1 = spec.phi1.values(u_new)
         prev = u_new
 
         # a NaN maximum also takes the per-row test, which ignores NaN
@@ -495,15 +522,62 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
                 amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
             over = (amax > config.blowup_norm) | (e1 > config.blowup_energy)
             for k in np.flatnonzero(over):
-                finish(k, j, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold")
+                batch.finish(live[k], j, j, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold")
             live, prev = live[~over], prev[~over]
 
     # the history input is not needed any more: free it before the
     # re-assembly of the residuals
     v = v_nodes = paths = history = None
-    for k in range(live.size):
-        finish(k, n)
-    return outcomes
+    for r in live:
+        batch.finish(r, n)
+    return batch.outcomes
+
+
+def _march_one_value(spec, config, forcing_path, u0s, keep_trajectory):
+    """``_solve_loop`` for one row whose state holds one value, without a
+    phi2, in Python floats: each step takes the array loop's operations
+    in its order, the history sum and the resolvent on arrays as there."""
+    batch = _Batch(spec, config, forcing_path, u0s, keep_trajectory)
+    n, mu, visc = spec.grid.steps, batch.mu, config.visc
+    v = np.zeros(n + 1)  # the history input u - u0
+    history = History(batch.omega, v.reshape(1, n + 1, 1))
+    prox, value, tol = spec.phi1.prox, spec.phi1.value, config.inner_tol
+    # flat views of the whole-path buffers: node j is [j]
+    energy1, norms, states, xi = (None if a is None else a.reshape(-1) for a in (batch.energy1, batch.norms, batch.states, batch.xi))
+    drive = mu * (forcing_path.reshape(-1) + 0.0)  # eta = 0, as in _solve_loop
+    data = np.empty(u0s.shape)  # the step data the resolvent takes, reused
+    cell = data.reshape(-1)
+    u0 = prev = u0s.item()
+    start, denom = batch.omega.item(0) * u0, batch.denom.item()
+    for j in range(1, n + 1):
+        # a one-row history returns (1,); .item() reads any one-value shape
+        base = (start - history(j).item() + visc * prev) / denom
+        try:
+            cell[0] = rhs = base + drive.item(j)
+            if not math.isfinite(rhs):
+                raise FloatingPointError("non-finite step data")
+            z = prox(data, mu, tol=tol)
+        except Exception as exc:  # noqa: BLE001 - the row's own outcome
+            batch.fail(0, exc, abs(prev), j)
+            break
+        u = z.item()
+        if not math.isfinite(u):
+            batch.finish(0, j - 1, j, "non-finite")
+            break
+        v[j] = u - u0
+        if keep_trajectory:
+            states[j], xi[j] = u, rhs
+        else:
+            norms[j] = batch.space.norm(z)
+        energy1[j] = e1 = value(z)
+        prev = u
+        if abs(u) > config.blowup_norm or e1 > config.blowup_energy:
+            batch.finish(0, j, j, "norm-threshold" if abs(u) > config.blowup_norm else "energy-threshold")
+            break
+    else:
+        v = history = None  # free the history input before the residuals
+        batch.finish(0, n)
+    return batch.outcomes
 
 
 def _alone(outcome):
@@ -540,7 +614,11 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
     per_row = (4 if keep_trajectory else 1) * (first.grid.steps + 1) * first.u0.size * u0s.itemsize
     chunk = max(1, BATCH_BYTES // per_row)
     for lo in range(0, len(specs), chunk):
-        yield from _solve_loop(first, config, forcing_path, u0s[lo : lo + chunk], phi2s[lo : lo + chunk], keep_trajectory)
+        rows, phis = u0s[lo : lo + chunk], phi2s[lo : lo + chunk]
+        if rows.size == 1 and phis[0] is None:  # one row of one value
+            yield from _march_one_value(first, config, forcing_path, rows, keep_trajectory)
+        else:
+            yield from _solve_loop(first, config, forcing_path, rows, phis, keep_trajectory)
 
 
 def solve_dc_flow(spec, config=None):

@@ -401,6 +401,15 @@ class TestSolveCommand:
         assert diag["verdict"] == "blew_up"
         assert diag["t_star"] > 0
 
+    def test_scalar_blowup_exit_code(self, tmp_path):
+        # |u_1| is about 4.7e6 > blowup_norm = 1e6: the row leaves at node 1
+        config = dict(SCALAR_SOLVE, problem={"kind": "scalar-quadratic", "u0": 5e6})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)]) == EXIT_BLOWUP
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert (diag["verdict"], diag["reason"], diag["last_node"], diag["t_star"]) == ("blew_up", "norm-threshold", 1, 0.0)
+        assert sorted(path.name for path in out.iterdir()) == ["diagnostics.json"]
+
     def test_coupled_mode_without_contraction_is_a_usage_error(self, tmp_path, capsys):
         payload = dict(COUPLED, mode="solve", problem=dict(COUPLED["problem"], amplitude=4.0))
         out = tmp_path / "out"

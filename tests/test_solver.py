@@ -21,6 +21,8 @@ from fraflow.solver import (
     ProblemSpec,
     SolverConfig,
     Trajectory,
+    _march_one_value,
+    _solve_loop,
     continuity_modulus,
     load_state_dump,
     save_state_dump,
@@ -234,16 +236,7 @@ class TestBlowUp:
     def test_non_finite_state_is_not_completed(self):
         # a resolvent returning NaN on the last step must not end "completed"
         n = 16
-
-        class NanOnLastStep(Quadratic):
-            calls = 0
-
-            def prox(self, w, lam, tol=1e-10):
-                self.calls += 1
-                z = super().prox(w, lam, tol=tol)
-                return np.full_like(z, np.nan) if self.calls == n else z
-
-        spec = ProblemSpec(NanOnLastStep(Space(1)), None, rl_pair(0.5), np.array([1.0]), None, TimeGrid(1.0, n))
+        spec = ProblemSpec(NanOnStep(Space(1), n), None, rl_pair(0.5), np.array([1.0]), None, TimeGrid(1.0, n))
         result = solve_dc_flow(spec)
         assert result.reason is not None
         assert result.reason == "non-finite"
@@ -369,6 +362,116 @@ class TestFastHistory:
             for name in ("energy1", "envelope2", "norms", "states", "xi", "eta", "residuals"):
                 a, b = getattr(got, name), getattr(alone, name)
                 assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+
+class RaisingQuadratic(Quadratic):
+    """A phi1 whose resolvent raises ``exc`` once its step data reaches ``at`` in absolute value."""
+
+    def __init__(self, space, at, exc):
+        super().__init__(space)
+        self.at, self.exc = at, exc
+
+    def prox(self, w, lam, tol=1e-10):
+        if np.max(np.abs(w)) >= self.at:
+            raise self.exc
+        return super().prox(w, lam, tol=tol)
+
+
+class NanOnStep(Quadratic):
+    """A phi1 whose resolvent returns NaN at its ``step``-th call."""
+
+    def __init__(self, space, step):
+        super().__init__(space)
+        self.step, self.calls = step, 0
+
+    def prox(self, w, lam, tol=1e-10):
+        self.calls += 1
+        z = super().prox(w, lam, tol=tol)
+        return np.full_like(z, np.nan) if self.calls == self.step else z
+
+
+class TestOneValuePath:
+    """One row of one value without a phi2 marches in Python floats: every
+    outcome is bitwise the array loop's, ``_solve_loop`` called directly."""
+
+    B = HISTORY_BLOCK
+
+    @staticmethod
+    def assert_same_outcomes(make_phi1, u0, n, config, forcing=None):
+        """Run both loops on fresh problems, kept and lean; return the array loop's outcome."""
+        for keep in (True, False):
+            outcomes = []
+            for one_value in (False, True):
+                spec = ProblemSpec(make_phi1(), None, rl_pair(0.5), np.array([u0]), forcing, TimeGrid(1.0, n))
+                forcing_path, u0s = spec.forcing_path(), spec.u0[None]
+                if one_value:
+                    outcomes += _march_one_value(spec, config, forcing_path, u0s, keep)
+                else:
+                    outcomes += _solve_loop(spec, config, forcing_path, u0s, [None], keep)
+            ref, got = outcomes
+            if isinstance(ref, Exception):
+                assert (type(got), str(got)) == (type(ref), str(ref))
+                continue
+            assert (got.node, got.reason) == (ref.node, ref.reason)
+            for field in dataclasses.fields(Trajectory):
+                a, b = getattr(ref, field.name), getattr(got, field.name)
+                if a is None or field.name == "grid":
+                    assert b == a, field.name
+                else:
+                    a, b = np.asarray(a), np.asarray(b)
+                    assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), field.name
+        return ref
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, 2 * B + 37])
+    @pytest.mark.parametrize("phi1", ["quadratic", "cubic"])
+    def test_rows_that_reach_t_are_bitwise_the_array_loop(self, n, phi1):
+        def make_phi1():
+            return Quadratic(Space(1)) if phi1 == "quadratic" else PowerPotential(Space(1), 3)
+
+        for u0 in (1.25, -0.7, 0.0, -0.0):
+            for visc in (0.0, 0.3):
+                for forcing in (None, lambda t: np.array([-0.3 * t * np.cos(7.0 * t)])):
+                    assert self.assert_same_outcomes(make_phi1, u0, n, SolverConfig(visc=visc), forcing).reason is None
+
+    @pytest.mark.parametrize(
+        "make_phi1, u0, config, forcing, node, reason",
+        [
+            # |u_1| > blowup_norm, and |u_j| > blowup_norm on the way to the forcing's level
+            (lambda: Quadratic(Space(1)), 5e6, SolverConfig(), None, 1, "norm-threshold"),
+            (lambda: Quadratic(Space(1)), 1.0, SolverConfig(blowup_norm=50.0), lambda t: np.array([100.0]), 606, "norm-threshold"),
+            # phi1 > blowup_energy on the way to the forcing's level
+            (lambda: Quadratic(Space(1)), 0.5, SolverConfig(blowup_energy=1.5), lambda t: np.array([4.0]), 206, "energy-threshold"),
+            (lambda: PowerPotential(Space(1), 3), 0.5, SolverConfig(blowup_energy=1.5), lambda t: np.array([4.0]), 415, "energy-threshold"),
+            # the resolvent returns NaN at node 300
+            (lambda: NanOnStep(Space(1), 300), 1.25, SolverConfig(visc=0.3), None, 300, "non-finite"),
+            # the resolvent raises on a state below 0.01 * blowup_norm: the exception is the outcome
+            (lambda: RaisingQuadratic(Space(1), 1.0, ProxNonconvergence(0.5, 7)), 0.5, SolverConfig(), lambda t: np.array([4.0]), None, None),
+            (lambda: RaisingQuadratic(Space(1), 1.0, ValueError("not a threshold")), 0.5, SolverConfig(), lambda t: np.array([4.0]), None, None),
+            # ... and on a state of at least 0.01 * blowup_norm = 10: a norm-threshold exit at j - 1
+            (lambda: RaisingQuadratic(Space(1), 30.0, FloatingPointError("escaped")), 1.0, SolverConfig(blowup_norm=1e3), lambda t: np.array([100.0]), 116, "norm-threshold"),
+        ],
+    )
+    def test_exits_are_the_array_loop_exits(self, make_phi1, u0, config, forcing, node, reason):
+        ref = self.assert_same_outcomes(make_phi1, u0, 2 * self.B + 37, config, forcing)
+        if reason is None:
+            assert isinstance(ref, Exception)
+        else:
+            assert (ref.node, ref.reason) == (node, reason)
+
+    def test_only_one_row_of_one_value_without_a_phi2_takes_it(self, monkeypatch):
+        marched = []
+        for name in ("_solve_loop", "_march_one_value"):
+            monkeypatch.setattr(fraflow.solver, name, lambda *args, name=name, march=getattr(fraflow.solver, name): marched.append((name, len(args[3]))) or march(*args))
+        pair, grid, phi2 = rl_pair(0.5), TimeGrid(1.0, 16), PowerPotential(Space(1), 4)
+        one, two = Quadratic(Space(1)), Quadratic(Space(2))
+        for specs in (
+            [ProblemSpec(one, None, pair, np.array([1.0]), None, grid)],
+            [ProblemSpec(one, None, pair, np.array([u0]), None, grid) for u0 in (1.0, 0.5)],
+            [ProblemSpec(one, phi2, pair, np.array([1.0]), None, grid)],
+            [ProblemSpec(two, None, pair, np.array([1.0, 0.5]), None, grid)],
+        ):
+            list(solve_dc_rows(specs))
+        assert marched == [("_march_one_value", 1), ("_solve_loop", 2), ("_solve_loop", 1), ("_solve_loop", 1)]
 
 
 class TestContinuityModulus:
@@ -589,14 +692,6 @@ class TestBatchedRows:
                 np.testing.assert_array_equal(got.norms, alone.norms)
         assert {got.reason is None for got in batch} == {True, False}
 
-    class StallingQuadratic(Quadratic):
-        """A phi1 whose resolvent stalls at 10."""
-
-        def prox(self, w, lam, tol=1e-10):
-            if np.max(np.abs(w)) >= 10.0:
-                raise ProxNonconvergence(1.0, 200)
-            return super().prox(w, lam, tol=tol)
-
     @pytest.mark.parametrize("stalling", ["phi1", "phi2"])
     def test_a_stalled_row_leaves_the_others_marching(self, stalling):
         # the second row stalls at a bounded state: its error is its
@@ -604,7 +699,7 @@ class TestBatchedRows:
         if stalling == "phi2":
             specs = self.specs([[0.1, 0.1], [3.0, 3.0]], TestBlowUp.StallingPower(Space(2), 4), n=256)
         else:
-            phi1, pair, grid = self.StallingQuadratic(Space(2)), rl_pair(0.5), TimeGrid(1.0, 256)
+            phi1, pair, grid = RaisingQuadratic(Space(2), 10.0, ProxNonconvergence(1.0, 200)), rl_pair(0.5), TimeGrid(1.0, 256)
             specs = [ProblemSpec(phi1, None, pair, np.array(u0), None, grid) for u0 in ([0.1, 0.1], [30.0, 30.0])]
         config = SolverConfig(yosida_lam=1e-3, blowup_norm=1e6)
         small, stalled = solve_dc_rows(specs, config)
