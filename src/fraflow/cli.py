@@ -256,6 +256,19 @@ def _build_experiment(config):
     )
 
 
+def _blowup_diagnostics(traj):
+    """The diagnostics of a row that blew up, from its Trajectory."""
+    return {
+        "verdict": "blew_up",
+        "reason": traj.reason,
+        "last_node": traj.node,
+        "t_star": traj.t_star,
+        "t_star_uncertainty": traj.grid.tau,
+        "E_T": traj.e_t,
+        "sup_energy1": traj.sup_energy1,
+    }
+
+
 def cmd_solve(config, out_dir):
     prob = config.get("problem", {})
     kind = prob.get("kind", "scalar-quadratic")
@@ -272,39 +285,18 @@ def cmd_solve(config, out_dir):
         grid = _grid(config, default_steps=2048)
         pair = rl_pair(alpha)
         spec = ProblemSpec(Quadratic(Space(1)), None, pair, np.array([prob.get("u0", 1.0)]), None, grid)
-        result = solve_dc_flow(spec, solver_config)
-        if result.reason is not None:
-            diagnostics.update(
-                {
-                    "verdict": "blew_up",
-                    "t_star": result.t_star,
-                    "last_node": result.node,
-                    "reason": result.reason,
-                    "E_T": result.e_t,
-                }
-            )
-            _write_json(out / "diagnostics.json", diagnostics)
-            return EXIT_BLOWUP
-        traj = result
+        traj = solve_dc_flow(spec, solver_config)
     else:
         exp_spec = _build_experiment(config)
         exp = run_experiment(exp_spec, solver_config)
         diagnostics["regime"] = exp.regime.to_dict()
         pair = rl_pair(exp_spec.alpha)
-        if not exp.completed:
-            diagnostics.update(
-                {
-                    "verdict": exp.verdict,
-                    "t_star": exp.t_star,
-                    "t_star_uncertainty": exp.tau,
-                    "E_T": exp.e_t,
-                    "sup_energy1": exp.sup_energy1,
-                }
-            )
-            _write_json(out / "diagnostics.json", diagnostics)
-            return EXIT_BLOWUP
         traj = exp.trajectory
 
+    if traj.reason is not None:
+        diagnostics.update(_blowup_diagnostics(traj))
+        _write_json(out / "diagnostics.json", diagnostics)
+        return EXIT_BLOWUP
     trajectory_to_csv(traj, out / "trajectory.csv")
     save_state_dump(traj, out / "state.bin")
     chain = cert.check_chain_rule(traj, pair, slack_coeff=slack_coeff)

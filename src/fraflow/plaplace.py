@@ -356,10 +356,6 @@ class ExperimentResult:
     final_norm: float | None
     trajectory: Trajectory | None = None
 
-    @property
-    def completed(self):
-        return self.verdict == "completed"
-
     def to_row(self):
         return {
             "p": self.spec.p,

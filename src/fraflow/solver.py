@@ -55,16 +55,16 @@ A single solve is a batch of one.  Whole-path buffers beyond
 ``BATCH_BYTES`` split a batch into chunks: the history input always, the
 states, xi and eta only for kept trajectories.
 
-A chunk of one row whose state holds one value, without a phi2 (every
-scalar-quadratic solve), marches in Python floats (``_march_one_value``),
-selected by the row count, the state size and the absent phi2 alone.
-Each step takes the array loop's operations in its order on one value
-each; the history sum and the resolvent still take arrays, one call each
-per step, and the row exits are the same helpers.  A Python float is an
-IEEE double rounded to nearest, as numpy's float64 is, so each operation
-rounds alike and the row comes out bitwise as ``_solve_loop`` makes it,
-without numpy's per-call overhead on one-element arrays.  (Python floats
-give no RuntimeWarning where numpy warns of an overflow.)
+A chunk of one row of one value without a phi2, whose phi1 is exactly a
+``Quadratic`` (every scalar-quadratic solve), marches in Python floats
+(``_march_one_value``); a subclass or any other phi1 takes ``_solve_loop``.
+Each step takes the array loop's operations in its order on floats: one
+history sum, which ``History`` returns as a scalar for one value, and one
+``Quadratic.prox`` and ``value`` call, which take floats.  A Python float
+is an IEEE double rounded to nearest, as numpy's float64 is, so each
+operation rounds alike and the row comes out bitwise as ``_solve_loop``
+makes it, without numpy's per-call overhead on one-element arrays.
+(Python floats give no RuntimeWarning where numpy warns of an overflow.)
 """
 
 import math
@@ -75,7 +75,7 @@ import numpy as np
 
 from ._accel import History
 from .certify import _derivative_energy, slack_budget
-from .convex import ProxNonconvergence, yosida_rows
+from .convex import ProxNonconvergence, Quadratic, yosida_rows
 from .kernels import SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
 
@@ -534,42 +534,34 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
 
 
 def _march_one_value(spec, config, forcing_path, u0s, keep_trajectory):
-    """``_solve_loop`` for one row whose state holds one value, without a
-    phi2, in Python floats: each step takes the array loop's operations
-    in its order, the history sum and the resolvent on arrays as there."""
+    """``_solve_loop`` for one row of one value without a phi2 whose phi1 is
+    exactly a ``Quadratic``, in Python floats: each step takes the array
+    loop's operations in its order, each rounded as on float64, so the row
+    comes out bitwise.  The closed-form resolvent cannot raise and keeps a
+    finite rhs finite (it divides by 1 + mu >= 1): the exits are a
+    non-finite rhs and the two thresholds."""
     batch = _Batch(spec, config, forcing_path, u0s, keep_trajectory)
-    n, mu, visc = spec.grid.steps, batch.mu, config.visc
+    n, mu, denom, visc = spec.grid.steps, float(batch.mu), float(batch.denom), config.visc
     v = np.zeros(n + 1)  # the history input u - u0
     history = History(batch.omega, v.reshape(1, n + 1, 1))
-    prox, value, tol = spec.phi1.prox, spec.phi1.value, config.inner_tol
+    prox, value, norm, tol = spec.phi1.prox, spec.phi1.value, batch.space.norm, config.inner_tol
     # flat views of the whole-path buffers: node j is [j]
     energy1, norms, states, xi = (None if a is None else a.reshape(-1) for a in (batch.energy1, batch.norms, batch.states, batch.xi))
-    drive = mu * (forcing_path.reshape(-1) + 0.0)  # eta = 0, as in _solve_loop
-    data = np.empty(u0s.shape)  # the step data the resolvent takes, reused
-    cell = data.reshape(-1)
+    drive = (mu * (forcing_path.reshape(-1) + 0.0)).tolist()  # eta = 0, as in _solve_loop
     u0 = prev = u0s.item()
-    start, denom = batch.omega.item(0) * u0, batch.denom.item()
+    start = batch.omega.item(0) * u0
     for j in range(1, n + 1):
-        # a one-row history returns (1,); .item() reads any one-value shape
-        base = (start - history(j).item() + visc * prev) / denom
-        try:
-            cell[0] = rhs = base + drive.item(j)
-            if not math.isfinite(rhs):
-                raise FloatingPointError("non-finite step data")
-            z = prox(data, mu, tol=tol)
-        except Exception as exc:  # noqa: BLE001 - the row's own outcome
-            batch.fail(0, exc, abs(prev), j)
+        rhs = (start - history(j).item() + visc * prev) / denom + drive[j]
+        if not math.isfinite(rhs):
+            batch.fail(0, FloatingPointError("non-finite step data"), abs(prev), j)
             break
-        u = z.item()
-        if not math.isfinite(u):
-            batch.finish(0, j - 1, j, "non-finite")
-            break
+        u = prox(rhs, mu, tol=tol)
         v[j] = u - u0
         if keep_trajectory:
             states[j], xi[j] = u, rhs
         else:
-            norms[j] = batch.space.norm(z)
-        energy1[j] = e1 = value(z)
+            norms[j] = norm(u)
+        energy1[j] = e1 = value(u)
         prev = u
         if abs(u) > config.blowup_norm or e1 > config.blowup_energy:
             batch.finish(0, j, j, "norm-threshold" if abs(u) > config.blowup_norm else "energy-threshold")
@@ -615,7 +607,7 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
     chunk = max(1, BATCH_BYTES // per_row)
     for lo in range(0, len(specs), chunk):
         rows, phis = u0s[lo : lo + chunk], phi2s[lo : lo + chunk]
-        if rows.size == 1 and phis[0] is None:  # one row of one value
+        if rows.size == 1 and phis[0] is None and type(first.phi1) is Quadratic:
             yield from _march_one_value(first, config, forcing_path, rows, keep_trajectory)
         else:
             yield from _solve_loop(first, config, forcing_path, rows, phis, keep_trajectory)

@@ -51,6 +51,9 @@ SCALAR_SOLVE = {
     "chain_rule_slack": 0.5,
 }
 
+# the diagnostics of a blow-up, scalar or p-Laplace; p-Laplace adds its regime
+BLOWUP_KEYS = {"mode", "problem_kind", "verdict", "reason", "last_node", "t_star", "t_star_uncertainty", "E_T", "sup_energy1"}
+
 
 REJECTIONS = [
     ({"mode": "solve", "bogus": 1}, "Additional properties are not allowed ('bogus' was unexpected)"),
@@ -398,6 +401,7 @@ class TestSolveCommand:
         code = main(["solve", "--preset", "blowup-1d", "--out", str(out)])
         assert code == EXIT_BLOWUP
         diag = json.loads((out / "diagnostics.json").read_text())
+        assert set(diag) == BLOWUP_KEYS | {"regime"}
         assert diag["verdict"] == "blew_up"
         assert diag["t_star"] > 0
 
@@ -407,7 +411,9 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)]) == EXIT_BLOWUP
         diag = json.loads((out / "diagnostics.json").read_text())
+        assert set(diag) == BLOWUP_KEYS
         assert (diag["verdict"], diag["reason"], diag["last_node"], diag["t_star"]) == ("blew_up", "norm-threshold", 1, 0.0)
+        assert (diag["t_star_uncertainty"], diag["E_T"], diag["sup_energy1"]) == (1 / 256, 1.25e13, 1.25e13)
         assert sorted(path.name for path in out.iterdir()) == ["diagnostics.json"]
 
     def test_coupled_mode_without_contraction_is_a_usage_error(self, tmp_path, capsys):

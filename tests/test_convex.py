@@ -243,6 +243,24 @@ def test_a_row_whose_hessian_does_not_factor_takes_gradient_steps(band):
     np.testing.assert_allclose(z, w / (1 + lam), rtol=1e-9)
 
 
+@pytest.mark.parametrize("weight", [1.0, 0.37])
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -1e-310, 1e-170, -1e155, 1.3, -1.3])
+def test_quadratic_of_a_float_is_bitwise_the_one_element_array(x, weight):
+    # the one-value march passes floats: 1e-170 squared underflows, 1e155
+    # squared overflows, and the value of -0.0 is +0.0 as np.vdot gives it
+    phi = Quadratic(Space(1, weight=weight))
+    value = np.float64(phi.value(np.array([x]))).tobytes()
+    for w in (x, np.float64(x)):
+        for lam in (0.0272, 2.5):
+            z = phi.prox(w, lam)
+            assert isinstance(z, float) and np.float64(z).tobytes() == phi.prox(np.array([x]), lam).tobytes()
+        with np.errstate(over="ignore"):  # a np.float64 square that overflows warns, as numpy scalars do
+            z = phi.value(w)
+        assert isinstance(z, float) and np.float64(z).tobytes() == value
+    # a product that rounds to -0.0 gives +0.0, as np.vdot's sum does
+    assert np.float64(phi.space.inner(x, -x)).tobytes() == np.float64(phi.space.inner(np.array([x]), np.array([-x]))).tobytes()
+
+
 @pytest.mark.parametrize("shape", [(32,), (32, 32)])
 def test_space_inner_matches_elementwise_sum(shape, rng):
     sp = Space(int(np.prod(shape)), weight=1.0 / 33 ** len(shape))

@@ -237,22 +237,22 @@ class TestExperiments:
     def test_zero_data_stays_zero(self):
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 8), amplitude=0.0, u0_profile="zero", steps=32)
         res = run_experiment(spec)
-        assert res.completed
+        assert res.verdict == "completed"
         np.testing.assert_array_equal(res.trajectory.states, 0.0)
 
     def test_blowup_and_monotonicity(self):
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=128)
         blown = run_experiment(spec.with_amplitude(8.0))
-        assert not blown.completed
+        assert blown.verdict == "blew_up"
         assert blown.t_star is not None
         later = run_experiment(spec.with_amplitude(16.0))
-        assert not later.completed
+        assert later.verdict == "blew_up"
         assert later.t_star <= blown.t_star + 1e-12  # doubled amplitude blows no later
 
     def test_small_amplitude_completes(self):
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=128)
         res = run_experiment(spec.with_amplitude(0.5))
-        assert res.completed
+        assert res.verdict == "completed"
         assert res.energy_ratio is not None
 
     def test_experiment_row(self):
@@ -362,7 +362,7 @@ class TestLeanRows:
         kept = run_experiments(self.specs(), keep_trajectory=True)
         digest = hashlib.sha256()
         for result, amplitude in zip(kept, self.AMPLITUDES):
-            if not result.completed:
+            if result.verdict != "completed":
                 continue
             traj = result.trajectory
             alone = run_experiment(self.SPEC.with_amplitude(amplitude)).trajectory

@@ -145,7 +145,7 @@ class TestCoupledMode:
         spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(2, 16), steps=128)
         with pytest.raises(ValueError, match=r"kappa = 0\.7833 \(max_picard = 50, inner_tol = 1e-10\)"):
             run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled", max_picard=50))
-        assert run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled", max_picard=200)).completed
+        assert run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled", max_picard=200)).verdict == "completed"
 
     def test_well_posed_outputs_are_pinned(self):
         # states and residuals of well-posed coupled runs (kappa = 0.055,
@@ -391,19 +391,30 @@ class NanOnStep(Quadratic):
 
 
 class TestOneValuePath:
-    """One row of one value without a phi2 marches in Python floats: every
-    outcome is bitwise the array loop's, ``_solve_loop`` called directly."""
+    """One row of one value without a phi2, whose phi1 is exactly a
+    ``Quadratic``, marches in Python floats: every outcome is bitwise the
+    array loop's, ``_solve_loop`` called directly.  Any other phi1 of one
+    value, the ``Quadratic`` subclasses among them, takes ``_solve_loop``."""
 
     B = HISTORY_BLOCK
 
     @staticmethod
-    def assert_same_outcomes(make_phi1, u0, n, config, forcing=None):
-        """Run both loops on fresh problems, kept and lean; return the array loop's outcome."""
+    def spec(make_phi1, u0, n, forcing):
+        return ProblemSpec(make_phi1(), None, rl_pair(0.5), np.array([u0]), forcing, TimeGrid(1.0, n))
+
+    @classmethod
+    def assert_same_outcomes(cls, make_phi1, u0, n, config, forcing=None, nan_at=None):
+        """Run both loops on fresh problems, kept and lean; return the array loop's outcome.
+
+        ``nan_at`` sets that node of the forcing path to NaN, past the
+        finiteness check of ``ProblemSpec.forcing_path``."""
         for keep in (True, False):
             outcomes = []
             for one_value in (False, True):
-                spec = ProblemSpec(make_phi1(), None, rl_pair(0.5), np.array([u0]), forcing, TimeGrid(1.0, n))
+                spec = cls.spec(make_phi1, u0, n, forcing)
                 forcing_path, u0s = spec.forcing_path(), spec.u0[None]
+                if nan_at is not None:
+                    forcing_path[nan_at] = np.nan
                 if one_value:
                     outcomes += _march_one_value(spec, config, forcing_path, u0s, keep)
                 else:
@@ -422,16 +433,43 @@ class TestOneValuePath:
                     assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), field.name
         return ref
 
+    @staticmethod
+    def spy_on_loops(patch, marched):
+        # each loop appends its name and row count to marched, then runs
+        for name in ("_solve_loop", "_march_one_value"):
+            patch.setattr(fraflow.solver, name, lambda *args, name=name, march=getattr(fraflow.solver, name): marched.append((name, len(args[3]))) or march(*args))
+
+    @classmethod
+    def assert_takes_the_array_loop(cls, monkeypatch, make_phi1, u0, n, config, forcing=None):
+        """Solve through ``solve_dc_rows``, kept and lean: both take
+        ``_solve_loop`` and leave at one (node, reason).  Returns the kept outcome."""
+        marched = []
+        with monkeypatch.context() as patch:
+            cls.spy_on_loops(patch, marched)
+            (kept,), (lean,) = (list(solve_dc_rows([cls.spec(make_phi1, u0, n, forcing)], config, keep)) for keep in (True, False))
+        assert marched == [("_solve_loop", 1)] * 2
+        if isinstance(kept, Exception):
+            assert (type(lean), str(lean)) == (type(kept), str(kept))
+        else:
+            assert (lean.node, lean.reason) == (kept.node, kept.reason)
+        return kept
+
     @pytest.mark.parametrize("n", [1, 2, B - 1, B, 2 * B + 37])
-    @pytest.mark.parametrize("phi1", ["quadratic", "cubic"])
-    def test_rows_that_reach_t_are_bitwise_the_array_loop(self, n, phi1):
+    @pytest.mark.parametrize("phi1", ["quadratic", "cubic", "weighted"])
+    def test_rows_that_reach_t_are_bitwise_the_array_loop(self, n, phi1, monkeypatch):
         def make_phi1():
-            return Quadratic(Space(1)) if phi1 == "quadratic" else PowerPotential(Space(1), 3)
+            if phi1 == "cubic":
+                return PowerPotential(Space(1), 3)
+            return Quadratic(Space(1) if phi1 == "quadratic" else Space(1, weight=0.37))
 
         for u0 in (1.25, -0.7, 0.0, -0.0):
             for visc in (0.0, 0.3):
                 for forcing in (None, lambda t: np.array([-0.3 * t * np.cos(7.0 * t)])):
-                    assert self.assert_same_outcomes(make_phi1, u0, n, SolverConfig(visc=visc), forcing).reason is None
+                    if phi1 == "cubic":  # one value, but not a Quadratic
+                        outcome = self.assert_takes_the_array_loop(monkeypatch, make_phi1, u0, n, SolverConfig(visc=visc), forcing)
+                    else:
+                        outcome = self.assert_same_outcomes(make_phi1, u0, n, SolverConfig(visc=visc), forcing)
+                    assert outcome.reason is None
 
     @pytest.mark.parametrize(
         "make_phi1, u0, config, forcing, node, reason",
@@ -441,6 +479,7 @@ class TestOneValuePath:
             (lambda: Quadratic(Space(1)), 1.0, SolverConfig(blowup_norm=50.0), lambda t: np.array([100.0]), 606, "norm-threshold"),
             # phi1 > blowup_energy on the way to the forcing's level
             (lambda: Quadratic(Space(1)), 0.5, SolverConfig(blowup_energy=1.5), lambda t: np.array([4.0]), 206, "energy-threshold"),
+            # the phi1 below take _solve_loop
             (lambda: PowerPotential(Space(1), 3), 0.5, SolverConfig(blowup_energy=1.5), lambda t: np.array([4.0]), 415, "energy-threshold"),
             # the resolvent returns NaN at node 300
             (lambda: NanOnStep(Space(1), 300), 1.25, SolverConfig(visc=0.3), None, 300, "non-finite"),
@@ -449,29 +488,56 @@ class TestOneValuePath:
             (lambda: RaisingQuadratic(Space(1), 1.0, ValueError("not a threshold")), 0.5, SolverConfig(), lambda t: np.array([4.0]), None, None),
             # ... and on a state of at least 0.01 * blowup_norm = 10: a norm-threshold exit at j - 1
             (lambda: RaisingQuadratic(Space(1), 30.0, FloatingPointError("escaped")), 1.0, SolverConfig(blowup_norm=1e3), lambda t: np.array([100.0]), 116, "norm-threshold"),
+            # the same exits of a weighted space
+            (lambda: Quadratic(Space(1, weight=0.37)), 1.0, SolverConfig(blowup_norm=50.0), lambda t: np.array([100.0]), 606, "norm-threshold"),
+            (lambda: Quadratic(Space(1, weight=0.37)), 0.5, SolverConfig(blowup_energy=0.8), lambda t: np.array([4.0]), 441, "energy-threshold"),
         ],
     )
-    def test_exits_are_the_array_loop_exits(self, make_phi1, u0, config, forcing, node, reason):
-        ref = self.assert_same_outcomes(make_phi1, u0, 2 * self.B + 37, config, forcing)
+    def test_exits_are_the_array_loop_exits(self, make_phi1, u0, config, forcing, node, reason, monkeypatch):
+        n = 2 * self.B + 37
+        if type(make_phi1()) is Quadratic:
+            ref = self.assert_same_outcomes(make_phi1, u0, n, config, forcing)
+        else:
+            ref = self.assert_takes_the_array_loop(monkeypatch, make_phi1, u0, n, config, forcing)
         if reason is None:
             assert isinstance(ref, Exception)
         else:
             assert (ref.node, ref.reason) == (node, reason)
 
+    @pytest.mark.parametrize(
+        "u0, config, forcing, node",
+        [
+            # |u_299| is below 0.01 * blowup_norm: the exception is the outcome
+            (0.5, SolverConfig(), lambda t: np.array([4.0]), None),
+            # |u_299| is at least 0.01 * blowup_norm = 10: a norm-threshold exit at node 299
+            (1.0, SolverConfig(blowup_norm=1e3), lambda t: np.array([100.0]), 300),
+        ],
+    )
+    def test_non_finite_step_data_is_the_array_loop_exit(self, u0, config, forcing, node):
+        # a NaN forcing at node 300 makes the step data non-finite there
+        ref = self.assert_same_outcomes(lambda: Quadratic(Space(1)), u0, 2 * self.B + 37, config, forcing, nan_at=300)
+        if node is None:
+            assert (type(ref), str(ref)) == (FloatingPointError, "non-finite step data")
+        else:
+            assert (ref.node, ref.reason, len(ref.energy1)) == (node, "norm-threshold", node)
+
     def test_only_one_row_of_one_value_without_a_phi2_takes_it(self, monkeypatch):
+        # ... and whose phi1 is exactly a Quadratic
         marched = []
-        for name in ("_solve_loop", "_march_one_value"):
-            monkeypatch.setattr(fraflow.solver, name, lambda *args, name=name, march=getattr(fraflow.solver, name): marched.append((name, len(args[3]))) or march(*args))
+        self.spy_on_loops(monkeypatch, marched)
         pair, grid, phi2 = rl_pair(0.5), TimeGrid(1.0, 16), PowerPotential(Space(1), 4)
         one, two = Quadratic(Space(1)), Quadratic(Space(2))
         for specs in (
             [ProblemSpec(one, None, pair, np.array([1.0]), None, grid)],
+            [ProblemSpec(Quadratic(Space(1, weight=0.37)), None, pair, np.array([1.0]), None, grid)],
             [ProblemSpec(one, None, pair, np.array([u0]), None, grid) for u0 in (1.0, 0.5)],
             [ProblemSpec(one, phi2, pair, np.array([1.0]), None, grid)],
             [ProblemSpec(two, None, pair, np.array([1.0, 0.5]), None, grid)],
+            [ProblemSpec(PowerPotential(Space(1), 3), None, pair, np.array([1.0]), None, grid)],
+            [ProblemSpec(NanOnStep(Space(1), 100), None, pair, np.array([1.0]), None, grid)],
         ):
             list(solve_dc_rows(specs))
-        assert marched == [("_march_one_value", 1), ("_solve_loop", 2), ("_solve_loop", 1), ("_solve_loop", 1)]
+        assert marched == [("_march_one_value", 1), ("_march_one_value", 1), ("_solve_loop", 2)] + [("_solve_loop", 1)] * 4
 
 
 class TestContinuityModulus:
