@@ -2,9 +2,14 @@
 chain-rule inequalities and the derivative/antiderivative pairing, plus the
 Mittag-Leffler oracle used by the solver tests.
 
-Every certificate lands in exactly one of three disjoint outcomes:
+Every check returns one record, ``kernels.Certificate(name, status,
+details, key)``, as do ``solver.continuity_modulus`` and
+``kernels.verify_sonine``.  ``key`` is the JSON key of the name:
+``"lemma"`` for the Gronwall lemmas and the derivative pairing,
+``"certificate"`` for the chain rule, the continuity modulus and the
+Sonine identity.  The status is exactly one of three disjoint outcomes:
 ``pass``, ``fail`` (with a worst-node witness) or ``reject`` (its input
-violates the lemma's hypotheses, so nothing about the lemma was tested).
+violates the check's hypotheses, so nothing about it was tested).
 
 Discrete conventions: sampled-kernel convolutions use the left rectangle
 rule in both factors,
@@ -17,12 +22,12 @@ paths are node-wise maxima; the grid gap is reported, never hidden.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._accel import causal_conv
-from .kernels import _log_gamma, convolve, inverse_weights, nonlocal_antiderivative, nonlocal_derivative
+from .kernels import Certificate, _log_gamma, convolve, inverse_weights, nonlocal_antiderivative, nonlocal_derivative
 
 
 def slack_budget(tau, coeff):
@@ -181,30 +186,17 @@ HYPOTHESIS_TOL = 1e-9
 SIGN_PROBES = 512
 
 
-@dataclass
-class Certificate:
-    lemma: str
-    status: str  # "pass" | "fail" | "reject"
-    details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-    def to_dict(self):
-        return {"lemma": self.lemma, "status": self.status, **_plain(self.details)}
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+def _hypothesis_reject(lemma, hypothesis, phi, bound):
+    """The reject of ``lemma`` at its worst node when ``phi`` exceeds
+    ``bound`` somewhere by more than HYPOTHESIS_TOL times the bound's
+    scale, else None."""
+    gap = phi - bound
+    scale = 1.0 + float(np.max(np.abs(bound)))
+    if not np.any(gap > HYPOTHESIS_TOL * scale):
+        return None
+    worst = int(np.argmax(gap))
+    details = {"reason": f"hypothesis {hypothesis} fails", "worst_node": worst, "violation": float(gap[worst])}
+    return Certificate(lemma, "reject", details)
 
 
 def _lr_norm(x, r, tau):
@@ -238,21 +230,9 @@ def gronwall_linear(instance):
     """
     ins = instance
     tau = ins.tau
-    conv = sample_conv(ins.g, ins.phi, tau)
-    bound = ins.h + conv
-    scale = 1.0 + float(np.max(np.abs(bound)))
-    gap = ins.phi - bound
-    if np.any(gap > HYPOTHESIS_TOL * scale):
-        worst = int(np.argmax(gap))
-        return Certificate(
-            "gronwall-linear",
-            "reject",
-            {
-                "reason": "hypothesis phi <= h + g*phi fails",
-                "worst_node": worst,
-                "violation": float(gap[worst]),
-            },
-        )
+    bound = ins.h + sample_conv(ins.g, ins.phi, tau)
+    if reject := _hypothesis_reject("gronwall-linear", "phi <= h + g*phi", ins.phi, bound):
+        return reject
     times = tau * np.arange(len(ins.g))
 
     def weighted_l1(m):
@@ -317,19 +297,8 @@ def gronwall_local(instance, phi):
     phi = np.asarray(phi, dtype=np.float64)
     transformed = np.array([ins.big_m(v) for v in phi])
     bound = ins.a + sample_conv(ins.g, transformed, tau)
-    gap = phi - bound
-    scale = 1.0 + float(np.max(np.abs(bound)))
-    if np.any(gap > HYPOTHESIS_TOL * scale):
-        worst = int(np.argmax(gap))
-        return Certificate(
-            "gronwall-local",
-            "reject",
-            {
-                "reason": "hypothesis phi <= a + g*M(phi) fails",
-                "worst_node": worst,
-                "violation": float(gap[worst]),
-            },
-        )
+    if reject := _hypothesis_reject("gronwall-local", "phi <= a + g*M(phi)", phi, bound):
+        return reject
     threshold = 1.0 / (4.0 * ins.big_m(ins.a + 1.0))
     cumulative = tau * np.concatenate([[0.0], np.cumsum(ins.g[:-1])])
     below = np.nonzero(cumulative < threshold)[0]
@@ -394,19 +363,8 @@ def gronwall_small(instance, phi):
     phi = np.asarray(phi, dtype=np.float64)
     transformed = np.array([ins.n_fn(v) for v in phi])
     bound = ins.b + sample_conv(ins.g, transformed, tau)
-    gap = phi - bound
-    scale = 1.0 + float(np.max(np.abs(bound)))
-    if np.any(gap > HYPOTHESIS_TOL * scale):
-        worst = int(np.argmax(gap))
-        return Certificate(
-            "gronwall-small",
-            "reject",
-            {
-                "reason": "hypothesis phi <= b + g*N(phi) fails",
-                "worst_node": worst,
-                "violation": float(gap[worst]),
-            },
-        )
+    if reject := _hypothesis_reject("gronwall-small", "phi <= b + g*N(phi)", phi, bound):
+        return reject
     eps_grid = 1e-10 * (1.0 + ins.b)
     sup = float(np.max(phi))
     ok = sup <= ins.b + eps_grid
@@ -479,35 +437,6 @@ def random_small_instance(rng):
 # chain-rule and derivative pairing certificates on trajectories
 
 
-@dataclass
-class ChainRuleReport:
-    """Margins of both integral chain-rule forms along one trajectory."""
-
-    min_margin_cumulative: float
-    min_margin_pointwise: float
-    worst_node_cumulative: int
-    worst_node_pointwise: int
-    min_margin_quadrature: float  # form (ii) with product-integration ell
-    inverse_order_preserving: bool
-    slack: float
-    slack_coeff: float
-    passed: bool
-
-    def to_dict(self):
-        return {
-            "certificate": "chain-rule",
-            "status": "pass" if self.passed else "fail",
-            "min_margin_cumulative": self.min_margin_cumulative,
-            "min_margin_pointwise": self.min_margin_pointwise,
-            "worst_node_cumulative": self.worst_node_cumulative,
-            "worst_node_pointwise": self.worst_node_pointwise,
-            "min_margin_quadrature": self.min_margin_quadrature,
-            "inverse_order_preserving": self.inverse_order_preserving,
-            "slack": self.slack,
-            "slack_coeff": self.slack_coeff,
-        }
-
-
 def check_chain_rule(traj, pair, slack_coeff=0.0):
     """Check both integral chain-rule forms for the selection traj.xi of phi1.
 
@@ -548,16 +477,21 @@ def check_chain_rule(traj, pair, slack_coeff=0.0):
     slack = slack_budget(tau, slack_coeff)
     min_cum = float(np.min(margin_cum))
     min_pt = float(np.min(margin_pt))
-    return ChainRuleReport(
-        min_margin_cumulative=min_cum,
-        min_margin_pointwise=min_pt,
-        worst_node_cumulative=int(np.argmin(margin_cum)) + 1,
-        worst_node_pointwise=int(np.argmin(margin_pt)) + 1,
-        min_margin_quadrature=float(np.min(margin_quad)),
-        inverse_order_preserving=inv_ok,
-        slack=slack,
-        slack_coeff=slack_coeff,
-        passed=min_cum >= -slack and min_pt >= -slack and inv_ok,
+    return Certificate(
+        "chain-rule",
+        "pass" if min_cum >= -slack and min_pt >= -slack and inv_ok else "fail",
+        {
+            "min_margin_cumulative": min_cum,
+            "min_margin_pointwise": min_pt,
+            "worst_node_cumulative": int(np.argmin(margin_cum)) + 1,
+            "worst_node_pointwise": int(np.argmin(margin_pt)) + 1,
+            # form (ii) with the product-integration ell
+            "min_margin_quadrature": float(np.min(margin_quad)),
+            "inverse_order_preserving": inv_ok,
+            "slack": slack,
+            "slack_coeff": slack_coeff,
+        },
+        "certificate",
     )
 
 

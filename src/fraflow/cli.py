@@ -23,6 +23,7 @@ import json
 # argparse's first gettext call imports locale; loaded here, it is paid at
 # start-up and not inside a command's run
 import locale  # noqa: F401
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import certify as cert
 from .convex import Quadratic, Space
-from .kernels import TimeGrid, kernel_l1_gap, regularized_kernel, rl_pair, verify_sonine
+from .kernels import Certificate, TimeGrid, kernel_l1_gap, regularized_kernel, rl_pair, verify_sonine
 from .plaplace import ExperimentResult, ExperimentSpec, Grid, run_experiment, run_experiments
 from .solver import (
     DumpFormatError,
@@ -157,6 +158,14 @@ def _reject_constant(name):
     raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
 
 
+def _finite_float(text):
+    """``float(text)``, as ``json.loads`` parses a number, rejecting one that overflows."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"config rejected: {text} overflows to {x}")
+    return x
+
+
 def load_config(path=None, preset=None, seed=None):
     if (path is None) == (preset is None):
         raise ConfigError("exactly one of --config or --preset is required")
@@ -176,8 +185,9 @@ def load_config(path=None, preset=None, seed=None):
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        # NaN and Infinity are no JSON, though json.loads reads them
-        config = json.loads(text, parse_constant=_reject_constant)
+        # NaN and Infinity are no JSON, though json.loads reads them; a
+        # number such as 1e400 is JSON, but float() makes it infinite
+        config = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     # the override goes through the schema like a seed in the file would
@@ -519,9 +529,9 @@ def cmd_certify(config, out_dir):
         pair = rl_pair(alpha)
         states, grid, weight = data["states"], data["grid"], data["space_weight"]
         slack_coeff = block.get("slack_coeff", DEFAULT_CHAIN_SLACK)
-        bundle.append(verify_sonine(pair, grid).to_dict())
-        bundle.append(cert.check_ab_inequality(states, grid, weight, pair, slack_coeff=slack_coeff).to_dict())
-        bundle.append(continuity_modulus(states, grid, weight, pair, slack_coeff=slack_coeff).to_dict())
+        bundle.append(verify_sonine(pair, grid))
+        bundle.append(cert.check_ab_inequality(states, grid, weight, pair, slack_coeff=slack_coeff))
+        bundle.append(continuity_modulus(states, grid, weight, pair, slack_coeff=slack_coeff))
 
     if suites:
         instances = block.get("instances", 100)
@@ -532,22 +542,15 @@ def cmd_certify(config, out_dir):
             "gronwall-small": lambda: cert.gronwall_small(*cert.random_small_instance(rng)),
         }
         for suite in suites:
-            statuses = [runners[suite]().to_dict() for _ in range(instances)]
-            certified = sum(1 for s in statuses if s["status"] == "pass")
-            bundle.append(
-                {
-                    "lemma": suite,
-                    "status": "pass" if certified == instances else "fail",
-                    "certified": certified,
-                    "instances": instances,
-                }
-            )
+            certified = sum(1 for _ in range(instances) if runners[suite]().passed)
+            status = "pass" if certified == instances else "fail"
+            bundle.append(Certificate(suite, status, {"certified": certified, "instances": instances}))
 
-    failed = sum(1 for entry in bundle if entry["status"] == "fail")
-    rejected = sum(1 for entry in bundle if entry["status"] == "reject")
+    failed = sum(1 for c in bundle if c.status == "fail")
+    rejected = sum(1 for c in bundle if c.status == "reject")
     payload = {
         "mode": "certify",
-        "certificates": bundle,
+        "certificates": [c.to_dict() for c in bundle],
         "failed": failed,
         "rejected": rejected,
     }

@@ -268,33 +268,39 @@ def inverse_weights(kernel, grid):
     return grid.tau * toeplitz_inverse(np.diff(omega, prepend=0.0))
 
 
-@dataclass(frozen=True)
-class SonineCertificate:
-    max_error: float
-    coarse_error: float
-    observed_order: float
-    worst_node: int
-    worst_time: float
-    skip_time: float
-    tol: float
-    passed: bool
-    reason: str | None = None  # why the grid is rejected, None when it is scored
+@dataclass
+class Certificate:
+    """The outcome of one check: ``pass``, ``fail`` or ``reject``, with its data.
+
+    ``to_dict`` writes ``name`` under ``key`` (``"lemma"`` or
+    ``"certificate"``), the status and the details, numpy values made
+    plain.  It is defined here, not in ``certify``, because ``certify``
+    imports this module.
+    """
+
+    name: str
+    status: str  # "pass" | "fail" | "reject"
+    details: dict
+    key: str = "lemma"
+
+    @property
+    def passed(self):
+        return self.status == "pass"
 
     def to_dict(self):
-        out = {
-            "certificate": "sonine",
-            "status": "pass" if self.passed else "fail",
-            "max_error": self.max_error,
-            "coarse_error": self.coarse_error,
-            "observed_order": self.observed_order,
-            "worst_node": self.worst_node,
-            "worst_time": self.worst_time,
-            "skip_time": self.skip_time,
-            "tol": self.tol,
-        }
-        if self.reason is not None:
-            out.update(status="reject", reason=self.reason)
-        return out
+        return {self.key: self.name, "status": self.status, **_plain(self.details)}
+
+
+def _plain(obj):
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
 
 
 def _sonine_defect(pair, grid, skip_time):
@@ -329,13 +335,6 @@ def verify_sonine(pair, grid):
     grid: its certificate is a reject, with a reason, not a pass or fail.
     """
     skip_time = grid.horizon * SONINE_BURN_IN
-    cells = grid.steps * SONINE_BURN_IN
-    reason = None
-    if cells < SONINE_MIN_CELLS:
-        reason = (
-            f"the burn-in window [0, T * {SONINE_BURN_IN:g}] holds {cells:g} of the N = {grid.steps} cells, "
-            f"fewer than {SONINE_MIN_CELLS}: the first cells' quadrature error, which does not shrink with the grid, would be scored"
-        )
     fine = grid.refined()
     coarse_err, _ = _sonine_defect(pair, grid, skip_time)
     fine_err, worst = _sonine_defect(pair, fine, skip_time)
@@ -343,17 +342,25 @@ def verify_sonine(pair, grid):
         order = np.inf
     else:
         order = math.log2(coarse_err / fine_err)
-    return SonineCertificate(
-        max_error=fine_err,
-        coarse_error=coarse_err,
-        observed_order=float(order),
-        worst_node=worst,
-        worst_time=worst * fine.tau,
-        skip_time=skip_time,
-        tol=SONINE_TOL,
-        passed=reason is None and fine_err <= SONINE_TOL,
-        reason=reason,
-    )
+    details = {
+        "max_error": fine_err,
+        "coarse_error": coarse_err,
+        "observed_order": order,
+        "worst_node": worst,
+        "worst_time": worst * fine.tau,
+        "skip_time": skip_time,
+        "tol": SONINE_TOL,
+    }
+    cells = grid.steps * SONINE_BURN_IN
+    if cells < SONINE_MIN_CELLS:
+        status = "reject"
+        details["reason"] = (
+            f"the burn-in window [0, T * {SONINE_BURN_IN:g}] holds {cells:g} of the N = {grid.steps} cells, "
+            f"fewer than {SONINE_MIN_CELLS}: the first cells' quadrature error, which does not shrink with the grid, would be scored"
+        )
+    else:
+        status = "pass" if fine_err <= SONINE_TOL else "fail"
+    return Certificate("sonine", status, details, "certificate")
 
 
 @dataclass(frozen=True)

@@ -352,7 +352,6 @@ class ExperimentResult:
     e_t: float
     energy_ratio: float | None
     t_star: float | None  # last accepted node, +- tau
-    tau: float
     final_norm: float | None
     trajectory: Trajectory | None = None
 
@@ -431,7 +430,6 @@ def run_experiments(specs, config=None, keep_trajectory=False):
                 e_t=result.e_t,
                 energy_ratio=result.sup_energy1 / result.e_t if result.e_t > 0 else None,
                 t_star=result.t_star,
-                tau=time_grid.tau,
                 final_norm=float(result.norms[-1]) if completed else None,
                 trajectory=result if keep_trajectory else None,
             )

@@ -76,7 +76,7 @@ import numpy as np
 from ._accel import History
 from .certify import _derivative_energy, slack_budget
 from .convex import ProxNonconvergence, Quadratic, yosida_rows
-from .kernels import SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
+from .kernels import Certificate, SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
 
 @dataclass
@@ -134,10 +134,10 @@ class SolverConfig:
     coupling: str = "semi_implicit"  # or "coupled"
 
     def __post_init__(self):
-        if not self.yosida_lam > 0:
-            raise ValueError("Yosida parameter must be positive")
-        if not self.visc >= 0:
-            raise ValueError("viscosity must be nonnegative")
+        if not 0 < self.yosida_lam < math.inf:
+            raise ValueError("Yosida parameter must be positive and finite")
+        if not 0 <= self.visc < math.inf:
+            raise ValueError("viscosity must be nonnegative and finite")
         if not (self.blowup_norm > 0 and self.blowup_energy > 0):
             raise ValueError("blow-up thresholds must be positive")
         if not self.inner_tol > 0:
@@ -627,34 +627,6 @@ def solve_dc_flow(spec, config=None):
     return _alone(outcome)
 
 
-@dataclass
-class ModulusReport:
-    """Measured continuity moduli against the convolution-representative bound.
-
-    A grid of one step has no dyadic lag h <= T/2: nothing is compared,
-    and the report is a reject.
-    """
-
-    lags: np.ndarray
-    moduli: np.ndarray
-    bounds: np.ndarray
-    slack: float
-    passed: bool
-
-    def to_dict(self):
-        out = {
-            "certificate": "continuity-modulus",
-            "status": "pass" if self.passed else "fail",
-            "lags": self.lags.tolist(),
-            "moduli": self.moduli.tolist(),
-            "bounds": self.bounds.tolist(),
-            "slack": self.slack,
-        }
-        if not self.lags.size:  # nothing was compared
-            out.update(status="reject", reason="no dyadic lag h <= T/2: the grid has one step")
-        return out
-
-
 def continuity_modulus(states, grid, space_weight, pair, slack_coeff=0.0):
     """Check ||u(t+h) - u(t)|| of the states on ``grid`` against the
     continuous-representative bound; ``space_weight`` is the weight of
@@ -667,6 +639,8 @@ def continuity_modulus(states, grid, space_weight, pair, slack_coeff=0.0):
 
     with S = sup_j (ell * ||G||^2)(t_j) and G the nonlocal derivative of
     the trajectory; both ell integrals are exact via the antiderivative.
+    A grid of one step has no dyadic lag h <= T/2: nothing is compared,
+    and the certificate is a reject.
     """
     tau = grid.tau
     n = grid.steps
@@ -694,13 +668,13 @@ def continuity_modulus(states, grid, space_weight, pair, slack_coeff=0.0):
     moduli = np.array(moduli)
     bounds = np.array(bounds)
     slack = slack_budget(tau, slack_coeff)
-    return ModulusReport(
-        lags=lags,
-        moduli=moduli,
-        bounds=bounds,
-        slack=slack,
-        passed=bool(lags.size) and bool(np.all(moduli <= bounds + slack)),
-    )
+    details = {"lags": lags, "moduli": moduli, "bounds": bounds, "slack": slack}
+    if not lags.size:
+        status = "reject"
+        details["reason"] = "no dyadic lag h <= T/2: the grid has one step"
+    else:
+        status = "pass" if np.all(moduli <= bounds + slack) else "fail"
+    return Certificate("continuity-modulus", status, details, "certificate")
 
 
 # ---------------------------------------------------------------------------

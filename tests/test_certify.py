@@ -225,8 +225,8 @@ class TestChainRule:
             spec = ProblemSpec(phi, None, rl_pair(0.5), np.zeros(3), None, TimeGrid(1.0, 64))
             traj = solve_dc_flow(spec)
             rep = check_chain_rule(traj, rl_pair(0.5))
-            assert abs(rep.min_margin_cumulative) <= 1e-10
-            assert abs(rep.min_margin_pointwise) <= 1e-10
+            assert abs(rep.details["min_margin_cumulative"]) <= 1e-10
+            assert abs(rep.details["min_margin_pointwise"]) <= 1e-10
             assert rep.passed
 
     def test_quadratic_flow_passes_with_fitted_slack(self):
@@ -238,9 +238,9 @@ class TestChainRule:
         traj = solve_dc_flow(spec)
         rep = check_chain_rule(traj, rl_pair(0.5), slack_coeff=0.5)
         assert rep.passed
-        assert rep.inverse_order_preserving
-        assert rep.min_margin_cumulative >= -1e-10  # form (i) holds discretely
-        assert rep.min_margin_pointwise >= -1e-10  # form (ii) via the exact inverse
+        assert rep.details["inverse_order_preserving"]
+        assert rep.details["min_margin_cumulative"] >= -1e-10  # form (i) holds discretely
+        assert rep.details["min_margin_pointwise"] >= -1e-10  # form (ii) via the exact inverse
 
     def test_quadrature_diagnostic_shrinks_under_refinement(self):
         # the product-integration conjugate keeps a visible O(sqrt(tau))
@@ -251,7 +251,7 @@ class TestChainRule:
             spec = ProblemSpec(phi, None, rl_pair(0.5), np.array([1.0]), None, TimeGrid(1.0, n))
             traj = solve_dc_flow(spec)
             rep = check_chain_rule(traj, rl_pair(0.5))
-            margins.append(rep.min_margin_quadrature)
+            margins.append(rep.details["min_margin_quadrature"])
         assert margins[0] < 0 < margins[1] or margins[1] > margins[0]
 
 

@@ -150,6 +150,24 @@ class TestConfigLoading:
         assert f"fraflow: config is not valid JSON: {constant} is not a JSON number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"mode": "solve", "problem": {"kind": "scalar-quadratic"}, "grid": {"steps": 16}, "solver": {"visc": 1e400}}',
+            '{"mode": "solve", "problem": {"kind": "scalar-quadratic"}, "grid": {"horizon": 1e400, "steps": 16}}',
+            '{"mode": "solve", "problem": {"kind": "p-laplace", "p": 3.0, "m": 8}, "grid": {"steps": 16}, "solver": {"yosida_lam": 1e400}}',
+        ],
+        ids=["visc", "horizon", "yosida_lam"],
+    )
+    def test_numbers_that_overflow_are_malformed(self, tmp_path, capsys, payload):
+        # JSON has 1e400, but float() makes it infinite
+        path = tmp_path / "config.json"
+        path.write_text(payload)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert "fraflow: config rejected: 1e400 overflows to inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("payload", [[], 1, "solve", None])
     def test_a_config_that_is_no_object_is_rejected_with_a_seed(self, tmp_path, payload):
         path = write_config(tmp_path, payload)
@@ -763,6 +781,8 @@ class TestCertifyCommand:
         assert bundle["failed"] == 0
         certified = {entry["lemma"]: entry["certified"] for entry in bundle["certificates"]}
         assert certified == {"gronwall-linear": 25, "gronwall-local": 25, "gronwall-small": 25}
+        digest = hashlib.sha256((out / "certificates.json").read_bytes()).hexdigest()
+        assert digest == "593a9544aa05348a248bec9d77ee15655c7c1863cabe82f470ca04e665b37ddb"
 
     def test_dump_bundle(self, tmp_path):
         solve_config = write_config(tmp_path, SCALAR_SOLVE)
@@ -821,6 +841,8 @@ class TestCertifyCommand:
         assert (modulus["status"], modulus["lags"]) == ("reject", [])
         # the Sonine certificate of a one-step grid is a reject too
         assert bundle["rejected"] == 2
+        digest = hashlib.sha256((tmp_path / "out" / "certificates.json").read_bytes()).hexdigest()
+        assert digest == "634c51235d9f655655a2a256c4328f84cca57e8634dfa2d8e6a383364b5bd78c"
 
     def test_a_short_dump_rejects_only_its_sonine_certificate(self, tmp_path):
         # N = 16 puts one coarse cell in the Sonine burn-in window: that

@@ -74,12 +74,28 @@ class TestScalarFlow:
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_picard", 0), ("max_picard", -2), ("inner_tol", 0.0), ("inner_tol", -1e-10), ("inner_tol", np.nan), ("visc", np.nan), ("visc", -1.0)],
+    [
+        ("max_picard", 0),
+        ("max_picard", -2),
+        ("inner_tol", 0.0),
+        ("inner_tol", -1e-10),
+        ("inner_tol", np.nan),
+        ("visc", np.nan),
+        ("visc", -1.0),
+        ("visc", np.inf),
+        ("yosida_lam", np.inf),
+        ("yosida_lam", np.nan),
+    ],
 )
 def test_solver_config_rejects_what_the_schema_rejects(field, value):
     # a NaN viscosity would pass a `visc < 0` test and die at step 1 on
-    # non-finite step data
-    message = {"max_picard": "max_picard must be at least 1", "inner_tol": "inner tolerance must be positive", "visc": "viscosity must be nonnegative"}
+    # non-finite step data; so would an infinite one
+    message = {
+        "max_picard": "max_picard must be at least 1",
+        "inner_tol": "inner tolerance must be positive",
+        "visc": "viscosity must be nonnegative and finite",
+        "yosida_lam": "Yosida parameter must be positive and finite",
+    }
     with pytest.raises(ValueError, match=message[field]):
         SolverConfig(**{field: value})
 
@@ -545,7 +561,7 @@ class TestContinuityModulus:
         spec = ProblemSpec(Quadratic(Space(2)), None, rl_pair(0.5), np.zeros(2), None, TimeGrid(1.0, 128))
         traj = solve_dc_flow(spec)
         rep = continuity_modulus(traj.states, traj.grid, traj.space_weight, rl_pair(0.5))
-        np.testing.assert_array_equal(rep.moduli, 0.0)
+        np.testing.assert_array_equal(rep.details["moduli"], 0.0)
         assert rep.passed
 
     def test_scalar_flow_bound_and_scaling(self):
@@ -553,7 +569,7 @@ class TestContinuityModulus:
         rep = continuity_modulus(traj.states, traj.grid, traj.space_weight, rl_pair(0.5))
         assert rep.passed
         # modulus at small lags scales like h^{1/2} = h^{alpha}
-        slope = np.polyfit(np.log(rep.lags[:6]), np.log(rep.moduli[:6]), 1)[0]
+        slope = np.polyfit(np.log(rep.details["lags"][:6]), np.log(rep.details["moduli"][:6]), 1)[0]
         assert 0.35 <= slope <= 0.7
 
     def test_initial_continuity(self):
@@ -561,7 +577,7 @@ class TestContinuityModulus:
         traj = solve_dc_flow(scalar_spec(alpha=0.5, n=512))
         rep = continuity_modulus(traj.states, traj.grid, traj.space_weight, rl_pair(0.5))
         first_gap = abs(traj.states[1, 0] - traj.states[0, 0])
-        assert first_gap <= rep.bounds[0] + rep.slack
+        assert first_gap <= rep.details["bounds"][0] + rep.details["slack"]
 
 
 def certify_dump(path, tmp_path):
