@@ -89,9 +89,8 @@ def l1_history(d, v, j):
     Returns sum_{i=1..j-1} (omega[j-i] - omega[j-i-1]) * v[i] from the
     kernel differences d[k] = omega[k+1] - omega[k] (``np.diff(omega)``,
     at least j - 1 of them); the caller adds the leading omega[0] * v[j]
-    term itself.  ``v`` is node first: one row's path (N+1, m), or (N+1,)
-    for one value, which gives a scalar, or the paths of R rows side by
-    side, (N+1, R, m).
+    term itself.  ``v`` is node first: one row's path (N+1, m), or the
+    paths of R rows side by side, (N+1, R, m).
 
     The differences enter as the negative-stride view d[j-2::-1].  On one
     row's path, ``d[j-2::-1] @ v[1:j]`` is numpy's own product loop, bit
@@ -123,9 +122,8 @@ class History:
     (R, N+1, m), each row's path contiguous.  The call at j reads only the
     nodes v[:, 1:j] and returns H_j of every row, (R, m), or (m,) while
     one row is held: its near field is then one row's own 2-D product,
-    which skips the batch view.  A held row of one value reads its flat
-    path, and each call returns a scalar, bitwise the (1,) sum.  The
-    calls must come in the order j = 1, 2, ....
+    which skips the batch view.  The calls must come in the order
+    j = 1, 2, ....
     The nodes below the current block of B nodes reach H_j through
     ``far``: whenever j is a multiple of B, with L = j & -j, the nodes
     [j-L, j) of each row are added into its targets [j, j+L) by one
@@ -157,14 +155,12 @@ class History:
         self._views()
 
     def _views(self):
-        # the node-first views the calls read: (N+1, R, m) over the paths
-        # of the batch, one row's own 2-D path, or its flat path of one value
-        if len(self.paths) > 1:
-            self.nodes, self.far_nodes = self.paths.swapaxes(0, 1), self.far.swapaxes(0, 1)
-        elif self.paths.shape[2] > 1:
+        # the node-first views the calls read: one row's own 2-D path, or
+        # (N+1, R, m) over the paths of the batch
+        if len(self.paths) == 1:
             self.nodes, self.far_nodes = self.paths[0], self.far[0]
         else:
-            self.nodes, self.far_nodes = self.paths[0, :, 0], self.far[0, :, 0]
+            self.nodes, self.far_nodes = self.paths.swapaxes(0, 1), self.far.swapaxes(0, 1)
 
     def __call__(self, j):
         block = HISTORY_BLOCK

@@ -166,6 +166,12 @@ def _finite_float(text):
     return x
 
 
+def _finite_int(text):
+    """``int(text)``, rejecting an integer beyond the float range as ``_finite_float`` does."""
+    _finite_float(text)
+    return int(text)
+
+
 def load_config(path=None, preset=None, seed=None):
     if (path is None) == (preset is None):
         raise ConfigError("exactly one of --config or --preset is required")
@@ -186,8 +192,9 @@ def load_config(path=None, preset=None, seed=None):
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         # NaN and Infinity are no JSON, though json.loads reads them; a
-        # number such as 1e400 is JSON, but float() makes it infinite
-        config = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        # number such as 1e400, or 1 and 400 zeros, is JSON, but float()
+        # makes it infinite
+        config = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     # the override goes through the schema like a seed in the file would

@@ -46,9 +46,7 @@ class Space:
     weight: float = 1.0
 
     def inner(self, u, v):
-        # on two floats, the bits of np.vdot on one-element arrays: its sum
-        # starts at +0.0, which turns a -0.0 product into +0.0
-        return self.weight * (u * v + 0.0 if isinstance(u, float) else float(np.vdot(u, v)))
+        return self.weight * float(np.vdot(u, v))
 
     def norm(self, u):
         return math.sqrt(max(self.inner(u, u), 0.0))
@@ -145,8 +143,7 @@ def yosida_rows(phis, lam, tol):
 
 
 class Quadratic(Functional):
-    """phi(w) = (1/2) ||w||_H^2 with closed-form resolvent.  ``value`` and
-    ``prox`` also take one value as a float, bitwise a one-element array."""
+    """phi(w) = (1/2) ||w||_H^2 with closed-form resolvent."""
 
     def value(self, w):
         return 0.5 * self.space.inner(w, w)
@@ -155,7 +152,7 @@ class Quadratic(Functional):
         return 0.5 * self.space.row_inner(w, w)
 
     def prox(self, w, lam, tol=1e-10):
-        return (w if isinstance(w, float) else np.asarray(w, dtype=np.float64)) / (1.0 + lam)
+        return np.asarray(w, dtype=np.float64) / (1.0 + lam)
 
 
 class PowerPotential(Functional):

@@ -55,16 +55,15 @@ A single solve is a batch of one.  Whole-path buffers beyond
 ``BATCH_BYTES`` split a batch into chunks: the history input always, the
 states, xi and eta only for kept trajectories.
 
-A chunk of one row of one value without a phi2, whose phi1 is exactly a
-``Quadratic`` (every scalar-quadratic solve), marches in Python floats
-(``_march_one_value``); a subclass or any other phi1 takes ``_solve_loop``.
-Each step takes the array loop's operations in its order on floats: one
-history sum, which ``History`` returns as a scalar for one value, and one
-``Quadratic.prox`` and ``value`` call, which take floats.  A Python float
-is an IEEE double rounded to nearest, as numpy's float64 is, so each
-operation rounds alike and the row comes out bitwise as ``_solve_loop``
-makes it, without numpy's per-call overhead on one-element arrays.
-(Python floats give no RuntimeWarning where numpy warns of an overflow.)
+Without a phi2 and with phi1 exactly a ``Quadratic`` (every
+scalar-quadratic solve) the step is linear, and a chunk of any rows and
+state size is one lower-triangular Toeplitz system in v = u - u0,
+
+    sum_{k<j} c_k v_{j-k} = tau (f_j - u0),  c_0 = (1 + mu)(omega_0 + lam_visc),
+    c_k = omega_k - omega_{k-1} for k >= 1, minus lam_visc at k = 1,
+
+which ``_solve_linear`` solves in O(N log N) with ``toeplitz_inverse`` and
+``causal_conv``; it agrees with the stepped ``_solve_loop`` to rounding.
 """
 
 import math
@@ -73,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import History
+from ._accel import History, causal_conv, toeplitz_inverse
 from .certify import _derivative_energy, slack_budget
 from .convex import ProxNonconvergence, Quadratic, yosida_rows
 from .kernels import Certificate, SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
@@ -320,7 +319,7 @@ class _Batch:
 
     The buffers are node first: a row's trajectory is the slice [:, r],
     and a step writes node j of every live row at once.  ``finish`` and
-    ``fail`` are the row exits of both step loops.
+    ``fail`` are the row exits of ``_solve_loop`` and ``_solve_linear``.
     """
 
     def __init__(self, spec, config, forcing_path, u0s, keep_trajectory):
@@ -533,42 +532,45 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     return batch.outcomes
 
 
-def _march_one_value(spec, config, forcing_path, u0s, keep_trajectory):
-    """``_solve_loop`` for one row of one value without a phi2 whose phi1 is
-    exactly a ``Quadratic``, in Python floats: each step takes the array
-    loop's operations in its order, each rounded as on float64, so the row
-    comes out bitwise.  The closed-form resolvent cannot raise and keeps a
-    finite rhs finite (it divides by 1 + mu >= 1): the exits are a
-    non-finite rhs and the two thresholds."""
+def _solve_linear(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
+    """``_solve_loop`` for rows without a phi2 (``phi2s`` are all None)
+    whose phi1 is exactly a ``Quadratic``: one Toeplitz solve for the
+    whole path of every row.
+
+    A row leaves at its first node over a threshold or with non-finite
+    step data (by the rule of ``_Batch.fail``), read off the path; its
+    input is zeroed from a non-finite node on, as one NaN would spoil the
+    whole transform.  xi = u is stored as the step data (1 + mu) u."""
     batch = _Batch(spec, config, forcing_path, u0s, keep_trajectory)
-    n, mu, denom, visc = spec.grid.steps, float(batch.mu), float(batch.denom), config.visc
-    v = np.zeros(n + 1)  # the history input u - u0
-    history = History(batch.omega, v.reshape(1, n + 1, 1))
-    prox, value, norm, tol = spec.phi1.prox, spec.phi1.value, batch.space.norm, config.inner_tol
-    # flat views of the whole-path buffers: node j is [j]
-    energy1, norms, states, xi = (None if a is None else a.reshape(-1) for a in (batch.energy1, batch.norms, batch.states, batch.xi))
-    drive = (mu * (forcing_path.reshape(-1) + 0.0)).tolist()  # eta = 0, as in _solve_loop
-    u0 = prev = u0s.item()
-    start = batch.omega.item(0) * u0
-    for j in range(1, n + 1):
-        rhs = (start - history(j).item() + visc * prev) / denom + drive[j]
-        if not math.isfinite(rhs):
-            batch.fail(0, FloatingPointError("non-finite step data"), abs(prev), j)
-            break
-        u = prox(rhs, mu, tol=tol)
-        v[j] = u - u0
+    n, rows, size = spec.grid.steps, len(u0s), u0s[0].size
+    column = np.concatenate([[batch.denom * (1.0 + batch.mu)], np.diff(batch.omega[:n])])
+    column[1:2] -= config.visc  # a one-step grid has no c_1
+    cells = spec.grid.tau * (forcing_path[1:, None] - u0s).reshape(n, rows, size)
+    bad = np.vstack([np.zeros((1, rows), dtype=bool), ~np.isfinite(cells).all(axis=2)])  # (node, row)
+    for r in np.flatnonzero(bad.any(axis=0)):
+        cells[np.argmax(bad[:, r]) - 1 :, r] = 0.0
+    u = causal_conv(toeplitz_inverse(column), cells.reshape(n, rows * size)).reshape(n + 1, rows, size) + u0s.reshape(rows, size)
+    bad |= ~np.isfinite(u).all(axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the nodes past an exit are not read
+        amax = np.abs(u).max(axis=2)
+        batch.energy1[1:] = spec.phi1.values(u[1:]).reshape(n, rows)
         if keep_trajectory:
-            states[j], xi[j] = u, rhs
+            batch.states[1:] = u[1:].reshape(batch.states[1:].shape)
+            batch.xi[1:] = (1.0 + batch.mu) * batch.states[1:]
         else:
-            norms[j] = norm(u)
-        energy1[j] = e1 = value(u)
-        prev = u
-        if abs(u) > config.blowup_norm or e1 > config.blowup_energy:
-            batch.finish(0, j, j, "norm-threshold" if abs(u) > config.blowup_norm else "energy-threshold")
-            break
-    else:
-        v = history = None  # free the history input before the residuals
-        batch.finish(0, n)
+            batch.norms[1:] = batch.space.row_norms(u[1:]).reshape(n, rows)
+        over = (amax > config.blowup_norm) | (batch.energy1 > config.blowup_energy)
+    over[0] = False
+    u = cells = None  # free the paths before the residuals
+    for r in range(rows):
+        exits = np.flatnonzero(bad[:, r] | over[:, r])
+        j = int(exits[0]) if exits.size else n + 1
+        if j > n:
+            batch.finish(r, n)
+        elif bad[j, r]:
+            batch.fail(r, FloatingPointError("non-finite step data"), amax[j - 1, r], j)
+        else:
+            batch.finish(r, j, j, "norm-threshold" if amax[j, r] > config.blowup_norm else "energy-threshold")
     return batch.outcomes
 
 
@@ -607,10 +609,8 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
     chunk = max(1, BATCH_BYTES // per_row)
     for lo in range(0, len(specs), chunk):
         rows, phis = u0s[lo : lo + chunk], phi2s[lo : lo + chunk]
-        if rows.size == 1 and phis[0] is None and type(first.phi1) is Quadratic:
-            yield from _march_one_value(first, config, forcing_path, rows, keep_trajectory)
-        else:
-            yield from _solve_loop(first, config, forcing_path, rows, phis, keep_trajectory)
+        solve = _solve_linear if phis[0] is None and type(first.phi1) is Quadratic else _solve_loop
+        yield from solve(first, config, forcing_path, rows, phis, keep_trajectory)
 
 
 def solve_dc_flow(spec, config=None):

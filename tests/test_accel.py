@@ -187,18 +187,6 @@ def test_compacted_rows_are_bitwise_their_single_histories(rng):
             assert sums[k].tobytes() == expected[r].tobytes(), (j, r)
 
 
-def test_one_value_history_returns_the_batch_sums_as_scalars(rng):
-    # a held row of one value reads its flat path: each call returns a
-    # scalar, bitwise that row's sum in a batch of two
-    n = 3 * B + 5
-    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n))
-    path = hard_values((n + 1, 1), rng)
-    one, two = History(omega, path[None].copy()), History(omega, np.stack([path, path]))
-    for j in range(1, n + 1):
-        h = one(j)
-        assert np.ndim(h) == 0 and np.float64(h).tobytes() == two(j)[0].tobytes(), j
-
-
 def test_history_reads_no_future_row(rng):
     omega, v = history_case(3, rng)
     path = np.full_like(v, np.nan)

@@ -168,6 +168,24 @@ class TestConfigLoading:
         assert "fraflow: config rejected: 1e400 overflows to inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"mode": "solve", "problem": {"kind": "scalar-quadratic"}, "grid": {"steps": 16}, "solver": {"visc": 1%s}}',
+            '{"mode": "solve", "problem": {"kind": "scalar-quadratic"}, "grid": {"horizon": 1%s, "steps": 16}}',
+            '{"mode": "solve", "problem": {"kind": "scalar-quadratic", "u0": 1%s}, "grid": {"steps": 16}}',
+        ],
+        ids=["visc", "horizon", "u0"],
+    )
+    def test_integers_that_overflow_are_malformed(self, tmp_path, capsys, payload):
+        # JSON has 1 followed by 400 zeros, an int that float() cannot take
+        path = tmp_path / "config.json"
+        path.write_text(payload % ("0" * 400))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert f"fraflow: config rejected: 1{'0' * 400} overflows to inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("payload", [[], 1, "solve", None])
     def test_a_config_that_is_no_object_is_rejected_with_a_seed(self, tmp_path, payload):
         path = write_config(tmp_path, payload)
@@ -459,14 +477,23 @@ class TestSolveCommand:
         assert (out1 / "state.bin").read_bytes() == (out2 / "state.bin").read_bytes()
         assert (out1 / "diagnostics.json").read_bytes() == (out2 / "diagnostics.json").read_bytes()
 
-    def test_scalar_trajectory_bytes(self, tmp_path):
+    def test_scalar_trajectory_bytes(self, tmp_path, monkeypatch):
         # written before the Riemann-Liouville constants came from the
-        # in-tree log-gamma: a last-bit change in a kernel constant shows here
+        # in-tree log-gamma: a last-bit change in a kernel constant shows
+        # here.  The linear solve has its own digest, and the stepped
+        # reference keeps the one it had before
         config = write_config(tmp_path, dict(SCALAR_SOLVE, grid={"horizon": 1.0, "steps": 2048}))
-        out = tmp_path / "out"
-        assert main(["solve", "--config", config, "--out", str(out)]) == EXIT_OK
-        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
-        assert digest == "76bf03f7d2c231b181f32b7b49c1cff2a9971f290a9b8e8075e258b7daf8d343"
+        digests = []
+        for route in ("linear", "stepped"):
+            if route == "stepped":
+                take_the_stepped_route(monkeypatch)
+            out = tmp_path / route
+            assert main(["solve", "--config", config, "--out", str(out)]) == EXIT_OK
+            digests.append(hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest())
+        assert digests == [
+            "d3f74e2a3c6cd2a6a656e9dcb9615882a01f63f9c50937bd42e4416b7ff47b67",
+            "76bf03f7d2c231b181f32b7b49c1cff2a9971f290a9b8e8075e258b7daf8d343",
+        ]
 
 
 SMALL_SWEEP = {
@@ -828,21 +855,29 @@ class TestCertifyCommand:
         assert by_kind["continuity-modulus"]["moduli"] == pytest.approx(modulus["moduli"], rel=1e-12)
         assert by_kind["continuity-modulus"]["bounds"] == pytest.approx(modulus["bounds"], rel=1e-12)
 
-    def test_a_one_step_dump_has_no_lag_and_is_rejected(self, tmp_path):
+    def test_a_one_step_dump_has_no_lag_and_is_rejected(self, tmp_path, monkeypatch):
         # N = 1 leaves no dyadic lag h <= T/2: a modulus certificate that
-        # compares nothing must not pass
-        solve_out = tmp_path / "solved"
+        # compares nothing must not pass.  The dump of the linear solve has
+        # its own digest, and the stepped reference keeps the one it had before
         payload = {**SCALAR_SOLVE, "grid": {"horizon": 1.0, "steps": 1}}
-        assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(solve_out)]) == EXIT_OK
-        config = write_config(tmp_path, {"mode": "certify", "certify": {"dump": str(solve_out / "state.bin")}}, name="certify.json")
-        main(["certify", "--config", config, "--out", str(tmp_path / "out")])
-        bundle = json.loads((tmp_path / "out" / "certificates.json").read_text())
-        (modulus,) = [entry for entry in bundle["certificates"] if entry.get("certificate") == "continuity-modulus"]
-        assert (modulus["status"], modulus["lags"]) == ("reject", [])
-        # the Sonine certificate of a one-step grid is a reject too
-        assert bundle["rejected"] == 2
-        digest = hashlib.sha256((tmp_path / "out" / "certificates.json").read_bytes()).hexdigest()
-        assert digest == "634c51235d9f655655a2a256c4328f84cca57e8634dfa2d8e6a383364b5bd78c"
+        digests = []
+        for route in ("linear", "stepped"):
+            if route == "stepped":
+                take_the_stepped_route(monkeypatch)
+            solve_out, out = tmp_path / route / "solved", tmp_path / route / "out"
+            assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(solve_out)]) == EXIT_OK
+            config = write_config(tmp_path, {"mode": "certify", "certify": {"dump": str(solve_out / "state.bin")}}, name="certify.json")
+            main(["certify", "--config", config, "--out", str(out)])
+            bundle = json.loads((out / "certificates.json").read_text())
+            (modulus,) = [entry for entry in bundle["certificates"] if entry.get("certificate") == "continuity-modulus"]
+            assert (modulus["status"], modulus["lags"]) == ("reject", [])
+            # the Sonine certificate of a one-step grid is a reject too
+            assert bundle["rejected"] == 2
+            digests.append(hashlib.sha256((out / "certificates.json").read_bytes()).hexdigest())
+        assert digests == [
+            "41be57683a27f760f24d0680dec52700019b21225eac0a0318f6aa78f7b6ca7b",
+            "634c51235d9f655655a2a256c4328f84cca57e8634dfa2d8e6a383364b5bd78c",
+        ]
 
     def test_a_short_dump_rejects_only_its_sonine_certificate(self, tmp_path):
         # N = 16 puts one coarse cell in the Sonine burn-in window: that
@@ -1021,9 +1056,18 @@ def test_commands_run_without_jsonschema(tmp_path):
 
 
 # the benchmark's three workloads at its full sizes with fixed inputs, and
-# the sha256 of every output they write
+# the sha256 of every output they write; scalar-stepped is the scalar
+# workload on the stepped reference path, which keeps the digests it had
+# before the linear solve
 BENCHMARK_PINS = {
     "scalar": {
+        "solve/chain_rule.json": "60b5ee0166c421589e86e52e3807107d1181e29c999ced5d5217cdf4d8883e4e",
+        "solve/diagnostics.json": "c09678e79acdf003b90549a7cdf9e2a6ed142822c52e563e6a3c436b21efd9f9",
+        "solve/state.bin": "4c90a52c6113c92dcddb0732ea306dbd53874235b122d6ed941e05fff305a545",
+        "solve/trajectory.csv": "c0901b2360b8ace143475b9f4e5b3dabb02b333c6ddbb60c86d5ca915220986b",
+        "certify/certificates.json": "067990486aecf7a554d9fd6cb6ae63235047a1460f97a12851c38001d63d0100",
+    },
+    "scalar-stepped": {
         "solve/chain_rule.json": "685f8d8df961c4cef6e20f7c8876941280af062db8a9186b3b3a67d3944946a0",
         "solve/diagnostics.json": "1439f9156dffb865a09e722a70c8b581ce8287ffed3ffa7b2e9dd6c59d3d63fa",
         "solve/state.bin": "b88402236b3cf31872922c226260a5903623e5e2f1ff9c664c1ae45c489a9836",
@@ -1042,14 +1086,21 @@ BENCHMARK_PINS = {
 }
 
 
+def take_the_stepped_route(monkeypatch):
+    """Send the quadratic flow without a phi2 through the stepped reference ``_solve_loop``."""
+    monkeypatch.setattr(fraflow.solver, "_solve_linear", fraflow.solver._solve_loop)
+
+
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_PINS))
-def test_benchmark_outputs_bytes(tmp_path, workload):
+def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch):
     # scalar: N = 16384 solve and certify of its dump; plaplace-2d: p = 3,
     # q = 4, m = 20, N = 64; sweep: 18 rows at m = 32, N = 512, which reach
     # the history's far field at N = HISTORY_BLOCK
     out = tmp_path / "out"
     grid = {"horizon": 1.0, "steps": 16384}
-    if workload == "scalar":
+    if workload == "scalar-stepped":
+        take_the_stepped_route(monkeypatch)
+    if workload.startswith("scalar"):
         problem = {"kind": "scalar-quadratic", "u0": 1.25}
         solve = {"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": grid, "chain_rule_slack": 0.5}
         assert main(["solve", "--config", write_config(tmp_path, solve), "--out", str(out / "solve")]) == EXIT_OK
@@ -1084,7 +1135,7 @@ def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatc
 
     monkeypatch.setattr(fraflow.convex, "power_prox_abs", counted("power", fraflow.convex.power_prox_abs))
     monkeypatch.setattr(fraflow.plaplace.PDirichletEnergy, "prox", counted("phi1", fraflow.plaplace.PDirichletEnergy.prox))
-    test_benchmark_outputs_bytes(tmp_path, "sweep")
+    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch)
     assert counts == {"power": 518 + 2, "phi1": 518}
 
 
@@ -1095,5 +1146,5 @@ def test_benchmark_sweep_takes_one_history_sum_per_step(tmp_path, monkeypatch):
     calls = []
     history = fraflow._accel.l1_history
     monkeypatch.setattr(fraflow._accel, "l1_history", lambda d, v, j: calls.append(j) or history(d, v, j))
-    test_benchmark_outputs_bytes(tmp_path, "sweep")
+    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch)
     assert len(calls) == 512 + 6

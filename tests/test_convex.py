@@ -246,7 +246,7 @@ def test_a_row_whose_hessian_does_not_factor_takes_gradient_steps(band):
 @pytest.mark.parametrize("weight", [1.0, 0.37])
 @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -1e-310, 1e-170, -1e155, 1.3, -1.3])
 def test_quadratic_of_a_float_is_bitwise_the_one_element_array(x, weight):
-    # the one-value march passes floats: 1e-170 squared underflows, 1e155
+    # a float takes the array arithmetic: 1e-170 squared underflows, 1e155
     # squared overflows, and the value of -0.0 is +0.0 as np.vdot gives it
     phi = Quadratic(Space(1, weight=weight))
     value = np.float64(phi.value(np.array([x]))).tobytes()

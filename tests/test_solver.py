@@ -11,17 +11,17 @@ import fraflow._accel
 import fraflow.convex
 import fraflow.solver
 from fraflow._accel import HISTORY_BLOCK
-from fraflow.certify import mittag_leffler
+from fraflow.certify import check_ab_inequality, check_chain_rule, mittag_leffler
 from fraflow.cli import main
 from fraflow.convex import PowerPotential, ProxNonconvergence, Quadratic, Space
-from fraflow.kernels import TimeGrid, rl_pair
+from fraflow.kernels import TimeGrid, conv_weights, rl_pair
 from fraflow.plaplace import ExperimentSpec, Grid, run_experiment, run_experiments
 from fraflow.solver import (
     DumpFormatError,
     ProblemSpec,
     SolverConfig,
     Trajectory,
-    _march_one_value,
+    _solve_linear,
     _solve_loop,
     continuity_modulus,
     load_state_dump,
@@ -261,6 +261,10 @@ class TestBlowUp:
         assert np.all(np.isfinite(result.norms))
 
 
+class SteppedQuadratic(Quadratic):
+    """A ``Quadratic`` subclass: the same flow, marched by the stepped reference ``_solve_loop``."""
+
+
 class DirectHistory:
     """The history as one O(j) sum per step and row: the reference for
     ``History``, on the paths of R rows side by side (R, N+1, m)."""
@@ -280,7 +284,7 @@ class TestFastHistory:
     B = HISTORY_BLOCK
 
     def test_long_scalar_run_matches_the_direct_sum(self, monkeypatch):
-        spec = scalar_spec(alpha=0.5, n=16384)
+        spec = dataclasses.replace(scalar_spec(alpha=0.5, n=16384), phi1=SteppedQuadratic(Space(1)))
         fast = solve_dc_flow(spec)
         monkeypatch.setattr(fraflow.solver, "History", DirectHistory)
         direct = solve_dc_flow(spec)
@@ -334,7 +338,7 @@ class TestFastHistory:
 
         monkeypatch.setattr(fraflow._accel, "l1_history", counted_history)
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
-        solve_dc_flow(scalar_spec(n=n))
+        solve_dc_flow(dataclasses.replace(scalar_spec(n=n), phi1=SteppedQuadratic(Space(1))))
         assert len(near) == n
         assert max(near) <= block  # an O(N) sum per step fails here
         assert sum(near) <= n * block
@@ -406,11 +410,46 @@ class NanOnStep(Quadratic):
         return np.full_like(z, np.nan) if self.calls == self.step else z
 
 
+def assert_matches_reference(got, ref, rtol=1e-13):
+    """``got`` leaves at the stepped reference ``ref``'s exit, and each of
+    its paths lies within ``rtol`` of that path's largest entry."""
+    if isinstance(ref, Exception):
+        assert (type(got), str(got)) == (type(ref), str(ref))
+        return
+    assert (got.node, got.reason, type(got.node)) == (ref.node, ref.reason, type(ref.node))
+    assert np.float64(got.e_t).tobytes() == np.float64(ref.e_t).tobytes()
+    for name in ("states", "xi", "eta", "energy1", "envelope2", "norms"):
+        a, b = getattr(ref, name), getattr(got, name)
+        if a is None:
+            assert b is None, name
+            continue
+        assert b.shape == a.shape, name
+        assert np.max(np.abs(b - a)) <= rtol * np.max(np.abs(a)), name
+    if ref.residuals is not None:
+        scale = 1.0 + np.max(np.abs(got.xi)) + np.max(np.abs(got.states))
+        assert np.max(got.residuals) <= 1e-10 * scale
+
+
+def long_double_path(omega, tau, visc, u0, n):
+    """The states of the quadratic flow without forcing in ``np.longdouble``:
+    the recurrence c_0 v_j = -tau u0 - sum_{0<k<j} c_k v_{j-k}, node by node."""
+    ld = np.longdouble
+    w = omega.astype(ld)
+    column = np.concatenate([[w[0] + ld(visc) + ld(tau)], w[1:n] - w[: n - 1]])
+    column[1:2] -= ld(visc)
+    reversed_column = column[::-1]  # c_k at position n - 1 - k
+    v = np.zeros(n + 1, dtype=ld)
+    for j in range(1, n + 1):
+        v[j] = (-ld(tau) * ld(u0) - np.dot(reversed_column[n - j : n - 1], v[1:j])) / column[0]
+    return v + ld(u0)
+
+
 class TestOneValuePath:
     """One row of one value without a phi2, whose phi1 is exactly a
-    ``Quadratic``, marches in Python floats: every outcome is bitwise the
-    array loop's, ``_solve_loop`` called directly.  Any other phi1 of one
-    value, the ``Quadratic`` subclasses among them, takes ``_solve_loop``."""
+    ``Quadratic``, takes the linear solve: each outcome leaves at the exit
+    of the stepped reference, ``_solve_loop`` called directly, and its
+    paths agree with it to 1e-13 relative.  Any other phi1 of one value,
+    the ``Quadratic`` subclasses among them, takes ``_solve_loop``."""
 
     B = HISTORY_BLOCK
 
@@ -420,39 +459,27 @@ class TestOneValuePath:
 
     @classmethod
     def assert_same_outcomes(cls, make_phi1, u0, n, config, forcing=None, nan_at=None):
-        """Run both loops on fresh problems, kept and lean; return the array loop's outcome.
+        """Run the linear solve and the reference on fresh problems, kept and
+        lean; return the reference's kept outcome.
 
         ``nan_at`` sets that node of the forcing path to NaN, past the
         finiteness check of ``ProblemSpec.forcing_path``."""
-        for keep in (True, False):
+        for keep in (False, True):
             outcomes = []
-            for one_value in (False, True):
+            for solve in (_solve_loop, _solve_linear):
                 spec = cls.spec(make_phi1, u0, n, forcing)
                 forcing_path, u0s = spec.forcing_path(), spec.u0[None]
                 if nan_at is not None:
                     forcing_path[nan_at] = np.nan
-                if one_value:
-                    outcomes += _march_one_value(spec, config, forcing_path, u0s, keep)
-                else:
-                    outcomes += _solve_loop(spec, config, forcing_path, u0s, [None], keep)
+                outcomes += solve(spec, config, forcing_path, u0s, [None], keep)
             ref, got = outcomes
-            if isinstance(ref, Exception):
-                assert (type(got), str(got)) == (type(ref), str(ref))
-                continue
-            assert (got.node, got.reason) == (ref.node, ref.reason)
-            for field in dataclasses.fields(Trajectory):
-                a, b = getattr(ref, field.name), getattr(got, field.name)
-                if a is None or field.name == "grid":
-                    assert b == a, field.name
-                else:
-                    a, b = np.asarray(a), np.asarray(b)
-                    assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), field.name
+            assert_matches_reference(got, ref)
         return ref
 
     @staticmethod
     def spy_on_loops(patch, marched):
-        # each loop appends its name and row count to marched, then runs
-        for name in ("_solve_loop", "_march_one_value"):
+        # each solve appends its name and row count to marched, then runs
+        for name in ("_solve_loop", "_solve_linear"):
             patch.setattr(fraflow.solver, name, lambda *args, name=name, march=getattr(fraflow.solver, name): marched.append((name, len(args[3]))) or march(*args))
 
     @classmethod
@@ -473,6 +500,8 @@ class TestOneValuePath:
     @pytest.mark.parametrize("n", [1, 2, B - 1, B, 2 * B + 37])
     @pytest.mark.parametrize("phi1", ["quadratic", "cubic", "weighted"])
     def test_rows_that_reach_t_are_bitwise_the_array_loop(self, n, phi1, monkeypatch):
+        # a cubic row takes the array loop itself; a quadratic row, weighted
+        # or not, agrees with it to 1e-13 relative
         def make_phi1():
             if phi1 == "cubic":
                 return PowerPotential(Space(1), 3)
@@ -537,8 +566,8 @@ class TestOneValuePath:
         else:
             assert (ref.node, ref.reason, len(ref.energy1)) == (node, "norm-threshold", node)
 
-    def test_only_one_row_of_one_value_without_a_phi2_takes_it(self, monkeypatch):
-        # ... and whose phi1 is exactly a Quadratic
+    def test_only_quadratic_rows_without_a_phi2_take_the_linear_solve(self, monkeypatch):
+        # any rows and state size whose phi1 is exactly a Quadratic
         marched = []
         self.spy_on_loops(monkeypatch, marched)
         pair, grid, phi2 = rl_pair(0.5), TimeGrid(1.0, 16), PowerPotential(Space(1), 4)
@@ -547,13 +576,98 @@ class TestOneValuePath:
             [ProblemSpec(one, None, pair, np.array([1.0]), None, grid)],
             [ProblemSpec(Quadratic(Space(1, weight=0.37)), None, pair, np.array([1.0]), None, grid)],
             [ProblemSpec(one, None, pair, np.array([u0]), None, grid) for u0 in (1.0, 0.5)],
-            [ProblemSpec(one, phi2, pair, np.array([1.0]), None, grid)],
             [ProblemSpec(two, None, pair, np.array([1.0, 0.5]), None, grid)],
+            [ProblemSpec(one, None, pair, np.array([1.0]), lambda t: np.array([t]), grid)],
+            [ProblemSpec(one, phi2, pair, np.array([1.0]), None, grid)],
             [ProblemSpec(PowerPotential(Space(1), 3), None, pair, np.array([1.0]), None, grid)],
             [ProblemSpec(NanOnStep(Space(1), 100), None, pair, np.array([1.0]), None, grid)],
+            [ProblemSpec(SteppedQuadratic(Space(1)), None, pair, np.array([1.0]), None, grid)],
         ):
             list(solve_dc_rows(specs))
-        assert marched == [("_march_one_value", 1), ("_march_one_value", 1), ("_solve_loop", 2)] + [("_solve_loop", 1)] * 4
+        linear = [("_solve_linear", 1), ("_solve_linear", 1), ("_solve_linear", 2), ("_solve_linear", 1), ("_solve_linear", 1)]
+        assert marched == linear + [("_solve_loop", 1)] * 4
+
+
+class TestLinearPath:
+    """The quadratic flow without a phi2 as one Toeplitz solve, against the
+    stepped reference ``_solve_loop`` and a long-double recurrence."""
+
+    B = HISTORY_BLOCK
+
+    def test_fixed_workload_matches_the_stepped_reference(self):
+        # the benchmark's scalar solve: N = 16384, alpha = 0.5, no viscosity
+        spec = scalar_spec(alpha=0.5, n=16384, u0=1.25)
+        got = solve_dc_flow(spec)
+        (ref,) = _solve_loop(spec, SolverConfig(), spec.forcing_path(), spec.u0[None], [None], True)
+        assert_matches_reference(got, ref)
+        assert max(np.max(got.residuals), np.max(ref.residuals)) <= 1e-10
+        pair, grid = spec.pair, spec.grid
+        for traj in (got, ref):
+            statuses = [
+                check_chain_rule(traj, pair, slack_coeff=0.5).status,
+                check_ab_inequality(traj.states, grid, traj.space_weight, pair, slack_coeff=0.5).status,
+                continuity_modulus(traj.states, grid, traj.space_weight, pair, slack_coeff=0.5).status,
+            ]
+            assert statuses == ["pass"] * 3
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps, reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("visc", [0.0, 0.3, 1.0])
+    def test_matches_a_long_double_recurrence(self, visc):
+        n, u0 = 4096, 1.3
+        spec = scalar_spec(alpha=0.5, n=n, u0=u0)
+        got = solve_dc_flow(spec, SolverConfig(visc=visc))
+        exact = long_double_path(conv_weights(spec.pair.k, spec.grid), spec.grid.tau, visc, u0, n)
+        assert float(np.max(np.abs(got.states[:, 0] - exact)) / np.max(np.abs(exact))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, 2 * B + 37])
+    @pytest.mark.parametrize("m, weight", [(1, 1.0), (3, 0.37)])
+    def test_batches_match_the_stepped_reference(self, n, m, weight, rng):
+        # forced and viscous rows of m values, kept and lean, in one batch:
+        # each row leaves at its reference's exit, is bitwise its single run,
+        # and a lean row has the energies and norms of the kept one
+        space = Space(m, weight=weight)
+        grid, pair = TimeGrid(1.0, n), rl_pair(0.5)
+        profile = np.linspace(1.0, 0.5, m)
+        forcing = lambda t: 3.0 * t * profile  # noqa: E731
+        config = SolverConfig(visc=0.3, blowup_norm=1.6)
+        u0s = np.concatenate([[0.0 * profile, -0.7 * profile, 1.25 * profile, 2.5 * profile], rng.standard_normal((2, m))])
+        specs = [ProblemSpec(Quadratic(space), None, pair, u0, forcing, grid) for u0 in u0s]
+        specs = [dataclasses.replace(spec, phi1=specs[0].phi1) for spec in specs]
+        forcing_path = specs[0].forcing_path()
+        outcomes = {}
+        for keep in (True, False):
+            refs = _solve_loop(specs[0], config, forcing_path, u0s, [None] * len(specs), keep)
+            outcomes[keep] = got = list(solve_dc_rows(specs, config, keep))
+            for spec, row, ref in zip(specs, got, refs):
+                assert_matches_reference(row, ref)
+                (alone,) = solve_dc_rows([spec], config, keep)
+                for field in dataclasses.fields(Trajectory):
+                    a, b = getattr(alone, field.name), getattr(row, field.name)
+                    assert (a is None and b is None) or field.name == "grid" or np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+        for kept, lean in zip(outcomes[True], outcomes[False]):
+            for name in ("energy1", "norms", "envelope2", "node", "reason", "e_t"):
+                assert np.asarray(getattr(lean, name)).tobytes() == np.asarray(getattr(kept, name)).tobytes(), name
+        # the row from 1.25 leaves on its way to the forcing's level, the
+        # row from 2.5 at node 1, the others reach T
+        assert [row.reason for row in outcomes[True]] == [None, None, "norm-threshold", "norm-threshold", None, None]
+
+    def test_non_finite_step_data_in_a_batch(self):
+        # a NaN forcing at node 300 stops every row there, each by the rule
+        # of _Batch.fail: a norm-threshold exit at 299 from a large state,
+        # the exception from a small one
+        n = 2 * self.B + 37
+        spec = scalar_spec(n=n)
+        spec.forcing = lambda t: np.array([100.0])
+        u0s = np.array([[0.0], [1.0], [40.0]])
+        forcing_path = spec.forcing_path()
+        forcing_path[300] = np.nan
+        config = SolverConfig(blowup_norm=1e3)
+        for keep in (True, False):
+            refs = _solve_loop(spec, config, forcing_path, u0s, [None] * 3, keep)
+            got = _solve_linear(spec, config, forcing_path, u0s, [None] * 3, keep)
+            for row, ref in zip(got, refs):
+                assert_matches_reference(row, ref)
+            assert [getattr(row, "node", None) for row in got] == [300, 300, 300]
 
 
 class TestContinuityModulus:
