@@ -81,7 +81,9 @@ class Functional:
         """``value`` of each row of a stack of states."""
         return np.array([self.value(x) for x in self.space.rows(w)])
 
-    def prox(self, w, lam, tol=1e-10):
+    def prox(self, w, lam, tol=1e-10, start=None):
+        """The resolvent J_lam w; ``start`` is a guess of it, which a
+        closed-form resolvent ignores."""
         raise NotImplementedError
 
     def yosida(self, w, lam, tol=1e-10):
@@ -151,7 +153,7 @@ class Quadratic(Functional):
     def values(self, w):
         return 0.5 * self.space.row_inner(w, w)
 
-    def prox(self, w, lam, tol=1e-10):
+    def prox(self, w, lam, tol=1e-10, start=None):
         return np.asarray(w, dtype=np.float64) / (1.0 + lam)
 
 
@@ -201,7 +203,7 @@ class PowerPotential(Functional):
             np.power(part, q, out=part)
         return self.space.weight * powers.sum(axis=-1) / self._q_rows
 
-    def prox(self, w, lam, tol=1e-10):
+    def prox(self, w, lam, tol=1e-10, start=None):
         w = np.asarray(w, dtype=np.float64)
         if self._closed == [slice(None)]:
             return w / (1.0 + lam)
@@ -288,6 +290,16 @@ class SmoothFunctional(Functional):
     iteration is safe at any lam > 0.  Each row stops at its own iterate
     and backtracks on its own step length, so a row comes out bitwise as
     it does when solved alone.
+
+    ``prox`` takes an optional ``start``, shaped as ``w`` (the stepper
+    passes the previous states, or the Picard iterate in coupled mode).
+    Each row then starts Newton at whichever of its target w and its start
+    has the smaller optimality residual, w on a tie, and iterates from
+    there as without a start.  The residual at the start is free when the
+    start is the previous call's result: the functional keeps that result,
+    its bytes and its gradient at it (a one-entry memo), and a start that
+    is the same array with the same bytes takes that gradient.  Any other
+    start takes one gradient call, with the same bits.
     """
 
     def __init__(self, space, value_fn, grad_fn, hess_fn):
@@ -295,6 +307,7 @@ class SmoothFunctional(Functional):
         self._value = value_fn
         self._grad = grad_fn
         self._hess = hess_fn
+        self._memo = None  # the last result of prox, its bytes and its gradient
 
     def value(self, w):
         return float(self.values(w)[0])
@@ -329,7 +342,20 @@ class SmoothFunctional(Functional):
                 pass
         return steps
 
-    def prox(self, w, lam, tol=1e-10):
+    def _start_gradient(self, start):
+        # the memo's gradient when start is the last returned array, unchanged
+        memo = self._memo
+        if memo is not None and start is memo[0] and start.tobytes() == memo[1]:
+            return memo[2]
+        return self._grad(self.space.rows(start))
+
+    def _returned(self, z, grad, shape):
+        # the result, remembered with its gradient for a warm start
+        z = z.reshape(shape)
+        self._memo = (z, z.tobytes(), grad)
+        return z
+
+    def prox(self, w, lam, tol=1e-10, start=None):
         w = np.asarray(w, dtype=np.float64)
         max_iter = PROX_MAX_ITER
         space = self.space
@@ -338,40 +364,64 @@ class SmoothFunctional(Functional):
         tol_eff = tol * (1.0 + space.row_norms(rows) / lam)
 
         def residual(x, target):
-            r = (x - target) / lam + self._grad(x)
-            return r, space.row_norms(r)
+            grad = self._grad(x)
+            r = (x - target) / lam + grad
+            return r, space.row_norms(r), grad
 
         def objective(x, target):
             d = x - target
             return space.row_inner(d, d) / (2.0 * lam) + self.values(x)
 
-        # z, target, res, res_norm and tol_eff hold the rows still iterating,
-        # act their positions in w; a row that meets its tolerance moves to
-        # out.  Each iterate's gradient is computed once: an accepted full
-        # step carries its residual into the next iteration
-        out = np.empty_like(rows)
+        # z, target, res, res_norm, grad and tol_eff hold the rows still
+        # iterating, act their positions in w; a row that meets its
+        # tolerance moves to out.  Each iterate's gradient is computed
+        # once: an accepted full step carries its residual into the next
+        # iteration
+        out, out_grad = np.empty_like(rows), np.empty_like(rows)
         act = np.arange(len(rows))
         z, target = rows.copy(), rows
-        res, res_norm = residual(z, target)
+        if start is None:
+            res, res_norm, grad = residual(z, target)
+        else:
+            # a row starts at start where its residual there is smaller.
+            # One row_norms call takes both residuals' norms, each row's
+            # bits its own
+            start = np.asarray(start, dtype=np.float64)
+            warm_z = space.rows(start)
+            if warm_z.shape != rows.shape:
+                raise ValueError(f"start of shape {start.shape} does not match w of shape {w.shape}")
+            grad, warm_grad = self._grad(z), self._start_gradient(start)
+            res, warm_res = (z - target) / lam + grad, (warm_z - target) / lam + warm_grad
+            norms = space.row_norms(np.concatenate((res, warm_res)))
+            res_norm, warm_norm = norms[: len(res)], norms[len(res) :]
+            warm = warm_norm < res_norm
+            n_warm = np.count_nonzero(warm)
+            # fresh arrays: z and grad change in place below
+            if n_warm == len(warm):
+                z, res, res_norm, grad = warm_z.copy(), warm_res, warm_norm, warm_grad.copy()
+            elif n_warm:
+                pick = warm[:, None]
+                z, res, grad = np.where(pick, warm_z, z), np.where(pick, warm_res, res), np.where(pick, warm_grad, grad)
+                res_norm = np.where(warm, warm_norm, res_norm)
         for _ in range(max_iter):
             met = res_norm <= tol_eff
             n_met = np.count_nonzero(met)
             if n_met:
                 if n_met == len(rows):
-                    return z.reshape(w.shape)
-                out[act[met]] = z[met]
+                    return self._returned(z, grad, w.shape)
+                out[act[met]], out_grad[act[met]] = z[met], grad[met]
                 if n_met == len(act):
-                    return out.reshape(w.shape)
+                    return self._returned(out, out_grad, w.shape)
                 going = ~met
-                act, z, target, res, res_norm, tol_eff = act[going], z[going], target[going], res[going], res_norm[going], tol_eff[going]
+                act, z, target, res, res_norm, grad, tol_eff = (x[going] for x in (act, z, target, res, res_norm, grad, tol_eff))
             step = self._newton_steps(z, res, lam)
             # full Newton step whenever it halves the residual (objective
             # differences drown in rounding noise near the minimum)
             cand = z + step
-            cand_res, cand_norm = residual(cand, target)
+            cand_res, cand_norm, cand_grad = residual(cand, target)
             full = cand_norm <= 0.5 * res_norm
             if np.count_nonzero(full) == len(full):
-                z, res, res_norm = cand, cand_res, cand_norm
+                z, res, res_norm, grad = cand, cand_res, cand_norm, cand_grad
                 continue
             # otherwise backtrack on the strongly convex objective: halve
             # until the Armijo test holds, then on while halving still
@@ -394,7 +444,7 @@ class SmoothFunctional(Functional):
                 halving = on
                 if not halving.size:
                     break
-            z[full], res[full], res_norm[full] = cand[full], cand_res[full], cand_norm[full]
+            z[full], res[full], res_norm[full], grad[full] = cand[full], cand_res[full], cand_norm[full], cand_grad[full]
             z[back] = xb + t[:, None] * sb
-            res[back], res_norm[back] = residual(z[back], wb)
+            res[back], res_norm[back], grad[back] = residual(z[back], wb)
         raise ProxNonconvergence(float(np.max(res_norm)), max_iter)

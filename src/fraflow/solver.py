@@ -20,7 +20,9 @@ prox optimality system, eta_j is the Yosida rate A_lam of phi2 at the
 previous state (semi-implicit default) or at the current state via an
 inner Picard loop (coupled mode), and zero without a phi2.  The step loop
 ``_solve_loop`` is the one place that evaluates phi2: one ``yosida`` call
-gives the rate and the envelope phi2_lam.
+gives the rate and the envelope phi2_lam.  A damped Newton resolvent
+(``convex.SmoothFunctional``) gets the previous state, or in coupled mode
+the Picard iterate, as its start.
 
 The coupled step is the fixed point of the Picard map
 u -> J_mu(b + mu A_lam(u)), which contracts with factor kappa = mu/lam
@@ -74,7 +76,7 @@ import numpy as np
 
 from ._accel import History, causal_conv, toeplitz_inverse
 from .certify import _derivative_energy, slack_budget
-from .convex import ProxNonconvergence, Quadratic, yosida_rows
+from .convex import ProxNonconvergence, Quadratic, SmoothFunctional, yosida_rows
 from .kernels import Certificate, SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
 
@@ -398,6 +400,9 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     size = u0s[0].size
 
     prox, tol = spec.phi1.prox, config.inner_tol
+    # a damped Newton resolvent takes a start; a closed form, or any other
+    # phi1, is called without one
+    warm = isinstance(spec.phi1, SmoothFunctional)
     # one Yosida call for the rows of all plain power potentials, one per other phi2
     yosida = yosida_rows(phi2s, config.yosida_lam, tol)
     has_phi2 = phi2s[0] is not None
@@ -440,7 +445,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     def step_rows(u, b, ids):
         # the explicit part at the rows u of the batch rows ids (the
         # previous states, or in coupled mode a Picard iterate), then the
-        # phi1 resolvent of the rows with step data b
+        # phi1 resolvent of the rows with step data b, started from u
         if not has_phi2:
             eta_val = env_val = None
             rhs = b + drive[j]
@@ -449,7 +454,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
             rhs = b + mu * (forcing_path[j] + eta_val)
         if not np.logical_and.reduce(np.isfinite(rhs), axis=None):  # ndarray.all adds a Python layer
             raise FloatingPointError("non-finite step data")
-        return eta_val, env_val, prox(rhs, mu, tol=tol), rhs
+        return eta_val, env_val, prox(rhs, mu, tol=tol, start=u) if warm else prox(rhs, mu, tol=tol), rhs
 
     marching = -1  # the number of live rows the per-row data below are for
     for j in range(1, n + 1):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,30 @@ def test_near_field_of_a_batch_is_bitwise_each_rows_product(m, rows, rng):
         assert near.shape == (rows, m) and near.tobytes() == expected.tobytes(), j
         if rows == 1:  # one row's own 2-D path
             assert l1_history(d, paths[0], j).tobytes() == expected[0].tobytes(), j
+
+
+@pytest.mark.parametrize("n, direct", [(B, 1), (B + 1, 1), (2 * B, 1), (2 * B + 37, 0)])
+def test_direct_far_field_passes_match_the_fft_passes(n, direct, rng, monkeypatch):
+    # the pass at j = B of N = B and B + 1 and the pass at j = 2B of N = 2B
+    # have 1 or 2 targets and sum them directly; the pass at 2B of N = 2B + 37
+    # has 38, beyond the bound of L = 2B, and takes the transforms as before
+    omega = conv_weights(rl_pair(0.5).k, TimeGrid(1.0, n))
+    v = rng.standard_normal((3, n + 1, 2))
+    sums, einsums = [], []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_far_field":
+            einsums.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    for ratio in (fraflow._accel.FAR_DIRECT_RATIO, 0):  # 0: every pass by FFT
+        monkeypatch.setattr(fraflow._accel, "FAR_DIRECT_RATIO", ratio)
+        history = History(omega, v.copy())
+        sums.append(np.stack([history(j) for j in range(1, n + 1)]))
+    assert len(einsums) == 3 * direct  # one product per row and direct pass
+    assert np.max(np.abs(sums[0] - sums[1])) <= 1e-13 * np.max(np.abs(sums[1]))
 
 
 def test_compacted_rows_are_bitwise_their_single_histories(rng):

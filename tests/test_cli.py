@@ -477,21 +477,26 @@ class TestSolveCommand:
         assert (out1 / "state.bin").read_bytes() == (out2 / "state.bin").read_bytes()
         assert (out1 / "diagnostics.json").read_bytes() == (out2 / "diagnostics.json").read_bytes()
 
-    def test_scalar_trajectory_bytes(self, tmp_path, monkeypatch):
+    def test_scalar_trajectory_bytes(self, tmp_path, monkeypatch, take_the_cold_route):
         # written before the Riemann-Liouville constants came from the
         # in-tree log-gamma: a last-bit change in a kernel constant shows
-        # here.  The linear solve has its own digest, and the stepped
-        # reference keeps the one it had before
+        # here.  The linear solve has its own digest, the stepped reference
+        # one of its own since its far-field pass at j = N = 4B sums its
+        # one target directly, and the stepped reference on the cold route
+        # keeps the one it had before
         config = write_config(tmp_path, dict(SCALAR_SOLVE, grid={"horizon": 1.0, "steps": 2048}))
         digests = []
-        for route in ("linear", "stepped"):
+        for route in ("linear", "stepped", "stepped-cold"):
             if route == "stepped":
                 take_the_stepped_route(monkeypatch)
+            if route == "stepped-cold":
+                take_the_cold_route()
             out = tmp_path / route
             assert main(["solve", "--config", config, "--out", str(out)]) == EXIT_OK
             digests.append(hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest())
         assert digests == [
             "d3f74e2a3c6cd2a6a656e9dcb9615882a01f63f9c50937bd42e4416b7ff47b67",
+            "356de1d74206323d420ef9e13c11dbd7191daef63829b283c92c48397b7b054d",
             "76bf03f7d2c231b181f32b7b49c1cff2a9971f290a9b8e8075e258b7daf8d343",
         ]
 
@@ -764,7 +769,7 @@ class TestSweepCommand:
         assert csv["2"] == csv["1"]
         assert "error: ProxNonconvergence" in csv["2"]
 
-    def test_regime_diagram_preset(self, tmp_path):
+    def test_regime_diagram_preset(self, tmp_path, take_the_cold_route):
         out = tmp_path / "out"
         assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(out)]) == EXIT_OK
         lines = (out / "sweep.csv").read_text().splitlines()
@@ -783,9 +788,14 @@ class TestSweepCommand:
             4.0: [False] * 3 + [True] * 3,
             5.0: [False] * 3 + [True] * 3,
         }
-        # the bytes the row-by-row solver wrote: solving each (alpha, q)
-        # group as one batch changes no digit
         digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == "2cc0ba9684c388776a410409305c2f6b5b2305aa61a4f0dcfa1084e45aec04aa"
+        # the bytes the row-by-row solver wrote, which the cold route keeps:
+        # solving each (alpha, q) group as one batch changes no digit
+        take_the_cold_route()
+        cold = tmp_path / "cold"
+        assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(cold)]) == EXIT_OK
+        digest = hashlib.sha256((cold / "sweep.csv").read_bytes()).hexdigest()
         assert digest == "a5129317b02dd38ab8ce570110b77c0192c5570cd5167159c220435992c046b5"
 
 
@@ -1058,7 +1068,9 @@ def test_commands_run_without_jsonschema(tmp_path):
 # the benchmark's three workloads at its full sizes with fixed inputs, and
 # the sha256 of every output they write; scalar-stepped is the scalar
 # workload on the stepped reference path, which keeps the digests it had
-# before the linear solve
+# before the linear solve, and plaplace-2d-cold and sweep-cold are the
+# p-Laplace workloads on the cold route, which keeps the digests they had
+# before the warm-started resolvent and the direct far-field pass
 BENCHMARK_PINS = {
     "scalar": {
         "solve/chain_rule.json": "60b5ee0166c421589e86e52e3807107d1181e29c999ced5d5217cdf4d8883e4e",
@@ -1075,12 +1087,21 @@ BENCHMARK_PINS = {
         "certify/certificates.json": "b9a38064b55892f363cbc9ff48847522a5282381728cf8da9beb0e8138f7e694",
     },
     "plaplace-2d": {
+        "solve/chain_rule.json": "3bfa49ee51270443982cd60dd1d8994edea2b47429eeb590d321832dfe09db13",
+        "solve/diagnostics.json": "474793d766cb60d907b5dc14909397581d37751035d4b176747809fcac090a32",
+        "solve/state.bin": "ba817ddc4f8027da7b6340702aa9938357a5efe02245ecfc500524429c08a596",
+        "solve/trajectory.csv": "e8260400e1844ec7d6d4b636fd09a01f53b2967930dbc2551d852da07cde3786",
+    },
+    "plaplace-2d-cold": {
         "solve/chain_rule.json": "a0d7be540b4b44b1bf814192190430b7cd14bd3da5365df3f2cff37fd2e05e0b",
         "solve/diagnostics.json": "20addb3f14770700ab4191d8395e7ba80a1373e96289805d85fbb17884c64507",
         "solve/state.bin": "8f192470a9a43fbd0d3cdb18bb81a0cb549343e02a34c69bb2557d3ff2e93d11",
         "solve/trajectory.csv": "c0a0de210da8856dbe519f93eb0bca1c0baa74ea563968c7089fbd5625dcd874",
     },
     "sweep": {
+        "sweep/sweep.csv": "6883d5af41e1282bd9c4c0f842af114b5c6822ac37dc4eda8703c5dd5cc19c3f",
+    },
+    "sweep-cold": {
         "sweep/sweep.csv": "abe2e1e3b8dfa3d67bd3411ae495e3b1834c19fd7d888130cb85c527bcb5ccd3",
     },
 }
@@ -1092,7 +1113,7 @@ def take_the_stepped_route(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_PINS))
-def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch):
+def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch, take_the_cold_route):
     # scalar: N = 16384 solve and certify of its dump; plaplace-2d: p = 3,
     # q = 4, m = 20, N = 64; sweep: 18 rows at m = 32, N = 512, which reach
     # the history's far field at N = HISTORY_BLOCK
@@ -1100,13 +1121,15 @@ def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch):
     grid = {"horizon": 1.0, "steps": 16384}
     if workload == "scalar-stepped":
         take_the_stepped_route(monkeypatch)
+    if workload.endswith("-cold"):
+        take_the_cold_route()
     if workload.startswith("scalar"):
         problem = {"kind": "scalar-quadratic", "u0": 1.25}
         solve = {"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": grid, "chain_rule_slack": 0.5}
         assert main(["solve", "--config", write_config(tmp_path, solve), "--out", str(out / "solve")]) == EXIT_OK
         certify = {"mode": "certify", "certify": {"dump": str(out / "solve" / "state.bin"), "slack_coeff": 0.5}}
         assert main(["certify", "--config", write_config(tmp_path, certify, "certify.json"), "--out", str(out / "certify")]) == EXIT_OK
-    elif workload == "plaplace-2d":
+    elif workload.startswith("plaplace-2d"):
         problem = {"kind": "p-laplace", "p": 3.0, "q": 4.0, "dim": 2, "m": 20, "amplitude": 1.0, "u0_profile": "sine"}
         solve = {"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": dict(grid, steps=64), "chain_rule_slack": 0.5}
         assert main(["solve", "--config", write_config(tmp_path, solve), "--out", str(out / "solve")]) == EXIT_OK
@@ -1119,7 +1142,7 @@ def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch):
     assert digests == BENCHMARK_PINS[workload]
 
 
-def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatch):
+def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatch, take_the_cold_route):
     # the 18 rows of q = 3, 4 and 5 march as chunks of 15 and 3 rows; each
     # step of a chunk evaluates the phi2 of all its live rows in one
     # power_prox_abs call, next to the one phi1 resolvent of the step, and
@@ -1135,16 +1158,16 @@ def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatc
 
     monkeypatch.setattr(fraflow.convex, "power_prox_abs", counted("power", fraflow.convex.power_prox_abs))
     monkeypatch.setattr(fraflow.plaplace.PDirichletEnergy, "prox", counted("phi1", fraflow.plaplace.PDirichletEnergy.prox))
-    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch)
+    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch, take_the_cold_route)
     assert counts == {"power": 518 + 2, "phi1": 518}
 
 
-def test_benchmark_sweep_takes_one_history_sum_per_step(tmp_path, monkeypatch):
+def test_benchmark_sweep_takes_one_history_sum_per_step(tmp_path, monkeypatch, take_the_cold_route):
     # each step of a chunk (15 and 3 rows) sums the near field of all its
     # live rows in one l1_history call: 512 steps for the chunk of 15, 6
     # for the chunk of 3, whose rows all leave by node 6
     calls = []
     history = fraflow._accel.l1_history
     monkeypatch.setattr(fraflow._accel, "l1_history", lambda d, v, j: calls.append(j) or history(d, v, j))
-    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch)
+    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch, take_the_cold_route)
     assert len(calls) == 512 + 6

@@ -6,6 +6,9 @@ import pytest
 
 import fraflow.plaplace
 import fraflow.solver
+from fraflow.certify import check_chain_rule
+from fraflow.convex import SmoothFunctional
+from fraflow.kernels import rl_pair
 from fraflow.plaplace import (
     FLUX_EPS,
     ExperimentSpec,
@@ -18,6 +21,7 @@ from fraflow.plaplace import (
     run_experiments,
 )
 from fraflow.convex import PowerPotential, ProxNonconvergence
+from fraflow.solver import SolverConfig
 
 
 def dense_hessian_reference(grid, u, p, eps=FLUX_EPS):
@@ -358,20 +362,26 @@ class TestLeanRows:
                 np.testing.assert_array_equal(got.norms, full.norms)
                 np.testing.assert_array_equal(got.energy1, full.energy1)
 
-    def test_kept_trajectories_are_unchanged(self):
-        kept = run_experiments(self.specs(), keep_trajectory=True)
-        digest = hashlib.sha256()
-        for result, amplitude in zip(kept, self.AMPLITUDES):
-            if result.verdict != "completed":
-                continue
-            traj = result.trajectory
-            alone = run_experiment(self.SPEC.with_amplitude(amplitude)).trajectory
-            for name in ("states", "xi", "eta", "residuals"):
-                np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
-                digest.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
-            assert np.max(traj.residuals) <= 1e-10
-        # the bytes the solver wrote when every row stored its xi/eta path
-        assert digest.hexdigest() == "0232f9cf8b6da2c843b7c1616f729cb1c228c133dc0ae97e8b13d5e7fc37d27b"
+    def test_kept_trajectories_are_unchanged(self, take_the_cold_route):
+        digests = []
+        for route in ("warm", "cold"):
+            if route == "cold":
+                take_the_cold_route()
+            kept = run_experiments(self.specs(), keep_trajectory=True)
+            digest = hashlib.sha256()
+            for result, amplitude in zip(kept, self.AMPLITUDES):
+                if result.verdict != "completed":
+                    continue
+                traj = result.trajectory
+                alone = run_experiment(self.SPEC.with_amplitude(amplitude)).trajectory
+                for name in ("states", "xi", "eta", "residuals"):
+                    np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+                    digest.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
+                assert np.max(traj.residuals) <= 1e-10
+            digests.append(digest.hexdigest())
+        # the cold route keeps the bytes the solver wrote when every row
+        # stored its xi/eta path
+        assert digests == ["3fcc3a0a153eff8e3d972be58938e33211976758fa954e539a33ef3f4db108a0", "0232f9cf8b6da2c843b7c1616f729cb1c228c133dc0ae97e8b13d5e7fc37d27b"]
 
     def test_a_six_amplitude_sweep_group_is_one_batch(self, monkeypatch):
         # the regime-sweep benchmark's group size: m = 32, N = 512
@@ -398,3 +408,136 @@ class TestLeanRows:
         monkeypatch.setattr(fraflow.solver, "_solve_loop", skipping)
         run_experiments(specs, keep_trajectory=True)
         assert batches == [3, 3]
+
+
+def counted_newton_work(monkeypatch):
+    """Count the gradients and Hessians of every p-Dirichlet energy built after the call."""
+    counts = {"grad": 0, "hess": 0}
+    for name, method in (("grad", "_grad_h"), ("hess", "_hess_h")):
+        fn = getattr(PDirichletEnergy, method)
+
+        def counted(self, u, fn=fn, name=name):
+            counts[name] += 1
+            return fn(self, u)
+
+        monkeypatch.setattr(PDirichletEnergy, method, counted)
+    return counts
+
+
+def outcome_of(spec):
+    # run_experiment's result, or the exception it raises
+    try:
+        return run_experiment(spec)
+    except ProxNonconvergence as exc:
+        return exc
+
+
+class TestWarmStart:
+    """The p-Laplace resolvent starts each row at the better of its target
+    and the previous state (or the Picard iterate), by optimality residual."""
+
+    # the plaplace-2d benchmark solve
+    BENCHMARK_2D = ExperimentSpec(p=3.0, q=4.0, alpha=0.5, grid=Grid(2, 20), steps=64)
+    SWEEP_1D = [ExperimentSpec(p=2.0, q=q, alpha=0.5, grid=Grid(1, 32), steps=512, amplitude=a) for q in (3.0, 4.0, 5.0) for a in (0.5, 2.0, 16.0)]
+    COUPLED = [ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=256, amplitude=a) for a in (0.5, 1.0, 4.0, 16.0)]
+
+    @pytest.mark.parametrize("case", ["plaplace-2d", "sweep-1d", "coupled"])
+    def test_warm_rows_are_the_cold_rows_to_the_prox_tolerance(self, case, take_the_cold_route):
+        specs, config = {
+            "plaplace-2d": ([self.BENCHMARK_2D], None),
+            "sweep-1d": (self.SWEEP_1D, None),
+            "coupled": (self.COUPLED, SolverConfig(yosida_lam=0.1, coupling="coupled")),
+        }[case]
+        warm = run_experiments(specs, config, keep_trajectory=True)
+        take_the_cold_route()
+        cold = run_experiments(specs, config, keep_trajectory=True)
+        assert {r.verdict for r in cold} >= {"completed"}
+        for w, c in zip(warm, cold):
+            assert (w.verdict, w.t_star) == (c.verdict, c.t_star)
+            assert (w.trajectory.node, w.trajectory.reason) == (c.trajectory.node, c.trajectory.reason)
+            if c.verdict == "completed":
+                scale = np.max(np.abs(c.trajectory.states))
+                assert np.max(np.abs(w.trajectory.states - c.trajectory.states)) <= 1e-10 * scale
+                for r in (w, c):
+                    assert np.max(r.trajectory.residuals) <= 1e-10
+                    assert check_chain_rule(r.trajectory, rl_pair(0.5), slack_coeff=0.5).passed
+
+    def test_the_benchmark_solve_takes_fewer_newton_steps(self, monkeypatch, take_the_cold_route):
+        # the start's gradient is the previous call's last one: no step
+        # takes a gradient more than the cold start
+        counts = counted_newton_work(monkeypatch)
+        run_experiment(self.BENCHMARK_2D)
+        warm = dict(counts)
+        counts.update(grad=0, hess=0)
+        take_the_cold_route()
+        run_experiment(self.BENCHMARK_2D)
+        assert (warm, counts) == ({"grad": 223, "hess": 158}, {"grad": 331, "hess": 267})
+
+    def test_warm_batch_rows_are_their_single_runs(self):
+        # 2D, m = 16, N = 128: mixed q and amplitudes at p = 3, and at
+        # p = 1.5 a row that completes, one that blows up and two that
+        # stall (ProxNonconvergence)
+        for p, keys in ((3.0, [(3.0, 8.0), (6.0, 0.5), (8.0, 16.0), (3.0, 1.0)]), (1.5, [(8.0, 1.0), (8.0, 8.0), (3.0, 8.0), (6.0, 16.0)])):
+            specs = [ExperimentSpec(p=p, q=q, alpha=0.5, grid=Grid(2, 16), steps=128, amplitude=a) for q, a in keys]
+            batch = run_experiments(specs, keep_trajectory=True)
+            for spec, got in zip(specs, batch):
+                alone = outcome_of(spec)
+                if isinstance(alone, Exception):
+                    assert (type(got), str(got)) == (type(alone), str(alone))
+                    continue
+                assert got.to_row() == alone.to_row()
+                for name in ("energy1", "norms", "states", "xi", "residuals"):
+                    a, b = getattr(got.trajectory, name), getattr(alone.trajectory, name)
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes(), (spec, name)
+            if p == 1.5:
+                assert [type(r).__name__ for r in batch] == ["ExperimentResult", "ProxNonconvergence", "ExperimentResult", "ProxNonconvergence"]
+
+    def test_a_start_that_misses_the_memo_gives_the_memo_paths_bits(self, monkeypatch):
+        # each start passed as a copy, which misses the memo of the last
+        # result: one more gradient per step but the first, whose start u0
+        # is no result anyway, and the same bits
+        spec = self.BENCHMARK_2D
+        counts = counted_newton_work(monkeypatch)
+        memo = run_experiment(spec).trajectory
+        hits = dict(counts)
+        counts.update(grad=0, hess=0)
+        prox = SmoothFunctional.prox
+        copied = lambda self, w, lam, tol=1e-10, start=None: prox(self, w, lam, tol=tol, start=None if start is None else start.copy())  # noqa: E731
+        monkeypatch.setattr(SmoothFunctional, "prox", copied)
+        missed = run_experiment(spec).trajectory
+        assert counts == {"grad": hits["grad"] + spec.steps - 1, "hess": hits["hess"]}
+        for name in ("states", "xi", "energy1", "residuals"):
+            assert getattr(memo, name).tobytes() == getattr(missed, name).tobytes(), name
+
+    def test_a_changed_result_misses_the_memo(self, rng):
+        # the memo holds the bytes of the result it returned: a start that
+        # is that array, changed in place, takes its own gradient
+        phi, lam = PDirichletEnergy(Grid(1, 16), 3.0), 1e-2
+        w = rng.standard_normal((2, 16))
+        z = phi.prox(w, lam)
+        z += 0.25
+        got = phi.prox(1.1 * w, lam, start=z)
+        phi.prox(w, lam)
+        expected = phi.prox(1.1 * w, lam, start=z.copy())
+        assert got.tobytes() == expected.tobytes()
+        res = (got - 1.1 * w) / lam + phi.gradient(got)
+        assert np.all(phi.space.row_norms(res) <= 1e-10 * (1.0 + phi.space.row_norms(1.1 * w) / lam))
+
+    def test_a_start_of_another_shape_is_rejected(self, rng):
+        phi = PDirichletEnergy(Grid(1, 16), 3.0)
+        w = rng.standard_normal((2, 16))
+        with pytest.raises(ValueError, match=r"start of shape \(1, 16\) does not match w of shape \(2, 16\)"):
+            phi.prox(w, 1e-2, start=w[:1])
+
+    def test_the_2d_p15_diagram_keeps_its_verdicts(self):
+        # m = 16, N = 128: the table of the resolvent started at its target,
+        # error rows included, and each blow-up time
+        qs, amplitudes = (3.0, 6.0, 8.0), (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+        specs = [ExperimentSpec(p=1.5, q=q, alpha=0.5, grid=Grid(2, 16), steps=128, amplitude=a) for q in qs for a in amplitudes]
+        got = [type(r).__name__ if isinstance(r, Exception) else (r.verdict, r.t_star) for r in run_experiments(specs)]
+        done, error = ("completed", None), "ProxNonconvergence"
+        assert got == [
+            *[done] * 4, ("blew_up", 0.078125), error,
+            *[done] * 3, ("blew_up", 0.0234375), ("blew_up", 0.015625), error,
+            *[done] * 2, ("blew_up", 0.03125), ("blew_up", 0.0234375), error, error,
+        ]  # fmt: skip
