@@ -360,8 +360,6 @@ class SmoothFunctional(Functional):
         max_iter = PROX_MAX_ITER
         space = self.space
         rows = space.rows(w)
-        # residual entries scale like ||w||/lam: stop relative to that
-        tol_eff = tol * (1.0 + space.row_norms(rows) / lam)
 
         def residual(x, target):
             grad = self._grad(x)
@@ -381,19 +379,19 @@ class SmoothFunctional(Functional):
         act = np.arange(len(rows))
         z, target = rows.copy(), rows
         if start is None:
+            w_norm = space.row_norms(rows)
             res, res_norm, grad = residual(z, target)
         else:
             # a row starts at start where its residual there is smaller.
-            # One row_norms call takes both residuals' norms, each row's
-            # bits its own
+            # One row_norms call takes the norms of w and of both
+            # residuals, each row's bits its own
             start = np.asarray(start, dtype=np.float64)
             warm_z = space.rows(start)
             if warm_z.shape != rows.shape:
                 raise ValueError(f"start of shape {start.shape} does not match w of shape {w.shape}")
             grad, warm_grad = self._grad(z), self._start_gradient(start)
             res, warm_res = (z - target) / lam + grad, (warm_z - target) / lam + warm_grad
-            norms = space.row_norms(np.concatenate((res, warm_res)))
-            res_norm, warm_norm = norms[: len(res)], norms[len(res) :]
+            w_norm, res_norm, warm_norm = space.row_norms(np.concatenate((rows, res, warm_res))).reshape(3, -1)
             warm = warm_norm < res_norm
             n_warm = np.count_nonzero(warm)
             # fresh arrays: z and grad change in place below
@@ -403,6 +401,8 @@ class SmoothFunctional(Functional):
                 pick = warm[:, None]
                 z, res, grad = np.where(pick, warm_z, z), np.where(pick, warm_res, res), np.where(pick, warm_grad, grad)
                 res_norm = np.where(warm, warm_norm, res_norm)
+        # residual entries scale like ||w||/lam: stop relative to that
+        tol_eff = tol * (1.0 + w_norm / lam)
         for _ in range(max_iter):
             met = res_norm <= tol_eff
             n_met = np.count_nonzero(met)
