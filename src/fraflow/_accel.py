@@ -8,9 +8,9 @@ prox, with one exponent or one per row.  Whole-path sums are O(N log N)
 through zero-padded real FFTs.  The sequential stepper's history sums go
 through :class:`History`, O(N log^2 N) for a whole run and exact: no
 per-step sum is O(N) any more.  One ``History`` serves a whole batch of
-rows, one contiguous path per row, and each step sums the near field of
-every live row in one ``l1_history`` call, with the kernel differences
-it takes once per run.
+rows, one contiguous path per row, and a single solve is a batch of one:
+each step sums the near field of every live row in one ``l1_history``
+call, one ``np.einsum`` with the kernel differences it takes once per run.
 
 The module keeps the name ``_accel``, and the near-field sum keeps the
 name ``l1_history``, because the benchmark's tracer
@@ -92,21 +92,16 @@ def l1_history(d, v, j):
     term itself.  ``v`` is node first: one row's path (N+1, m), or the
     paths of R rows side by side, (N+1, R, m).
 
-    The differences enter as the negative-stride view d[j-2::-1].  On one
-    row's path, ``d[j-2::-1] @ v[1:j]`` is numpy's own product loop, bit
-    for bit the sum of ``(omega[1:j] - omega[:j-1])[::-1] @ v[1:j]``; a
-    contiguous reversed copy would send the product to BLAS gemv, whose
-    blocking gives other last bits than the sha256-pinned outputs hold.
-    Rows side by side go through ``np.einsum``, which takes the same
-    products and adds them in the same node order, rows on the outside and
-    columns on the inside: each row comes out bitwise as its own product,
-    and the columns run side by side, where the product loop walks them
-    one by one.
+    The differences enter as the negative-stride view d[j-2::-1] and go
+    through ``np.einsum``, which adds the products in node order, rows on
+    the outside and columns on the inside.  Each row comes out bit for bit
+    as numpy's own product loop ``(omega[1:j] - omega[:j-1])[::-1] @
+    v[1:j]`` on its path; a contiguous reversed copy of the differences
+    would send that product to BLAS gemv, whose blocking gives other last
+    bits than the sha256-pinned outputs hold.
     """
     if j <= 1:
         return np.zeros(v.shape[1:], dtype=np.float64)
-    if v.ndim < 3:
-        return d[j - 2 :: -1] @ v[1:j]
     return np.einsum("n,n...->...", d[j - 2 :: -1], v[1:j])
 
 
@@ -121,15 +116,13 @@ FAR_DIRECT_RATIO = 2
 
 class History:
     """Exact online history sums H_j = sum_{i<j} (omega[j-i] - omega[j-i-1]) v[i],
-    j = 1, 2, ..., N, for one row or a batch of rows at once.
+    j = 1, 2, ..., N, for a batch of rows at once.
 
     The blocked convolution of Hairer, Lubich & Schlichte (1985).  ``v``
     is the buffer the stepper fills node by node: the paths of R rows
-    (R, N+1, m), each row's path contiguous.  The call at j reads only the
-    nodes v[:, 1:j] and returns H_j of every row, (R, m), or (m,) while
-    one row is held: its near field is then one row's own 2-D product,
-    which skips the batch view.  The calls must come in the order
-    j = 1, 2, ....
+    (R, N+1, m), each row's path contiguous; a single solve is a batch of
+    one.  The call at j reads only the nodes v[:, 1:j] and returns H_j of
+    every row, (R, m).  The calls must come in the order j = 1, 2, ....
     The nodes below the current block of B nodes reach H_j through
     ``far``: whenever j is a multiple of B, with L = j & -j, the nodes
     [j-L, j) of each row are added into its targets [j, j+L) by one
@@ -163,12 +156,8 @@ class History:
         self._views()
 
     def _views(self):
-        # the node-first views the calls read: one row's own 2-D path, or
-        # (N+1, R, m) over the paths of the batch
-        if len(self.paths) == 1:
-            self.nodes, self.far_nodes = self.paths[0], self.far[0]
-        else:
-            self.nodes, self.far_nodes = self.paths.swapaxes(0, 1), self.far.swapaxes(0, 1)
+        # the node-first views the calls read, (N+1, R, m) over the paths of the batch
+        self.nodes, self.far_nodes = self.paths.swapaxes(0, 1), self.far.swapaxes(0, 1)
 
     def __call__(self, j):
         block = HISTORY_BLOCK

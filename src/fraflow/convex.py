@@ -17,9 +17,9 @@ state is a stack of one row): ``prox`` and ``yosida`` work on a stack row
 by row, and ``values`` gives one value per row.  ``yosida`` returns the
 pair ``(rate, envelope)``: the Yosida rate A_lam(w) = (w - J_lam w)/lam,
 shaped as ``w``, and the Moreau-Yosida envelope phi_lam(w), one value per
-row of a stack.  Every row comes out bitwise as it does when passed
-alone, so per-row reductions keep the single-row summation order (one
-``np.vdot`` per row).
+row, a single state included.  Every row comes out bitwise as it does
+when passed alone: the per-row inner products of a stack take one BLAS
+dot per row, the sum ``np.vdot`` takes.
 
 A :class:`PowerPotential` may carry one exponent per row, and
 :func:`yosida_rows` evaluates a batch whose rows belong to several
@@ -29,7 +29,6 @@ call, so that a regime sweep over q takes one power prox per step.
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 from dataclasses import dataclass
 
@@ -48,23 +47,17 @@ class Space:
     def inner(self, u, v):
         return self.weight * float(np.vdot(u, v))
 
-    def norm(self, u):
-        return math.sqrt(max(self.inner(u, u), 0.0))
-
     def rows(self, u):
         """``u`` as a stack of states, one flat row of ``dim`` values each."""
         return u.reshape(-1, self.dim)
 
     def row_inner(self, u, v):
-        """``inner`` of each pair of rows.  A stack of 1 x dim by dim x 1
-        products takes one BLAS dot per row, the sum ``np.vdot`` takes."""
-        if u.size == self.dim:  # one row: skip the stacking
-            return np.array([self.inner(u, v)])
+        """``inner`` of each pair of rows, one state or a stack of them.  A
+        stack of 1 x dim by dim x 1 products takes one BLAS dot per row,
+        the sum ``np.vdot`` takes."""
         return self.weight * (self.rows(u)[:, None, :] @ self.rows(v)[:, :, None])[:, 0, 0]
 
     def row_norms(self, u):
-        if u.size == self.dim:
-            return np.array([self.norm(u)])
         return np.sqrt(np.maximum(self.row_inner(u, u), 0.0))
 
 
@@ -87,14 +80,10 @@ class Functional:
         raise NotImplementedError
 
     def yosida(self, w, lam, tol=1e-10):
-        """``(rate, envelope)``: A_lam(w) = (w - J_lam w)/lam and phi_lam(w)."""
+        """``(rate, envelope)``: A_lam(w) = (w - J_lam w)/lam and phi_lam(w), one envelope per row."""
         z = self.prox(w, lam, tol=tol)
         rate = (w - z) / lam
-        if np.size(w) == self.space.dim:
-            env = 0.5 * lam * self.space.inner(rate, rate) + self.value(z)
-        else:
-            env = 0.5 * lam * self.space.row_inner(rate, rate) + self.values(z)
-        return rate, env
+        return rate, 0.5 * lam * self.space.row_inner(rate, rate) + self.values(z)
 
 
 def yosida_rows(phis, lam, tol):
@@ -324,12 +313,11 @@ class SmoothFunctional(Functional):
         """Newton steps of the rows x; a gradient step where the Hessian does not factor."""
         jac = self._hess(x)
         jac[0] += 1.0 / lam
-        if len(x) == 1 or len(jac) == 2:
+        if len(jac) == 2:  # a tridiagonal band: every row in one ptsv call
             try:
                 return _solveh_banded(jac, -res.ravel()).reshape(x.shape)
             except np.linalg.LinAlgError:
-                if len(x) == 1:
-                    return -lam * res
+                pass
         # one row block at a time: on a wide band, where pbsv's blocking
         # would move the last bits of a stacked solve, and to find the rows
         # that do not factor, which keep their gradient step

@@ -71,15 +71,14 @@ def _forward_diff(a, axis):
 
 
 def _face_gradients(grid, u):
-    """Forward-difference face gradients of one state or of a stack of them.
+    """Forward-difference face gradients of a stack of states.
 
-    The grid axes come last.  A single state (``grid.npoints`` values)
-    gets no stack axis, so its arrays are those of the plain grid; a stack
-    of states gets a leading one.
+    A leading stack axis, then the grid axes; a single state is a stack of
+    one.
     """
     h = grid.h
-    u = u.reshape(grid.shape if u.size == grid.npoints else (-1,) + grid.shape)
-    z = np.zeros(u.shape[: u.ndim - grid.dim] + (grid.m + 2,) * grid.dim)
+    u = u.reshape((-1,) + grid.shape)
+    z = np.zeros((len(u),) + (grid.m + 2,) * grid.dim)
     if grid.dim == 1:
         z[..., 1:-1] = u
         return (_forward_diff(z, -1) / h,)
@@ -137,7 +136,7 @@ class PDirichletEnergy(SmoothFunctional):
         for g in _face_gradients(self.grid, u):
             # one sum per state, in the order of a sum over its faces
             energy = _face_energy(g, self.p, FLUX_EPS)
-            total += energy.reshape(energy.shape[: energy.ndim - self.grid.dim] + (-1,)).sum(axis=-1)
+            total += energy.reshape(len(energy), -1).sum(axis=-1)
         return cell * total / self.p
 
     def _grad_h(self, u):
@@ -156,8 +155,7 @@ class PDirichletEnergy(SmoothFunctional):
         """
         grid = self.grid
         faces = _face_gradients(grid, u)
-        stack = faces[0].shape[: faces[0].ndim - grid.dim]
-        ab = np.zeros((grid.m ** (grid.dim - 1) + 1,) + stack + grid.shape)
+        ab = np.zeros((grid.m ** (grid.dim - 1) + 1, len(faces[0])) + grid.shape)
         diag = ab[0]
         for axis, g in enumerate(faces):
             w = _face_weight(g, self.p, FLUX_EPS)

@@ -292,11 +292,15 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, ids):
     updated in place, ``ids`` are their batch rows.  Returns the exceptions
     of the rows that failed, by position: what a row raised, or
     ``ProxNonconvergence`` for a row that used up its ``max_picard`` budget.
+    While no row has left, each iterate goes to the next step as the
+    resolvent's result itself, not a copy, so that a warm-started
+    resolvent finds its gradient there in its memo.
     """
     pending = np.arange(len(u_new))  # the rows still iterating
+    u = u_new  # their iterates
     errors = {}
     for _ in range(config.max_picard):
-        rows = u_new[pending], base[pending], ids[pending]
+        rows = u, base[pending], ids[pending]
         try:
             out = step_rows(*rows)
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
@@ -312,6 +316,7 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, ids):
         pending, inc = pending[going], inc[going]
         if not pending.size:
             return errors
+        u = u_next if pending.size == len(going) else u_next[going]
     errors.update((int(k), ProxNonconvergence(float(r), config.max_picard)) for k, r in zip(pending, inc))
     return errors
 
@@ -320,8 +325,9 @@ class _Batch:
     """The whole-path buffers of a batch of rows and the outcome of each row.
 
     The buffers are node first: a row's trajectory is the slice [:, r],
-    and a step writes node j of every live row at once.  ``finish`` and
-    ``fail`` are the row exits of ``_solve_loop`` and ``_solve_linear``.
+    and a step writes node j of every live row at once, its norms
+    included.  ``finish`` and ``fail`` are the row exits of ``_solve_loop``
+    and ``_solve_linear``.
     """
 
     def __init__(self, spec, config, forcing_path, u0s, keep_trajectory):
@@ -334,8 +340,7 @@ class _Batch:
         if keep_trajectory:
             self.states, self.xi, self.eta = (np.zeros((n + 1,) + u0s.shape) for _ in range(3))
             self.states[0] = u0s
-        else:  # a lean row takes its norms node by node, a kept one at its exit
-            self.norms[0] = self.space.row_norms(u0s)
+        self.norms[0] = self.space.row_norms(u0s)
         self.energy1[0] = spec.phi1.values(u0s)
         self.e_t = self.energy1[0] + _forcing_sup(spec, forcing_path)
         self.outcomes = [None] * rows
@@ -344,8 +349,6 @@ class _Batch:
         """Make row r's Trajectory: its path runs through the node
         ``accepted``, and a row that blew up left at ``node`` with a ``reason``."""
         path = slice(accepted + 1)
-        if self.keep:  # a lean row takes its norms node by node
-            self.norms[path, r] = self.space.row_norms(self.states[path, r])
         self.outcomes[r] = traj = Trajectory(
             grid=self.spec.grid,
             space_weight=self.space.weight,
@@ -389,9 +392,8 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     :class:`Trajectory` (one that stopped early at a blow-up), or the
     exception the row raises.  A row leaves the batch at its own exit, the
     others march on.  Without ``keep_trajectory`` the history input is
-    the only path stored and the norms are taken node by node: a
-    completed row's Trajectory carries None for states, xi, eta and the
-    residuals.
+    the only path stored: a completed row's Trajectory carries None for
+    states, xi, eta and the residuals.
     """
     grid = spec.grid
     n = grid.steps
@@ -413,11 +415,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     batch = _Batch(spec, config, forcing_path, u0s, keep_trajectory)
     omega, denom, mu, envelope2 = batch.omega, batch.denom, batch.mu, batch.envelope2
     live = np.arange(rows)  # the rows still marching
-    if not has_phi2:
-        # the step data's part mu (f + eta) at every node at once; + 0.0 is
-        # eta = 0, which turns a -0.0 forcing into +0.0
-        drive = mu * (forcing_path + 0.0)
-    else:
+    if has_phi2:
         try:
             envelope2[0] = yosida(u0s, live)[1]
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
@@ -445,13 +443,10 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     def step_rows(u, b, ids):
         # the explicit part at the rows u of the batch rows ids (the
         # previous states, or in coupled mode a Picard iterate), then the
-        # phi1 resolvent of the rows with step data b, started from u
-        if not has_phi2:
-            eta_val = env_val = None
-            rhs = b + drive[j]
-        else:
-            eta_val, env_val = yosida(u, ids)
-            rhs = b + mu * (forcing_path[j] + eta_val)
+        # phi1 resolvent of the rows with step data b, started from u.
+        # Without a phi2, eta is 0.0, which turns a -0.0 forcing into +0.0
+        eta_val, env_val = yosida(u, ids) if has_phi2 else (0.0, None)
+        rhs = b + mu * (forcing_path[j] + eta_val)
         if not np.logical_and.reduce(np.isfinite(rhs), axis=None):  # ndarray.all adds a Python layer
             raise FloatingPointError("non-finite step data")
         return eta_val, env_val, prox(rhs, mu, tol=tol, start=u) if warm else prox(rhs, mu, tol=tol), rhs
@@ -480,7 +475,6 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
             eta_val, env_val, u_new, rhs = out
 
         if coupled:
-            env_val = np.array(np.broadcast_to(env_val, live.shape), dtype=np.float64)
             errors = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, live)
             fail(errors)
             keep = np.ones(live.size, dtype=bool)
@@ -513,8 +507,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
             batch.xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
             if has_phi2:
                 batch.eta[node] = eta_val
-        else:
-            batch.norms[node] = space.row_norms(u_new)
+        batch.norms[node] = space.row_norms(u_new)
         if has_phi2:  # the envelope stays 0 without one
             envelope2[node] = env_val
         batch.energy1[node] = e1 = spec.phi1.values(u_new)
@@ -559,11 +552,10 @@ def _solve_linear(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     with np.errstate(over="ignore", invalid="ignore"):  # the nodes past an exit are not read
         amax = np.abs(u).max(axis=2)
         batch.energy1[1:] = spec.phi1.values(u[1:]).reshape(n, rows)
+        batch.norms[1:] = batch.space.row_norms(u[1:]).reshape(n, rows)
         if keep_trajectory:
             batch.states[1:] = u[1:].reshape(batch.states[1:].shape)
             batch.xi[1:] = (1.0 + batch.mu) * batch.states[1:]
-        else:
-            batch.norms[1:] = batch.space.row_norms(u[1:]).reshape(n, rows)
         over = (amax > config.blowup_norm) | (batch.energy1 > config.blowup_energy)
     over[0] = False
     u = cells = None  # free the paths before the residuals

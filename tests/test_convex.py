@@ -54,7 +54,7 @@ class TestResolventBasics:
         lam = 0.3
         z = phi.prox(w, lam, tol=1e-10)
         res = (z - w) / lam + phi.gradient(z)
-        assert phi.space.norm(res) <= 1e-8
+        assert phi.space.row_norms(res)[0] <= 1e-8
 
 
 class TestYosida:
@@ -72,6 +72,17 @@ class TestYosida:
             envs = [phi.yosida(w, lam)[1] for lam in (1.0, 0.1, 0.01)]
             val = phi.value(w)
             assert envs[0] <= envs[1] <= envs[2] <= val + 1e-12, name
+
+    @pytest.mark.parametrize("name", ["quadratic", "power4", "p-dirichlet"])
+    def test_a_single_state_gets_one_envelope_per_row(self, name, rng):
+        # a single state is a stack of one row: its envelope is a (1,) array
+        phi = PDirichletEnergy(Grid(1, 6), 3.0) if name == "p-dirichlet" else builtins()[name]
+        w = rng.standard_normal(phi.space.dim)
+        rate, envelope = phi.yosida(w, 0.1)
+        assert rate.shape == w.shape
+        assert isinstance(envelope, np.ndarray) and envelope.shape == (1,)
+        stacked_rate, stacked = phi.yosida(np.stack([w, w]), 0.1)
+        assert envelope.tobytes() == stacked[:1].tobytes() and rate.tobytes() == stacked_rate[0].tobytes()
 
     def test_power4_scalar_consistency(self):
         phi, w = PowerPotential(Space(1), 4), np.array([2.0])
@@ -159,8 +170,8 @@ def test_resolvent_nonexpansive(name, rng):
         w1 = 3.0 * rng.standard_normal(dim)
         w2 = 3.0 * rng.standard_normal(dim)
         for lam in LAMBDAS:
-            d_in = phi.space.norm(w1 - w2)
-            d_out = phi.space.norm(phi.prox(w1, lam) - phi.prox(w2, lam))
+            d_in = phi.space.row_norms(w1 - w2)[0]
+            d_out = phi.space.row_norms(phi.prox(w1, lam) - phi.prox(w2, lam))[0]
             assert d_out <= d_in * (1 + 1e-8) + 1e-12
 
 
@@ -174,7 +185,7 @@ def test_yosida_lipschitz_and_monotone(name, rng):
         for lam in LAMBDAS:
             a1 = phi.yosida(w1, lam)[0]
             a2 = phi.yosida(w2, lam)[0]
-            assert phi.space.norm(a1 - a2) <= phi.space.norm(w1 - w2) / lam * (1 + 1e-8) + 1e-12
+            assert phi.space.row_norms(a1 - a2)[0] <= phi.space.row_norms(w1 - w2)[0] / lam * (1 + 1e-8) + 1e-12
             assert phi.space.inner(a1 - a2, w1 - w2) >= -1e-10
 
 
@@ -200,9 +211,9 @@ def test_yosida_bounded_by_minimal_section(name, rng):
         w = 2.0 * rng.standard_normal(dim)
         # both are smooth: the minimal section is the gradient, in closed form
         section = w if name == "quadratic" else np.abs(w) ** 2 * w
-        bound = phi.space.norm(section)
+        bound = phi.space.row_norms(section)[0]
         for lam in LAMBDAS:
-            assert phi.space.norm(phi.yosida(w, lam)[0]) <= bound + 1e-5
+            assert phi.space.row_norms(phi.yosida(w, lam)[0])[0] <= bound + 1e-5
 
 
 def test_prox_nonconvergence_reports(monkeypatch):
@@ -310,7 +321,7 @@ class TestResolventWorkBudget:
         z = phi.prox(w, lam, tol=1e-10)
         assert counts["value"] > 0  # the full Newton step failed at least once
         res = (z - w) / lam + phi.gradient(z)
-        assert phi.space.norm(res) <= 1e-10 * (1.0 + phi.space.norm(w) / lam)
+        assert phi.space.row_norms(res)[0] <= 1e-10 * (1.0 + phi.space.row_norms(w)[0] / lam)
 
 
 class TestDirectBandedSolve:

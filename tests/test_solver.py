@@ -192,6 +192,24 @@ class TestCoupledMode:
         pinned = hashlib.sha256(report.norms.tobytes() + report.energy1.tobytes()).hexdigest()
         assert pinned == "da3f94b0b7a5e43169c1796981dfe389d54baad33ee330e5ad0430d69372fd02"
 
+    def test_picard_iterates_find_the_resolvent_gradient_in_its_memo(self, monkeypatch):
+        # while no row has left, each Picard iterate reaches the next
+        # resolvent as the previous result itself: a memo hit returns the
+        # memo's own gradient array, a miss a fresh one
+        start_gradient = fraflow.convex.SmoothFunctional._start_gradient
+        hits = []
+
+        def counting(phi, start):
+            grad = start_gradient(phi, start)
+            hits.append(grad is phi._memo[2] if phi._memo is not None else False)
+            return grad
+
+        monkeypatch.setattr(fraflow.convex.SmoothFunctional, "_start_gradient", counting)
+        base = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=256)
+        specs = [base.with_amplitude(a) for a in (0.5, 1.0, 4.0, 16.0)]
+        run_experiments(specs, SolverConfig(yosida_lam=0.1, coupling="coupled"))
+        assert len(hits) > 256 and sum(hits) > 256
+
     class SteepRate(PowerPotential):
         """A phi2 whose Yosida rate is -1000 w, far steeper than the 1/lam that kappa assumes."""
 
