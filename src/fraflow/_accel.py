@@ -246,15 +246,16 @@ def exponent_runs(q):
     return runs
 
 
-def power_prox_abs(a, lam, q):
+def power_prox_abs(a, lam, q, runs):
     """Root r >= 0 of r + lam * r**(q-1) = a, elementwise for a >= 0.
 
-    ``a`` is one row of values or a stack of rows (R, m), and ``q`` one
-    exponent or a column (R, 1) of one exponent per row.  Each row stops
-    at its own pass: once every entry of a row meets the tolerance, that
-    row is left as it is while the other rows go on.  Each row takes the
-    branch of its own exponent, every power a scalar exponent on the view
-    of a run of rows with one q (:func:`exponent_runs`), and every other
+    ``a`` is one row of values or a stack of rows (R, m), ``q`` one
+    exponent or a column (R, 1) of one exponent per row, and ``runs`` is
+    ``exponent_runs(q)``, which a caller that keeps q computes once.  Each
+    row stops at its own pass: once every entry of a row meets the
+    tolerance, that row is left as it is while the other rows go on.  Each
+    row takes the branch of its own exponent, every power a scalar
+    exponent on the view of a run of rows with one q, and every other
     operation is elementwise: a row comes out bitwise as it does when
     solved alone.
 
@@ -285,7 +286,6 @@ def power_prox_abs(a, lam, q):
     """
     a = np.asarray(a, dtype=np.float64)
     max_iter = POWER_PROX_MAX_ITER
-    runs = exponent_runs(q)
     # the rows of each branch, adjacent runs of one branch merged
     concave_rows, convex_rows = [], []
     for rows, qr in runs:

@@ -13,18 +13,23 @@ phi at z in the H sense.
 
 The stepper marches several states at once, stacked along a leading row
 axis.  A functional reads its input as rows of ``space.dim`` values (one
-state is a stack of one row): ``prox`` and ``yosida`` work on a stack row
-by row, and ``values`` gives one value per row.  ``yosida`` returns the
-pair ``(rate, envelope)``: the Yosida rate A_lam(w) = (w - J_lam w)/lam,
-shaped as ``w``, and the Moreau-Yosida envelope phi_lam(w), one value per
-row, a single state included.  Every row comes out bitwise as it does
-when passed alone: the per-row inner products of a stack take one BLAS
-dot per row, the sum ``np.vdot`` takes.
+state is a stack of one row), and each operation has one form, for
+stacks: ``values`` gives one value per row, ``Space.row_inner`` one inner
+product per pair of rows, and every resolvent is ``prox(w, lam, tol,
+start)``, row by row, where ``start`` is a guess of the result that a
+closed form ignores.  ``yosida`` returns the pair ``(rate, envelope)``:
+the Yosida rate A_lam(w) = (w - J_lam w)/lam, shaped as ``w``, and the
+Moreau-Yosida envelope phi_lam(w), one value per row, a single state
+included.  Every row comes out bitwise as it does when passed alone: the
+per-row inner products of a stack take one BLAS dot per row, the sum
+``np.vdot`` takes.
 
 A :class:`PowerPotential` may carry one exponent per row, and
 :func:`yosida_rows` evaluates a batch whose rows belong to several
 functionals: the rows of all plain power potentials in one ``yosida``
-call, so that a regime sweep over q takes one power prox per step.
+call, so that a regime sweep over q takes one power prox per step.  A
+batch without a phi2 gets the zero Yosida map there, so the stepper
+takes one path with a phi2 or without.
 """
 
 import importlib.machinery
@@ -44,15 +49,12 @@ class Space:
     dim: int
     weight: float = 1.0
 
-    def inner(self, u, v):
-        return self.weight * float(np.vdot(u, v))
-
     def rows(self, u):
         """``u`` as a stack of states, one flat row of ``dim`` values each."""
         return u.reshape(-1, self.dim)
 
     def row_inner(self, u, v):
-        """``inner`` of each pair of rows, one state or a stack of them.  A
+        """<u_r, v_r> of each pair of rows, one state or a stack of them.  A
         stack of 1 x dim by dim x 1 products takes one BLAS dot per row,
         the sum ``np.vdot`` takes."""
         return self.weight * (self.rows(u)[:, None, :] @ self.rows(v)[:, :, None])[:, 0, 0]
@@ -62,17 +64,11 @@ class Space:
 
 
 class Functional:
-    """Base convex functional; subclasses provide ``value`` and ``prox``."""
+    """Base convex functional; subclasses provide ``prox`` and ``values``,
+    phi of each row of a stack of states."""
 
     def __init__(self, space):
         self.space = space
-
-    def value(self, w):
-        raise NotImplementedError
-
-    def values(self, w):
-        """``value`` of each row of a stack of states."""
-        return np.array([self.value(x) for x in self.space.rows(w)])
 
     def prox(self, w, lam, tol=1e-10, start=None):
         """The resolvent J_lam w; ``start`` is a guess of it, which a
@@ -98,8 +94,12 @@ def yosida_rows(phis, lam, tol):
     own rows.  The groups and the merged potentials are built once per
     set of ids, not once per call; a set of ids with one group takes its
     call on ``w`` itself, without a copy.  Every row comes out bitwise as
-    it does under its own functional alone.
+    it does under its own functional alone.  A batch without a phi2
+    (``phis[0]`` is None) has the zero map: zero rates, shaped as ``w``,
+    and zero envelopes.
     """
+    if phis[0] is None:
+        return lambda w, ids: (np.zeros(w.shape), np.zeros(len(w)))
     built, parts = None, None  # the last ids, as bytes, and their groups
 
     def groups(ids):
@@ -135,9 +135,6 @@ def yosida_rows(phis, lam, tol):
 
 class Quadratic(Functional):
     """phi(w) = (1/2) ||w||_H^2 with closed-form resolvent."""
-
-    def value(self, w):
-        return 0.5 * self.space.inner(w, w)
 
     def values(self, w):
         return 0.5 * self.space.row_inner(w, w)
@@ -182,9 +179,6 @@ class PowerPotential(Functional):
         self._runs = exponent_runs(self.q)
         self._closed = [rows for rows, q in self._runs if q == 2.0]
 
-    def value(self, w):
-        return self.space.weight * float(np.sum(np.abs(w) ** self.q)) / self.q
-
     def values(self, w):
         powers = np.abs(self.space.rows(w))
         for rows, q in self._runs:
@@ -196,7 +190,7 @@ class PowerPotential(Functional):
         w = np.asarray(w, dtype=np.float64)
         if self._closed == [slice(None)]:
             return w / (1.0 + lam)
-        z = np.sign(w) * power_prox_abs(np.abs(self.space.rows(w)), lam, self.q).reshape(w.shape)
+        z = np.sign(w) * power_prox_abs(np.abs(self.space.rows(w)), lam, self.q, self._runs).reshape(w.shape)
         for rows in self._closed:  # the closed form keeps the sign of a zero
             z[rows] = w[rows] / (1.0 + lam)
         return z
@@ -297,9 +291,6 @@ class SmoothFunctional(Functional):
         self._grad = grad_fn
         self._hess = hess_fn
         self._memo = None  # the last result of prox, its bytes and its gradient
-
-    def value(self, w):
-        return float(self.values(w)[0])
 
     def values(self, w):
         rows = self.space.rows(np.asarray(w, dtype=np.float64))

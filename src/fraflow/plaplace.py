@@ -140,7 +140,7 @@ class PDirichletEnergy(SmoothFunctional):
         return cell * total / self.p
 
     def _grad_h(self, u):
-        return -discrete_p_laplacian(self.grid, u, self.p)
+        return -discrete_p_laplacian(self.grid, u, self.p, FLUX_EPS)
 
     def _hess_h(self, u):
         """H-Hessians B^T diag(w) B / h^2 of a stack of states, in lower banded storage.

@@ -18,11 +18,13 @@ parameter mu = tau / (omega_0 + lam_visc); for the Riemann-Liouville pair
 this is exactly an L1-type scheme.  The selection xi_j is read off the
 prox optimality system, eta_j is the Yosida rate A_lam of phi2 at the
 previous state (semi-implicit default) or at the current state via an
-inner Picard loop (coupled mode), and zero without a phi2.  The step loop
-``_solve_loop`` is the one place that evaluates phi2: one ``yosida`` call
-gives the rate and the envelope phi2_lam.  A damped Newton resolvent
-(``convex.SmoothFunctional``) gets the previous state, or in coupled mode
-the Picard iterate, as its start.
+inner Picard loop (coupled mode).  A missing phi2 is the zero Yosida map:
+eta and the envelope are zero, and coupled mode steps as semi-implicit.
+The step loop ``_solve_loop`` is the one place that evaluates phi2: one
+``yosida`` call gives the rate and the envelope phi2_lam.  Every resolvent
+is called as ``prox(w, lam, tol, start)``, with the previous state, or in
+coupled mode the Picard iterate, as its start: the damped Newton resolvent
+(``convex.SmoothFunctional``) starts from it, a closed form ignores it.
 
 The coupled step is the fixed point of the Picard map
 u -> J_mu(b + mu A_lam(u)), which contracts with factor kappa = mu/lam
@@ -76,7 +78,7 @@ import numpy as np
 
 from ._accel import History, causal_conv, toeplitz_inverse
 from .certify import _derivative_energy, slack_budget
-from .convex import ProxNonconvergence, Quadratic, SmoothFunctional, yosida_rows
+from .convex import ProxNonconvergence, Quadratic, yosida_rows
 from .kernels import Certificate, SoninePair, TimeGrid, conv_weights, convolve, nonlocal_derivative
 
 
@@ -99,7 +101,7 @@ class ProblemSpec:
         self.u0 = np.asarray(self.u0, dtype=np.float64)
         if not np.all(np.isfinite(self.u0)):
             raise ValueError("initial state must be finite")
-        if not np.isfinite(self.phi1.value(self.u0)):
+        if not np.isfinite(self.phi1.values(self.u0)).all():
             raise ValueError("initial state must lie in the effective domain of phi1")
 
     def forcing_path(self):
@@ -159,14 +161,15 @@ class Trajectory:
     ``keep_trajectory=False``) stores no path and re-assembles no
     residuals: ``states``, ``xi``, ``eta`` and ``residuals`` are None there.
 
-    A row that blows up (a threshold crossing or a non-finite state) is
-    the path of its maximal interval: ``energy1``, ``envelope2`` and
-    ``norms`` run through its last accepted node, ``states``, ``xi``,
-    ``eta`` and ``residuals`` are None, ``node`` is the node being stepped
-    when it left and ``reason`` says why.  Both are None for a row that
-    reached T.  A resolvent that stalls (or a coupled Picard loop that
-    uses up its budget) on a state of at least 0.01 * blowup_norm counts
-    as a norm-threshold crossing at the last accepted node.
+    A row that blows up is the path of its maximal interval: ``states``,
+    ``xi``, ``eta`` and ``residuals`` are None, ``node`` is the node being
+    stepped when it left and ``reason`` says why; both are None for a row
+    that reached T.  ``energy1``, ``envelope2`` and ``norms`` run through
+    ``node`` on a threshold crossing, one node past ``t_star`` (so
+    ``sup_energy1`` includes the crossing node), and through node - 1 on a
+    non-finite state or a stalled resolvent (or a coupled Picard loop that
+    used up its budget), which on a state of at least 0.01 * blowup_norm
+    counts as a norm-threshold crossing.
     """
 
     grid: TimeGrid
@@ -189,7 +192,7 @@ class Trajectory:
 
     @property
     def t_star(self):
-        """The time of the last accepted node of a row that blew up, None for one that reached T."""
+        """(node - 1) tau, the node before a blow-up's exit; None for a row that reached T."""
         return None if self.node is None else self.node * self.grid.tau - self.grid.tau
 
 
@@ -232,11 +235,11 @@ BATCH_BYTES = 2 << 20
 def _isolate(fn, exc, *batches):
     """Sort out which rows made ``fn(*batches)`` raise ``exc``: run each row alone.
 
-    ``fn`` returns a tuple of per-row outputs.  Returns ``(kept, out,
-    errors)``: ``out`` is the output for the rows that succeed, ``kept``
-    their positions in the batch and ``errors`` the exception of each
-    failing row by its position.  A batch of one is not re-run: ``exc`` is
-    its row's.
+    ``fn`` returns a tuple of per-row arrays, the row axis first.  Returns
+    ``(kept, out, errors)``: ``out`` is the output for the rows that
+    succeed, ``kept`` their positions in the batch and ``errors`` the
+    exception of each failing row by its position.  A batch of one is not
+    re-run: ``exc`` is its row's.
     """
     if len(batches[0]) == 1:
         return np.zeros(0, dtype=int), None, {0: exc}
@@ -249,16 +252,7 @@ def _isolate(fn, exc, *batches):
     kept = np.array([k for k in range(len(batches[0])) if k not in errors], dtype=int)
     if not parts:
         return kept, None, errors
-    out = tuple(
-        None if first is None else np.concatenate([np.reshape(p[i], (1,) + np.shape(p[i])[1:]) for p in parts])
-        for i, first in enumerate(parts[0])
-    )
-    return kept, out, errors
-
-
-def _rows(keep, *arrays):
-    # the rows ``keep`` of each per-row array; None and scalars stand for every row
-    return [x if x is None or np.ndim(x) == 0 else x[keep] for x in arrays]
+    return kept, tuple(np.concatenate(outputs) for outputs in zip(*parts)), errors
 
 
 def _step_weights(pair, grid, visc):
@@ -291,10 +285,11 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, ids):
     Each row iterates until its own increment converges; the rows are
     updated in place, ``ids`` are their batch rows.  Returns the exceptions
     of the rows that failed, by position: what a row raised, or
-    ``ProxNonconvergence`` for a row that used up its ``max_picard`` budget.
-    While no row has left, each iterate goes to the next step as the
-    resolvent's result itself, not a copy, so that a warm-started
-    resolvent finds its gradient there in its memo.
+    ``ProxNonconvergence`` for a row that used up its ``max_picard`` budget,
+    and the last iterates.  While no row has left, each iterate goes on as
+    the resolvent's result itself, not a copy, so that a warm-started
+    resolvent finds its gradient in its memo: to the next iteration, and,
+    when every row converged in the same one, to the next step.
     """
     pending = np.arange(len(u_new))  # the rows still iterating
     u = u_new  # their iterates
@@ -308,17 +303,17 @@ def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, ids):
             errors.update((int(pending[k]), error) for k, error in failed.items())
             pending = pending[kept]
             if out is None:
-                return errors
+                return errors, u_new
         eta_val[pending], env_val[pending], u_next, rhs[pending] = out
         inc = space.row_norms(u_next - u_new[pending])
         u_new[pending] = u_next
         going = ~(inc <= config.inner_tol * (1.0 + space.row_norms(u_next)))
         pending, inc = pending[going], inc[going]
         if not pending.size:
-            return errors
+            return errors, u_next if len(going) == len(u_new) else u_new
         u = u_next if pending.size == len(going) else u_next[going]
     errors.update((int(k), ProxNonconvergence(float(r), config.max_picard)) for k, r in zip(pending, inc))
-    return errors
+    return errors, u_new
 
 
 class _Batch:
@@ -387,13 +382,13 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     Row r's phi2 is ``phi2s[r]`` (``spec.phi2`` is not read), evaluated
     here and nowhere else, through ``convex.yosida_rows``: its Yosida rate
     eta and envelope at the previous states (semi-implicit), or at each
-    Picard iterate (coupled), and the envelope at u0; without a phi2, eta
-    is zero and the envelope stays 0.  Returns one outcome per row: a
-    :class:`Trajectory` (one that stopped early at a blow-up), or the
-    exception the row raises.  A row leaves the batch at its own exit, the
-    others march on.  Without ``keep_trajectory`` the history input is
-    the only path stored: a completed row's Trajectory carries None for
-    states, xi, eta and the residuals.
+    Picard iterate (coupled), and the envelope at u0; without a phi2 that
+    is the zero map, and coupled mode steps as semi-implicit.  Returns one
+    outcome per row: a :class:`Trajectory` (one that stopped early at a
+    blow-up), or the exception the row raises.  A row leaves the batch at
+    its own exit, the others march on.  Without ``keep_trajectory`` the
+    history input is the only path stored: a completed row's Trajectory
+    carries None for states, xi, eta and the residuals.
     """
     grid = spec.grid
     n = grid.steps
@@ -402,28 +397,24 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     size = u0s[0].size
 
     prox, tol = spec.phi1.prox, config.inner_tol
-    # a damped Newton resolvent takes a start; a closed form, or any other
-    # phi1, is called without one
-    warm = isinstance(spec.phi1, SmoothFunctional)
-    # one Yosida call for the rows of all plain power potentials, one per other phi2
+    # one Yosida call for the rows of all plain power potentials, one per
+    # other phi2, and the zero map without one
     yosida = yosida_rows(phi2s, config.yosida_lam, tol)
-    has_phi2 = phi2s[0] is not None
-    coupled = config.coupling == "coupled" and has_phi2
+    coupled = config.coupling == "coupled" and phi2s[0] is not None
     if coupled:
         check_coupling(config, spec.pair, grid)
 
     batch = _Batch(spec, config, forcing_path, u0s, keep_trajectory)
     omega, denom, mu, envelope2 = batch.omega, batch.denom, batch.mu, batch.envelope2
     live = np.arange(rows)  # the rows still marching
-    if has_phi2:
-        try:
-            envelope2[0] = yosida(u0s, live)[1]
-        except Exception as exc:  # noqa: BLE001 - sorted out row by row
-            live, out, errors = _isolate(yosida, exc, u0s, live)
-            for k, error in errors.items():
-                batch.outcomes[k] = error
-            if out is not None:
-                envelope2[0, live] = out[1]
+    try:
+        envelope2[0] = yosida(u0s, live)[1]
+    except Exception as exc:  # noqa: BLE001 - sorted out row by row
+        live, out, errors = _isolate(yosida, exc, u0s, live)
+        for k, error in errors.items():
+            batch.outcomes[k] = error
+        if out is not None:
+            envelope2[0, live] = out[1]
     prev = u0s[live]  # the previous states of the live rows, in their order
     # u - u0 history for the nonlocal term: one contiguous path per row,
     # flat states, summed for all live rows at once.  The history holds
@@ -443,13 +434,14 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     def step_rows(u, b, ids):
         # the explicit part at the rows u of the batch rows ids (the
         # previous states, or in coupled mode a Picard iterate), then the
-        # phi1 resolvent of the rows with step data b, started from u.
-        # Without a phi2, eta is 0.0, which turns a -0.0 forcing into +0.0
-        eta_val, env_val = yosida(u, ids) if has_phi2 else (0.0, None)
+        # phi1 resolvent of the rows with step data b, started from u (a
+        # closed form ignores the start).  A zero eta turns a -0.0 forcing
+        # into +0.0
+        eta_val, env_val = yosida(u, ids)
         rhs = b + mu * (forcing_path[j] + eta_val)
         if not np.logical_and.reduce(np.isfinite(rhs), axis=None):  # ndarray.all adds a Python layer
             raise FloatingPointError("non-finite step data")
-        return eta_val, env_val, prox(rhs, mu, tol=tol, start=u) if warm else prox(rhs, mu, tol=tol), rhs
+        return eta_val, env_val, prox(rhs, mu, tol=tol, start=u), rhs
 
     marching = -1  # the number of live rows the per-row data below are for
     for j in range(1, n + 1):
@@ -469,19 +461,20 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
             kept, out, errors = _isolate(step_rows, exc, prev, base, live)
             fail(errors)
-            live, base, prev = _rows(kept, live, base, prev)
+            live, base, prev = (x[kept] for x in (live, base, prev))
             if out is None:
                 continue
             eta_val, env_val, u_new, rhs = out
 
         if coupled:
-            errors = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, live)
-            fail(errors)
-            keep = np.ones(live.size, dtype=bool)
-            keep[list(errors)] = False
-            live, u_new, rhs, eta_val, env_val = _rows(keep, live, u_new, rhs, eta_val, env_val)
-            if not live.size:
-                continue
+            errors, u_new = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, live)
+            if errors:
+                fail(errors)
+                keep = np.ones(live.size, dtype=bool)
+                keep[list(errors)] = False
+                live, u_new, rhs, eta_val, env_val = (x[keep] for x in (live, u_new, rhs, eta_val, env_val))
+                if not live.size:
+                    continue
 
         # per-row maxima only when some row may leave: the largest entry
         # of the batch fails this test when any is non-finite or too big
@@ -492,7 +485,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
             for k in np.flatnonzero(~finite):
                 batch.finish(live[k], j - 1, j, "non-finite")
             if not finite.all():
-                live, u_new, rhs, eta_val, env_val, amax = _rows(finite, live, u_new, rhs, eta_val, env_val, amax)
+                live, u_new, rhs, eta_val, env_val, amax = (x[finite] for x in (live, u_new, rhs, eta_val, env_val, amax))
                 if not live.size:
                     continue
         # an int index is the fast one, and v takes u - u0 in place while
@@ -505,11 +498,9 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
         if keep_trajectory:
             batch.states[node] = u_new
             batch.xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
-            if has_phi2:
-                batch.eta[node] = eta_val
+            batch.eta[node] = eta_val
         batch.norms[node] = space.row_norms(u_new)
-        if has_phi2:  # the envelope stays 0 without one
-            envelope2[node] = env_val
+        envelope2[node] = env_val
         batch.energy1[node] = e1 = spec.phi1.values(u_new)
         prev = u_new
 

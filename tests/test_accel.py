@@ -16,6 +16,7 @@ from fraflow._accel import (
     ProxNonconvergence,
     causal_conv,
     l1_history,
+    exponent_runs,
     power_prox_abs,
     toeplitz_inverse,
     volterra_sn,
@@ -236,7 +237,7 @@ def test_volterra_sn_solves_its_equation(index):
 def test_power_prox_abs_solves_its_equation(q, rng):
     a = np.abs(rng.standard_normal(200)) * 5.0
     lam = 0.3
-    r = power_prox_abs(a, lam, q)
+    r = power_prox_abs(a, lam, q, exponent_runs(q))
     assert np.all(r >= 0)
     np.testing.assert_allclose(r + lam * r ** (q - 1.0), a, rtol=0, atol=1e-10)
 
@@ -254,7 +255,7 @@ def prox_residual(r, a, lam, q):
 def test_power_prox_abs_matches_the_bracketed_reference(q, lam):
     # the iterates differ, so the roots agree to rounding, not bitwise; the
     # reference's tolerance stop is the looser one for small a
-    r, ref = power_prox_abs(PROX_GRID, lam, q), reference_power_prox_abs(PROX_GRID, lam, q)
+    r, ref = power_prox_abs(PROX_GRID, lam, q, exponent_runs(q)), reference_power_prox_abs(PROX_GRID, lam, q)
     np.testing.assert_allclose(r, ref, rtol=1e-13, atol=0)
 
 
@@ -262,7 +263,7 @@ def test_power_prox_abs_matches_the_bracketed_reference(q, lam):
 def test_power_prox_abs_matches_a_40_digit_root(q, lam):
     import mpmath
 
-    r = power_prox_abs(PROX_GRID, lam, q)
+    r = power_prox_abs(PROX_GRID, lam, q, exponent_runs(q))
     with mpmath.workdps(40):
         mq, mlam = mpmath.mpf(q), mpmath.mpf(lam)
         for got, start, a in zip(r, reference_power_prox_abs(PROX_GRID, lam, q), PROX_GRID):
@@ -280,7 +281,7 @@ def test_power_prox_abs_pass_budget(q, lam, monkeypatch):
     # monotone Newton from the one-sided bound; the bracketed reference
     # needs up to 77 passes on this grid
     monkeypatch.setattr(fraflow._accel, "POWER_PROX_MAX_ITER", 12)
-    r = power_prox_abs(PROX_GRID, lam, q)
+    r = power_prox_abs(PROX_GRID, lam, q, exponent_runs(q))
     assert np.all(prox_residual(r, PROX_GRID, lam, q) <= 1e-14 * (1.0 + PROX_GRID))
 
 
@@ -291,20 +292,20 @@ def test_power_prox_abs_pass_budget_over_a_wide_range(q, monkeypatch):
     monkeypatch.setattr(fraflow._accel, "POWER_PROX_MAX_ITER", 12)
     a = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 801)])
     for lam in np.geomspace(1e-6, 1e3, 10):
-        r = power_prox_abs(a, lam, q)
+        r = power_prox_abs(a, lam, q, exponent_runs(q))
         assert np.all(prox_residual(r, a, lam, q) <= 1e-14 * (1.0 + a))
 
 
 def test_power_prox_abs_takes_zero_below_the_double_range():
     # q close to 1, a << lam: the root is about 1e-400, and f(5e-324) > 0
-    assert power_prox_abs(np.array([1e-4]), 1.0, 1.01).tolist() == [0.0]
+    assert power_prox_abs(np.array([1e-4]), 1.0, 1.01, exponent_runs(1.01)).tolist() == [0.0]
 
 
 def test_power_prox_abs_converges_where_the_start_bound_underflows():
     # the root is about 1e-300, but (a/(2 lam))^(1/(q-1)) = 5e-4^100 underflows
     import mpmath
 
-    r = power_prox_abs(np.array([1e-3]), 1.0, 1.01)
+    r = power_prox_abs(np.array([1e-3]), 1.0, 1.01, exponent_runs(1.01))
     with mpmath.workdps(40):
         got, a = mpmath.mpf(float(r[0])), mpmath.mpf(1e-3)
         assert abs(got + got ** mpmath.mpf(0.01) - a) <= 1e-14 * (1 + a)
@@ -319,21 +320,21 @@ def test_power_prox_abs_stops_each_row_at_its_own_pass(q):
     # a row comes out bitwise as it does alone, however many passes the
     # other rows take
     rows = np.stack([PROX_GRID, PROX_GRID[::-1] * 0.01, np.full(PROX_GRID.size, 3e4)])
-    batch = power_prox_abs(rows, 0.1, q)
+    batch = power_prox_abs(rows, 0.1, q, exponent_runs(q))
     for row, got in zip(rows, batch):
-        np.testing.assert_array_equal(got, power_prox_abs(row, 0.1, q))
+        np.testing.assert_array_equal(got, power_prox_abs(row, 0.1, q, exponent_runs(q)))
 
 
 def test_power_prox_abs_raises_on_nan():
     with pytest.raises(ProxNonconvergence) as err:
-        power_prox_abs(np.array([np.nan]), 0.1, 3.0)
+        power_prox_abs(np.array([np.nan]), 0.1, 3.0, exponent_runs(3.0))
     assert err.value.iterations == 200
 
 
 def test_power_prox_abs_raises_when_out_of_passes(monkeypatch):
     monkeypatch.setattr(fraflow._accel, "POWER_PROX_MAX_ITER", 1)
     with pytest.raises(ProxNonconvergence) as err:
-        power_prox_abs(np.array([3e4]), 0.1, 3.0)
+        power_prox_abs(np.array([3e4]), 0.1, 3.0, exponent_runs(3.0))
     assert err.value.iterations == 1
     assert err.value.residual > 1e-14
 
@@ -347,7 +348,7 @@ def test_regime_diagram_sweep_matches_the_bracketed_prox(tmp_path, monkeypatch):
     # end to end: the roots agree to rounding, and only the blow-up rows,
     # which run the prox at the largest arguments, may move in the last digits
     assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(tmp_path / "new")]) == 0
-    monkeypatch.setattr(fraflow.convex, "power_prox_abs", reference_power_prox_abs)
+    monkeypatch.setattr(fraflow.convex, "power_prox_abs", lambda a, lam, q, runs: reference_power_prox_abs(a, lam, q))
     assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(tmp_path / "ref")]) == 0
     new, ref = (read_sweep(tmp_path / side / "sweep.csv") for side in ("new", "ref"))
     assert len(new) == len(ref) == 18
@@ -366,7 +367,7 @@ def test_plaplace_2d_solve_matches_the_bracketed_prox(tmp_path, monkeypatch):
     grid = {"horizon": 1.0, "steps": 64}
     config.write_text(json.dumps({"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": grid, "chain_rule_slack": 0.5}))
     assert main(["solve", "--config", str(config), "--out", str(tmp_path / "new")]) == 0
-    monkeypatch.setattr(fraflow.convex, "power_prox_abs", reference_power_prox_abs)
+    monkeypatch.setattr(fraflow.convex, "power_prox_abs", lambda a, lam, q, runs: reference_power_prox_abs(a, lam, q))
     assert main(["solve", "--config", str(config), "--out", str(tmp_path / "ref")]) == 0
     new, ref = (load_state_dump(tmp_path / side / "state.bin")["states"] for side in ("new", "ref"))
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
+import fraflow._accel
 import fraflow.convex
 from fraflow._accel import power_prox_abs
 from fraflow.convex import (
@@ -70,7 +71,7 @@ class TestYosida:
         for name, phi in builtins().items():
             w = rng.standard_normal(phi.space.dim)
             envs = [phi.yosida(w, lam)[1] for lam in (1.0, 0.1, 0.01)]
-            val = phi.value(w)
+            val = phi.values(w)[0]
             assert envs[0] <= envs[1] <= envs[2] <= val + 1e-12, name
 
     @pytest.mark.parametrize("name", ["quadratic", "power4", "p-dirichlet"])
@@ -128,6 +129,17 @@ class TestPowerRowsInOneCall:
         with pytest.raises(ValueError, match="exceed 1"):
             PowerPotential(Space(4), [3.0, 1.0])
 
+    def test_a_prox_takes_the_runs_the_potential_holds(self, rng, monkeypatch):
+        # the exponents are grouped into runs once, when the potential is made
+        phi = PowerPotential(Space(16), np.repeat([1.5, 3.0, 4.0], 5))
+        calls = []
+        runs = fraflow._accel.exponent_runs
+        monkeypatch.setattr(fraflow._accel, "exponent_runs", lambda q: calls.append(q) or runs(q))
+        w = rng.standard_normal((15, 16))
+        for _ in range(10):
+            phi.prox(w, 0.1)
+        assert calls == []
+
     def test_yosida_rows_takes_one_call_per_space_and_per_other_functional(self, rng, monkeypatch):
         # plain power rows of three q share one call; a subclass row and a
         # quadratic row keep their own; each row is its functional alone
@@ -156,6 +168,14 @@ class TestPowerRowsInOneCall:
             assert env[k] == alone_env
         yosida(w[:2], ids[:2])
         assert built == [PowerPotential] * 2
+
+    def test_yosida_rows_without_a_phi2_is_the_zero_map(self, rng):
+        # rates shaped as w, one envelope per row, as any phi2 gives them
+        yosida = yosida_rows([None] * 3, 1e-3, 1e-10)
+        for w in (rng.standard_normal((3, 16)), rng.standard_normal((1, 4, 4))):
+            rate, env = yosida(w, np.arange(len(w)))
+            assert rate.shape == w.shape and env.shape == (len(w),)
+            assert not rate.any() and not env.any()
 
 
 # property batteries: >= 100 random pairs per built-in functional
@@ -186,7 +206,7 @@ def test_yosida_lipschitz_and_monotone(name, rng):
             a1 = phi.yosida(w1, lam)[0]
             a2 = phi.yosida(w2, lam)[0]
             assert phi.space.row_norms(a1 - a2)[0] <= phi.space.row_norms(w1 - w2)[0] / lam * (1 + 1e-8) + 1e-12
-            assert phi.space.inner(a1 - a2, w1 - w2) >= -1e-10
+            assert phi.space.row_inner(a1 - a2, w1 - w2)[0] >= -1e-10
 
 
 @pytest.mark.parametrize("name", ["quadratic", "power4", "power1.5"])
@@ -198,8 +218,8 @@ def test_envelope_sandwich_and_resolvent_identity(name, rng):
         for lam in LAMBDAS:
             rate, envelope = phi.yosida(w, lam)
             point = phi.prox(w, lam)
-            assert phi.value(point) <= envelope + 1e-10
-            assert envelope <= phi.value(w) + 1e-10
+            assert phi.values(point)[0] <= envelope + 1e-10
+            assert envelope <= phi.values(w)[0] + 1e-10
             np.testing.assert_allclose(point + lam * rate, w, atol=1e-12)
 
 
@@ -257,19 +277,12 @@ def test_a_row_whose_hessian_does_not_factor_takes_gradient_steps(band):
 @pytest.mark.parametrize("weight", [1.0, 0.37])
 @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -1e-310, 1e-170, -1e155, 1.3, -1.3])
 def test_quadratic_of_a_float_is_bitwise_the_one_element_array(x, weight):
-    # a float takes the array arithmetic: 1e-170 squared underflows, 1e155
-    # squared overflows, and the value of -0.0 is +0.0 as np.vdot gives it
+    # a float takes the array arithmetic of the resolvent
     phi = Quadratic(Space(1, weight=weight))
-    value = np.float64(phi.value(np.array([x]))).tobytes()
     for w in (x, np.float64(x)):
         for lam in (0.0272, 2.5):
             z = phi.prox(w, lam)
             assert isinstance(z, float) and np.float64(z).tobytes() == phi.prox(np.array([x]), lam).tobytes()
-        with np.errstate(over="ignore"):  # a np.float64 square that overflows warns, as numpy scalars do
-            z = phi.value(w)
-        assert isinstance(z, float) and np.float64(z).tobytes() == value
-    # a product that rounds to -0.0 gives +0.0, as np.vdot's sum does
-    assert np.float64(phi.space.inner(x, -x)).tobytes() == np.float64(phi.space.inner(np.array([x]), np.array([-x]))).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(32,), (32, 32)])
@@ -279,7 +292,7 @@ def test_space_inner_matches_elementwise_sum(shape, rng):
     for x, y in ((u, v), (u, u)):
         # relative to the sum of magnitudes, the scale of rounding in any order
         scale = sp.weight * np.sum(np.abs(x * y))
-        assert abs(sp.inner(x, y) - sp.weight * np.sum(x * y)) <= 1e-15 * scale
+        assert abs(sp.row_inner(x, y)[0] - sp.weight * np.sum(x * y)) <= 1e-15 * scale
 
 
 def counted_p_dirichlet(dim, m, p):

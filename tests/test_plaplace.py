@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 
 import fraflow.plaplace
 import fraflow.solver
-from fraflow.certify import check_chain_rule
+from fraflow.certify import check_chain_rule, mittag_leffler
 from fraflow.convex import SmoothFunctional
-from fraflow.kernels import rl_pair
+from fraflow.kernels import TimeGrid, rl_pair
 from fraflow.plaplace import (
     FLUX_EPS,
     ExperimentSpec,
@@ -21,7 +22,7 @@ from fraflow.plaplace import (
     run_experiments,
 )
 from fraflow.convex import PowerPotential, ProxNonconvergence
-from fraflow.solver import SolverConfig
+from fraflow.solver import ProblemSpec, SolverConfig, solve_dc_flow, solve_dc_rows
 
 
 def dense_hessian_reference(grid, u, p, eps=FLUX_EPS):
@@ -91,7 +92,7 @@ class TestDiscretePLaplacian:
         for i in range(u.size):
             e = np.zeros_like(u)
             e[i] = step
-            fd[i] = (phi.value(u + e) - phi.value(u - e)) / (2 * step)
+            fd[i] = (phi.values(u + e)[0] - phi.values(u - e)[0]) / (2 * step)
         rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
         assert rel <= 1e-6
 
@@ -110,6 +111,23 @@ class TestDiscretePLaplacian:
         rel = np.linalg.norm(fd - hess @ v) / np.linalg.norm(hess @ v)
         assert rel <= 1e-6
 
+    def test_energy_gradient_and_hessian_read_one_eps(self, monkeypatch, rng):
+        # a FLUX_EPS set at run time reaches all three maps: with three
+        # zero-gradient faces, where eps sets the flux slope eps^(p-2), a
+        # gradient at eps = 1e-12 is off from H v by a relative 40 here
+        monkeypatch.setattr(fraflow.plaplace, "FLUX_EPS", 1e-2)
+        grid, p = Grid(1, 8), 1.5
+        phi = PDirichletEnergy(grid, p)
+        u = np.array([0.3, 0.3, 0.5, 0.5, 0.9, 0.9, 0.2, 0.1])
+        hess = banded_to_dense(phi._hess(u))
+        v = rng.standard_normal(grid.npoints)
+        step = 1e-6
+        fd = (phi.gradient(u + step * v) - phi.gradient(u - step * v)) / (2 * step)
+        assert np.linalg.norm(fd - hess @ v) / np.linalg.norm(hess @ v) <= 1e-6
+        # the H-gradient is the derivative of the energy at that eps too
+        slope = (phi.values(u + step * v)[0] - phi.values(u - step * v)[0]) / (2 * step)
+        assert slope == pytest.approx(grid.space.row_inner(phi.gradient(u), v)[0], rel=1e-6)
+
     def test_flux_regularization_insensitivity(self, rng):
         # eps enters only through (g^2 + eps^2)^{(p-2)/2}: results for
         # p < 2 must be stable under eps -> 100 eps at nonzero gradients
@@ -123,20 +141,20 @@ class TestDiscretePLaplacian:
 class TestEnergies:
     def test_zero_states(self):
         g = Grid(1, 4)
-        assert PDirichletEnergy(g, 3.0).value(np.zeros(4)) == pytest.approx(0.0, abs=1e-15)
-        assert PowerPotential(g.space, 4.0).value(np.zeros(4)) == pytest.approx(0.0)
+        assert PDirichletEnergy(g, 3.0).values(np.zeros(4))[0] == pytest.approx(0.0, abs=1e-15)
+        assert PowerPotential(g.space, 4.0).values(np.zeros(4))[0] == pytest.approx(0.0)
 
     def test_dirichlet_energy_fixture(self):
         # hand evaluation, frozen: m=2, h=1/3, w=(1,1), p=2; faces carry
         # gradients (3, 0, -3), so phi1 = (h/p) * (9 + 0 + 9) = 3
         g = Grid(1, 2)
-        assert PDirichletEnergy(g, 2.0).value(np.ones(2)) == pytest.approx(3.0, rel=1e-12)
+        assert PDirichletEnergy(g, 2.0).values(np.ones(2))[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_q2_potential_is_quadratic_norm(self, rng):
         g = Grid(1, 8)
         w = rng.standard_normal(8)
         phi2 = PowerPotential(g.space, 2.0)
-        assert phi2.value(w) == pytest.approx(0.5 * g.space.inner(w, w))
+        assert phi2.values(w)[0] == pytest.approx(0.5 * g.space.row_inner(w, w)[0])
 
     @pytest.mark.parametrize("dim,m", [(1, 8), (2, 6)])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -265,6 +283,57 @@ class TestExperiments:
         assert row["verdict"] == "completed"
         assert row["m"] == 8
         assert row["t_star"] == ""
+
+
+# the largest error of the sine-mode coefficient against E_alpha(-lam1^h t^alpha)
+# at 33 nodes (alpha = 0.5, T = 1, amplitude 1), measured at N = 128, 512,
+# 2048: 1D at m = 16, 2D at m = 8.  The bounds add 25%
+SINE_MODE_ERRORS = {1: (1.935e-2, 4.056e-3, 9.49e-4), 2: (1.241e-2, 2.544e-3, 5.98e-4)}
+
+
+@functools.cache
+def sine_mode_solution(grid):
+    """E_0.5(-lam1^h t^0.5) at the nodes t = k/32: the coefficient of the
+    sine mode, which is an eigenvector of the discrete Dirichlet Laplacian
+    (the p = 2 H-gradient, exactly) with eigenvalue lam1^h."""
+    lam1 = grid.dim * 4.0 / grid.h**2 * np.sin(np.pi * grid.h / 2.0) ** 2
+    return np.array([1.0] + [mittag_leffler(0.5, -lam1 * (k / 32) ** 0.5) for k in range(1, 33)])
+
+
+def sine_mode_errors(grid, steps, amplitudes):
+    """Per unit amplitude, the largest error of the sine-mode coefficient
+    against its exact solution at the nodes t = k/32, and the largest part
+    of the states off the mode, for each row of a batch through the
+    stepped path (a batch of one through ``solve_dc_flow``)."""
+    exact = sine_mode_solution(grid)
+    mode = initial_profile(grid, "sine", 1.0)
+    phi1, pair, time_grid = PDirichletEnergy(grid, 2.0), rl_pair(0.5), TimeGrid(1.0, steps)
+    specs = [ProblemSpec(phi1, None, pair, a * mode, None, time_grid) for a in amplitudes]
+    trajs = [solve_dc_flow(specs[0])] if len(specs) == 1 else solve_dc_rows(specs)
+    out = []
+    for a, traj in zip(amplitudes, trajs):
+        states = traj.states[:: steps // 32]
+        coeff = states @ mode / (mode @ mode)
+        out.append((np.max(np.abs(coeff / a - exact)), np.max(np.abs(states - coeff[:, None] * mode)) / a))
+    return out
+
+
+@pytest.mark.parametrize("dim, m", [(1, 16), (2, 8)])
+def test_the_p2_sine_mode_follows_its_mittag_leffler_solution(dim, m):
+    # p = 2 without a phi2 through the stepped path: the error falls at
+    # first order, the states stay on the mode, and a batch of amplitudes
+    # has one error per unit amplitude
+    grid, errors = Grid(dim, m), []
+    for steps, measured in zip((128, 512, 2048), SINE_MODE_ERRORS[dim]):
+        ((error, off_mode),) = sine_mode_errors(grid, steps, (1.0,))
+        assert error <= 1.25 * measured
+        assert off_mode <= 1e-14
+        errors.append(error)
+    # measured: 1.05 (1D) and 1.04 (2D)
+    assert np.log(errors[1] / errors[2]) / np.log(4.0) >= 0.9
+    for error, off_mode in sine_mode_errors(grid, 512, (1.0, 0.5, 3.0)):
+        assert error == pytest.approx(errors[1], rel=1e-9)
+        assert off_mode <= 1e-14
 
 
 class TestBatchedExperiments:

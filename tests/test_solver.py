@@ -64,7 +64,7 @@ class TestScalarFlow:
             xi = traj.xi[j]
             for _ in range(20):
                 probe = u + rng.standard_normal(1)
-                gap = phi.value(probe) - phi.value(u) - phi.space.inner(xi, probe - u)
+                gap = phi.values(probe)[0] - phi.values(u)[0] - phi.space.row_inner(xi, probe - u)[0]
                 assert gap >= -1e-9
 
     def test_rejects_infinite_initial_energy(self):
@@ -210,6 +210,34 @@ class TestCoupledMode:
         run_experiments(specs, SolverConfig(yosida_lam=0.1, coupling="coupled"))
         assert len(hits) > 256 and sum(hits) > 256
 
+    def test_each_step_starts_at_the_last_picard_result(self, monkeypatch):
+        # where every row converged in the same Picard iteration (always, in
+        # a batch of one), the next step's first resolvent starts at that
+        # iteration's result itself and finds its gradient in the memo:
+        # every main-step start but the first, at u0, hits
+        start_gradient = fraflow.convex.SmoothFunctional._start_gradient
+        picard = fraflow.solver._picard
+        inside, hits = [False], {False: [], True: []}
+
+        def counting(phi, start):
+            grad = start_gradient(phi, start)
+            hits[inside[0]].append(phi._memo is not None and grad is phi._memo[2])
+            return grad
+
+        def marked(*args):
+            inside[0] = True
+            try:
+                return picard(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(fraflow.convex.SmoothFunctional, "_start_gradient", counting)
+        monkeypatch.setattr(fraflow.solver, "_picard", marked)
+        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), amplitude=2.0, steps=256)
+        run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled"))
+        assert len(hits[False]) == 256 and sum(hits[False]) == 255
+        assert sum(hits[True]) == len(hits[True]) == 864
+
     class SteepRate(PowerPotential):
         """A phi2 whose Yosida rate is -1000 w, far steeper than the 1/lam that kappa assumes."""
 
@@ -244,7 +272,7 @@ class TestBlowUp:
     class StallingPower(PowerPotential):
         """A phi2 whose resolvent stalls once the state reaches 10."""
 
-        def prox(self, w, lam, tol=1e-10):
+        def prox(self, w, lam, tol=1e-10, start=None):
             if np.max(np.abs(w)) >= 10.0:
                 raise ProxNonconvergence(1.0, 200)
             return super().prox(w, lam, tol=tol)
@@ -420,7 +448,7 @@ class RaisingQuadratic(Quadratic):
         super().__init__(space)
         self.at, self.exc = at, exc
 
-    def prox(self, w, lam, tol=1e-10):
+    def prox(self, w, lam, tol=1e-10, start=None):
         if np.max(np.abs(w)) >= self.at:
             raise self.exc
         return super().prox(w, lam, tol=tol)
@@ -433,7 +461,7 @@ class NanOnStep(Quadratic):
         super().__init__(space)
         self.step, self.calls = step, 0
 
-    def prox(self, w, lam, tol=1e-10):
+    def prox(self, w, lam, tol=1e-10, start=None):
         self.calls += 1
         z = super().prox(w, lam, tol=tol)
         return np.full_like(z, np.nan) if self.calls == self.step else z
@@ -932,6 +960,10 @@ class TestBatchedRows:
         assert isinstance(stalled, ProxNonconvergence)
         with pytest.raises(ProxNonconvergence):
             solve_dc_flow(specs[1], config)
+        # the step the rows took one by one is bitwise the single run's
+        alone = solve_dc_flow(specs[0], config)
+        for name in ("states", "xi", "eta", "envelope2", "residuals"):
+            assert getattr(small, name).tobytes() == getattr(alone, name).tobytes(), name
 
     @pytest.mark.parametrize("keep", [True, False])
     def test_interleaved_phi2_rows_are_their_single_runs(self, keep):
