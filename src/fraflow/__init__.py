@@ -12,9 +12,9 @@ oracle in ``certify``, so that no ``fraflow`` command loads it.  No module
 imports ``scipy.special``: the Gamma values of the kernel constants and of
 the oracle's series come from ``kernels._log_gamma``, a port of the routine
 behind ``scipy.special.gammaln``.  No module imports ``scipy.linalg``
-either (about 0.25 s): the banded Cholesky solves of the Newton resolvent
-call LAPACK ``dptsv``/``dpbsv`` from scipy's compiled ``_flapack``
-extension, which ``convex`` loads from its file.  No module imports
+either (about 0.25 s): the banded Cholesky solves of the resolvents call
+LAPACK ``dpttrf``/``dpttrs`` and ``dpbtrf``/``dpbtrs`` from scipy's
+compiled ``_flapack`` extension, which ``convex`` loads from its file.  No module imports
 ``jsonschema`` (about 0.07 s with its dependencies): ``cli`` checks a config
 with a small checker that interprets the shipped ``config_schema.json`` and
 reports the message ``jsonschema`` would; ``jsonschema`` is the reference of

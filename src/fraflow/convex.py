@@ -24,6 +24,12 @@ included.  Every row comes out bitwise as it does when passed alone: the
 per-row inner products of a stack take one BLAS dot per row, the sum
 ``np.vdot`` takes.
 
+A :class:`SmoothFunctional` solves its resolvent by damped Newton with a
+banded Hessian.  A ``linear`` one (a quadratic energy, such as the
+p-Dirichlet energy at p = 2) has a fixed Hessian A, and its resolvent is
+one band solve with no Newton iteration: I/lam + A is factored once per
+lam and every call back-substitutes all its rows in one LAPACK call.
+
 A :class:`PowerPotential` may carry one exponent per row, and
 :func:`yosida_rows` evaluates a batch whose rows belong to several
 functionals: the rows of all plain power potentials in one ``yosida``
@@ -216,36 +222,70 @@ def _scipy_flapack():
     return module
 
 
-# dptsv and dpbsv, the LAPACK routines scipy.linalg.solveh_banded(...,
-# lower=True) calls.  Importing scipy.linalg for them would add about
-# 0.25 s to every command's start (mostly scipy's array_api_compat cloning
-# the numpy namespace).  They are the routines get_lapack_funcs(("ptsv",
-# "pbsv"), dtype=float64) returns, so every solve is bit for bit the same
+# the banded Cholesky routines of scipy.linalg.solveh_banded(..., lower=True).
+# Importing scipy.linalg for them would add about 0.25 s to every
+# command's start (mostly scipy's array_api_compat cloning the numpy
+# namespace).  They are the routines get_lapack_funcs returns for float64
 _FLAPACK = _scipy_flapack()
-_PTSV, _PBSV = _FLAPACK.dptsv, _FLAPACK.dpbsv
+
+
+def _require_finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+class _BandCholesky:
+    """The Cholesky factorization of a symmetric positive definite band matrix.
+
+    ``ab`` holds the matrix in lower banded storage, ``ab[k, i] = A[i + k,
+    i]`` (the layout of ``scipy.linalg.solveh_banded(..., lower=True)``).
+    A band of 2 rows (tridiagonal) is factored by ``pttrf``, a wider one
+    by ``pbtrf``; ``solve(b)`` back-substitutes every column of ``b`` (an
+    n-vector or an (n, k) array) in one ``pttrs`` or ``pbtrs`` call.  The
+    columns do not mix, so each comes out bitwise as when solved alone,
+    and a factorization followed by one solve is bitwise the ``ptsv`` or
+    ``pbsv`` call that ``solveh_banded`` makes (those routines are the
+    factorization followed by the solve).  A non-finite entry of ``ab`` or
+    ``b`` raises ValueError, a band that is not positive definite
+    LinAlgError, with scipy's messages.
+    """
+
+    def __init__(self, ab):
+        _require_finite(ab)
+        self._pt = len(ab) == 2
+        if self._pt:
+            d, e, info = _FLAPACK.dpttrf(ab[0], ab[1, :-1])
+            self._factor = (d, e)
+        else:
+            c, info = _FLAPACK.dpbtrf(ab, lower=1)
+            self._factor = (c,)
+        self._check(info, "trf")
+
+    def _check(self, info, step):
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal {'pt' if self._pt else 'pb'}{step}")
+
+    def solve(self, b):
+        _require_finite(b)
+        if self._pt:
+            x, info = _FLAPACK.dpttrs(*self._factor, b)
+        else:
+            x, info = _FLAPACK.dpbtrs(*self._factor, b, lower=1)
+        self._check(info, "trs")
+        return x
 
 
 def _solveh_banded(ab, b):
-    """``scipy.linalg.solveh_banded(ab, b, lower=True)`` for float64 arrays.
-
-    The same LAPACK call (``ptsv`` on a band of 2 rows, ``pbsv``
-    otherwise), the same finite check and the same errors, without the
-    wrapper's per-call input validation.
-    """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if len(ab) == 2:
-        _, _, x, info = _PTSV(ab[0], ab[1, :-1], b)
-    else:
-        _, x, info = _PBSV(ab, b, lower=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
-    return x
+    """``scipy.linalg.solveh_banded(ab, b, lower=True)`` for float64 arrays:
+    bitwise the same solution, the same finite check and the same errors,
+    without the wrapper's per-call input validation."""
+    _require_finite(b)  # before the factorization, as solveh_banded checks
+    return _BandCholesky(ab).solve(b)
 
 
-PROX_MAX_ITER = 100  # the Newton budget of SmoothFunctional.prox, read at each call
+PROX_MAX_ITER = 100  # the Newton budget of SmoothFunctional._newton, read at each call
 
 
 class SmoothFunctional(Functional):
@@ -258,39 +298,55 @@ class SmoothFunctional(Functional):
     banded storage of the block-diagonal (R dim)-square matrix,
     ``ab[k, i] = H[i + k, i]`` (the layout of
     ``scipy.linalg.solveh_banded``), with no coupling between the blocks
-    of two rows.  The prox adds ``1/lam`` to row 0 in place and factors
-    H + I/lam by banded Cholesky, so that sum must be positive definite.
-    The solve calls LAPACK directly, as ``solveh_banded(lower=True)``
-    does: ``ptsv`` on the tridiagonal band of a 1D grid, ``pbsv`` on a
-    wider one.  Both come from scipy's compiled ``_flapack`` extension,
-    loaded without importing ``scipy.linalg``, which would add about
-    0.25 s to every command's start.  ``ptsv`` factors all rows in one
-    call; ``pbsv`` factors one row block per call, since its blocking
-    would move the last bits of a stacked solve.  When the factorization
-    fails, each row is solved alone and a row that still fails takes a
-    gradient step.  The resolvent runs a damped Newton iteration on the
+    of two rows.  The resolvent adds ``1/lam`` to row 0 and factors
+    H + I/lam by banded Cholesky (:class:`_BandCholesky`), so that sum
+    must be positive definite.  The factorization calls LAPACK directly,
+    as ``solveh_banded(lower=True)`` does: ``pttrf`` on the tridiagonal
+    band of a 1D grid, ``pbtrf`` on a wider one.  Both come from scipy's
+    compiled ``_flapack`` extension, loaded without importing
+    ``scipy.linalg``, which would add about 0.25 s to every command's
+    start.
+
+    A ``linear`` functional has a linear gradient, u -> A u, so its
+    Hessian is the one band A at every state (the p-Dirichlet energy at
+    p = 2).  Its resolvent is the linear system (I/lam + A) z = w/lam,
+    with no Newton iteration: ``prox`` assembles A once, as ``hess_fn`` at
+    the zero state, factors I/lam + A once per lam (a one-entry cache, as
+    the stepper calls it with one lam) and back-substitutes all rows of
+    ``w`` in one LAPACK call, each row bitwise as when solved alone.  Its
+    ``_newton`` is the damped Newton resolvent below, which agrees with
+    that solve to rounding.
+
+    Otherwise the resolvent runs a damped Newton iteration on the
     optimality system; the prox objective is strongly convex, so the
-    iteration is safe at any lam > 0.  Each row stops at its own iterate
-    and backtracks on its own step length, so a row comes out bitwise as
-    it does when solved alone.
+    iteration is safe at any lam > 0.  ``pttrf`` factors all rows in one
+    call; ``pbtrf`` one row block per call, since its blocking would move
+    the last bits of a stacked solve.  When the factorization fails, each
+    row is solved alone and a row that still fails takes a gradient step.
+    Each row stops at its own iterate and backtracks on its own step
+    length, so a row comes out bitwise as it does when solved alone.
 
     ``prox`` takes an optional ``start``, shaped as ``w`` (the stepper
-    passes the previous states, or the Picard iterate in coupled mode).
-    Each row then starts Newton at whichever of its target w and its start
-    has the smaller optimality residual, w on a tie, and iterates from
-    there as without a start.  The residual at the start is free when the
-    start is the previous call's result: the functional keeps that result,
-    its bytes and its gradient at it (a one-entry memo), and a start that
-    is the same array with the same bytes takes that gradient.  Any other
-    start takes one gradient call, with the same bits.
+    passes the previous states, or the Picard iterate in coupled mode),
+    which the linear resolvent ignores.  Newton starts each row at
+    whichever of its target w and its start has the smaller optimality
+    residual, w on a tie, and iterates from there as without a start.  The
+    residual at the start is free when the start is the previous call's
+    result: the functional keeps that result, its bytes and its gradient
+    at it (a one-entry memo), and a start that is the same array with the
+    same bytes takes that gradient.  Any other start takes one gradient
+    call, with the same bits.
     """
 
-    def __init__(self, space, value_fn, grad_fn, hess_fn):
+    def __init__(self, space, value_fn, grad_fn, hess_fn, linear=False):
         super().__init__(space)
         self._value = value_fn
         self._grad = grad_fn
         self._hess = hess_fn
-        self._memo = None  # the last result of prox, its bytes and its gradient
+        self._linear = linear
+        self._band = None  # A of a linear functional, once assembled
+        self._factor = None  # lam and the factorization of I/lam + A at it
+        self._memo = None  # the last result of Newton, its bytes and its gradient
 
     def values(self, w):
         rows = self.space.rows(np.asarray(w, dtype=np.float64))
@@ -304,12 +360,12 @@ class SmoothFunctional(Functional):
         """Newton steps of the rows x; a gradient step where the Hessian does not factor."""
         jac = self._hess(x)
         jac[0] += 1.0 / lam
-        if len(jac) == 2:  # a tridiagonal band: every row in one ptsv call
+        if len(jac) == 2:  # a tridiagonal band: every row in one factorization
             try:
                 return _solveh_banded(jac, -res.ravel()).reshape(x.shape)
             except np.linalg.LinAlgError:
                 pass
-        # one row block at a time: on a wide band, where pbsv's blocking
+        # one row block at a time: on a wide band, where pbtrf's blocking
         # would move the last bits of a stacked solve, and to find the rows
         # that do not factor, which keep their gradient step
         n = x.shape[1]
@@ -335,6 +391,20 @@ class SmoothFunctional(Functional):
         return z
 
     def prox(self, w, lam, tol=1e-10, start=None):
+        if not self._linear:
+            return self._newton(w, lam, tol, start)
+        w = np.asarray(w, dtype=np.float64)
+        if self._factor is None or self._factor[0] != lam:
+            if self._band is None:
+                self._band = self._hess(np.zeros((1, self.space.dim)))
+            ab = self._band.copy()
+            ab[0] += 1.0 / lam
+            self._factor = (lam, _BandCholesky(ab))
+        # the rows are the columns of one right-hand side
+        return self._factor[1].solve((self.space.rows(w) / lam).T).T.reshape(w.shape)
+
+    def _newton(self, w, lam, tol=1e-10, start=None):
+        """The damped Newton resolvent, with ``prox``'s signature."""
         w = np.asarray(w, dtype=np.float64)
         max_iter = PROX_MAX_ITER
         space = self.space

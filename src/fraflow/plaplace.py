@@ -7,6 +7,11 @@ differences, flux (|g|^2 + eps^2)^{(p-2)/2} g with eps = 1e-12 (keeps the
 flux finite at zero gradient for p < 2; a documented deviation from the
 exact subdifferential).  The energy uses the same regularization, so the
 negative discrete p-Laplacian is exactly the H-gradient of the energy.
+Its resolvent is damped Newton with the banded p-Dirichlet Hessian, except
+at p = 2: there the flux is the face gradient itself, the Hessian is the
+fixed matrix B^T B / h^2, and the resolvent is one band factorization per
+lam with one back-substitution of all rows per step, with no Newton
+iteration.
 
 Exponent arithmetic is exact rational (fractions.Fraction): the critical
 exponents and the interpolation balance are compared symbolically, so the
@@ -116,19 +121,20 @@ def discrete_p_laplacian(grid, u, p, eps=FLUX_EPS):
 
 
 class PDirichletEnergy(SmoothFunctional):
-    """phi1(w) = (1/p) sum_faces h^dim |grad w|^p (eps-regularized)."""
+    """phi1(w) = (1/p) sum_faces h^dim |grad w|^p (eps-regularized).
+
+    At p = 2 the flux is the face gradient itself and ``_face_weight`` is
+    exactly 1.0, so the gradient is linear and the Hessian is the fixed
+    matrix B^T B / h^2: the functional is ``linear`` and its resolvent is
+    one band solve, factored once per lam (see :class:`SmoothFunctional`).
+    """
 
     def __init__(self, grid, p):
         if not p > 1:
             raise ValueError(f"exponent must exceed 1, got {p}")
         self.grid = grid
         self.p = p
-        super().__init__(
-            grid.space,
-            self._energy,
-            self._grad_h,
-            self._hess_h,
-        )
+        super().__init__(grid.space, self._energy, self._grad_h, self._hess_h, linear=p == 2)
 
     def _energy(self, u):
         cell = self.grid.h**self.grid.dim

@@ -24,7 +24,8 @@ The step loop ``_solve_loop`` is the one place that evaluates phi2: one
 ``yosida`` call gives the rate and the envelope phi2_lam.  Every resolvent
 is called as ``prox(w, lam, tol, start)``, with the previous state, or in
 coupled mode the Picard iterate, as its start: the damped Newton resolvent
-(``convex.SmoothFunctional``) starts from it, a closed form ignores it.
+(``convex.SmoothFunctional``) starts from it, a closed form or a band
+solve (the p-Dirichlet energy at p = 2) ignores it.
 
 The coupled step is the fixed point of the Picard map
 u -> J_mu(b + mu A_lam(u)), which contracts with factor kappa = mu/lam
@@ -87,7 +88,9 @@ class ProblemSpec:
     """Cauchy data of the flow: energies, kernel pair, u0, forcing, grid.
 
     ``phi2`` may be None (no concave part).  ``forcing`` is None (no
-    forcing) or a callable t -> state.
+    forcing) or a callable t -> state.  ``phi1_u0`` is phi1(u0), one
+    value, which the domain check computes and the solve reads as its
+    energy at node 0.
     """
 
     phi1: object
@@ -101,7 +104,8 @@ class ProblemSpec:
         self.u0 = np.asarray(self.u0, dtype=np.float64)
         if not np.all(np.isfinite(self.u0)):
             raise ValueError("initial state must be finite")
-        if not np.isfinite(self.phi1.values(self.u0)).all():
+        self.phi1_u0 = self.phi1.values(self.u0)
+        if not np.isfinite(self.phi1_u0).all():
             raise ValueError("initial state must lie in the effective domain of phi1")
 
     def forcing_path(self):
@@ -325,7 +329,7 @@ class _Batch:
     and ``_solve_linear``.
     """
 
-    def __init__(self, spec, config, forcing_path, u0s, keep_trajectory):
+    def __init__(self, spec, config, forcing_path, u0s, phi1_u0s, keep_trajectory):
         n, rows = spec.grid.steps, len(u0s)
         self.spec, self.config, self.forcing_path, self.u0s, self.keep = spec, config, forcing_path, u0s, keep_trajectory
         self.omega, self.denom, self.mu = _step_weights(spec.pair, spec.grid, config.visc)
@@ -336,7 +340,7 @@ class _Batch:
             self.states, self.xi, self.eta = (np.zeros((n + 1,) + u0s.shape) for _ in range(3))
             self.states[0] = u0s
         self.norms[0] = self.space.row_norms(u0s)
-        self.energy1[0] = spec.phi1.values(u0s)
+        self.energy1[0] = phi1_u0s
         self.e_t = self.energy1[0] + _forcing_sup(spec, forcing_path)
         self.outcomes = [None] * rows
 
@@ -375,9 +379,10 @@ class _Batch:
             self.outcomes[r] = exc
 
 
-def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
+def _solve_loop(spec, config, forcing_path, u0s, phi1_u0s, phi2s, keep_trajectory):
     """Shared stepping core: march the initial states ``u0s`` (stacked
-    along axis 0) as one batch of rows against ``forcing_path``.
+    along axis 0), whose energies phi1 are ``phi1_u0s``, as one batch of
+    rows against ``forcing_path``.
 
     Row r's phi2 is ``phi2s[r]`` (``spec.phi2`` is not read), evaluated
     here and nowhere else, through ``convex.yosida_rows``: its Yosida rate
@@ -404,7 +409,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     if coupled:
         check_coupling(config, spec.pair, grid)
 
-    batch = _Batch(spec, config, forcing_path, u0s, keep_trajectory)
+    batch = _Batch(spec, config, forcing_path, u0s, phi1_u0s, keep_trajectory)
     omega, denom, mu, envelope2 = batch.omega, batch.denom, batch.mu, batch.envelope2
     live = np.arange(rows)  # the rows still marching
     try:
@@ -521,7 +526,7 @@ def _solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     return batch.outcomes
 
 
-def _solve_linear(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
+def _solve_linear(spec, config, forcing_path, u0s, phi1_u0s, phi2s, keep_trajectory):
     """``_solve_loop`` for rows without a phi2 (``phi2s`` are all None)
     whose phi1 is exactly a ``Quadratic``: one Toeplitz solve for the
     whole path of every row.
@@ -530,7 +535,7 @@ def _solve_linear(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
     step data (by the rule of ``_Batch.fail``), read off the path; its
     input is zeroed from a non-finite node on, as one NaN would spoil the
     whole transform.  xi = u is stored as the step data (1 + mu) u."""
-    batch = _Batch(spec, config, forcing_path, u0s, keep_trajectory)
+    batch = _Batch(spec, config, forcing_path, u0s, phi1_u0s, keep_trajectory)
     n, rows, size = spec.grid.steps, len(u0s), u0s[0].size
     column = np.concatenate([[batch.denom * (1.0 + batch.mu)], np.diff(batch.omega[:n])])
     column[1:2] -= config.visc  # a one-step grid has no c_1
@@ -593,12 +598,13 @@ def solve_dc_rows(specs, config=None, keep_trajectory=True):
         raise ValueError("the rows of a batch must share everything but u0 and phi2, and have a phi2 all or none")
     forcing_path = first.forcing_path()
     u0s = np.stack([spec.u0 for spec in specs])
+    phi1_u0s = np.concatenate([spec.phi1_u0 for spec in specs])
     per_row = (4 if keep_trajectory else 1) * (first.grid.steps + 1) * first.u0.size * u0s.itemsize
     chunk = max(1, BATCH_BYTES // per_row)
+    solve = _solve_linear if phi2s[0] is None and type(first.phi1) is Quadratic else _solve_loop
     for lo in range(0, len(specs), chunk):
-        rows, phis = u0s[lo : lo + chunk], phi2s[lo : lo + chunk]
-        solve = _solve_linear if phis[0] is None and type(first.phi1) is Quadratic else _solve_loop
-        yield from solve(first, config, forcing_path, rows, phis, keep_trajectory)
+        at = slice(lo, lo + chunk)
+        yield from solve(first, config, forcing_path, u0s[at], phi1_u0s[at], phi2s[at], keep_trajectory)
 
 
 def solve_dc_flow(spec, config=None):

@@ -732,9 +732,9 @@ class TestSweepCommand:
         batches = []
         solve_loop = fraflow.solver._solve_loop
 
-        def recording(spec, config, forcing_path, u0s, phi2s, keep_trajectory):
+        def recording(spec, config, forcing_path, u0s, phi1_u0s, phi2s, keep_trajectory):
             batches.append((len(u0s), sorted({phi2.q for phi2 in phi2s}), keep_trajectory))
-            outcomes = solve_loop(spec, config, forcing_path, u0s, phi2s, keep_trajectory)
+            outcomes = solve_loop(spec, config, forcing_path, u0s, phi1_u0s, phi2s, keep_trajectory)
             assert all(outcome.states is None for outcome in outcomes if isinstance(outcome, Trajectory))
             return outcomes
 
@@ -769,7 +769,7 @@ class TestSweepCommand:
         assert csv["2"] == csv["1"]
         assert "error: ProxNonconvergence" in csv["2"]
 
-    def test_regime_diagram_preset(self, tmp_path, take_the_cold_route):
+    def test_regime_diagram_preset(self, tmp_path, take_the_newton_route, take_the_cold_route):
         out = tmp_path / "out"
         assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(out)]) == EXIT_OK
         lines = (out / "sweep.csv").read_text().splitlines()
@@ -789,6 +789,13 @@ class TestSweepCommand:
             5.0: [False] * 3 + [True] * 3,
         }
         digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        # p = 2: the resolvent is one band solve, and the Newton route keeps
+        # the bytes pinned before it
+        assert digest == "474844d1f26626a6af43b28d439579b67beb3d992af2b801bd43e4ac238d078e"
+        take_the_newton_route()
+        newton = tmp_path / "newton"
+        assert main(["sweep", "--preset", "regime-diagram", "--jobs", "1", "--out", str(newton)]) == EXIT_OK
+        digest = hashlib.sha256((newton / "sweep.csv").read_bytes()).hexdigest()
         assert digest == "2cc0ba9684c388776a410409305c2f6b5b2305aa61a4f0dcfa1084e45aec04aa"
         # the bytes the row-by-row solver wrote, which the cold route keeps:
         # solving each (alpha, q) group as one batch changes no digit
@@ -935,8 +942,8 @@ class TestKernelsCommand:
 # loaded only where they are used: scipy.signal (about 0.6 s and 24 MB),
 # scipy.integrate (about 0.25 s, with scipy.optimize behind it),
 # scipy.special (about 0.07 s, replaced by the in-tree log-gamma),
-# scipy.linalg (about 0.25 s; the Newton steps take LAPACK ptsv/pbsv from
-# scipy's compiled _flapack directly) and jsonschema (about 0.07 s; the
+# scipy.linalg (about 0.25 s; the resolvents take LAPACK's banded Cholesky
+# routines from scipy's compiled _flapack directly) and jsonschema (about 0.07 s; the
 # config check is in-tree) by no command, mpmath by the Mittag-Leffler
 # oracle alone, concurrent.futures (about 5 ms with logging) by the
 # process pool of a sweep with --jobs > 1 alone
@@ -1068,9 +1075,11 @@ def test_commands_run_without_jsonschema(tmp_path):
 # the benchmark's three workloads at its full sizes with fixed inputs, and
 # the sha256 of every output they write; scalar-stepped is the scalar
 # workload on the stepped reference path, which keeps the digests it had
-# before the linear solve, and plaplace-2d-cold and sweep-cold are the
-# p-Laplace workloads on the cold route, which keeps the digests they had
-# before the warm-started resolvent and the direct far-field pass
+# before the linear solve, sweep-newton is the sweep (p = 2) with its
+# resolvent on the Newton route, which keeps the digest it had before the
+# band solve, and plaplace-2d-cold and sweep-cold are the p-Laplace
+# workloads on the cold route, which keeps the digests they had before the
+# warm-started resolvent and the direct far-field pass
 BENCHMARK_PINS = {
     "scalar": {
         "solve/chain_rule.json": "60b5ee0166c421589e86e52e3807107d1181e29c999ced5d5217cdf4d8883e4e",
@@ -1099,6 +1108,9 @@ BENCHMARK_PINS = {
         "solve/trajectory.csv": "c0a0de210da8856dbe519f93eb0bca1c0baa74ea563968c7089fbd5625dcd874",
     },
     "sweep": {
+        "sweep/sweep.csv": "4df0d094ec05314fda4bc2dfa07d8c9868d6e295dd5e6998161d3de17f7a9dcc",
+    },
+    "sweep-newton": {
         "sweep/sweep.csv": "6883d5af41e1282bd9c4c0f842af114b5c6822ac37dc4eda8703c5dd5cc19c3f",
     },
     "sweep-cold": {
@@ -1113,7 +1125,7 @@ def take_the_stepped_route(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_PINS))
-def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch, take_the_cold_route):
+def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch, take_the_cold_route, take_the_newton_route):
     # scalar: N = 16384 solve and certify of its dump; plaplace-2d: p = 3,
     # q = 4, m = 20, N = 64; sweep: 18 rows at m = 32, N = 512, which reach
     # the history's far field at N = HISTORY_BLOCK
@@ -1123,6 +1135,8 @@ def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch, take_the_cold_
         take_the_stepped_route(monkeypatch)
     if workload.endswith("-cold"):
         take_the_cold_route()
+    if workload.endswith("-newton"):
+        take_the_newton_route()
     if workload.startswith("scalar"):
         problem = {"kind": "scalar-quadratic", "u0": 1.25}
         solve = {"mode": "solve", "problem": problem, "kernel": {"alpha": 0.5}, "grid": grid, "chain_rule_slack": 0.5}
@@ -1142,7 +1156,7 @@ def test_benchmark_outputs_bytes(tmp_path, workload, monkeypatch, take_the_cold_
     assert digests == BENCHMARK_PINS[workload]
 
 
-def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatch, take_the_cold_route):
+def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatch, take_the_cold_route, take_the_newton_route):
     # the 18 rows of q = 3, 4 and 5 march as chunks of 15 and 3 rows; each
     # step of a chunk evaluates the phi2 of all its live rows in one
     # power_prox_abs call, next to the one phi1 resolvent of the step, and
@@ -1158,16 +1172,16 @@ def test_benchmark_sweep_takes_one_power_prox_call_per_step(tmp_path, monkeypatc
 
     monkeypatch.setattr(fraflow.convex, "power_prox_abs", counted("power", fraflow.convex.power_prox_abs))
     monkeypatch.setattr(fraflow.plaplace.PDirichletEnergy, "prox", counted("phi1", fraflow.plaplace.PDirichletEnergy.prox))
-    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch, take_the_cold_route)
+    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch, take_the_cold_route, take_the_newton_route)
     assert counts == {"power": 518 + 2, "phi1": 518}
 
 
-def test_benchmark_sweep_takes_one_history_sum_per_step(tmp_path, monkeypatch, take_the_cold_route):
+def test_benchmark_sweep_takes_one_history_sum_per_step(tmp_path, monkeypatch, take_the_cold_route, take_the_newton_route):
     # each step of a chunk (15 and 3 rows) sums the near field of all its
     # live rows in one l1_history call: 512 steps for the chunk of 15, 6
     # for the chunk of 3, whose rows all leave by node 6
     calls = []
     history = fraflow._accel.l1_history
     monkeypatch.setattr(fraflow._accel, "l1_history", lambda d, v, j: calls.append(j) or history(d, v, j))
-    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch, take_the_cold_route)
+    test_benchmark_outputs_bytes(tmp_path, "sweep", monkeypatch, take_the_cold_route, take_the_newton_route)
     assert len(calls) == 512 + 6

@@ -315,11 +315,19 @@ def counted_p_dirichlet(dim, m, p):
 
 class TestResolventWorkBudget:
     def test_p2_is_one_newton_step(self, rng):
-        # p = 2 is linear: one Hessian, the gradient at w and at the Newton
-        # iterate, and no objective
+        # p = 2 is linear: the Newton route takes one Hessian, the gradient
+        # at w and at the Newton iterate, and no objective
         phi, counts = counted_p_dirichlet(1, 16, 2.0)
-        phi.prox(rng.standard_normal(16), 0.5, tol=1e-10)
+        phi._newton(rng.standard_normal(16), 0.5, tol=1e-10)
         assert counts == {"value": 0, "grad": 2, "hess": 1}
+
+    def test_p2_is_one_band_solve(self, rng):
+        # the resolvent at p = 2 assembles A once, as the Hessian at zero,
+        # and takes no gradient and no value, whatever the lam
+        phi, counts = counted_p_dirichlet(1, 16, 2.0)
+        for lam in (0.5, 0.5, 0.25, 0.5):
+            phi.prox(rng.standard_normal((3, 16)), lam, start=rng.standard_normal((3, 16)))
+        assert counts == {"value": 0, "grad": 0, "hess": 1}
 
     def test_one_gradient_per_newton_iterate(self, rng):
         phi, counts = counted_p_dirichlet(1, 16, 3.0)
@@ -335,6 +343,45 @@ class TestResolventWorkBudget:
         assert counts["value"] > 0  # the full Newton step failed at least once
         res = (z - w) / lam + phi.gradient(z)
         assert phi.space.row_norms(res)[0] <= 1e-10 * (1.0 + phi.space.row_norms(w)[0] / lam)
+
+
+class TestLinearResolvent:
+    """At p = 2 the p-Dirichlet resolvent is one band solve, factored once
+    per lam; the damped Newton resolvent is its reference."""
+
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 16)])
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 3.0])
+    def test_agrees_with_the_newton_resolvent(self, dim, m, lam, rng):
+        phi = PDirichletEnergy(Grid(dim, m), 2.0)
+        w = 3.0 * rng.standard_normal((5, m**dim))
+        z, reference = phi.prox(w, lam), phi._newton(w, lam)
+        assert np.max(np.abs(z - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    # 2D at m = 16 and 20: stacks of right-hand sides on pbtrs, 1D on pttrs
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 16), (2, 20)])
+    def test_a_stack_is_bitwise_each_row_alone(self, dim, m, rng):
+        phi, lam = PDirichletEnergy(Grid(dim, m), 2.0), 0.05
+        w = rng.standard_normal((7, m**dim))
+        z = phi.prox(w, lam)
+        assert z.shape == w.shape
+        assert z.tobytes() == np.concatenate([phi.prox(row, lam)[None] for row in w]).tobytes()
+        one = phi.prox(w[0], lam)
+        assert one.shape == w[0].shape and one.tobytes() == z[0].tobytes()
+
+    @pytest.mark.parametrize("dim, routine", [(1, "dpttrf"), (2, "dpbtrf")])
+    def test_factors_once_per_lam(self, dim, routine, monkeypatch, rng):
+        calls = []
+        factor = getattr(fraflow.convex._FLAPACK, routine)
+        monkeypatch.setattr(fraflow.convex._FLAPACK, routine, lambda *args, **kwargs: calls.append(1) or factor(*args, **kwargs))
+        phi = PDirichletEnergy(Grid(dim, 8), 2.0)
+        for lam in (0.1, 0.1, 0.1, 0.2, 0.2, 0.1):
+            phi.prox(rng.standard_normal((2, 8**dim)), lam)
+        assert len(calls) == 3
+
+    def test_a_non_finite_target_raises_value_error(self):
+        phi = PDirichletEnergy(Grid(1, 8), 2.0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            phi.prox(np.full(8, np.nan), 0.1)
 
 
 class TestDirectBandedSolve:

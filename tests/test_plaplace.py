@@ -1,5 +1,6 @@
 import functools
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import fraflow.plaplace
 import fraflow.solver
 from fraflow.certify import check_chain_rule, mittag_leffler
+from fraflow.cli import _build_experiment, load_config
 from fraflow.convex import SmoothFunctional
 from fraflow.kernels import TimeGrid, rl_pair
 from fraflow.plaplace import (
@@ -319,10 +321,11 @@ def sine_mode_errors(grid, steps, amplitudes):
 
 
 @pytest.mark.parametrize("dim, m", [(1, 16), (2, 8)])
-def test_the_p2_sine_mode_follows_its_mittag_leffler_solution(dim, m):
+def test_the_p2_sine_mode_follows_its_mittag_leffler_solution(dim, m, take_the_newton_route):
     # p = 2 without a phi2 through the stepped path: the error falls at
-    # first order, the states stay on the mode, and a batch of amplitudes
-    # has one error per unit amplitude
+    # first order, the states stay on the mode, a batch of amplitudes has
+    # one error per unit amplitude, and the band solve's errors are those
+    # of the Newton resolvent
     grid, errors = Grid(dim, m), []
     for steps, measured in zip((128, 512, 2048), SINE_MODE_ERRORS[dim]):
         ((error, off_mode),) = sine_mode_errors(grid, steps, (1.0,))
@@ -334,6 +337,44 @@ def test_the_p2_sine_mode_follows_its_mittag_leffler_solution(dim, m):
     for error, off_mode in sine_mode_errors(grid, 512, (1.0, 0.5, 3.0)):
         assert error == pytest.approx(errors[1], rel=1e-9)
         assert off_mode <= 1e-14
+    take_the_newton_route()
+    for steps, error in zip((128, 512, 2048), errors):
+        ((reference, _),) = sine_mode_errors(grid, steps, (1.0,))
+        assert error == pytest.approx(reference, rel=1e-12)
+
+
+class TestTheP2BandSolve:
+    """At p = 2 the resolvent is one band solve; the damped Newton
+    resolvent, started as the stepper starts it (the Newton route), is its
+    reference."""
+
+    # the benchmark's sweep (m = 32, N = 512), and the regime-diagram preset
+    BENCHMARK_SWEEP = {
+        "mode": "sweep",
+        "problem": {"kind": "p-laplace", "p": 2.0, "dim": 1, "m": 32, "u0_profile": "sine"},
+        "kernel": {"alpha": 0.5},
+        "grid": {"horizon": 1.0, "steps": 512},
+        "sweep": {"qs": [3.0, 4.0, 5.0], "amplitudes": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]},
+    }
+
+    @pytest.mark.parametrize("sweep", ["benchmark", "regime-diagram"])
+    def test_sweep_rows_are_the_newton_rows(self, sweep, take_the_newton_route):
+        # every verdict and t_star identical, completed states within 1e-12
+        config = self.BENCHMARK_SWEEP if sweep == "benchmark" else load_config(preset=sweep)
+        base = _build_experiment(config)
+        assert base.p == 2.0
+        specs = [replace(base, q=q, amplitude=a) for q in config["sweep"]["qs"] for a in config["sweep"]["amplitudes"]]
+        got = run_experiments(specs, keep_trajectory=True)
+        take_the_newton_route()
+        reference = run_experiments(specs, keep_trajectory=True)
+        assert {r.verdict for r in reference} == {"completed", "blew_up"}
+        for g, r in zip(got, reference):
+            assert (g.verdict, g.t_star, g.e_t) == (r.verdict, r.t_star, r.e_t)
+            if r.verdict == "completed":
+                states = r.trajectory.states
+                assert np.max(np.abs(g.trajectory.states - states)) <= 1e-12 * np.max(np.abs(states))
+                assert g.final_norm == pytest.approx(r.final_norm, rel=1e-12)
+                assert g.sup_energy1 == pytest.approx(r.sup_energy1, rel=1e-12)
 
 
 class TestBatchedExperiments:
@@ -431,9 +472,11 @@ class TestLeanRows:
                 np.testing.assert_array_equal(got.norms, full.norms)
                 np.testing.assert_array_equal(got.energy1, full.energy1)
 
-    def test_kept_trajectories_are_unchanged(self, take_the_cold_route):
+    def test_kept_trajectories_are_unchanged(self, take_the_newton_route, take_the_cold_route):
         digests = []
-        for route in ("warm", "cold"):
+        for route in ("default", "newton", "cold"):
+            if route == "newton":
+                take_the_newton_route()
             if route == "cold":
                 take_the_cold_route()
             kept = run_experiments(self.specs(), keep_trajectory=True)
@@ -448,9 +491,14 @@ class TestLeanRows:
                     digest.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
                 assert np.max(traj.residuals) <= 1e-10
             digests.append(digest.hexdigest())
-        # the cold route keeps the bytes the solver wrote when every row
-        # stored its xi/eta path
-        assert digests == ["3fcc3a0a153eff8e3d972be58938e33211976758fa954e539a33ef3f4db108a0", "0232f9cf8b6da2c843b7c1616f729cb1c228c133dc0ae97e8b13d5e7fc37d27b"]
+        # the p = 2 resolvent is one band solve; the Newton route keeps the
+        # bytes pinned before it, and the cold route the bytes the solver
+        # wrote when every row stored its xi/eta path
+        assert digests == [
+            "f3256794bbb4b7147e25bbccf33cd4c138544deebecf83d08555cfedb8d209a7",
+            "3fcc3a0a153eff8e3d972be58938e33211976758fa954e539a33ef3f4db108a0",
+            "0232f9cf8b6da2c843b7c1616f729cb1c228c133dc0ae97e8b13d5e7fc37d27b",
+        ]
 
     def test_a_six_amplitude_sweep_group_is_one_batch(self, monkeypatch):
         # the regime-sweep benchmark's group size: m = 32, N = 512

@@ -163,14 +163,17 @@ class TestCoupledMode:
             run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled", max_picard=50))
         assert run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled", max_picard=200)).verdict == "completed"
 
-    def test_well_posed_outputs_are_pinned(self, take_the_cold_route):
+    def test_well_posed_outputs_are_pinned(self, take_the_newton_route, take_the_cold_route):
         # states and residuals of well-posed coupled runs (kappa = 0.055,
         # 0.007, 0.28 and 0.55), pinned bitwise: the Picard loop shares the
-        # semi-implicit step's Yosida evaluation.  The cold route keeps the
-        # digest pinned before the p-Laplace resolvent started from the
-        # Picard iterate
+        # semi-implicit step's Yosida evaluation.  The p = 2 resolvent is one
+        # band solve; the Newton route keeps the digest pinned before, and
+        # the cold route the one pinned before the p-Laplace resolvent
+        # started from the Picard iterate
         digests = []
-        for route in ("warm", "cold"):
+        for route in ("default", "newton", "cold"):
+            if route == "newton":
+                take_the_newton_route()
             if route == "cold":
                 take_the_cold_route()
             digest = hashlib.sha256()
@@ -185,7 +188,11 @@ class TestCoupledMode:
                 digest.update(result.trajectory.states.tobytes())
                 digest.update(result.trajectory.residuals.tobytes())
             digests.append(digest.hexdigest())
-        assert digests == ["53ed453ca278c22179c6550e4f1a5c0cffece6475c40bb1859392b3e6f6c9a7f", "cad28572cdec34de51a7d69b8de4c47a90b89f4e549bd1260474482cfe05c995"]
+        assert digests == [
+            "0817357133e6f37040d2ac6fb089a516fae1721e57d71f739e4f1da31681b8ba",
+            "53ed453ca278c22179c6550e4f1a5c0cffece6475c40bb1859392b3e6f6c9a7f",
+            "cad28572cdec34de51a7d69b8de4c47a90b89f4e549bd1260474482cfe05c995",
+        ]
         spec = scalar_spec(n=256, u0=3.0, phi2=PowerPotential(Space(1), 4))
         report = solve_dc_flow(spec, SolverConfig(yosida_lam=0.2, blowup_norm=100.0, coupling="coupled"))
         assert (report.node, report.reason) == (100, "norm-threshold")
@@ -195,7 +202,8 @@ class TestCoupledMode:
     def test_picard_iterates_find_the_resolvent_gradient_in_its_memo(self, monkeypatch):
         # while no row has left, each Picard iterate reaches the next
         # resolvent as the previous result itself: a memo hit returns the
-        # memo's own gradient array, a miss a fresh one
+        # memo's own gradient array, a miss a fresh one.  At p = 3, whose
+        # resolvent is Newton's (at p = 2 it is one band solve, with no memo)
         start_gradient = fraflow.convex.SmoothFunctional._start_gradient
         hits = []
 
@@ -205,7 +213,7 @@ class TestCoupledMode:
             return grad
 
         monkeypatch.setattr(fraflow.convex.SmoothFunctional, "_start_gradient", counting)
-        base = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=256)
+        base = ExperimentSpec(p=3.0, q=4.0, alpha=0.5, grid=Grid(1, 16), steps=256)
         specs = [base.with_amplitude(a) for a in (0.5, 1.0, 4.0, 16.0)]
         run_experiments(specs, SolverConfig(yosida_lam=0.1, coupling="coupled"))
         assert len(hits) > 256 and sum(hits) > 256
@@ -214,7 +222,8 @@ class TestCoupledMode:
         # where every row converged in the same Picard iteration (always, in
         # a batch of one), the next step's first resolvent starts at that
         # iteration's result itself and finds its gradient in the memo:
-        # every main-step start but the first, at u0, hits
+        # every main-step start but the first, at u0, hits.  At p = 3, as
+        # above
         start_gradient = fraflow.convex.SmoothFunctional._start_gradient
         picard = fraflow.solver._picard
         inside, hits = [False], {False: [], True: []}
@@ -233,10 +242,10 @@ class TestCoupledMode:
 
         monkeypatch.setattr(fraflow.convex.SmoothFunctional, "_start_gradient", counting)
         monkeypatch.setattr(fraflow.solver, "_picard", marked)
-        spec = ExperimentSpec(p=2.0, q=4.0, alpha=0.5, grid=Grid(1, 16), amplitude=2.0, steps=256)
-        run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled"))
+        spec = ExperimentSpec(p=3.0, q=4.0, alpha=0.5, grid=Grid(1, 16), amplitude=2.0, steps=256)
+        assert run_experiment(spec, SolverConfig(yosida_lam=0.1, coupling="coupled")).verdict == "completed"
         assert len(hits[False]) == 256 and sum(hits[False]) == 255
-        assert sum(hits[True]) == len(hits[True]) == 864
+        assert sum(hits[True]) == len(hits[True]) == 857
 
     class SteepRate(PowerPotential):
         """A phi2 whose Yosida rate is -1000 w, far steeper than the 1/lam that kappa assumes."""
@@ -528,7 +537,7 @@ class TestOneValuePath:
                 forcing_path, u0s = spec.forcing_path(), spec.u0[None]
                 if nan_at is not None:
                     forcing_path[nan_at] = np.nan
-                outcomes += solve(spec, config, forcing_path, u0s, [None], keep)
+                outcomes += solve(spec, config, forcing_path, u0s, spec.phi1_u0, [None], keep)
             ref, got = outcomes
             assert_matches_reference(got, ref)
         return ref
@@ -655,7 +664,7 @@ class TestLinearPath:
         # the benchmark's scalar solve: N = 16384, alpha = 0.5, no viscosity
         spec = scalar_spec(alpha=0.5, n=16384, u0=1.25)
         got = solve_dc_flow(spec)
-        (ref,) = _solve_loop(spec, SolverConfig(), spec.forcing_path(), spec.u0[None], [None], True)
+        (ref,) = _solve_loop(spec, SolverConfig(), spec.forcing_path(), spec.u0[None], spec.phi1_u0, [None], True)
         assert_matches_reference(got, ref)
         assert max(np.max(got.residuals), np.max(ref.residuals)) <= 1e-10
         pair, grid = spec.pair, spec.grid
@@ -693,7 +702,7 @@ class TestLinearPath:
         forcing_path = specs[0].forcing_path()
         outcomes = {}
         for keep in (True, False):
-            refs = _solve_loop(specs[0], config, forcing_path, u0s, [None] * len(specs), keep)
+            refs = _solve_loop(specs[0], config, forcing_path, u0s, specs[0].phi1.values(u0s), [None] * len(specs), keep)
             outcomes[keep] = got = list(solve_dc_rows(specs, config, keep))
             for spec, row, ref in zip(specs, got, refs):
                 assert_matches_reference(row, ref)
@@ -720,8 +729,8 @@ class TestLinearPath:
         forcing_path[300] = np.nan
         config = SolverConfig(blowup_norm=1e3)
         for keep in (True, False):
-            refs = _solve_loop(spec, config, forcing_path, u0s, [None] * 3, keep)
-            got = _solve_linear(spec, config, forcing_path, u0s, [None] * 3, keep)
+            refs = _solve_loop(spec, config, forcing_path, u0s, spec.phi1.values(u0s), [None] * 3, keep)
+            got = _solve_linear(spec, config, forcing_path, u0s, spec.phi1.values(u0s), [None] * 3, keep)
             for row, ref in zip(got, refs):
                 assert_matches_reference(row, ref)
             assert [getattr(row, "node", None) for row in got] == [300, 300, 300]
