@@ -55,8 +55,10 @@ row by row inside one call, and every per-row reduction keeps the
 single-row summation order, so a row comes out bitwise as it does alone.
 A row leaves the batch at its own exit (a threshold, a non-finite state,
 a stalled resolvent, or any exception, which becomes its outcome), the
-history drops its path before the next step, and the others march on.
-A single solve is a batch of one.  Whole-path buffers beyond
+history drops its path before the next step, and the others march on: a
+step that raises, its Picard loop included, is re-run row by row, and one
+test after the step's writes finds every row over a threshold or not
+finite.  A single solve is a batch of one.  Whole-path buffers beyond
 ``BATCH_BYTES`` split a batch into chunks: the history input always, the
 states, xi and eta only for kept trajectories.
 
@@ -286,38 +288,29 @@ def check_coupling(config, pair, grid):
 def _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, ids):
     """The inner Picard loop of the coupled mode, row by row.
 
-    Each row iterates until its own increment converges; the rows are
-    updated in place, ``ids`` are their batch rows.  Returns the exceptions
-    of the rows that failed, by position: what a row raised, or
-    ``ProxNonconvergence`` for a row that used up its ``max_picard`` budget,
-    and the last iterates.  While no row has left, each iterate goes on as
-    the resolvent's result itself, not a copy, so that a warm-started
+    Each row iterates from its step result ``u_new`` until its increment
+    converges or its iterate is not finite; ``u_new`` and the step arrays
+    are updated in place, ``ids`` are the batch rows.  Returns the states;
+    raises what a row raises, or ``ProxNonconvergence`` when a row uses up
+    its ``max_picard`` budget.  While every row iterates, each iterate goes
+    on as the resolvent's result itself, not a copy, so that a warm-started
     resolvent finds its gradient in its memo: to the next iteration, and,
     when every row converged in the same one, to the next step.
     """
-    pending = np.arange(len(u_new))  # the rows still iterating
-    u = u_new  # their iterates
-    errors = {}
+    pending = np.flatnonzero(np.isfinite(space.rows(u_new)).all(axis=1))  # the rows still iterating
+    if not pending.size:  # a resolvent may not take zero rows
+        return u_new
+    u = u_new if pending.size == len(u_new) else u_new[pending]  # their iterates
     for _ in range(config.max_picard):
-        rows = u, base[pending], ids[pending]
-        try:
-            out = step_rows(*rows)
-        except Exception as exc:  # noqa: BLE001 - sorted out row by row
-            kept, out, failed = _isolate(step_rows, exc, *rows)
-            errors.update((int(pending[k]), error) for k, error in failed.items())
-            pending = pending[kept]
-            if out is None:
-                return errors, u_new
-        eta_val[pending], env_val[pending], u_next, rhs[pending] = out
+        eta_val[pending], env_val[pending], u_next, rhs[pending] = step_rows(u, base[pending], ids[pending])
         inc = space.row_norms(u_next - u_new[pending])
         u_new[pending] = u_next
-        going = ~(inc <= config.inner_tol * (1.0 + space.row_norms(u_next)))
+        going = inc > config.inner_tol * (1.0 + space.row_norms(u_next))  # False on a non-finite iterate
         pending, inc = pending[going], inc[going]
         if not pending.size:
-            return errors, u_next if len(going) == len(u_new) else u_new
+            return u_next if len(going) == len(u_new) else u_new
         u = u_next if pending.size == len(going) else u_next[going]
-    errors.update((int(k), ProxNonconvergence(float(r), config.max_picard)) for k, r in zip(pending, inc))
-    return errors, u_new
+    raise ProxNonconvergence(float(inc.max()), config.max_picard)
 
 
 class _Batch:
@@ -390,10 +383,12 @@ def _solve_loop(spec, config, forcing_path, u0s, phi1_u0s, phi2s, keep_trajector
     Picard iterate (coupled), and the envelope at u0; without a phi2 that
     is the zero map, and coupled mode steps as semi-implicit.  Returns one
     outcome per row: a :class:`Trajectory` (one that stopped early at a
-    blow-up), or the exception the row raises.  A row leaves the batch at
-    its own exit, the others march on.  Without ``keep_trajectory`` the
-    history input is the only path stored: a completed row's Trajectory
-    carries None for states, xi, eta and the residuals.
+    blow-up), or the exception the row raises.  A step, with its Picard
+    loop, that raises is re-run row by row (``_isolate``, ``_Batch.fail``),
+    and one test after its writes ends every row over a threshold or not
+    finite; the others march on.  Without ``keep_trajectory`` the history
+    input is the only path stored: a completed row's Trajectory carries
+    None for states, xi, eta and the residuals.
     """
     grid = spec.grid
     n = grid.steps
@@ -431,11 +426,6 @@ def _solve_loop(spec, config, forcing_path, u0s, phi1_u0s, phi2s, keep_trajector
     history = History(omega, paths)
     held = np.arange(rows)
 
-    def fail(errors):
-        # the exceptions of the rows that failed, by their position among the live rows
-        for k, exc in errors.items():
-            batch.fail(live[k], exc, np.max(np.abs(prev[k])), j)
-
     def step_rows(u, b, ids):
         # the explicit part at the rows u of the batch rows ids (the
         # previous states, or in coupled mode a Picard iterate), then the
@@ -447,6 +437,14 @@ def _solve_loop(spec, config, forcing_path, u0s, phi1_u0s, phi2s, keep_trajector
         if not np.logical_and.reduce(np.isfinite(rhs), axis=None):  # ndarray.all adds a Python layer
             raise FloatingPointError("non-finite step data")
         return eta_val, env_val, prox(rhs, mu, tol=tol, start=u), rhs
+
+    def advance(u, b, ids):
+        # one step of the rows from their previous states u, and in coupled
+        # mode its Picard loop, which raises for the rows as the step does
+        eta_val, env_val, u_new, rhs = step_rows(u, b, ids)
+        if coupled:
+            u_new = _picard(step_rows, space, config, b, u_new, rhs, eta_val, env_val, ids)
+        return eta_val, env_val, u_new, rhs
 
     marching = -1  # the number of live rows the per-row data below are for
     for j in range(1, n + 1):
@@ -462,61 +460,47 @@ def _solve_loop(spec, config, forcing_path, u0s, phi1_u0s, phi2s, keep_trajector
         base = (live_start - history(j).reshape(prev.shape) + config.visc * prev) / denom
 
         try:
-            eta_val, env_val, u_new, rhs = step_rows(prev, base, live)
+            eta_val, env_val, u_new, rhs = advance(prev, base, live)
         except Exception as exc:  # noqa: BLE001 - sorted out row by row
-            kept, out, errors = _isolate(step_rows, exc, prev, base, live)
-            fail(errors)
-            live, base, prev = (x[kept] for x in (live, base, prev))
+            kept, out, errors = _isolate(advance, exc, prev, base, live)
+            for k, error in errors.items():
+                batch.fail(live[k], error, np.max(np.abs(prev[k])), j)
+            live, prev = live[kept], prev[kept]
             if out is None:
                 continue
             eta_val, env_val, u_new, rhs = out
 
-        if coupled:
-            errors, u_new = _picard(step_rows, space, config, base, u_new, rhs, eta_val, env_val, live)
-            if errors:
-                fail(errors)
-                keep = np.ones(live.size, dtype=bool)
-                keep[list(errors)] = False
-                live, u_new, rhs, eta_val, env_val = (x[keep] for x in (live, u_new, rhs, eta_val, env_val))
-                if not live.size:
-                    continue
-
-        # per-row maxima only when some row may leave: the largest entry
-        # of the batch fails this test when any is non-finite or too big
-        amax = None
-        if not np.maximum.reduce(np.abs(u_new), axis=None) <= config.blowup_norm:
-            amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
-            finite = np.isfinite(amax)
-            for k in np.flatnonzero(~finite):
-                batch.finish(live[k], j - 1, j, "non-finite")
-            if not finite.all():
-                live, u_new, rhs, eta_val, env_val, amax = (x[finite] for x in (live, u_new, rhs, eta_val, env_val, amax))
-                if not live.size:
-                    continue
-        # an int index is the fast one, and v takes u - u0 in place while
+        # every row is written at node j, a non-finite one too: its path
+        # ends at node j - 1, and the history drops it before the next sum.
+        # An int index is the fast one, and v takes u - u0 in place while
         # every row the history holds is live
         node = j if live.size == rows else (j, live)
-        if live.size == marching:
-            np.subtract(u_new, live_u0, out=v_nodes[j, :marching])
-        else:
-            v_nodes[j, np.searchsorted(held, live)] = u_new - u0s[live]
-        if keep_trajectory:
-            batch.states[node] = u_new
-            batch.xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
-            batch.eta[node] = eta_val
-        batch.norms[node] = space.row_norms(u_new)
-        envelope2[node] = env_val
-        batch.energy1[node] = e1 = spec.phi1.values(u_new)
-        prev = u_new
+        with np.errstate(over="ignore", invalid="ignore"):  # a leaving row's node j is not read
+            if live.size == marching:
+                np.subtract(u_new, live_u0, out=v_nodes[j, :marching])
+            else:
+                v_nodes[j, np.searchsorted(held, live)] = u_new - u0s[live]
+            if keep_trajectory:
+                batch.states[node] = u_new
+                batch.xi[node] = rhs  # xi = (rhs - u)/mu, taken over the whole path at the end
+                batch.eta[node] = eta_val
+            batch.norms[node] = space.row_norms(u_new)
+            envelope2[node] = env_val
+            batch.energy1[node] = e1 = spec.phi1.values(u_new)
 
-        # a NaN maximum also takes the per-row test, which ignores NaN
-        if amax is not None or not max(e1.tolist()) <= config.blowup_energy:
-            if amax is None:
+            # the one exit test: the batch maximum fails it when any entry
+            # is non-finite or too big, and a NaN energy maximum takes the
+            # per-row test, which ignores NaN
+            if not (np.maximum.reduce(np.abs(u_new), axis=None) <= config.blowup_norm and max(e1.tolist()) <= config.blowup_energy):
                 amax = np.abs(u_new).reshape(live.size, size).max(axis=1)
-            over = (amax > config.blowup_norm) | (e1 > config.blowup_energy)
-            for k in np.flatnonzero(over):
-                batch.finish(live[k], j, j, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold")
-            live, prev = live[~over], prev[~over]
+                over = ~(amax <= config.blowup_norm) | (e1 > config.blowup_energy)
+                for k in np.flatnonzero(over):
+                    if not np.isfinite(amax[k]):
+                        batch.finish(live[k], j - 1, j, "non-finite")
+                    else:
+                        batch.finish(live[k], j, j, "norm-threshold" if amax[k] > config.blowup_norm else "energy-threshold")
+                live, u_new = live[~over], u_new[~over]
+        prev = u_new
 
     # the history input is not needed any more: free it before the
     # re-assembly of the residuals

@@ -15,7 +15,7 @@ from fraflow.certify import check_ab_inequality, check_chain_rule, mittag_leffle
 from fraflow.cli import main
 from fraflow.convex import PowerPotential, ProxNonconvergence, Quadratic, Space
 from fraflow.kernels import TimeGrid, conv_weights, rl_pair
-from fraflow.plaplace import ExperimentSpec, Grid, run_experiment, run_experiments
+from fraflow.plaplace import ExperimentSpec, Grid, PDirichletEnergy, run_experiment, run_experiments
 from fraflow.solver import (
     DumpFormatError,
     ProblemSpec,
@@ -322,6 +322,34 @@ class TestBlowUp:
         assert len(result.norms) == n
         assert np.all(np.isfinite(result.norms))
 
+    @pytest.mark.parametrize("resolvent", ["closed-form", "newton"])
+    def test_non_finite_state_in_the_picard_loop_is_not_completed(self, resolvent):
+        # the coupled twin, with a phi2 (without one coupled mode steps as
+        # semi-implicit): the Picard loop stops at the NaN iterate, and the
+        # step ends the row "non-finite" instead of passing NaN to the
+        # phi2 resolvent, which stalled on it.  The 40th resolvent call is
+        # a Picard iterate of the closed form, and the Newton resolvent's
+        # first call of a step: the loop then has no finite row to iterate
+        # and calls no resolvent, which Newton could not do on zero rows
+        n = 256
+        grid, pair = TimeGrid(1.0, n), rl_pair(0.5)
+        config = SolverConfig(yosida_lam=0.2, coupling="coupled")
+        if resolvent == "closed-form":
+            space, u0, nan, plain = Space(1), np.array([1.0]), NanOnStep(Space(1), 40), Quadratic(Space(1))
+        else:
+            mesh = Grid(1, 8)
+            space, u0 = mesh.space, np.sin(np.pi * mesh.coords()[0])
+            nan, plain = NanOnStepDirichlet(mesh, 3.0, 40), PDirichletEnergy(mesh, 3.0)
+        result = solve_dc_flow(ProblemSpec(nan, PowerPotential(space, 4), pair, u0, None, grid), config)
+        assert result.reason is not None
+        assert result.reason == "non-finite"
+        assert 1 <= result.node < n
+        assert len(result.norms) == result.node
+        assert np.all(np.isfinite(result.norms))
+        # the nodes before the exit are the plain flow's
+        plain = solve_dc_flow(ProblemSpec(plain, PowerPotential(space, 4), pair, u0, None, grid), config)
+        assert result.norms.tobytes() == plain.norms[: result.node].tobytes()
+
 
 class SteppedQuadratic(Quadratic):
     """A ``Quadratic`` subclass: the same flow, marched by the stepped reference ``_solve_loop``."""
@@ -463,6 +491,20 @@ class RaisingQuadratic(Quadratic):
         return super().prox(w, lam, tol=tol)
 
 
+class NanAbove(Quadratic):
+    """A phi1 whose resolvent returns NaN on the rows it takes to ``level`` or beyond."""
+
+    def __init__(self, space, level):
+        super().__init__(space)
+        self.level = level
+
+    def prox(self, w, lam, tol=1e-10, start=None):
+        z = super().prox(w, lam, tol=tol)
+        rows = self.space.rows(z)
+        rows[np.abs(rows).max(axis=1) >= self.level] = np.nan
+        return z
+
+
 class NanOnStep(Quadratic):
     """A phi1 whose resolvent returns NaN at its ``step``-th call."""
 
@@ -473,6 +515,19 @@ class NanOnStep(Quadratic):
     def prox(self, w, lam, tol=1e-10, start=None):
         self.calls += 1
         z = super().prox(w, lam, tol=tol)
+        return np.full_like(z, np.nan) if self.calls == self.step else z
+
+
+class NanOnStepDirichlet(PDirichletEnergy):
+    """A p-Dirichlet phi1 whose Newton resolvent returns NaN at its ``step``-th call."""
+
+    def __init__(self, grid, p, step):
+        super().__init__(grid, p)
+        self.step, self.calls = step, 0
+
+    def prox(self, w, lam, tol=1e-10, start=None):
+        self.calls += 1
+        z = super().prox(w, lam, tol=tol, start=start)
         return np.full_like(z, np.nan) if self.calls == self.step else z
 
 
@@ -954,25 +1009,54 @@ class TestBatchedRows:
                 np.testing.assert_array_equal(got.norms, alone.norms)
         assert {got.reason is None for got in batch} == {True, False}
 
-    @pytest.mark.parametrize("stalling", ["phi1", "phi2"])
+    @pytest.mark.parametrize("stalling", ["phi1", "phi2", "phi2-coupled"])
     def test_a_stalled_row_leaves_the_others_marching(self, stalling):
         # the second row stalls at a bounded state: its error is its
-        # outcome, as when it runs alone, and the first row completes
-        if stalling == "phi2":
+        # outcome, as when it runs alone, and the first row completes.
+        # Coupled, the stall comes from the Picard loop, which raises for
+        # the batch and again for the row alone
+        if stalling.startswith("phi2"):
             specs = self.specs([[0.1, 0.1], [3.0, 3.0]], TestBlowUp.StallingPower(Space(2), 4), n=256)
         else:
             phi1, pair, grid = RaisingQuadratic(Space(2), 10.0, ProxNonconvergence(1.0, 200)), rl_pair(0.5), TimeGrid(1.0, 256)
             specs = [ProblemSpec(phi1, None, pair, np.array(u0), None, grid) for u0 in ([0.1, 0.1], [30.0, 30.0])]
-        config = SolverConfig(yosida_lam=1e-3, blowup_norm=1e6)
+        if stalling == "phi2-coupled":
+            config = SolverConfig(yosida_lam=0.2, blowup_norm=1e6, coupling="coupled")
+        else:
+            config = SolverConfig(yosida_lam=1e-3, blowup_norm=1e6)
         small, stalled = solve_dc_rows(specs, config)
         assert isinstance(small, Trajectory) and small.reason is None
         assert isinstance(stalled, ProxNonconvergence)
-        with pytest.raises(ProxNonconvergence):
+        with pytest.raises(ProxNonconvergence) as alone_stalled:
             solve_dc_flow(specs[1], config)
+        assert str(stalled) == str(alone_stalled.value)
         # the step the rows took one by one is bitwise the single run's
         alone = solve_dc_flow(specs[0], config)
         for name in ("states", "xi", "eta", "envelope2", "residuals"):
             assert getattr(small, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    @pytest.mark.parametrize("coupling", ["semi_implicit", "coupled"])
+    def test_a_non_finite_row_leaves_the_others_marching(self, coupling):
+        # the resolvent takes the middle row to NaN: that row ends
+        # "non-finite", as when it runs alone, and the others complete;
+        # each row is bitwise its single run
+        if coupling == "coupled":
+            config = SolverConfig(yosida_lam=0.2, coupling="coupled")
+        else:
+            config = SolverConfig(yosida_lam=1e-3)
+        phi1, phi2, pair, grid = NanAbove(Space(2), 5.0), PowerPotential(Space(2), 4), rl_pair(0.5), TimeGrid(1.0, 256)
+        specs = [ProblemSpec(phi1, phi2, pair, np.array(u0), None, grid) for u0 in ([0.1, 0.1], [3.0, 3.0], [0.5, -0.2])]
+        batch = list(solve_dc_rows(specs, config))
+        assert [got.reason for got in batch] == [None, "non-finite", None]
+        for spec, got in zip(specs, batch):
+            alone = solve_dc_flow(spec, config)
+            assert (got.node, got.reason, got.e_t) == (alone.node, alone.reason, alone.e_t)
+            names = ["energy1", "envelope2", "norms"]
+            if got.reason is None:
+                names += ["states", "xi", "eta", "residuals"]
+            for name in names:
+                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert len(batch[1].norms) == batch[1].node and np.all(np.isfinite(batch[1].norms))
 
     @pytest.mark.parametrize("keep", [True, False])
     def test_interleaved_phi2_rows_are_their_single_runs(self, keep):
